@@ -79,10 +79,6 @@ class ShootFailure(VanviscError):
 
 
 # hybrid
-class MissingProfile(VanviscError):
-    pass
-
-
 class OverlappingTracks(VanviscError):
     pass
 

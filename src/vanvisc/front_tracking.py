@@ -333,7 +333,6 @@ def run_until(model, config, tau, epsilon_prime=None, rarefaction_cap=None,
         n_ev += 1
         if n_ev > max_events:
             raise EventBudgetExceeded(f"more than {max_events} interactions before t={tau}")
-        V0, Q0 = glimm_functionals(cur)
         cur, incoming, outgoing, solver = resolve_interaction(
             model, cur, ev, epsilon_prime, rarefaction_cap,
             simplified_threshold=simplified_threshold, uid_iter=uid_iter,
@@ -341,11 +340,12 @@ def run_until(model, config, tau, epsilon_prime=None, rarefaction_cap=None,
         V1, Q1 = glimm_functionals(cur)
         events.append(
             EventRecord(index=n_ev - 1, time=ev.time, x=ev.x, incoming=incoming,
-                        outgoing=outgoing, solver=solver, dV=V1 - V0, dQ=Q1 - Q0)
+                        outgoing=outgoing, solver=solver, dV=V1 - V, dQ=Q1 - Q)
         )
         times.append(ev.time)
         configs.append(cur)
         history.append((ev.time, V1, Q1, V1 + GLIMM_C0 * Q1))
+        V, Q = V1, Q1
     return FTRun(model=model, configs=configs, times=times, events=events, tau=tau,
                  epsilon_prime=epsilon_prime, rarefaction_cap=rarefaction_cap,
                  glimm_history=history)

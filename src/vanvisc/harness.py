@@ -14,14 +14,14 @@ import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MonotonicityViolation, VanviscError
 from .front_tracking import init_front_tracking, run_until, sample_profile
 from .functionals import FunctionalConstants, audit_events, interaction_decay_rates
-from .hybrid import ResidualQuadrature, build_hybrid, jump_sum, residual, select_big_shocks
+from .hybrid import build_hybrid, jump_sum, residual, select_big_shocks
 from .measures import pair_interaction_integral
 from .piecewise import PiecewiseConstant, l1_distance_to_grid
 from .riemann import lax_curve
@@ -66,11 +66,6 @@ class ExperimentConfig:
 
     def constants(self):
         return FunctionalConstants(c0=self.c0, c1=self.c1, c2=self.c2, c3=self.c3)
-
-    def model(self):
-        if self.system == "burgers":
-            return preset_model("burgers")
-        return preset_model("p_system", gamma=self.gamma, k=self.k)
 
 
 def eval_rule(rule, eps):
@@ -233,7 +228,7 @@ def hybrid_vs_profile_l1(hyb, run, t, pad=None):
 
 def converge_row(cfg, eps):
     """One epsilon row of the convergence experiment."""
-    model = cfg.model()
+    model = preset_model(cfg.system, gamma=cfg.gamma, k=cfg.k)
     data = scenario_data(model, cfg.scenario, cfg.seed, cfg.n_jumps, cfg.tv)
     delta = eval_rule(cfg.delta_rule, eps)
     rho = eval_rule(cfg.rho_rule, eps)
@@ -257,7 +252,7 @@ def converge_row(cfg, eps):
     tracks = select_big_shocks(run, rho)
     hyb = build_hybrid(run, tracks, eps, delta=delta)
     res = residual(hyb)
-    js = jump_sum(run, tracks, eps, delta=delta)
+    js = jump_sum(run, tracks, hyb)
     e0 = hybrid_vs_profile_l1(hyb, run, 0.0)
     etau = hybrid_vs_profile_l1(hyb, run, cfg.tau)
     return {
@@ -300,7 +295,7 @@ def converge_cmd(cfg, out_dir=None):
 # functionals
 
 def functional_report_cmd(cfg, out_dir=None):
-    model = cfg.model()
+    model = preset_model(cfg.system, gamma=cfg.gamma, k=cfg.k)
     data = scenario_data(model, cfg.scenario, cfg.seed, cfg.n_jumps, cfg.tv)
     reports = {}
     any_violation = False
@@ -331,7 +326,7 @@ def functional_report_cmd(cfg, out_dir=None):
 # decay
 
 def decay_report_cmd(cfg, out_dir=None, mode="rarefactions_only"):
-    model = cfg.model()
+    model = preset_model(cfg.system, gamma=cfg.gamma, k=cfg.k)
     data = scenario_data(model, cfg.scenario, cfg.seed, cfg.n_jumps, cfg.tv)
     cap = eval_rule(cfg.cap_rule, min(cfg.delta_list))
     eps_prime = 1e-9

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (MissingProfile, OutOfRange, OverlappingTracks,
-                     ResolutionTooCoarse, UnclassifiableEvent)
+from .errors import OutOfRange, OverlappingTracks, ResolutionTooCoarse, UnclassifiableEvent
 from .viscous import shock_profile
 
 KERNEL_C = 76545.0 / 4096.0   # unit mass for (4/9 - s^2)^3 on |s| <= 2/3
@@ -390,9 +389,7 @@ class HybridStrip:
             s_arg = _squeeze(z, eps) / eps
             p1 = _squeeze_d1(z, eps)
             p2 = _squeeze_d2(z, eps)
-            w = np.atleast_2d(ts.profile.value(s_arg))
-            w1 = np.atleast_2d(ts.profile.deriv(s_arg))
-            w2 = np.atleast_2d(ts.profile.second(s_arg))
+            w, w1, w2 = ts.profile.jet(s_arg)
             v[inner] = w
             vx[inner] = w1 * (p1 / eps)[:, None]
             vxx[inner] = w2 * (p1 ** 2 / eps ** 2)[:, None] + w1 * (p2 / eps)[:, None]
@@ -427,24 +424,8 @@ class HybridStrip:
 
     def residual_pointwise(self, t, x):
         v, vx, vxx, vt = self.evaluate(t, x, parts=True)
-        Av_x = _a_times(self.model, v, vx)
+        Av_x = (self.model.jacobian(v) @ vx[..., None])[..., 0]
         return np.linalg.norm(vt + Av_x - self.epsilon * vxx, axis=1)
-
-
-def _a_times(model, v, vx):
-    if model.name == "burgers":
-        return v * vx
-    if model.name == "p_system":
-        gamma = model.params["gamma"]
-        k = model.params["k"]
-        out = np.empty_like(vx)
-        out[:, 0] = -vx[:, 1]
-        out[:, 1] = -gamma * k * v[:, 0] ** (-gamma - 1.0) * vx[:, 0]
-        return out
-    out = np.empty_like(vx)
-    for j in range(v.shape[0]):
-        out[j] = model.jacobian(v[j]) @ vx[j]
-    return out
 
 
 class HybridApprox:
@@ -470,12 +451,11 @@ class HybridApprox:
         return self.strip_at(t).value(t, np.atleast_1d(x))
 
 
-def build_hybrid(run, tracks, epsilon, delta=None, profiles=None):
+def build_hybrid(run, tracks, epsilon, delta=None):
     """Assemble the per-strip hybrid approximation of a front-tracking run."""
     if delta is None:
         delta = np.sqrt(epsilon)
-    if profiles is None:
-        profiles = ProfileCache(run.model)
+    profiles = ProfileCache(run.model)
     t_edges = [0.0] + list(run.times) + [run.tau]
     strips = []
     for k, cfg in enumerate(run.configs):
@@ -488,8 +468,6 @@ def build_hybrid(run, tracks, epsilon, delta=None, profiles=None):
             if seg is None or not tr.alive(0.5 * (t0 + t1)):
                 continue
             prof = profiles(seg.left_state, seg.right_state)
-            if prof is None:
-                raise MissingProfile(f"no profile for track {tr.id} on [{t0}, {t1})")
             fr = {f.uid: f for f in cfg.fronts}.get(seg.uid)
             if fr is None:
                 raise UnclassifiableEvent(f"track {tr.id} uid {seg.uid} missing from strip config")
@@ -640,23 +618,19 @@ def classify_event(ev, tracks):
     raise UnclassifiableEvent(f"event at t={t} defies classification")
 
 
-def jump_sum(run, tracks, epsilon, delta=None, profiles=None, dx=None):
-    """Sum over interaction times of the L1 jump of v, with per-case totals."""
-    if delta is None:
-        delta = np.sqrt(epsilon)
-    if profiles is None:
-        profiles = ProfileCache(run.model)
-    hyb = build_hybrid(run, tracks, epsilon, delta=delta, profiles=profiles)
+def jump_sum(run, tracks, hyb, dx=None):
+    """Sum over interaction times of the L1 jump of the hybrid hyb of run,
+    with per-case totals."""
+    delta = hyb.delta
     if dx is None:
-        dx = min(epsilon / 8.0, delta / 40.0)
-    t_edges = [0.0] + list(run.times) + [run.tau]
+        dx = min(hyb.epsilon / 8.0, delta / 40.0)
     strip_of = {}
     for st in hyb.strips:
         strip_of[st.t0] = st
     per_case = {c: 0.0 for c in _CASE_ORDER}
     per_event = []
     total = 0.0
-    for k, ev in enumerate(run.events):
+    for ev in run.events:
         before = None
         for st in hyb.strips:
             if st.t0 < ev.time <= st.t1 + 1e-14:

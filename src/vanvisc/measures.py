@@ -115,23 +115,24 @@ def pos_neg_parts(m):
 
     def build(atoms, keep):
         mu = WaveMeasure.from_atoms(atoms, family=m.family)
-        sel = [(a, b, abs(v)) for a, b, v in pieces if keep(v)]
-        if not sel:
-            return mu
-        xs = sorted({a for a, _, _ in sel} | {b for _, b, _ in sel})
-        vals = [0.0]
-        for j in range(len(xs) - 1):
-            mid = 0.5 * (xs[j] + xs[j + 1])
-            vv = 0.0
-            for a, b, v in sel:
-                if a < mid < b:
-                    vv = v
-                    break
-            vals.append(vv)
-        vals.append(0.0)
-        return mu.with_density(np.array(xs), np.array(vals[: len(xs) + 1]))
+        return _with_step_density(mu, [(a, b, abs(v)) for a, b, v in pieces if keep(v)])
 
     return build(pos_atoms, lambda v: v > 0), build(neg_atoms, lambda v: v < 0)
+
+
+def _with_step_density(mu, pieces):
+    """mu plus the step density summing the (a, b, value) pieces that cover
+    each point (for disjoint pieces, the value of the one piece)."""
+    if not pieces:
+        return mu
+    xs = np.array(sorted({a for a, _, _ in pieces} | {b for _, b, _ in pieces}))
+    a, b, v = np.array(pieces, dtype=float).T
+    mid = 0.5 * (xs[:-1] + xs[1:])
+    inside = (a[:, None] < mid) & (mid < b[:, None])
+    vals = np.zeros(xs.size + 1)
+    # a running sum adds the pieces in list order; np.sum may pair them up
+    vals[1:-1] = np.cumsum(np.where(inside, v[:, None], 0.0), axis=0)[-1]
+    return mu.with_density(xs, vals)
 
 
 def wave_measure(model, u, i):
@@ -156,23 +157,6 @@ def wave_measure(model, u, i):
             atoms.append((float(x), float(s)))
         left = right
     return WaveMeasure.from_atoms(atoms, family=i)
-
-
-def wave_measure_grid(model, x, values, i):
-    """Density branch l_i(u) . D_x u for grid (smooth) inputs."""
-    from .system import eigen_frame
-
-    x = np.asarray(x, dtype=float)
-    values = np.atleast_2d(np.asarray(values, dtype=float))
-    if values.shape[0] != x.size:
-        values = values.T
-    dens = np.zeros(x.size + 1)
-    for j in range(x.size - 1):
-        mid = 0.5 * (values[j] + values[j + 1])
-        l = eigen_frame(model, mid).l[i - 1]
-        dens[j + 1] = float(l @ (values[j + 1] - values[j])) / (x[j + 1] - x[j])
-    dens[-1] = 0.0
-    return WaveMeasure(atoms=np.zeros((0, 2)), density_xs=x, density_vals=dens, family=i)
 
 
 # ---------------------------------------------------------------------------
@@ -386,21 +370,7 @@ class OddProfile:
             if slope != 0.0:
                 pieces.append((x0, x1, slope))
                 pieces.append((-x1, -x0, slope))
-        mu = WaveMeasure.from_atoms(atoms)
-        if pieces:
-            xs = sorted({a for a, _, _ in pieces} | {b for _, b, _ in pieces})
-            vals = [0.0]
-            for j in range(len(xs) - 1):
-                mid = 0.5 * (xs[j] + xs[j + 1])
-                vv = 0.0
-                for a, b, v in pieces:
-                    if a < mid < b:
-                        vv = v
-                        break
-                vals.append(vv)
-            vals.append(0.0)
-            mu = mu.with_density(np.array(xs), np.array(vals[: len(xs) + 1]))
-        return mu
+        return _with_step_density(WaveMeasure.from_atoms(atoms), pieces)
 
 
 def single_rarefaction_reference(sigma_bar, t):
@@ -509,16 +479,7 @@ def spread_positive_waves(run, t, family, min_age=1e-12):
             atoms.append((f.pos, f.strength))
         else:
             pieces.append((f.pos - f.strength * age, f.pos, 1.0 / age))
-    mu = WaveMeasure.from_atoms(atoms, family=family)
-    if pieces:
-        xs = sorted({a for a, _, _ in pieces} | {b for _, b, _ in pieces})
-        vals = [0.0]
-        for j in range(len(xs) - 1):
-            mid = 0.5 * (xs[j] + xs[j + 1])
-            vals.append(sum(v for a, b, v in pieces if a < mid < b))
-        vals.append(0.0)
-        mu = mu.with_density(np.array(xs), np.array(vals[: len(xs) + 1]))
-    return mu
+    return _with_step_density(WaveMeasure.from_atoms(atoms, family=family), pieces)
 
 
 # ---------------------------------------------------------------------------

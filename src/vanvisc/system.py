@@ -8,7 +8,7 @@ basis is the dual one (l_i . r_j = delta_ij).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -21,15 +21,24 @@ _FD_STEP = 1e-6
 
 @dataclass(frozen=True)
 class SystemModel:
+    """A system u_t + f(u)_x = 0 with n components.
+
+    flux, jacobian and lambda_fn take one state of shape (n,) or a stack of
+    states of shape (..., n): flux returns (n,) or (..., n), jacobian (n, n)
+    or (..., n, n), lambda_fn the eigenvalues in ascending order, (n,) or
+    (..., n).  Grid solvers and the hybrid call them once on whole arrays.
+    """
     n: int
     flux: Callable
     jacobian: Callable
     domain_box: tuple  # ((lo_1, hi_1), ..., (lo_n, hi_n))
     name: str = "custom"
-    params: dict = field(default_factory=dict)
     # optional closed-form gradient of the eigenvalues, rows = grad lambda_i;
     # presets ship one, the finite-difference fallback remains the oracle
     grad_lambda_fn: Callable = None
+    # optional closed-form eigenvalues; without it max_abs_eigenvalue falls
+    # back to batched np.linalg.eigvals of the jacobian
+    lambda_fn: Callable = None
 
     def in_domain(self, u, slack=0.0):
         u = np.asarray(u, dtype=float)
@@ -56,6 +65,16 @@ class EigenFrame:
     lambdas: np.ndarray  # sorted ascending, shape (n,)
     r: np.ndarray        # r[i] = i-th right eigenvector, shape (n, n)
     l: np.ndarray        # l[i] . r[j] = delta_ij
+
+
+def max_abs_eigenvalue(model, u):
+    """max_i |lambda_i(u)| for a stack of states u of shape (..., n)."""
+    if model.lambda_fn is None:
+        lam = np.linalg.eigvals(model.jacobian(u)).real
+        return np.max(np.abs(lam), axis=-1)
+    lam = model.lambda_fn(u)
+    # ascending eigenvalues: the extreme families bound every |lambda_i|
+    return np.maximum(np.abs(lam[..., 0]), np.abs(lam[..., -1]))
 
 
 def _domain_grid(box, samples):
@@ -136,11 +155,12 @@ def preset_model(name, gamma=None, k=None):
     if name == "burgers":
         return SystemModel(
             n=1,
-            flux=lambda u: np.array([0.5 * u[0] * u[0]]),
-            jacobian=lambda u: np.array([[u[0]]]),
+            flux=lambda u: 0.5 * u * u,
+            jacobian=lambda u: np.array(u, dtype=float)[..., None],
             domain_box=((-4.0, 4.0),),
             name="burgers",
             grad_lambda_fn=lambda u: np.array([[1.0]]),
+            lambda_fn=lambda u: np.array(u, dtype=float),
         )
     if name == "p_system":
         gamma = 2.0 if gamma is None else float(gamma)
@@ -150,15 +170,25 @@ def preset_model(name, gamma=None, k=None):
         if k <= 0.0:
             raise BadParameter(f"p_system needs k > 0, got {k}")
 
+        # u.T unpacks one state into numpy scalars (the per-state callers in
+        # front tracking stay scalar) and a stack into whole component arrays
         def flux(u):
-            v, w = u
-            return np.array([-w, k * v ** (-gamma)])
+            v, w = u.T
+            return np.array([-w, k * v ** (-gamma)]).T
 
         def jac(u):
-            v, _ = u
-            return np.array([[0.0, -1.0], [-gamma * k * v ** (-gamma - 1.0), 0.0]])
+            v = u.T[0]
+            out = np.zeros(np.shape(u) + (2,))
+            out[..., 0, 1] = -1.0
+            out[..., 1, 0] = (-gamma * k * v ** (-gamma - 1.0)).T
+            return out
 
         root_gk = np.sqrt(gamma * k)
+
+        def lam(u):
+            # lambda_{1,2} = -/+ sqrt(gamma k) v^(-(gamma+1)/2)
+            c = root_gk * u.T[0] ** (-(gamma + 1.0) / 2.0)
+            return np.array([-c, c]).T
 
         def grad_lam(u):
             # lambda_{1,2} = -/+ sqrt(gamma k) v^(-(gamma+1)/2)
@@ -172,15 +202,10 @@ def preset_model(name, gamma=None, k=None):
             jacobian=jac,
             domain_box=((0.5, 2.0), (-2.0, 2.0)),
             name="p_system",
-            params={"gamma": gamma, "k": k},
             grad_lambda_fn=grad_lam,
+            lambda_fn=lam,
         )
     raise BadParameter(f"unknown preset {name!r}")
-
-
-def model_from_config(system, gamma=None, k=None):
-    """Preset lookup used by config files: system = "burgers" | "p_system"."""
-    return preset_model(system, gamma=gamma, k=k)
 
 
 def check_genuine_nonlinearity(model, samples=100, rng=None):

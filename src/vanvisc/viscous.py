@@ -20,7 +20,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import CFLViolation, DomainTooSmall, NotLaxPair, ShootFailure
 from .riemann import shock_speed
-from .system import eigen_frame
+from .system import eigen_frame, max_abs_eigenvalue
 
 _LAND_TOL = 1e-12
 
@@ -50,33 +50,6 @@ class GridSolution:
             fh.write("x," + ",".join(f"u_{i+1}" for i in range(n)) + "\n")
             for xi, ui in zip(self.x, self.values[k]):
                 fh.write(("%.17g," % xi) + ",".join("%.17g" % v for v in ui) + "\n")
-
-
-def _interface_speed(model, ul, ur):
-    """|A| at the arithmetic mean state; closed forms for the presets."""
-    if model.name == "burgers":
-        return np.abs(0.5 * (ul[:, 0] + ur[:, 0]))[:, None]
-    if model.name == "p_system":
-        gamma = model.params["gamma"]
-        k = model.params["k"]
-        vm = 0.5 * (ul[:, 0] + ur[:, 0])
-        c = np.sqrt(gamma * k) * vm ** (-(gamma + 1.0) / 2.0)
-        return c[:, None]
-    speeds = np.empty((ul.shape[0], 1))
-    for j in range(ul.shape[0]):
-        fr = eigen_frame(model, 0.5 * (ul[j] + ur[j]))
-        speeds[j, 0] = np.max(np.abs(fr.lambdas))
-    return speeds
-
-
-def _flux_array(model, u):
-    if model.name == "burgers":
-        return 0.5 * u * u
-    if model.name == "p_system":
-        gamma = model.params["gamma"]
-        k = model.params["k"]
-        return np.stack([-u[:, 1], k * u[:, 0] ** (-gamma)], axis=1)
-    return np.array([model.flux(uj) for uj in u])
 
 
 def solve_viscous(model, epsilon, initial, tau, dx, domain=None, out_times=None,
@@ -135,71 +108,25 @@ def solve_viscous(model, epsilon, initial, tau, dx, domain=None, out_times=None,
         values.append(u.copy())
         times.append(0.0)
 
-    if model.name == "burgers":
-        _step_burgers(u, steps, dt, dx, epsilon, out_steps, values, times)
-    else:
-        _step_generic(model, u, steps, dt, dx, epsilon, out_steps, values, times)
+    lam_dt_dx = dt / dx
+    mu_coef = epsilon * dt / dx ** 2
+    for m in range(1, steps + 1):
+        # Roe-type upwind flux with |A| at the arithmetic mean state
+        f = model.flux(u)
+        a = max_abs_eigenvalue(model, 0.5 * (u[:-1] + u[1:]))[:, None]
+        F = 0.5 * (f[:-1] + f[1:]) - 0.5 * a * (u[1:] - u[:-1])
+        lap = u[2:] - 2.0 * u[1:-1] + u[:-2]
+        u[1:-1] -= lam_dt_dx * (F[1:] - F[:-1])
+        u[1:-1] += mu_coef * lap
+        u[0] = u[1]
+        u[-1] = u[-2]
+        if m in out_steps:
+            values.append(u.copy())
+            times.append(out_steps[m])
     if not times or times[-1] != out_times[-1]:
         values.append(u.copy())
         times.append(tau)
     return GridSolution(x=x, times=times, values=values, epsilon=epsilon, dt=dt)
-
-
-def _step_burgers(u, steps, dt, dx, epsilon, out_steps, values, times):
-    """Preallocated scalar stepping loop (the sweep's hot path)."""
-    w = u[:, 0]
-    N = w.size
-    lam = dt / dx
-    mu = epsilon * dt / dx ** 2
-    sq = np.empty(N)
-    a = np.empty(N - 1)
-    F = np.empty(N - 1)
-    du = np.empty(N - 1)
-    lap = np.empty(N - 2)
-    for m in range(1, steps + 1):
-        np.multiply(w, w, out=sq)
-        np.add(sq[:-1], sq[1:], out=F)
-        F *= 0.25
-        np.add(w[:-1], w[1:], out=a)
-        a *= 0.5
-        np.abs(a, out=a)
-        np.subtract(w[1:], w[:-1], out=du)
-        a *= du
-        a *= 0.5
-        F -= a
-        np.subtract(w[2:], w[1:-1], out=lap)
-        lap -= w[1:-1]
-        lap += w[:-2]
-        lap *= mu
-        np.subtract(F[1:], F[:-1], out=du[:-1])
-        du[:-1] *= lam
-        w[1:-1] -= du[:-1]
-        w[1:-1] += lap
-        w[0] = w[1]
-        w[-1] = w[-2]
-        if m in out_steps:
-            values.append(u.copy())
-            times.append(out_steps[m])
-
-
-def _step_generic(model, u, steps, dt, dx, epsilon, out_steps, values, times):
-    lam_dt_dx = dt / dx
-    mu_coef = epsilon * dt / dx ** 2
-    for m in range(1, steps + 1):
-        ul, ur = u[:-1], u[1:]
-        fl = _flux_array(model, ul)
-        fr = _flux_array(model, ur)
-        a = _interface_speed(model, ul, ur)
-        F = 0.5 * (fl + fr) - 0.5 * a * (ur - ul)
-        un = u.copy()
-        un[1:-1] -= lam_dt_dx * (F[1:] - F[:-1])
-        un[1:-1] += mu_coef * (u[2:] - 2.0 * u[1:-1] + u[:-2])
-        un[0] = un[1]
-        un[-1] = un[-2]
-        u[:] = un
-        if m in out_steps:
-            values.append(u.copy())
-            times.append(out_steps[m])
 
 
 # ---------------------------------------------------------------------------
@@ -237,25 +164,32 @@ class ShockProfile:
     def rhs(self, w):
         """First integral g(w) = f(w) - f(u-) - speed (w - u-) = omega'."""
         w = np.atleast_2d(w)
-        return _flux_array(self.model, w) - self.model.flux(self.left_state) \
+        return self.model.flux(w) - self.model.flux(self.left_state) \
             - self.speed * (w - self.left_state)
 
-    def deriv(self, s):
-        """omega'(s), exact from the first integral (zero in the tails)."""
+    def jet(self, s):
+        """(omega, omega', omega'') at s from one orbit lookup.
+
+        omega' comes from the first integral (zero in the tails) and
+        omega'' = (A(omega) - speed) omega'.
+        """
         w = np.atleast_2d(self.value(s))
         g = self.rhs(w)
         s_arr = np.atleast_1d(np.asarray(s, dtype=float)) + self.center_shift
         g[(s_arr < self.s_lo) | (s_arr > self.s_hi)] = 0.0
-        return g[0] if np.asarray(s).ndim == 0 else g
+        a = self.model.jacobian(w) - self.speed * np.eye(self.model.n)
+        g2 = (a @ g[..., None])[..., 0]
+        if np.asarray(s).ndim == 0:
+            return w[0], g[0], g2[0]
+        return w, g, g2
+
+    def deriv(self, s):
+        """omega'(s)."""
+        return self.jet(s)[1]
 
     def second(self, s):
-        """omega''(s) = (A(omega) - speed) omega'."""
-        w = np.atleast_2d(self.value(s))
-        g = np.atleast_2d(self.deriv(s))
-        out = np.empty_like(g)
-        for j in range(w.shape[0]):
-            out[j] = (self.model.jacobian(w[j]) - self.speed * np.eye(self.model.n)) @ g[j]
-        return out[0] if np.asarray(s).ndim == 0 else out
+        """omega''(s)."""
+        return self.jet(s)[2]
 
     def value_rescaled(self, s, epsilon):
         """omega^eps(s) = omega(s / eps)."""

@@ -134,6 +134,11 @@ def test_cli_exit_codes(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("epsilon_list = -1\n")
     assert main(["converge", "--config", str(bad), "--out", str(tmp_path / "x")]) == 3
+    # an unknown system name is an error, not a silent fallback to the p-system
+    typo = tmp_path / "typo.cfg"
+    typo.write_text("system = Burgers\nscenario = lone_shock\nepsilon_list = 1e-2\n")
+    for cmd in ("converge", "functionals", "decay"):
+        assert main([cmd, "--config", str(typo), "--out", str(tmp_path / cmd)]) == 3
 
 
 def test_cli_exit_code_on_monotonicity_violation(tmp_path):

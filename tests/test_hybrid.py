@@ -200,7 +200,7 @@ def test_jump_sum_no_events():
     cfg = init_front_tracking(B, pc([0.0], [1.0, 0.0]), 1e-9, 0.25)
     run = run_until(B, cfg, 1.0)
     tracks = select_big_shocks(run, 0.5)
-    js = jump_sum(run, tracks, 1e-3)
+    js = jump_sum(run, tracks, build_hybrid(run, tracks, 1e-3))
     assert js["total"] == 0.0
 
 
@@ -216,7 +216,7 @@ def test_jump_sum_transversal_case_classified_and_scales():
         run = run_until(P, cfg, 1.0)
         tracks = select_big_shocks(run, 0.3)
         assert len(tracks) == 1
-        js = jump_sum(run, tracks, eps)
+        js = jump_sum(run, tracks, build_hybrid(run, tracks, eps))
         cases = {e["case"] for e in js["events"]}
         assert "transversal" in cases
         vals[eps] = js["per_case"]["transversal"] / (np.sqrt(eps) * 0.4 * 0.05)
@@ -228,7 +228,7 @@ def test_jump_sum_merge_case():
     cfg = init_front_tracking(B, pc([0.0, 0.3], [1.2, 0.6, 0.0]), 1e-9, 0.25)
     run = run_until(B, cfg, 2.0)
     tracks = select_big_shocks(run, 0.5)
-    js = jump_sum(run, tracks, 1e-3)
+    js = jump_sum(run, tracks, build_hybrid(run, tracks, 1e-3))
     assert [e["case"] for e in js["events"]] == ["merge"]
     assert js["per_case"]["merge"] > 0
 

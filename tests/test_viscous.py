@@ -3,7 +3,7 @@ import pytest
 
 from vanvisc.errors import CFLViolation, DomainTooSmall, NotLaxPair
 from vanvisc.riemann import lax_curve
-from vanvisc.system import eigen_frame, preset_model
+from vanvisc.system import SystemModel, eigen_frame, preset_model
 from vanvisc.viscous import shock_profile, solve_viscous, tail_bound_check
 
 B = preset_model("burgers")
@@ -128,6 +128,22 @@ def test_solve_viscous_tv_bound_and_refinement():
     u2_on_1 = np.interp(sol1.x, sol2.x, sol2.final()[:, 0])
     diff = np.sum(np.abs(u2_on_1 - sol1.final()[:, 0])) * (eps / 4)
     assert diff < 10 * (eps / 4) * tv0
+
+
+def test_solve_viscous_eigvals_fallback_matches_preset():
+    # a model without lambda_fn takes the interface speeds from batched
+    # eigenvalues of the jacobian instead of the preset's closed form
+    from vanvisc.piecewise import PiecewiseConstant
+
+    um = np.array([1.0, 0.0])
+    cases = ((B, PiecewiseConstant([0.0], [[1.0], [0.0]]), 1.2),
+             (P, PiecewiseConstant([0.0], [um, lax_curve(P, 1, um, -0.3)]), 2.0))
+    for model, data, vmax in cases:
+        bare = SystemModel(n=model.n, flux=model.flux, jacobian=model.jacobian,
+                           domain_box=model.domain_box)
+        ref = solve_viscous(model, 0.04, data, 0.2, 0.01, vmax=vmax)
+        got = solve_viscous(bare, 0.04, data, 0.2, 0.01, vmax=vmax)
+        assert np.max(np.abs(got.final() - ref.final())) < 1e-12
 
 
 def test_solve_viscous_errors():
