@@ -44,6 +44,10 @@ class EventBudgetExceeded(VanviscError):
     pass
 
 
+class InvalidConfiguration(VanviscError):
+    pass
+
+
 class OutOfRange(VanviscError):
     pass
 

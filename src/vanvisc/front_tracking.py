@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EventBudgetExceeded, OutOfRange
+from .errors import EventBudgetExceeded, InvalidConfiguration, OutOfRange
 from .piecewise import PiecewiseConstant
 from .riemann import solve_riemann, shock_speed, lax_curve
 from .system import eigen_frame
@@ -72,8 +72,10 @@ class FrontConfiguration:
         prev = self.left_state
         prev_x = -np.inf
         for f in self.fronts:
-            assert f.pos >= prev_x - POS_TOL, "positions out of order"
-            assert np.allclose(f.left_state, prev, atol=atol), "inconsistent adjacent states"
+            if f.pos < prev_x - POS_TOL:
+                raise InvalidConfiguration(f"front {f.uid} at {f.pos} left of its neighbour")
+            if not np.allclose(f.left_state, prev, atol=atol):
+                raise InvalidConfiguration(f"front {f.uid}: inconsistent adjacent states")
             prev, prev_x = f.right_state, f.pos
         return True
 
@@ -149,16 +151,22 @@ def _fronts_from_fan(model, fan, x, cap, uid_iter):
                       w.left_state, w.right_state)
             )
         else:
-            m = max(1, int(np.ceil(w.strength / cap - 1e-12)))
-            s_step = w.strength / m
-            u = w.left_state
-            for _ in range(m):
-                u_next = lax_curve(model, w.family, u, s_step)
-                sp = float(eigen_frame(model, u_next).lambdas[w.family - 1])
-                out.append(
-                    Front(next(uid_iter), x, w.family, "rarefaction_step", s_step, sp, u, u_next)
-                )
-                u = u_next
+            out.extend(_rarefaction_steps(model, w.family, w.left_state, w.strength,
+                                          x, cap, uid_iter))
+    return out
+
+
+def _rarefaction_steps(model, family, u, strength, x, cap, uid_iter):
+    """A rarefaction of the given strength from u split into equal steps of
+    strength <= cap, each at the characteristic speed of its right state."""
+    m = max(1, int(np.ceil(strength / cap - 1e-12)))
+    s_step = strength / m
+    out = []
+    for _ in range(m):
+        u_next = lax_curve(model, family, u, s_step)
+        sp = float(eigen_frame(model, u_next).lambdas[family - 1])
+        out.append(Front(next(uid_iter), x, family, "rarefaction_step", s_step, sp, u, u_next))
+        u = u_next
     return out
 
 
@@ -226,7 +234,6 @@ def _simplified_outgoing(model, incoming, u_l, u_r, x, cap, uid_iter):
     u = u_l
     if len({f.family for f in phys}) < len(phys):
         # same-family pair: single outgoing wave with summed strength
-        fam = phys[0].family
         s = sum(f.strength for f in phys)
         order = []
         if abs(s) > WAVE_FLOOR:
@@ -237,14 +244,8 @@ def _simplified_outgoing(model, incoming, u_l, u_r, x, cap, uid_iter):
             sp = shock_speed(model, u, u_next)
             out.append(Front(next(uid_iter), x, f.family, "shock", f.strength, sp, u, u_next))
         else:
-            m = max(1, int(np.ceil(f.strength / cap - 1e-12)))
-            ss = f.strength / m
-            for _ in range(m):
-                u2 = lax_curve(model, f.family, u, ss)
-                sp = float(eigen_frame(model, u2).lambdas[f.family - 1])
-                out.append(Front(next(uid_iter), x, f.family, "rarefaction_step", ss, sp, u, u2))
-                u = u2
-            u_next = u
+            out.extend(_rarefaction_steps(model, f.family, u, f.strength, x, cap, uid_iter))
+            u_next = out[-1].right_state
         u = u_next
     if float(np.linalg.norm(u_r - u)) > NP_FLOOR:
         out.append(_np_front(next(uid_iter), x, model, u, u_r))

@@ -2,19 +2,21 @@
 
 Configs are flat key = value text files; outputs are CSV/JSON written under
 an output directory.  Exit codes: 0 ok, 2 monotonicity violation, 3 numeric
-failure.
+failure or a bad config (reported in one line).
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import math
+import operator
 import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -63,23 +65,49 @@ class ExperimentConfig:
             raise ValueError("epsilon_list must be decreasing")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
+        for e in eps:
+            for rule in (self.delta_rule, self.rho_rule, self.dx_rule, self.cap_rule):
+                eval_rule(rule, e)
 
     def constants(self):
         return FunctionalConstants(c0=self.c0, c1=self.c1, c2=self.c2, c3=self.c3)
 
 
+_RULE_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+             ast.Div: operator.truediv, ast.Pow: operator.pow}
+_RULE_FUNCS = {"min": min, "max": max, "sqrt": math.sqrt, "log": math.log}
+
+
 def eval_rule(rule, eps):
     """Evaluate a sizing rule like "sqrt_eps", "4*sqrt_eps*abs_ln_eps",
-    "eps/8" or a plain number, in terms of the current epsilon."""
+    "eps/8" or a plain number, in terms of the current epsilon.
+
+    Config text is never passed to eval: a rule may hold only numbers, the
+    names eps, sqrt_eps and abs_ln_eps, unary minus, + - * / **, and calls
+    of min, max, sqrt and log."""
     if isinstance(rule, (int, float)):
         return float(rule)
-    env = {
-        "eps": eps,
-        "sqrt_eps": math.sqrt(eps),
-        "abs_ln_eps": abs(math.log(eps)),
-        "min": min, "max": max, "sqrt": math.sqrt, "log": math.log,
-    }
-    return float(eval(rule, {"__builtins__": {}}, env))
+    names = {"eps": eps, "sqrt_eps": math.sqrt(eps), "abs_ln_eps": abs(math.log(eps))}
+
+    def ev(node):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return float(node.value)   # float powers overflow instead of growing
+        if isinstance(node, ast.Name) and node.id in names:
+            return names[node.id]
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return -ev(node.operand)
+        if isinstance(node, ast.BinOp) and type(node.op) in _RULE_OPS:
+            return _RULE_OPS[type(node.op)](ev(node.left), ev(node.right))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in _RULE_FUNCS and not node.keywords):
+            return _RULE_FUNCS[node.func.id](*map(ev, node.args))
+        raise ValueError(f"rule {rule!r}: {ast.unparse(node)!r} is not allowed")
+
+    try:
+        tree = ast.parse(str(rule), mode="eval")
+    except SyntaxError as exc:
+        raise ValueError(f"rule {rule!r} does not parse") from exc
+    return float(ev(tree.body))
 
 
 def parse_config_file(path):
@@ -100,6 +128,9 @@ def parse_config_file(path):
     for k in ("seed", "n_jumps", "workers", "max_events"):
         if k in kwargs:
             kwargs[k] = int(kwargs[k])
+    unknown = sorted(set(kwargs) - {f.name for f in fields(ExperimentConfig)})
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
     return ExperimentConfig(**kwargs)
 
 
@@ -202,6 +233,16 @@ class ConvergenceTable:
         return self.fit_p, self.fit_c
 
 
+def _track(cfg, model, data, scale, eps_prime):
+    """Front-tracking run of data to cfg.tau, with rarefaction steps capped
+    by cfg.cap_rule at the given length scale."""
+    cap = eval_rule(cfg.cap_rule, scale)
+    return run_until(model, init_front_tracking(model, data, eps_prime, cap),
+                     cfg.tau, epsilon_prime=eps_prime, rarefaction_cap=cap,
+                     simplified_threshold=cfg.simplified_threshold,
+                     max_events=cfg.max_events)
+
+
 def hybrid_vs_profile_l1(hyb, run, t, pad=None):
     """L1 distance between the hybrid v(t) and the front-tracking u(t)."""
     st = hyb.strip_at(min(t, hyb.tau * (1 - 1e-15)))
@@ -233,15 +274,10 @@ def converge_row(cfg, eps):
     delta = eval_rule(cfg.delta_rule, eps)
     rho = eval_rule(cfg.rho_rule, eps)
     dx = eval_rule(cfg.dx_rule, eps)
-    cap = eval_rule(cfg.cap_rule, eps)
-    eps_prime = min(1e-9, eps ** 3)
     ln_eps = abs(math.log(eps))
     rate_var = math.sqrt(eps) * ln_eps
 
-    run = run_until(model, init_front_tracking(model, data, eps_prime, cap),
-                    cfg.tau, epsilon_prime=eps_prime, rarefaction_cap=cap,
-                    simplified_threshold=cfg.simplified_threshold,
-                    max_events=cfg.max_events)
+    run = _track(cfg, model, data, eps, min(1e-9, eps ** 3))
     u_tau = sample_profile(run, cfg.tau)
     tv0 = data.total_variation()
 
@@ -301,12 +337,7 @@ def functional_report_cmd(cfg, out_dir=None):
     any_violation = False
     for eps in cfg.epsilon_list:
         rho = eval_rule(cfg.rho_rule, eps)
-        cap = eval_rule(cfg.cap_rule, eps)
-        eps_prime = min(1e-9, eps ** 3)
-        run = run_until(model, init_front_tracking(model, data, eps_prime, cap),
-                        cfg.tau, epsilon_prime=eps_prime, rarefaction_cap=cap,
-                        simplified_threshold=cfg.simplified_threshold,
-                        max_events=cfg.max_events)
+        run = _track(cfg, model, data, eps, min(1e-9, eps ** 3))
         tracks = select_big_shocks(run, rho)
         rep = audit_events(run, tracks, eps, cfg.constants(), rho=rho)
         rates = interaction_decay_rates(run, tracks, eps, cfg.constants())
@@ -328,11 +359,7 @@ def functional_report_cmd(cfg, out_dir=None):
 def decay_report_cmd(cfg, out_dir=None, mode="rarefactions_only"):
     model = preset_model(cfg.system, gamma=cfg.gamma, k=cfg.k)
     data = scenario_data(model, cfg.scenario, cfg.seed, cfg.n_jumps, cfg.tv)
-    cap = eval_rule(cfg.cap_rule, min(cfg.delta_list))
-    eps_prime = 1e-9
-    run = run_until(model, init_front_tracking(model, data, eps_prime, cap),
-                    cfg.tau, epsilon_prime=eps_prime, rarefaction_cap=cap,
-                    max_events=cfg.max_events)
+    run = _track(cfg, model, data, min(cfg.delta_list), 1e-9)
     tv = data.total_variation()
     rows = []
     for delta in sorted(cfg.delta_list, reverse=True):
@@ -377,6 +404,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = parse_config_file(args.config)
+    except (OSError, ValueError, TypeError, ArithmeticError, VanviscError) as exc:
+        print(f"vanvisc: bad config {args.config}: {exc}", file=sys.stderr)
+        return 3
+    try:
         if args.command == "converge":
             converge_cmd(cfg, args.out)
             return 0
@@ -388,7 +419,7 @@ def main(argv=None):
     except MonotonicityViolation:
         traceback.print_exc()
         return 2
-    except (VanviscError, ValueError, FloatingPointError, np.linalg.LinAlgError):
+    except (VanviscError, ValueError, ArithmeticError, np.linalg.LinAlgError):
         traceback.print_exc()
         return 3
 

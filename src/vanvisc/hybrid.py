@@ -405,8 +405,8 @@ class HybridStrip:
         vt = -ts.speed * vx
         return v, vx, vxx, vt
 
-    def evaluate(self, t, x, parts=False):
-        """v and its derivatives at (t, x); x is a 1-D array."""
+    def jet(self, t, x):
+        """(v, vx, vxx, vt) at (t, x); x is a 1-D array."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         v, vx, vxx, vt = self._mollified(t, x)
         for ts in self.tracks:
@@ -415,15 +415,13 @@ class HybridStrip:
             vx = vx + dvx
             vxx = vxx + dvxx
             vt = vt + dvt
-        if parts:
-            return v, vx, vxx, vt
-        return v
+        return v, vx, vxx, vt
 
     def value(self, t, x):
-        return self.evaluate(t, x)
+        return self.jet(t, x)[0]
 
     def residual_pointwise(self, t, x):
-        v, vx, vxx, vt = self.evaluate(t, x, parts=True)
+        v, vx, vxx, vt = self.jet(t, x)
         Av_x = (self.model.jacobian(v) @ vx[..., None])[..., 0]
         return np.linalg.norm(vt + Av_x - self.epsilon * vxx, axis=1)
 
@@ -492,25 +490,18 @@ def build_hybrid(run, tracks, epsilon, delta=None):
 # ---------------------------------------------------------------------------
 # residual and jump diagnostics
 
-@dataclass
-class ResidualQuadrature:
-    dx_far: float = None       # default delta / 6
-    dx_near: float = None      # default eps / 8 within |x - x_alpha| <= 1.1 sqrt(eps)
-    t_step: float = None       # default sqrt(eps) / 6
-    nt_min: int = 2
-    pad: float = None          # default delta
-
-
-def _strip_grid(strip, t, quad):
+def _strip_grid(strip, t, refine):
+    """Cell edges at time t: delta/6 apart over the fronts plus a pad of
+    delta, eps/8 apart within 1.1 sqrt(eps) of each track, both divided by
+    refine."""
     delta = strip.delta
     eps = strip.epsilon
-    dx_far = quad.dx_far or delta / 6.0
-    dx_near = quad.dx_near or eps / 8.0
-    pad = quad.pad if quad.pad is not None else delta
+    dx_far = delta / 6.0 / refine
+    dx_near = eps / 8.0 / refine
     xs = strip.front_positions(t)
     if xs.size == 0:
         return None
-    lo, hi = xs.min() - pad, xs.max() + pad
+    lo, hi = xs.min() - delta, xs.max() + delta
     edges = [np.arange(lo, hi + dx_far, dx_far)]
     r = np.sqrt(eps)
     for ts in strip.tracks:
@@ -521,31 +512,29 @@ def _strip_grid(strip, t, quad):
     return e
 
 
-def residual(hyb, model=None, epsilon=None, strips=None, quadrature=None, check=False):
+def residual(hyb, check=False):
     """Space-time integral of |v_t + A(v)v_x - eps v_xx| plus per-track parts.
 
     Returns a dict with the strip-summed total, the per-track window
     integrals E_alpha (window |x - x_alpha| <= sqrt(eps)), and the far-field
-    remainder.  With check=True the x-steps are halved once and
+    remainder.  Each strip is sampled at max(2, ceil(L / (sqrt(eps)/6)))
+    midpoint times.  With check=True the x-steps are halved once and
     ResolutionTooCoarse is raised if the total moves by more than 2%.
     """
-    quad = quadrature or ResidualQuadrature()
-    model = model or hyb.model
-    epsilon = epsilon or hyb.epsilon
+    epsilon = hyb.epsilon
 
-    def run_once(q):
+    def run_once(refine):
         total = 0.0
         per_track = {}
         far = 0.0
-        t_step = q.t_step or np.sqrt(epsilon) / 6.0
-        todo = strips if strips is not None else hyb.strips
-        for st in todo:
+        t_step = np.sqrt(epsilon) / 6.0
+        for st in hyb.strips:
             L = st.t1 - st.t0
-            nt = max(q.nt_min, int(np.ceil(L / t_step)))
+            nt = max(2, int(np.ceil(L / t_step)))
             tmids = st.t0 + (np.arange(nt) + 0.5) * (L / nt)
             wt = L / nt
             for t in tmids:
-                e = _strip_grid(st, t, q)
+                e = _strip_grid(st, t, refine)
                 if e is None:
                     continue
                 mid = 0.5 * (e[:-1] + e[1:])
@@ -563,14 +552,9 @@ def residual(hyb, model=None, epsilon=None, strips=None, quadrature=None, check=
                 far += wt * float(r[~near_any] @ h[~near_any])
         return {"total": total, "per_track": per_track, "far_field": far}
 
-    out = run_once(quad)
+    out = run_once(1)
     if check:
-        fine = ResidualQuadrature(
-            dx_far=(quad.dx_far or hyb.delta / 6.0) / 2.0,
-            dx_near=(quad.dx_near or epsilon / 8.0) / 2.0,
-            t_step=quad.t_step, nt_min=quad.nt_min, pad=quad.pad,
-        )
-        out2 = run_once(fine)
+        out2 = run_once(2)
         denom = max(abs(out2["total"]), 1e-300)
         if abs(out2["total"] - out["total"]) / denom > 0.02:
             raise ResolutionTooCoarse(

@@ -9,6 +9,7 @@ lemmas can be checked without quadrature noise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -67,44 +68,58 @@ class WaveMeasure:
                 out.append((xs[j], xs[j + 1], vals[j + 1]))
         return out
 
+    @cached_property
+    def _knots(self):
+        """(xs, F, steps): the breakpoints, the density mass F of (-inf, x]
+        at each of them (linear in between), and the density on the
+        xs.size + 1 intervals they cut the line into, 0 on the outer two.
+        Piece j = [xs[j], xs[j+1]) has value density_vals[j + 1], so
+        density_vals may or may not carry the trailing 0."""
+        xs = self.density_xs if self.density_xs.size else np.zeros(1)
+        steps = np.zeros(xs.size + 1)
+        steps[1:-1] = self.density_vals[1:xs.size]
+        F = np.concatenate([[0.0], np.cumsum(steps[1:-1] * np.diff(xs))])
+        return xs, F, steps
+
+    @cached_property
+    def _atom_cum(self):
+        """Entry k is the mass of the first k atoms."""
+        return np.concatenate([[0.0], np.cumsum(self.atoms[:, 1])])
+
+    def density_cdf(self, x):
+        """Density mass of (-inf, x], vectorized."""
+        xs, F, _ = self._knots
+        return np.interp(x, xs, F)
+
     def density_mass(self):
-        return sum((b - a) * v for a, b, v in self.density_pieces())
+        return float(self._knots[1][-1])
 
     def total_mass(self):
         return self.atom_mass() + self.density_mass()
 
     def total_variation(self):
+        xs, _, steps = self._knots
         tv = float(np.sum(np.abs(self.atoms[:, 1]))) if self.atoms.size else 0.0
-        return tv + sum((b - a) * abs(v) for a, b, v in self.density_pieces())
+        return tv + float(np.abs(steps[1:-1]) @ np.diff(xs))
 
     def is_nonnegative(self):
         if self.atoms.size and np.any(self.atoms[:, 1] < 0):
             return False
-        return all(v >= 0 for _, _, v in self.density_pieces())
+        return not np.any(self._knots[2] < 0)
 
     def mass_on(self, lo, hi):
         """Measure of the closed interval [lo, hi]."""
-        out = 0.0
-        if self.atoms.size:
-            sel = (self.atoms[:, 0] >= lo) & (self.atoms[:, 0] <= hi)
-            out += float(np.sum(self.atoms[sel, 1]))
-        for a, b, v in self.density_pieces():
-            w = min(b, hi) - max(a, lo)
-            if w > 0:
-                out += v * w
-        return out
+        if hi < lo:
+            return 0.0
+        f_lo, f_hi = self.density_cdf((lo, hi))
+        X, cum = self.atoms[:, 0], self._atom_cum
+        return float(f_hi - f_lo + cum[np.searchsorted(X, hi, side="right")]
+                     - cum[np.searchsorted(X, lo, side="left")])
 
     def cdf(self, x):
         """F(x) = mu((-inf, x]), vectorized, right-continuous."""
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        if self.atoms.size:
-            out += np.array(
-                [np.sum(self.atoms[self.atoms[:, 0] <= xi, 1]) for xi in np.atleast_1d(x)]
-            ).reshape(x.shape)
-        for a, b, v in self.density_pieces():
-            out += v * np.clip(x - a, 0.0, b - a)
-        return out
+        X, cum = self.atoms[:, 0], self._atom_cum
+        return self.density_cdf(x) + cum[np.searchsorted(X, x, side="right")]
 
 
 def pos_neg_parts(m):
@@ -235,30 +250,20 @@ def odd_rearrangement(v):
     return MonotoneProfile(v_left=-0.5 * mu_hat.total_mass(), measure=mu_hat)
 
 
-def _rearranged_breaks(mp):
-    """Positive breakpoints of an odd-rearranged profile."""
-    out = [0.0]
-    xs = mp.measure.density_xs
-    out.extend(float(x) for x in xs[xs > 0])
-    return out
-
-
 def order_leq(mu, mu_prime, tol=1e-12):
     """Partial order: mu <= mu' iff the odd rearrangements compare on x > 0."""
     for m in (mu, mu_prime):
         if not m.is_nonnegative():
             raise NegativeMass("order_leq is defined for positive measures")
-    a = odd_rearrangement(MonotoneProfile(0.0, mu))
-    b = odd_rearrangement(MonotoneProfile(0.0, mu_prime))
-    pts = sorted(set(_rearranged_breaks(a)) | set(_rearranged_breaks(b)))
-    pts.append(pts[-1] + 1.0)
-    for x in pts:
-        # v-hat(x) = S/2 + density((0, x]);  mass_on(0, x) = S + density((0, x])
-        va = a.measure.mass_on(0.0, x) - 0.5 * a.measure.atom_mass()
-        vb = b.measure.mass_on(0.0, x) - 0.5 * b.measure.atom_mass()
-        if va > vb + tol:
-            return False
-    return True
+    a = odd_rearrangement(mu).measure
+    b = odd_rearrangement(mu_prime).measure
+    pts = np.unique(np.concatenate([[0.0], a.density_xs[a.density_xs > 0],
+                                    b.density_xs[b.density_xs > 0]]))
+    pts = np.append(pts, pts[-1] + 1.0)
+    # v-hat(x) = S/2 + density((0, x]) for x > 0, S the atom mass at 0
+    va = a.density_cdf(pts) - a.density_cdf(0.0) + 0.5 * a.atom_mass()
+    vb = b.density_cdf(pts) - b.density_cdf(0.0) + 0.5 * b.atom_mass()
+    return not np.any(va > vb + tol)
 
 
 # ---------------------------------------------------------------------------
@@ -274,55 +279,21 @@ def band_correlation(mu, rho):
         X, M = A[:, 0], A[:, 1]
         close = np.abs(X[:, None] - X[None, :]) <= rho + 1e-15
         total += float(M @ (close @ M))
-        for x, m in A:
-            total += 2.0 * m * _density_mass_window(mu, x - rho, x + rho)
+        window = mu.density_cdf(X + rho) - mu.density_cdf(X - rho)
+        total += 2.0 * float(M @ window)
     total += _density_band(mu, rho)
     return total
 
 
-def _density_mass_window(mu, lo, hi):
-    out = 0.0
-    for a, b, v in mu.density_pieces():
-        w = min(b, hi) - max(a, lo)
-        if w > 0:
-            out += v * w
-    return out
-
-
 def _density_band(mu, rho):
-    """Integral of d(x) [F(x+rho) - F(x-rho)] dx for the density part."""
-    pieces = mu.density_pieces()
-    if not pieces:
-        return 0.0
-    breaks = set()
-    for a, b, _ in pieces:
-        breaks.update((a, b, a - rho, b - rho, a + rho, b + rho))
-    breaks = sorted(breaks)
-
-    def F(x):
-        out = 0.0
-        for a, b, v in pieces:
-            out += v * min(max(x - a, 0.0), b - a)
-        return out
-
-    def dens(x):
-        for a, b, v in pieces:
-            if a <= x < b:
-                return v
-        return 0.0
-
-    total = 0.0
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        if hi <= lo:
-            continue
-        mid = 0.5 * (lo + hi)
-        d = dens(mid)
-        if d == 0.0:
-            continue
-        g_lo = F(lo + rho) - F(lo - rho)
-        g_hi = F(hi + rho) - F(hi - rho)
-        total += d * (hi - lo) * 0.5 * (g_lo + g_hi)
-    return total
+    """Integral of d(x) [F(x+rho) - F(x-rho)] dx for the density part d with
+    cumulative mass F.  Between consecutive breaks d is constant and the
+    bracket is linear, so the trapezoid rule is exact."""
+    xs, _, steps = mu._knots
+    br = np.unique(np.concatenate([xs, xs - rho, xs + rho]))
+    g = mu.density_cdf(br + rho) - mu.density_cdf(br - rho)
+    d = steps[np.searchsorted(xs, 0.5 * (br[:-1] + br[1:]), side="right")]
+    return float(np.sum(d * np.diff(br) * 0.5 * (g[:-1] + g[1:])))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from vanvisc.errors import EventBudgetExceeded, OutOfRange
-from vanvisc.front_tracking import (glimm_functionals, init_front_tracking,
+from vanvisc.errors import EventBudgetExceeded, InvalidConfiguration, OutOfRange
+from vanvisc.front_tracking import (FrontConfiguration, glimm_functionals, init_front_tracking,
                                     merge_cancelling_pairs, next_interaction,
                                     resolve_interaction, run_until, sample_profile)
 from vanvisc.piecewise import PiecewiseConstant
@@ -38,6 +40,17 @@ def test_init_p_system_families_ordered():
     fams = [f.family for f in cfg.fronts]
     assert fams == sorted(fams)
     assert set(fams) == {1, 2}
+
+
+def test_validate_raises_on_broken_configuration():
+    cfg = init_front_tracking(B, pc([0.0, 1.0], [1.0, 0.0, -0.5]), 1e-9, 0.25)
+    swapped = FrontConfiguration(0.0, cfg.fronts[::-1], cfg.left_state)
+    with pytest.raises(InvalidConfiguration, match="inconsistent adjacent states"):
+        swapped.validate()
+    crossed = FrontConfiguration(0.0, [cfg.fronts[0], replace(cfg.fronts[1], pos=-1.0)],
+                                 cfg.left_state)
+    with pytest.raises(InvalidConfiguration, match="left of its neighbour"):
+        crossed.validate()
 
 
 def test_next_interaction_two_shocks():

@@ -1,5 +1,6 @@
 import filecmp
 import json
+import math
 import os
 
 import numpy as np
@@ -20,6 +21,14 @@ def test_eval_rule():
     assert eval_rule("eps/8", 8e-3) == pytest.approx(1e-3)
     assert eval_rule(0.25, 1e-3) == 0.25
     assert eval_rule("min(1e-2, eps)", 1e-3) == pytest.approx(1e-3)
+    eps = 3e-3
+    assert eval_rule("4*sqrt_eps*abs_ln_eps", eps) == 4 * math.sqrt(eps) * abs(math.log(eps))
+    assert eval_rule("-eps + 2**3 - max(sqrt(4), log(1)) / 2", eps) == -eps + 8 - 1.0
+    for bad in ("(1).__class__", "__import__('os')", "eps.real", "abs(eps)", "x",
+                "[eps][0]", "eps if eps else 1", "True", "+eps", "min(eps, key=eps)",
+                "4*", "9**9**9"):
+        with pytest.raises((ValueError, ArithmeticError)):
+            eval_rule(bad, eps)
 
 
 def test_parse_config_file(tmp_path):
@@ -130,10 +139,21 @@ def test_cli_determinism(tmp_path):
     assert (tmp_path / "c" / "decay.csv").read_bytes() == (tmp_path / "d" / "decay.csv").read_bytes()
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
+    # a bad or missing config exits 3 with a one-line message
     bad = tmp_path / "bad.cfg"
-    bad.write_text("epsilon_list = -1\n")
-    assert main(["converge", "--config", str(bad), "--out", str(tmp_path / "x")]) == 3
+    for text, word in (("epsilon_list = -1\n", "positive"),
+                       ("foo = 1\n", "foo"),
+                       ("rho_rule = (1).__class__\n", "__class__"),
+                       ("dx_rule = eps/\n", "parse"),
+                       ("tau = abc\n", "")):
+        bad.write_text(text)
+        assert main(["converge", "--config", str(bad), "--out", str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and word in err
+    assert main(["decay", "--config", str(tmp_path / "none.cfg"), "--out", str(tmp_path / "x")]) == 3
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not (tmp_path / "x").exists()
     # an unknown system name is an error, not a silent fallback to the p-system
     typo = tmp_path / "typo.cfg"
     typo.write_text("system = Burgers\nscenario = lone_shock\nepsilon_list = 1e-2\n")

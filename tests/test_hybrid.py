@@ -3,7 +3,7 @@ import pytest
 
 from vanvisc.errors import OutOfRange, OverlappingTracks
 from vanvisc.front_tracking import init_front_tracking, run_until
-from vanvisc.hybrid import (HybridStrip, Mollifier, ResidualQuadrature, build_hybrid,
+from vanvisc.hybrid import (HybridStrip, Mollifier, build_hybrid,
                             classify_event, jump_sum, mollification_l1_error, mollify,
                             oscillation_weighted_tv, residual, select_big_shocks,
                             squeeze_map, _squeeze, _squeeze_d1)

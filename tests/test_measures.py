@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from vanvisc.errors import NegativeMass, NonMonotoneHistory, NotMonotone
 from vanvisc.front_tracking import init_front_tracking, run_until
@@ -302,3 +304,114 @@ def test_proposition1_comparison_on_run():
     for t in np.linspace(0.05, 2.0, 8):
         mup = spread_positive_waves(run, t, 1)
         assert order_leq(mup, cs.profile_at(t).dx_measure(), tol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the piece-by-piece scan that the cumulative knots replaced
+
+def ref_mass_on(mu, lo, hi, atoms=True):
+    out = 0.0
+    if atoms and mu.atoms.size:
+        sel = (mu.atoms[:, 0] >= lo) & (mu.atoms[:, 0] <= hi)
+        out += float(np.sum(mu.atoms[sel, 1]))
+    for a, b, v in mu.density_pieces():
+        w = min(b, hi) - max(a, lo)
+        if w > 0:
+            out += v * w
+    return out
+
+
+def ref_cdf(mu, x):
+    out = float(np.sum(mu.atoms[mu.atoms[:, 0] <= x, 1])) if mu.atoms.size else 0.0
+    for a, b, v in mu.density_pieces():
+        out += v * min(max(x - a, 0.0), b - a)
+    return out
+
+
+def ref_band_correlation(mu, rho):
+    total = 0.0
+    if mu.atoms.size:
+        X, M = mu.atoms[:, 0], mu.atoms[:, 1]
+        close = np.abs(X[:, None] - X[None, :]) <= rho + 1e-15
+        total += float(M @ (close @ M))
+        for x, m in mu.atoms:
+            total += 2.0 * m * ref_mass_on(mu, x - rho, x + rho, atoms=False)
+    pieces = mu.density_pieces()
+    if not pieces:
+        return total
+    breaks = set()
+    for a, b, _ in pieces:
+        breaks.update((a, b, a - rho, b - rho, a + rho, b + rho))
+    breaks = sorted(breaks)
+
+    def F(x):
+        out = 0.0
+        for a, b, v in pieces:
+            out += v * min(max(x - a, 0.0), b - a)
+        return out
+
+    def dens(x):
+        for a, b, v in pieces:
+            if a <= x < b:
+                return v
+        return 0.0
+
+    for lo, hi in zip(breaks[:-1], breaks[1:]):
+        if hi <= lo:
+            continue
+        mid = 0.5 * (lo + hi)
+        d = dens(mid)
+        if d == 0.0:
+            continue
+        g_lo = F(lo + rho) - F(lo - rho)
+        g_hi = F(hi + rho) - F(hi - rho)
+        total += d * (hi - lo) * 0.5 * (g_lo + g_hi)
+    return total
+
+
+def ref_order_margin(mu, mu_prime):
+    """max over x > 0 of v-hat(x) - v-hat'(x); order_leq holds iff <= tol."""
+    a = odd_rearrangement(MonotoneProfile(0.0, mu))
+    b = odd_rearrangement(MonotoneProfile(0.0, mu_prime))
+    pts = sorted({0.0} | {float(x) for x in a.measure.density_xs if x > 0}
+                 | {float(x) for x in b.measure.density_xs if x > 0})
+    pts.append(pts[-1] + 1.0)
+    return max(vhat_value(a, x) - vhat_value(b, x) for x in pts)
+
+
+@st.composite
+def monotone_measures(draw):
+    """Up to three atoms plus a step density on up to four pieces (breaks may
+    coincide), with or without the trailing 0 in density_vals."""
+    coord = st.floats(-2.0, 2.0)
+    atoms = draw(st.lists(st.tuples(coord, st.floats(0.01, 1.0)), max_size=3))
+    k = draw(st.integers(0, 4))
+    xs = sorted(draw(st.lists(coord, min_size=k + 1, max_size=k + 1)))
+    vals = [0.0] + draw(st.lists(st.floats(0.0, 1.5), min_size=k, max_size=k))
+    if draw(st.booleans()):
+        vals.append(0.0)
+    return WaveMeasure.from_atoms(atoms).with_density(xs, vals)
+
+
+@settings(max_examples=200, deadline=None)
+@given(monotone_measures(), monotone_measures(), st.floats(0.01, 1.5),
+       st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2))
+def test_cumulative_evaluator_matches_piece_scan(mu, nu, rho, window):
+    # the knots give masses as differences of cumulative sums, so the error
+    # is relative to the measure's total mass, not to the window's
+    scale = max(mu.total_mass(), 1.0)
+    lo, hi = sorted(window)
+    xs = np.array([lo, hi, *mu.density_xs, *mu.atoms[:, 0]])
+    # closed windows: single points, and windows ending at atoms and breaks
+    for a, b in [(lo, hi), *zip(xs, xs), *zip(np.sort(xs)[:-1], np.sort(xs)[1:])]:
+        assert mu.mass_on(a, b) == pytest.approx(ref_mass_on(mu, a, b), rel=1e-12,
+                                                 abs=1e-12 * scale)
+    assert mu.cdf(xs) == pytest.approx([ref_cdf(mu, x) for x in xs], rel=1e-12,
+                                       abs=1e-12 * scale)
+    assert band_correlation(mu, rho) == pytest.approx(ref_band_correlation(mu, rho),
+                                                      rel=1e-12, abs=1e-12 * scale ** 2)
+    assert order_leq(mu, mu)
+    margin = ref_order_margin(mu, nu)
+    tol = 1e-12
+    assume(abs(margin - tol) > 1e-12 * max(scale, nu.total_mass()))
+    assert order_leq(mu, nu, tol=tol) == (margin <= tol)
