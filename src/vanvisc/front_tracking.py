@@ -112,18 +112,23 @@ class FTRun:
 
     def config_at(self, t, merge_pairs=False):
         """Post-interaction configuration advanced to t (right-continuous)."""
-        if t < -TIME_TOL or t > self.tau + TIME_TOL:
-            raise OutOfRange(f"t={t} outside [0, {self.tau}]")
-        i = int(np.searchsorted(np.asarray(self.times), t, side="right"))
-        cfg = self.configs[i].advanced(t)
+        cfg = self.configs[config_index(self.times, self.tau, t)].advanced(t)
         if merge_pairs:
             cfg = merge_cancelling_pairs(cfg)
         return cfg
 
 
+def config_index(times, tau, t):
+    """Index k of the configuration in force at time t: configs[k] covers
+    [times[k-1], times[k]) (right-continuous), with times the event times."""
+    if t < -TIME_TOL or t > tau + TIME_TOL:
+        raise OutOfRange(f"t={t} outside [0, {tau}]")
+    return int(np.searchsorted(np.asarray(times), t, side="right"))
+
+
 def lambda_hat(model):
     """Speed of non-physical fronts: above every characteristic speed."""
-    return model.max_speed() + 1.0
+    return model.max_speed + 1.0
 
 
 def _np_front(uid, x, model, u_l, u_r):
@@ -239,8 +244,8 @@ def _simplified_outgoing(model, incoming, u_l, u_r, x, cap, uid_iter):
         if abs(s) > WAVE_FLOOR:
             order = [replace(phys[0], strength=s)]
     for f in order:
-        u_next = lax_curve(model, f.family, u, f.strength)
         if f.strength < 0:
+            u_next = lax_curve(model, f.family, u, f.strength)
             sp = shock_speed(model, u, u_next)
             out.append(Front(next(uid_iter), x, f.family, "shock", f.strength, sp, u, u_next))
         else:

@@ -186,22 +186,14 @@ def q_sharp(config, epsilon):
     return total
 
 
-def big_shock_uids(tracks, t, side="+"):
-    uids = set()
-    for tr in tracks:
-        if tr.alive(t, side=side):
-            uid = tr.uid_at(t, side=side)
-            if uid is not None:
-                uids.add(uid)
-    return uids
+def big_shock_uids(tracks, k):
+    """uids of the big-shock fronts in the run's configs[k]."""
+    return {f.uid for f in (tr.front(k) for tr in tracks) if f is not None}
 
 
-def q_hat(config, tracks, epsilon, constants=FunctionalConstants(), side="+", rho=None):
-    """Composite functional snapshot at the configuration's time."""
-    if isinstance(tracks, (set, frozenset)):
-        bs = tracks
-    else:
-        bs = big_shock_uids(tracks, config.time, side=side)
+def q_hat(config, bs, epsilon, constants=FunctionalConstants(), rho=None):
+    """Composite functional snapshot at the configuration's time; bs is the
+    set of big-shock uids."""
     V, Q = glimm_functionals(config)
     ups = V + constants.c0 * Q
     qf = q_flat(config, epsilon)
@@ -264,16 +256,17 @@ def audit_events(run, tracks, epsilon, constants=FunctionalConstants(), rho=None
     r = SQRT(epsilon)
     ln = abs(np.log(epsilon))
     report = AuditReport(epsilon=epsilon, rho=rho, constants=constants)
-    for k, ev in enumerate(run.events):
+    for ev in run.events:
+        k = ev.index
         before = run.configs[k].advanced(ev.time)
         after = run.configs[k + 1]
-        bs_b = big_shock_uids(tracks, ev.time, side="-")
-        bs_a = big_shock_uids(tracks, ev.time, side="+")
+        bs_b = big_shock_uids(tracks, k)
+        bs_a = big_shock_uids(tracks, k + 1)
         sb = q_hat(before, bs_b, epsilon, constants, rho=rho)
         sa = q_hat(after, bs_a, epsilon, constants, rho=rho)
         d_qhat = sa.q_hat - sb.q_hat
         case, flags = classify_event(ev, tracks)
-        born = [tr for tr in tracks if abs(tr.t_minus - ev.time) < 1e-14]
+        born = [tr for tr in tracks if tr.first == k + 1]
         record = {
             "t": ev.time, "x": ev.x, "case": case, "flags": sorted(flags),
             "dV": sa.V - sb.V, "dQ": sa.Q - sb.Q, "dUpsilon": sa.upsilon - sb.upsilon,
@@ -286,12 +279,12 @@ def audit_events(run, tracks, epsilon, constants=FunctionalConstants(), rho=None
         }
         report.events.append(record)
         if born:
-            sigma = max(abs(tr.segments[0].sigma) for tr in born)
+            sigma = max(abs(tr.fronts[0].strength) for tr in born)
             record["creation_sigma"] = sigma
             # increase attributable to the creation itself: the only part of
             # the composite functional that depends on the big-shock set is
             # the shock-rarefaction potential
-            born_uids = {tr.uid_at(ev.time, side="+") for tr in born}
+            born_uids = {tr.fronts[0].uid for tr in born}
             qn_without = q_natural(after, bs_a - born_uids, epsilon)
             surcharge = r * ln * constants.c3 * (sa.q_natural - qn_without)
             report.creation_ratios.append(
@@ -303,13 +296,11 @@ def audit_events(run, tracks, epsilon, constants=FunctionalConstants(), rho=None
             if d_qhat > tol:
                 report.violations.append(record)
         if case == "merge":
-            in_tracks = [
-                tr for tr in tracks
-                if tr.alive(ev.time, side="-")
-                and tr.uid_at(ev.time, side="-") in {f.uid for f in ev.incoming}
-            ]
-            if len(in_tracks) >= 2:
-                s1, s2 = (abs(tr.sigma(ev.time, side="-")) for tr in in_tracks[:2])
+            incoming_uids = {f.uid for f in ev.incoming}
+            in_fronts = [f for f in (tr.front(k) for tr in tracks)
+                         if f is not None and f.uid in incoming_uids]
+            if len(in_fronts) >= 2:
+                s1, s2 = (abs(f.strength) for f in in_fronts[:2])
                 bound = r * s1 * s2 / (s1 + s2 + epsilon)
                 report.merge_records.append(
                     {"t": ev.time, "sigma1": s1, "sigma2": s2,
@@ -360,7 +351,7 @@ def interaction_decay_rates(run, tracks, epsilon, constants=FunctionalConstants(
             continue
         tm = 0.5 * (t0 + t1)
         h = max((t1 - t0) * fd_frac, 1e-12)
-        bs = big_shock_uids(tracks, tm)
+        bs = big_shock_uids(tracks, k)
         c_m = cfg.advanced(tm)
         c_p = cfg.advanced(tm + h)
         c_q = cfg.advanced(tm - h)

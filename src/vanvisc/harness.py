@@ -111,39 +111,54 @@ def eval_rule(rule, eps):
 
 
 def parse_config_file(path):
-    """Flat key = value parser; values may be numbers, comma lists, strings."""
-    kwargs = {}
+    """Flat key = value parser.  Each value is read as its ExperimentConfig
+    field's type: epsilon_list and delta_list are comma lists of numbers,
+    integer keys take integers only, and rules stay strings."""
+    raw = {}
     with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+        for line in fh:
+            text = line.split("#", 1)[0].strip()
+            if not text:
                 continue
-            if "=" not in line:
-                raise ValueError(f"bad config line: {raw!r}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            kwargs[key] = _parse_value(val)
-    for k in ("epsilon_list", "delta_list"):
-        if k in kwargs and not isinstance(kwargs[k], tuple):
-            kwargs[k] = (kwargs[k],)
-    for k in ("seed", "n_jumps", "workers", "max_events"):
-        if k in kwargs:
-            kwargs[k] = int(kwargs[k])
-    unknown = sorted(set(kwargs) - {f.name for f in fields(ExperimentConfig)})
+            if "=" not in text:
+                raise ValueError(f"bad config line: {line!r}")
+            key, val = (s.strip() for s in text.split("=", 1))
+            raw[key] = val.strip('"').strip("'")
+    types = {f.name: f.type for f in fields(ExperimentConfig)}
+    unknown = sorted(set(raw) - set(types))
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+    kwargs = {}
+    for key, val in raw.items():
+        try:
+            kwargs[key] = _PARSERS[types[key]](val)
+        except ValueError as exc:
+            raise ValueError(f"{key} = {val!r}: {exc}") from None
     return ExperimentConfig(**kwargs)
 
 
-def _parse_value(val):
-    val = val.strip().strip('"').strip("'")
-    if "," in val:
-        return tuple(_parse_value(v) for v in val.split(",") if v.strip())
-    for cast in (int, float):
-        try:
-            return cast(val)
-        except ValueError:
-            pass
-    return val
+def _parse_int(val):
+    """An integer, also when written as an integral float such as 1e5."""
+    try:
+        return int(val)
+    except ValueError:
+        pass
+    try:
+        x = float(val)
+    except ValueError:
+        x = math.nan
+    if not x.is_integer():
+        raise ValueError("not an integer")
+    return int(x)
+
+
+# ExperimentConfig field type (a string under postponed annotations) -> parser
+_PARSERS = {
+    "str": str,
+    "float": float,
+    "int": _parse_int,
+    "tuple": lambda val: tuple(float(v) for v in val.split(",") if v.strip()),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +260,7 @@ def _track(cfg, model, data, scale, eps_prime):
 
 def hybrid_vs_profile_l1(hyb, run, t, pad=None):
     """L1 distance between the hybrid v(t) and the front-tracking u(t)."""
-    st = hyb.strip_at(min(t, hyb.tau * (1 - 1e-15)))
+    st = hyb.strip_at(t)
     prof = sample_profile(run, t)
     delta = hyb.delta
     eps = hyb.epsilon
@@ -257,8 +272,8 @@ def hybrid_vs_profile_l1(hyb, run, t, pad=None):
     lo, hi = xs.min() - pad, xs.max() + pad
     edges = [np.arange(lo, hi + delta / 40.0, delta / 40.0), prof.xs]
     r = np.sqrt(eps)
-    for ts in st.tracks:
-        xa = ts.x(t, st.t0)
+    for _, front, _ in st.tracks:
+        xa = st.track_x(front, t)
         edges.append(np.arange(xa - 1.2 * r, xa + 1.2 * r, eps / 8.0))
     e = np.unique(np.concatenate(edges))
     e = e[(e >= lo) & (e <= hi)]

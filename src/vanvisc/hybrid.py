@@ -11,11 +11,12 @@ strip is the linear motion of fronts), so the residual integrand
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import OutOfRange, OverlappingTracks, ResolutionTooCoarse, UnclassifiableEvent
+from .front_tracking import config_index
 from .viscous import shock_profile
 
 KERNEL_C = 76545.0 / 4096.0   # unit mass for (4/9 - s^2)^3 on |s| <= 2/3
@@ -146,53 +147,28 @@ def _squeeze_d2(x, epsilon):
 # big-shock selection
 
 @dataclass
-class TrackSegment:
-    t0: float
-    t1: float
-    uid: int
-    x0: float
-    speed: float
-    left_state: np.ndarray
-    right_state: np.ndarray
-    sigma: float
-
-
-@dataclass
 class BigShockTrack:
+    """A big shock, one front per configuration of its run.
+
+    Configurations are indexed as in FTRun: configs[0] holds the fronts at
+    t = 0 and configs[k] the fronts just after event k - 1, so event k sees
+    configs[k] before it and configs[k + 1] after it.  fronts[j] is the
+    track's Front in configs[first + j]; the track lives on
+    [t_minus, t_plus), from event first - 1 (or t = 0) to the event that
+    ends it (or tau).
+    """
     id: int
     family: int
     rho: float
     t_minus: float
     t_plus: float
-    segments: list = field(default_factory=list)
+    first: int
+    fronts: list
 
-    def alive(self, t, side="+"):
-        if side == "+":
-            return self.t_minus <= t < self.t_plus
-        return self.t_minus < t <= self.t_plus
-
-    def segment_at(self, t, side="+"):
-        for seg in self.segments:
-            if (seg.t0 <= t < seg.t1) if side == "+" else (seg.t0 < t <= seg.t1):
-                return seg
-        if side == "+" and self.segments and abs(t - self.segments[-1].t1) < 1e-14:
-            return self.segments[-1]
-        return None
-
-    def x(self, t, side="+"):
-        seg = self.segment_at(t, side)
-        return None if seg is None else seg.x0 + (t - seg.t0) * seg.speed
-
-    def sigma(self, t, side="+"):
-        seg = self.segment_at(t, side)
-        return None if seg is None else seg.sigma
-
-    def uid_at(self, t, side="+"):
-        seg = self.segment_at(t, side)
-        return None if seg is None else seg.uid
-
-    def max_strength(self):
-        return max(abs(s.sigma) for s in self.segments)
+    def front(self, k):
+        """The track's front in configs[k], or None outside its range."""
+        j = k - self.first
+        return self.fronts[j] if 0 <= j < len(self.fronts) else None
 
 
 def _shock_chains(run):
@@ -242,63 +218,43 @@ def select_big_shocks(run, rho):
     uid_lookup = [{f.uid: f for f in cfg.fronts} for cfg in run.configs]
     tracks = []
     for chain in _shock_chains(run):
-        segs = []
-        big_merge = []   # parallel flags: segment began at a >=rho/2 + >=rho/2 merge
-        for cfg_idx, uid, parents in chain:
-            f = uid_lookup[cfg_idx].get(uid)
-            if f is None:
-                continue
-            t0, t1 = t_edges[cfg_idx], t_edges[cfg_idx + 1]
-            k = cfg_idx
-            # a front can persist through events it does not participate in
-            while k + 1 < len(run.configs) and uid in uid_lookup[k + 1]:
-                k += 1
-                t1 = t_edges[k + 1]
-            if t1 <= t0:
-                continue
-            if segs and t0 < segs[-1].t1 - 1e-14:
-                continue
-            segs.append(TrackSegment(t0=t0, t1=t1, uid=uid, x0=f.pos, speed=f.speed,
-                                     left_state=f.left_state, right_state=f.right_state,
-                                     sigma=f.strength))
-            big_merge.append(sum(1 for p in parents if p >= rho / 2.0) >= 2)
-        if not segs:
-            continue
-        family = None
-        for cfg_idx, uid, _ in chain:
-            f = uid_lookup[cfg_idx].get(uid)
-            if f is not None:
-                family = f.family
-                break
+        # one link per chain front: its first configuration, its Front in
+        # each configuration it persists through, and whether it began at a
+        # merge of two shocks that were each >= rho/2
+        links = []
+        for start, uid, parents in chain:
+            end = start
+            while end < len(run.configs) and uid in uid_lookup[end]:
+                end += 1
+            links.append((start, [uid_lookup[i][uid] for i in range(start, end)],
+                          sum(1 for p in parents if p >= rho / 2.0) >= 2))
+
+        def sigma(m):
+            return abs(links[m][1][0].strength)
+
         # stretches with |sigma| >= rho/2 that attain rho
         j = 0
-        while j < len(segs):
-            if abs(segs[j].sigma) < rho / 2.0:
+        while j < len(links):
+            if sigma(j) < rho / 2.0:
                 j += 1
                 continue
             k = j
-            while k + 1 < len(segs) and abs(segs[k + 1].sigma) >= rho / 2.0:
+            while k + 1 < len(links) and sigma(k + 1) >= rho / 2.0:
                 k += 1
-            stretch = segs[j : k + 1]
-            flags = big_merge[j : k + 1]
-            first_rho = next(
-                (m for m, s in enumerate(stretch) if abs(s.sigma) >= rho), None
-            )
+            first_rho = next((m for m in range(j, k + 1) if sigma(m) >= rho), None)
             if first_rho is not None:
-                open_idx = 0
-                for m in range(first_rho + 1):
-                    # the qualification must not ride on swallowing another
-                    # would-be-large shock before rho was ever attained
-                    if flags[m] and abs(stretch[m - 1].sigma if m else 0.0) < rho:
-                        open_idx = m
-                stretch = stretch[open_idx:]
+                # the qualification must not ride on swallowing another
+                # would-be-large shock before rho was ever attained
+                open_idx = max((m for m in range(j, first_rho + 1) if links[m][2]), default=j)
+                first = links[open_idx][0]
+                fronts = [f for link in links[open_idx : k + 1] for f in link[1]]
                 tracks.append(BigShockTrack(
-                    id=len(tracks), family=family, rho=rho,
-                    t_minus=stretch[0].t0, t_plus=stretch[-1].t1,
-                    segments=stretch,
+                    id=len(tracks), family=fronts[0].family, rho=rho,
+                    t_minus=t_edges[first], t_plus=t_edges[first + len(fronts)],
+                    first=first, fronts=fronts,
                 ))
             j = k + 1
-    tracks.sort(key=lambda tr: (tr.t_minus, tr.segments[0].x0))
+    tracks.sort(key=lambda tr: (tr.first, tr.fronts[0].pos))
     for i, tr in enumerate(tracks):
         tr.id = i
     return tracks
@@ -319,25 +275,13 @@ class ProfileCache:
         return self._cache[key]
 
 
-@dataclass
-class _TrackSlice:
-    track_id: int
-    family: int
-    x0: float
-    speed: float
-    left_state: np.ndarray
-    right_state: np.ndarray
-    sigma: float
-    profile: object
-
-    def x(self, t, t0):
-        return self.x0 + (t - t0) * self.speed
-
-
 class HybridStrip:
-    """The approximation v on one strip [t0, t1) between interaction times."""
+    """The approximation v on one strip [t0, t1) between interaction times.
 
-    def __init__(self, model, config, t0, t1, track_slices, epsilon, delta):
+    tracks holds one (track id, front, profile) per big shock alive in the
+    strip's configuration."""
+
+    def __init__(self, model, config, t0, t1, tracks, epsilon, delta):
         self.model = model
         self.t0, self.t1 = t0, t1
         self.epsilon = epsilon
@@ -348,10 +292,14 @@ class HybridStrip:
         self.speeds = np.array([f.speed for f in config.fronts])
         prof = config.profile()
         self.jumps = prof.jumps() if self.xs0.size else np.zeros((0, model.n))
-        self.tracks = track_slices
+        self.tracks = tracks
 
     def front_positions(self, t):
         return self.xs0 + (t - self.t0) * self.speeds
+
+    def track_x(self, front, t):
+        """Position at time t of a front of the strip's configuration."""
+        return front.pos + (t - self.t0) * front.speed
 
     def _mollified(self, t, x):
         xs = self.front_positions(t)
@@ -370,13 +318,12 @@ class HybridStrip:
             vt = np.zeros_like(v)
         return v, vx, vxx, vt
 
-    def _insertion(self, ts, t, x):
-        """omega-tilde minus rho for one track slice, with derivatives."""
+    def _insertion(self, front, profile, t, x):
+        """omega-tilde minus rho for one track's front, with derivatives."""
         eps = self.epsilon
         r = np.sqrt(eps)
-        xa = ts.x(t, self.t0)
-        xi = x - xa
-        du = ts.right_state - ts.left_state
+        xi = x - self.track_x(front, t)
+        du = front.right_state - front.left_state
         n = self.model.n
         v = np.zeros((x.size, n))
         vx = np.zeros_like(v)
@@ -389,28 +336,28 @@ class HybridStrip:
             s_arg = _squeeze(z, eps) / eps
             p1 = _squeeze_d1(z, eps)
             p2 = _squeeze_d2(z, eps)
-            w, w1, w2 = ts.profile.jet(s_arg)
+            w, w1, w2 = profile.jet(s_arg)
             v[inner] = w
             vx[inner] = w1 * (p1 / eps)[:, None]
             vxx[inner] = w2 * (p1 ** 2 / eps ** 2)[:, None] + w1 * (p2 / eps)[:, None]
-        v[~inner & (xi <= 0)] = ts.left_state
-        v[~inner & (xi > 0)] = ts.right_state
+        v[~inner & (xi <= 0)] = front.left_state
+        v[~inner & (xi > 0)] = front.right_state
 
         # subtract the mollified single step
         K = self.mol.cdf(xi)
-        v -= ts.left_state[None, :] + K[:, None] * du[None, :]
+        v -= front.left_state[None, :] + K[:, None] * du[None, :]
         phi = self.mol.phi(xi)
         vx -= phi[:, None] * du[None, :]
         vxx -= self.mol.dphi(xi)[:, None] * du[None, :]
-        vt = -ts.speed * vx
+        vt = -front.speed * vx
         return v, vx, vxx, vt
 
     def jet(self, t, x):
         """(v, vx, vxx, vt) at (t, x); x is a 1-D array."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         v, vx, vxx, vt = self._mollified(t, x)
-        for ts in self.tracks:
-            dv, dvx, dvxx, dvt = self._insertion(ts, t, x)
+        for _, front, profile in self.tracks:
+            dv, dvx, dvxx, dvt = self._insertion(front, profile, t, x)
             v = v + dv
             vx = vx + dvx
             vxx = vxx + dvxx
@@ -427,23 +374,19 @@ class HybridStrip:
 
 
 class HybridApprox:
-    """All strips of the construction over [0, tau]."""
+    """All strips of the construction over [0, tau]; strips[k] belongs to
+    the run's configs[k] and times are the run's event times."""
 
-    def __init__(self, model, strips, tau, epsilon, delta, rho):
+    def __init__(self, model, strips, times, tau, epsilon, delta):
         self.model = model
         self.strips = strips
+        self.times = times
         self.tau = tau
         self.epsilon = epsilon
         self.delta = delta
-        self.rho = rho
 
     def strip_at(self, t):
-        if t < 0 or t > self.tau + 1e-14:
-            raise OutOfRange(f"t={t} outside [0, {self.tau}]")
-        for st in self.strips:
-            if st.t0 <= t < st.t1 or (st is self.strips[-1] and t <= st.t1 + 1e-14):
-                return st
-        raise OutOfRange(f"no strip covers t={t}")
+        return self.strips[config_index(self.times, self.tau, t)]
 
     def value(self, t, x):
         return self.strip_at(t).value(t, np.atleast_1d(x))
@@ -458,33 +401,22 @@ def build_hybrid(run, tracks, epsilon, delta=None):
     strips = []
     for k, cfg in enumerate(run.configs):
         t0, t1 = t_edges[k], t_edges[k + 1]
-        if t1 <= t0 + 1e-15:
-            continue
         slices = []
         for tr in tracks:
-            seg = tr.segment_at(0.5 * (t0 + t1))
-            if seg is None or not tr.alive(0.5 * (t0 + t1)):
-                continue
-            prof = profiles(seg.left_state, seg.right_state)
-            fr = {f.uid: f for f in cfg.fronts}.get(seg.uid)
-            if fr is None:
-                raise UnclassifiableEvent(f"track {tr.id} uid {seg.uid} missing from strip config")
-            slices.append(_TrackSlice(track_id=tr.id, family=tr.family, x0=fr.pos,
-                                      speed=fr.speed, left_state=seg.left_state,
-                                      right_state=seg.right_state, sigma=seg.sigma,
-                                      profile=prof))
-        for i in range(len(slices)):
-            for j in range(i + 1, len(slices)):
-                a, b = slices[i], slices[j]
-                gap0 = abs(a.x(t0, t0) - b.x(t0, t0))
-                gap1 = abs(a.x(t1, t0) - b.x(t1, t0))
+            f = tr.front(k)
+            if f is not None:
+                slices.append((tr.id, f, profiles(f.left_state, f.right_state)))
+        st = HybridStrip(run.model, cfg, t0, t1, slices, epsilon, delta)
+        for i, (ia, a, _) in enumerate(slices):
+            for ib, b, _ in slices[i + 1 :]:
+                gap0 = abs(st.track_x(a, t0) - st.track_x(b, t0))
+                gap1 = abs(st.track_x(a, t1) - st.track_x(b, t1))
                 if min(gap0, gap1) < 2 * delta and a.family != b.family:
                     raise OverlappingTracks(
-                        f"tracks {a.track_id}, {b.track_id} of different families overlap"
+                        f"tracks {ia}, {ib} of different families overlap"
                     )
-        strips.append(HybridStrip(run.model, cfg, t0, t1, slices, epsilon, delta))
-    return HybridApprox(run.model, strips, run.tau, epsilon, delta,
-                        rho=tracks[0].rho if tracks else None)
+        strips.append(st)
+    return HybridApprox(run.model, strips, run.times, run.tau, epsilon, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +436,8 @@ def _strip_grid(strip, t, refine):
     lo, hi = xs.min() - delta, xs.max() + delta
     edges = [np.arange(lo, hi + dx_far, dx_far)]
     r = np.sqrt(eps)
-    for ts in strip.tracks:
-        xa = ts.x(t, strip.t0)
+    for _, front, _ in strip.tracks:
+        xa = strip.track_x(front, t)
         edges.append(np.arange(xa - 1.1 * r, xa + 1.1 * r + dx_near, dx_near))
     e = np.unique(np.concatenate(edges))
     e = e[(e >= lo) & (e <= hi)]
@@ -542,11 +474,10 @@ def residual(hyb, check=False):
                 r = st.residual_pointwise(t, mid)
                 total += wt * float(r @ h)
                 near_any = np.zeros(mid.size, dtype=bool)
-                for ts in st.tracks:
-                    xa = ts.x(t, st.t0)
-                    near = np.abs(mid - xa) <= np.sqrt(epsilon)
+                for tid, front, _ in st.tracks:
+                    near = np.abs(mid - st.track_x(front, t)) <= np.sqrt(epsilon)
                     near_any |= near
-                    per_track[ts.track_id] = per_track.get(ts.track_id, 0.0) + wt * float(
+                    per_track[tid] = per_track.get(tid, 0.0) + wt * float(
                         r[near] @ h[near]
                     )
                 far += wt * float(r[~near_any] @ h[~near_any])
@@ -569,16 +500,16 @@ _CASE_ORDER = ["merge", "creation", "termination", "transversal", "absorption", 
 
 def classify_event(ev, tracks):
     """Section-3 cases: creation, termination, transversal crossing,
-    same-family absorption, big-big merge; 'small' when no track is touched."""
-    t = ev.time
+    same-family absorption, big-big merge; 'small' when no track is touched.
+
+    Tracks are read in the configurations before (ev.index) and after
+    (ev.index + 1) the event."""
+    k = ev.index
     incoming_uids = {f.uid for f in ev.incoming}
-    in_tracks = []
-    for tr in tracks:
-        seg = tr.segment_at(t, side="-")
-        if seg is not None and seg.uid in incoming_uids and tr.alive(t, side="-"):
-            in_tracks.append(tr)
-    born = [tr for tr in tracks if abs(tr.t_minus - t) < 1e-14]
-    died = [tr for tr in tracks if abs(tr.t_plus - t) < 1e-14]
+    in_tracks = [tr for tr in tracks
+                 if tr.front(k) is not None and tr.front(k).uid in incoming_uids]
+    born = [tr for tr in tracks if tr.first == k + 1]
+    died = [tr for tr in tracks if tr.front(k) is not None and tr.front(k + 1) is None]
     flags = set()
     fams = [tr.family for tr in in_tracks]
     if len(in_tracks) >= 2 and len(set(fams)) < len(fams):
@@ -588,8 +519,8 @@ def classify_event(ev, tracks):
     if died and not flags & {"merge"}:
         flags.add("termination")
     if in_tracks:
-        others = [f for f in ev.incoming if f.uid not in
-                  {tr.segment_at(t, side='-').uid for tr in in_tracks}]
+        track_uids = {tr.front(k).uid for tr in in_tracks}
+        others = [f for f in ev.incoming if f.uid not in track_uids]
         if any(f.physical and f.family != in_tracks[0].family for f in others):
             flags.add("transversal")
         if any(f.physical and f.family == in_tracks[0].family for f in others):
@@ -599,7 +530,7 @@ def classify_event(ev, tracks):
     for c in _CASE_ORDER:
         if c in flags:
             return c, flags
-    raise UnclassifiableEvent(f"event at t={t} defies classification")
+    raise UnclassifiableEvent(f"event at t={ev.time} defies classification")
 
 
 def jump_sum(run, tracks, hyb, dx=None):
@@ -608,29 +539,18 @@ def jump_sum(run, tracks, hyb, dx=None):
     delta = hyb.delta
     if dx is None:
         dx = min(hyb.epsilon / 8.0, delta / 40.0)
-    strip_of = {}
-    for st in hyb.strips:
-        strip_of[st.t0] = st
     per_case = {c: 0.0 for c in _CASE_ORDER}
     per_event = []
     total = 0.0
     for ev in run.events:
-        before = None
-        for st in hyb.strips:
-            if st.t0 < ev.time <= st.t1 + 1e-14:
-                before = st
-                break
-        after = strip_of.get(ev.time)
-        if before is None or after is None:
-            continue
+        k = ev.index
+        before, after = hyb.strips[k], hyb.strips[k + 1]
         # the jump is supported near the event and near any touched track
         centers = [ev.x]
         for tr in tracks:
-            for side in ("-", "+"):
-                if tr.alive(ev.time, side=side):
-                    xv = tr.x(ev.time, side=side)
-                    if xv is not None:
-                        centers.append(xv)
+            for st, front in ((before, tr.front(k)), (after, tr.front(k + 1))):
+                if front is not None:
+                    centers.append(st.track_x(front, ev.time))
         lo = min(centers) - 2.0 * delta
         hi = max(centers) + 2.0 * delta
         grid = np.arange(lo, hi + dx, dx)

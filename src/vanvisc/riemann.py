@@ -44,11 +44,9 @@ class WaveFan:
         return out
 
 
-def _rk4_curve(model, i, u0, s, nmax=None):
+def _rk4_curve(model, i, u0, s):
     """Integrate d(omega)/ds = r_i(omega) with classic RK4, fixed step."""
     steps = max(8, int(np.ceil(abs(s) / 0.01)))
-    if nmax:
-        steps = min(steps, nmax)
     h = s / steps
     u = np.array(u0, dtype=float)
 
@@ -87,8 +85,9 @@ def lax_curve(model, i, u0, s, max_param=1.0):
 
 def _hugoniot_point(model, i, u0, s):
     """Solve f(u)-f(u0) = speed (u-u0), lambda_i(u)-lambda_i(u0) = s."""
-    lam0 = eigen_frame(model, u0).lambdas[i - 1]
-    r0 = eigen_frame(model, u0).r[i - 1]
+    frame0 = eigen_frame(model, u0)
+    lam0 = frame0.lambdas[i - 1]
+    r0 = frame0.r[i - 1]
     n = model.n
     z = np.empty(n + 1)
     z[:n] = u0 + s * r0

@@ -9,6 +9,7 @@ basis is the dual one (l_i . r_j = delta_ij).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -51,10 +52,12 @@ class SystemModel:
         if not self.in_domain(u):
             raise OutOfDomain(f"state {np.asarray(u)} outside domain_box {self.domain_box}")
 
-    def max_speed(self, samples=5):
-        """Largest |lambda_i| over a sample grid of the domain box."""
+    @cached_property
+    def max_speed(self):
+        """Largest |lambda_i| over a 5-point-per-axis grid of the domain box,
+        computed once per model."""
         worst = 0.0
-        for u in _domain_grid(self.domain_box, samples):
+        for u in _domain_grid(self.domain_box, 5):
             lam = np.linalg.eigvals(self.jacobian(u)).real
             worst = max(worst, float(np.max(np.abs(lam))))
         return worst

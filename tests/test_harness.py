@@ -57,6 +57,20 @@ def test_parse_config_file(tmp_path):
         ExperimentConfig(tau=-1.0)
 
 
+def test_config_values_follow_field_types(tmp_path):
+    # only epsilon_list and delta_list are comma lists, so a rule may hold
+    # min(a, b); integer keys also accept integral floats
+    path = tmp_path / "exp.cfg"
+    path.write_text("rho_rule = min(1e-2, eps)\nepsilon_list = 2e-2, 4e-3\n"
+                    "delta_list = 0.1\nmax_events = 1e5\nseed = 12\ncap_rule = 0.1\n")
+    cfg = parse_config_file(str(path))
+    assert cfg.rho_rule == "min(1e-2, eps)" and cfg.cap_rule == "0.1"
+    assert [eval_rule(cfg.rho_rule, e) for e in cfg.epsilon_list] == [1e-2, 4e-3]
+    assert cfg.delta_list == (0.1,)
+    assert cfg.max_events == 100000 and cfg.seed == 12
+    assert type(cfg.max_events) is int and type(cfg.seed) is int
+
+
 def test_scenarios_valid():
     for name in ("lone_shock", "lone_rarefaction", "merge", "cancellation",
                  "merge_cancellation", "random_bv"):
@@ -146,14 +160,25 @@ def test_cli_exit_codes(tmp_path, capsys):
                        ("foo = 1\n", "foo"),
                        ("rho_rule = (1).__class__\n", "__class__"),
                        ("dx_rule = eps/\n", "parse"),
-                       ("tau = abc\n", "")):
+                       ("tau = abc\n", "tau")):
         bad.write_text(text)
         assert main(["converge", "--config", str(bad), "--out", str(tmp_path / "x")]) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and word in err
+    # each value is read as its key's type; the rest of the config runs fast
+    for key, val in (("seed", 1.5), ("n_jumps", "x"), ("max_events", "inf"),
+                     ("tv", "abc"), ("epsilon_list", "2e-2, x")):
+        _write_fast_cfg(bad, **{key: val})
+        assert main(["converge", "--config", str(bad), "--out", str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{key} = " in err
     assert main(["decay", "--config", str(tmp_path / "none.cfg"), "--out", str(tmp_path / "x")]) == 3
     assert capsys.readouterr().err.count("\n") == 1
     assert not (tmp_path / "x").exists()
+    # a rule with a comma is one rule, not a list
+    rule = tmp_path / "rule.cfg"
+    _write_fast_cfg(rule, rho_rule="min(0.5, 40*eps)")
+    assert main(["converge", "--config", str(rule), "--out", str(tmp_path / "rule")]) == 0
     # an unknown system name is an error, not a silent fallback to the p-system
     typo = tmp_path / "typo.cfg"
     typo.write_text("system = Burgers\nscenario = lone_shock\nepsilon_list = 1e-2\n")

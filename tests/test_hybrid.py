@@ -1,12 +1,17 @@
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
+from test_acceptance import _creation_chain_data
 
 from vanvisc.errors import OutOfRange, OverlappingTracks
 from vanvisc.front_tracking import init_front_tracking, run_until
-from vanvisc.hybrid import (HybridStrip, Mollifier, build_hybrid,
-                            classify_event, jump_sum, mollification_l1_error, mollify,
-                            oscillation_weighted_tv, residual, select_big_shocks,
-                            squeeze_map, _squeeze, _squeeze_d1)
+from vanvisc.functionals import big_shock_uids
+from vanvisc.harness import scenario_data
+from vanvisc.hybrid import (Mollifier, build_hybrid, classify_event, jump_sum,
+                            mollification_l1_error, mollify, oscillation_weighted_tv,
+                            residual, select_big_shocks, squeeze_map, _shock_chains,
+                            _squeeze, _squeeze_d1)
 from vanvisc.piecewise import PiecewiseConstant
 from vanvisc.riemann import lax_curve
 from vanvisc.system import preset_model
@@ -85,8 +90,9 @@ def test_select_big_shocks_examples():
     run = run_until(B, cfg, 2.0)
     tracks = select_big_shocks(run, 1.0)
     assert len(tracks) == 1
-    assert tracks[0].t_minus == pytest.approx(run.times[0])
-    assert abs(tracks[0].segments[0].sigma) == pytest.approx(1.2, abs=1e-10)
+    assert tracks[0].t_minus == run.times[0] and tracks[0].first == 1
+    assert abs(tracks[0].fronts[0].strength) == pytest.approx(1.2, abs=1e-10)
+    assert tracks[0].front(0) is None and tracks[0].front(len(run.configs)) is None
 
 
 def test_track_count_scales_with_tv_over_rho():
@@ -245,3 +251,157 @@ def test_different_family_overlap_raises():
     assert len(tracks) == 2
     with pytest.raises(OverlappingTracks):
         build_hybrid(run, tracks, eps)
+
+
+# ---------------------------------------------------------------------------
+# reference: big-shock tracks looked up by time and side, the way they were
+# before tracks held one front per configuration index
+
+@dataclass
+class _RefSegment:
+    t0: float
+    t1: float
+    uid: int
+    x0: float
+    speed: float
+    sigma: float
+
+
+@dataclass
+class _RefTrack:
+    family: int
+    t_minus: float
+    t_plus: float
+    segments: list = field(default_factory=list)
+
+    def alive(self, t, side="+"):
+        if side == "+":
+            return self.t_minus <= t < self.t_plus
+        return self.t_minus < t <= self.t_plus
+
+    def segment_at(self, t, side="+"):
+        for seg in self.segments:
+            if (seg.t0 <= t < seg.t1) if side == "+" else (seg.t0 < t <= seg.t1):
+                return seg
+        if side == "+" and self.segments and abs(t - self.segments[-1].t1) < 1e-14:
+            return self.segments[-1]
+        return None
+
+
+def _ref_select(run, rho):
+    t_edges = [0.0] + list(run.times) + [run.tau]
+    uid_lookup = [{f.uid: f for f in cfg.fronts} for cfg in run.configs]
+    tracks = []
+    for chain in _shock_chains(run):
+        segs, big_merge, family = [], [], None
+        for cfg_idx, uid, parents in chain:
+            f = uid_lookup[cfg_idx].get(uid)
+            if f is None:
+                continue
+            family = f.family if family is None else family
+            t0, t1 = t_edges[cfg_idx], t_edges[cfg_idx + 1]
+            k = cfg_idx
+            while k + 1 < len(run.configs) and uid in uid_lookup[k + 1]:
+                k += 1
+                t1 = t_edges[k + 1]
+            if t1 <= t0 or (segs and t0 < segs[-1].t1 - 1e-14):
+                continue
+            segs.append(_RefSegment(t0, t1, uid, f.pos, f.speed, f.strength))
+            big_merge.append(sum(1 for p in parents if p >= rho / 2.0) >= 2)
+        j = 0
+        while j < len(segs):
+            if abs(segs[j].sigma) < rho / 2.0:
+                j += 1
+                continue
+            k = j
+            while k + 1 < len(segs) and abs(segs[k + 1].sigma) >= rho / 2.0:
+                k += 1
+            stretch, flags = segs[j : k + 1], big_merge[j : k + 1]
+            first_rho = next((m for m, sg in enumerate(stretch) if abs(sg.sigma) >= rho), None)
+            if first_rho is not None:
+                open_idx = 0
+                for m in range(first_rho + 1):
+                    if flags[m] and abs(stretch[m - 1].sigma if m else 0.0) < rho:
+                        open_idx = m
+                stretch = stretch[open_idx:]
+                tracks.append(_RefTrack(family, stretch[0].t0, stretch[-1].t1, stretch))
+            j = k + 1
+    tracks.sort(key=lambda tr: (tr.t_minus, tr.segments[0].x0))
+    return tracks
+
+
+def _ref_uids(tracks, t, side):
+    return {tr.segment_at(t, side).uid for tr in tracks
+            if tr.alive(t, side) and tr.segment_at(t, side) is not None}
+
+
+def _ref_classify(ev, tracks):
+    t = ev.time
+    incoming_uids = {f.uid for f in ev.incoming}
+    in_tracks = [tr for tr in tracks if tr.segment_at(t, "-") is not None
+                 and tr.segment_at(t, "-").uid in incoming_uids and tr.alive(t, "-")]
+    born = [tr for tr in tracks if abs(tr.t_minus - t) < 1e-14]
+    died = [tr for tr in tracks if abs(tr.t_plus - t) < 1e-14]
+    flags = set()
+    fams = [tr.family for tr in in_tracks]
+    if len(in_tracks) >= 2 and len(set(fams)) < len(fams):
+        flags.add("merge")
+    if born:
+        flags.add("creation")
+    if died and "merge" not in flags:
+        flags.add("termination")
+    if in_tracks:
+        mine = {tr.segment_at(t, "-").uid for tr in in_tracks}
+        others = [f for f in ev.incoming if f.uid not in mine]
+        if any(f.physical and f.family != in_tracks[0].family for f in others):
+            flags.add("transversal")
+        if any(f.physical and f.family == in_tracks[0].family for f in others):
+            flags.add("absorption")
+    if not flags:
+        flags.add("small")
+    return next(c for c in ("merge", "creation", "termination", "transversal",
+                            "absorption", "small") if c in flags), flags
+
+
+def _oracle_runs():
+    # a merge of two big shocks
+    yield run_until(B, init_front_tracking(B, pc([0.0, 0.3], [1.2, 0.6, 0.0]), 1e-9, 0.25),
+                    2.0), 0.5
+    for eps in (1e-2, 1e-3):
+        data, rho, cap, tau = _creation_chain_data(eps)
+        yield run_until(B, init_front_tracking(B, data, 1e-9, cap), tau,
+                        epsilon_prime=1e-6, simplified_threshold=1e-8), rho
+    for seed in range(10):
+        for model in (B, P):
+            data = scenario_data(model, "random_bv", seed=200 + seed, n_jumps=8, tv=0.3)
+            run = run_until(model, init_front_tracking(model, data, 1e-6, 0.02), 1.5,
+                            epsilon_prime=1e-6, simplified_threshold=1e-8)
+            yield run, 0.04
+
+
+def test_index_lookups_match_time_and_side_reference():
+    cases = set()
+    for run, rho in _oracle_runs():
+        tracks = select_big_shocks(run, rho)
+        ref = _ref_select(run, rho)
+        assert [(tr.family, tr.t_minus, tr.t_plus) for tr in tracks] == \
+            [(tr.family, tr.t_minus, tr.t_plus) for tr in ref]
+        for ev in run.events:
+            k, t = ev.index, ev.time
+            for tr, rt in zip(tracks, ref):
+                for kk, side in ((k, "-"), (k + 1, "+")):
+                    front = tr.front(kk)
+                    seg = rt.segment_at(t, side) if rt.alive(t, side) else None
+                    assert (front is None) == (seg is None)
+                    if front is not None:
+                        assert (front.uid, front.strength) == (seg.uid, seg.sigma)
+                        x = front.pos + (t - run.configs[kk].time) * front.speed
+                        assert x == pytest.approx(seg.x0 + (t - seg.t0) * seg.speed,
+                                                  rel=1e-13, abs=1e-13)
+            assert big_shock_uids(tracks, k) == _ref_uids(ref, t, "-")
+            assert big_shock_uids(tracks, k + 1) == _ref_uids(ref, t, "+")
+            case, flags = classify_event(ev, tracks)
+            assert (case, flags) == _ref_classify(ev, ref)
+            cases.add(case)
+    assert {"creation", "termination", "merge", "transversal", "absorption",
+            "small"} <= cases
