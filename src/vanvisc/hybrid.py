@@ -44,13 +44,29 @@ class Mollifier:
         return KERNEL_C * 3.0 * q ** 2 * (-2.0 * t) / self.delta ** 2
 
     def cdf(self, s):
-        """Phi(s) = integral of phi_delta up to s (0 at -inf, 1 at +inf)."""
-        t = np.clip(np.asarray(s, dtype=float) / self.delta, -KERNEL_SUPPORT, KERNEL_SUPPORT)
-        a = KERNEL_SUPPORT
-        # antiderivative of (4/9 - t^2)^3
-        P = (64.0 / 729.0) * t - (16.0 / 81.0) * t ** 3 + (12.0 / 45.0) * t ** 5 - t ** 7 / 7.0
-        Pa = (64.0 / 729.0) * a - (16.0 / 81.0) * a ** 3 + (12.0 / 45.0) * a ** 5 - a ** 7 / 7.0
-        return KERNEL_C * (P + Pa)
+        """Phi(s) = integral of phi_delta up to s (0 at -inf, 1 at +inf).
+
+        The polynomial is evaluated on the support only; beyond it Phi takes
+        the values the polynomial has at the edges t = -+2/3."""
+        t = np.asarray(s, dtype=float) / self.delta
+        inside = np.abs(t) < KERNEL_SUPPORT
+        out = np.where(t > 0, _CDF_EDGES[1], _CDF_EDGES[0])
+        out[inside] = _kernel_cdf(t[inside])
+        return out
+
+
+def _kernel_cdf(t):
+    """KERNEL_C (P(t) + P(2/3)) for t in [-2/3, 2/3], P the antiderivative
+    of (4/9 - t^2)^3 with P(0) = 0."""
+    a = KERNEL_SUPPORT
+    P = (64.0 / 729.0) * t - (16.0 / 81.0) * t ** 3 + (12.0 / 45.0) * t ** 5 - t ** 7 / 7.0
+    Pa = (64.0 / 729.0) * a - (16.0 / 81.0) * a ** 3 + (12.0 / 45.0) * a ** 5 - a ** 7 / 7.0
+    return KERNEL_C * (P + Pa)
+
+
+# the edge values from the same array expression, so that points at or
+# beyond the edges get the bits the polynomial gives there
+_CDF_EDGES = _kernel_cdf(np.array([-KERNEL_SUPPORT, KERNEL_SUPPORT]))
 
 
 def mollify(u, delta):
@@ -107,40 +123,27 @@ def squeeze_map(xi, epsilon):
     x = np.asarray(xi, dtype=float)
     if np.any(np.abs(x) >= r):
         raise OutOfRange(f"|xi| must be < sqrt(eps) = {r}")
-    return _squeeze(x, epsilon)[0] if x.ndim == 0 else _squeeze(x, epsilon)
+    p = _squeeze_jet(x, epsilon)[0]
+    return p[0] if x.ndim == 0 else p
 
 
-def _squeeze(x, epsilon):
+def _squeeze_jet(x, epsilon):
+    """The squeeze map and its first two derivatives at |x| < sqrt(eps):
+    the identity on |x| <= sqrt(eps)/2, +-eps / (4 (sqrt(eps) -+ x)) beyond."""
     r = np.sqrt(epsilon)
     x = np.atleast_1d(x)
-    out = x.copy()
+    p, p1, p2 = x.copy(), np.ones_like(x), np.zeros_like(x)
     hi = x > 0.5 * r
     lo = x < -0.5 * r
-    out[hi] = epsilon / (4.0 * (r - x[hi]))
-    out[lo] = -epsilon / (4.0 * (r + x[lo]))
-    return out
-
-
-def _squeeze_d1(x, epsilon):
-    r = np.sqrt(epsilon)
-    x = np.atleast_1d(x)
-    out = np.ones_like(x)
-    hi = x > 0.5 * r
-    lo = x < -0.5 * r
-    out[hi] = epsilon / (4.0 * (r - x[hi]) ** 2)
-    out[lo] = epsilon / (4.0 * (r + x[lo]) ** 2)
-    return out
-
-
-def _squeeze_d2(x, epsilon):
-    r = np.sqrt(epsilon)
-    x = np.atleast_1d(x)
-    out = np.zeros_like(x)
-    hi = x > 0.5 * r
-    lo = x < -0.5 * r
-    out[hi] = epsilon / (2.0 * (r - x[hi]) ** 3)
-    out[lo] = -epsilon / (2.0 * (r + x[lo]) ** 3)
-    return out
+    dh = r - x[hi]
+    dl = r + x[lo]
+    p[hi] = epsilon / (4.0 * dh)
+    p[lo] = -epsilon / (4.0 * dl)
+    p1[hi] = epsilon / (4.0 * dh ** 2)
+    p1[lo] = epsilon / (4.0 * dl ** 2)
+    p2[hi] = epsilon / (2.0 * dh ** 3)
+    p2[lo] = -epsilon / (2.0 * dl ** 3)
+    return p, p1, p2
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +335,8 @@ class HybridStrip:
         # squeezed profile inside |xi| < sqrt(eps), endpoint states beyond
         inner = np.abs(xi) < r * (1.0 - 1e-12)
         if np.any(inner):
-            z = xi[inner]
-            s_arg = _squeeze(z, eps) / eps
-            p1 = _squeeze_d1(z, eps)
-            p2 = _squeeze_d2(z, eps)
-            w, w1, w2 = profile.jet(s_arg)
+            p, p1, p2 = _squeeze_jet(xi[inner], eps)
+            w, w1, w2 = profile.jet(p / eps)
             v[inner] = w
             vx[inner] = w1 * (p1 / eps)[:, None]
             vxx[inner] = w2 * (p1 ** 2 / eps ** 2)[:, None] + w1 * (p2 / eps)[:, None]

@@ -13,6 +13,7 @@ then recentering the parameter so the mass on both sides of s = 0 balances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,19 +144,49 @@ class ShockProfile:
     center_shift: float
     s_lo: float             # centered parameter range covered by the orbit
     s_hi: float
-    _interp: object
+    # the shooting orbit (omega and the two mass integrals) as DOP853 dense
+    # output: knots ts, and per step its start t_old, length h, start state
+    # y_old and coefficient rows F of shape (n_seg, 7, n + 2) in Horner order
+    _ts: np.ndarray
+    _t_old: np.ndarray
+    _h: np.ndarray
+    _y_old: np.ndarray
+    _F: np.ndarray
     _orient: float          # raw = orient * (s + shift) mapping
     _raw_lo: float
     _raw_hi: float
     model: object
+
+    def _orbit(self, raw, m=None):
+        """The first m components of the shooting state at raw parameter(s).
+
+        Same segment choice and float operations as scipy's OdeSolution
+        over Dop853DenseOutput, applied to all points at once: shape
+        (m,) for a scalar, (len(raw), m) for a 1-d array.
+        """
+        raw = np.asarray(raw, dtype=float)
+        seg = np.clip(np.searchsorted(self._ts, raw, side="left") - 1,
+                      0, self._h.size - 1)
+        x = (raw - self._t_old[seg]) / self._h[seg]
+        F = self._F[seg, :, :m]
+        if raw.ndim:
+            x = x[:, None]
+        y = np.zeros(F.shape[:-2] + F.shape[-1:])
+        for i in range(F.shape[-2]):
+            y += F[..., i, :]
+            if i % 2 == 0:
+                y *= x
+            else:
+                y *= 1 - x
+        y += self._y_old[seg, :m]
+        return y
 
     def value(self, s):
         """omega at centered parameter s (clamped to u-+ / u+ in the tails)."""
         s = np.asarray(s, dtype=float)
         raw = self._orient * (s + self.center_shift)
         raw_cl = np.clip(raw, self._raw_lo, self._raw_hi)
-        out = self._interp(raw_cl)[: self.model.n].T
-        out = np.atleast_2d(out)
+        out = np.atleast_2d(self._orbit(raw_cl, self.model.n))
         left = s + self.center_shift < self.s_lo
         right = s + self.center_shift > self.s_hi
         out[np.asarray(left).reshape(-1)] = self.left_state
@@ -184,17 +215,13 @@ class ShockProfile:
             return w[0], g[0], g2[0]
         return w, g, g2
 
-    def value_rescaled(self, s, epsilon):
-        """omega^eps(s) = omega(s / eps)."""
-        return self.value(np.asarray(s, dtype=float) / epsilon)
-
     def mass_balance(self, s_uncentered):
         """I-(s) - I+(s): left mass below s minus right mass above s, using
         the quadrature states carried by the shooting integration."""
         n = self.model.n
         raw = float(np.clip(self._orient * s_uncentered, self._raw_lo, self._raw_hi))
-        y = self._interp(raw)
-        yT = self._interp(self._raw_hi)
+        y = self._orbit(raw)
+        yT = self._orbit(self._raw_hi)
         if self._orient > 0:
             i_minus = float(y[n])
             i_plus = float(yT[n + 1] - y[n + 1])
@@ -250,6 +277,20 @@ def _lax_family(model, u_minus, u_plus, speed, tol=1e-7):
     )
 
 
+def _orbit_arrays(ode_solution):
+    """The ShockProfile orbit fields of a DOP853 OdeSolution, which is not
+    kept: its knots and, stacked over steps, the Dop853DenseOutput fields
+    t_old, h, y_old and F (rows reversed into Horner order)."""
+    steps = ode_solution.interpolants
+    return {
+        "_ts": np.asarray(ode_solution.ts, dtype=float),
+        "_t_old": np.array([st.t_old for st in steps]),
+        "_h": np.array([st.h for st in steps]),
+        "_y_old": np.array([st.y_old for st in steps]),
+        "_F": np.array([st.F[::-1] for st in steps]),
+    }
+
+
 def shock_profile(model, u_minus, u_plus, eta_factor=1e-8):
     """Viscous profile connecting a Lax shock pair, centered per the
     equal-mass rule (integral of |omega - u-| on s<0 equals that of
@@ -281,14 +322,19 @@ def shock_profile(model, u_minus, u_plus, eta_factor=1e-8):
     w0 = start_anchor + eta * d
 
     sign = 1.0 if forward else -1.0
-    f_um = model.flux(um)
+    flux, n = model.flux, model.n
+    f_um = flux(um)
 
     def rhs(_, y):
-        w = y[: model.n]
-        g = model.flux(w) - f_um - lam * (w - um)
-        dzdn = np.linalg.norm(w - um)
-        dzp = np.linalg.norm(w - up)
-        return np.concatenate([sign * g, [dzdn, dzp]])
+        # a fresh array per call: the solver keeps earlier right-hand sides
+        out = np.empty(n + 2)
+        w = y[:n]
+        a = w - um
+        b = w - up
+        out[:n] = sign * (flux(w) - f_um - lam * a)
+        out[n] = math.sqrt(a @ a)       # np.linalg.norm of a real vector
+        out[n + 1] = math.sqrt(b @ b)
+        return out
 
     def landed(_, y):
         return float(np.linalg.norm(y[: model.n] - target)) - _LAND_TOL * scale
@@ -319,8 +365,8 @@ def shock_profile(model, u_minus, u_plus, eta_factor=1e-8):
 
     prof = ShockProfile(
         left_state=um, right_state=up, speed=lam, family=fam, strength=sigma,
-        center_shift=0.0, s_lo=s_lo, s_hi=s_hi, _interp=sol.sol, _orient=orient,
-        _raw_lo=0.0, _raw_hi=T, model=model,
+        center_shift=0.0, s_lo=s_lo, s_hi=s_hi, **_orbit_arrays(sol.sol),
+        _orient=orient, _raw_lo=0.0, _raw_hi=T, model=model,
     )
     lo, hi = s_lo, s_hi
     if prof.mass_balance(lo) > 0 or prof.mass_balance(hi) < 0:

@@ -8,10 +8,10 @@ from vanvisc.errors import OutOfRange, OverlappingTracks
 from vanvisc.front_tracking import init_front_tracking, run_until
 from vanvisc.functionals import big_shock_uids
 from vanvisc.harness import scenario_data
-from vanvisc.hybrid import (Mollifier, build_hybrid, classify_event, jump_sum,
-                            mollification_l1_error, mollify, oscillation_weighted_tv,
-                            residual, select_big_shocks, squeeze_map, _shock_chains,
-                            _squeeze, _squeeze_d1)
+from vanvisc.hybrid import (KERNEL_C, KERNEL_SUPPORT, Mollifier, build_hybrid,
+                            classify_event, jump_sum, mollification_l1_error, mollify,
+                            oscillation_weighted_tv, residual, select_big_shocks,
+                            squeeze_map, _shock_chains, _squeeze_jet)
 from vanvisc.piecewise import PiecewiseConstant
 from vanvisc.riemann import lax_curve
 from vanvisc.system import preset_model
@@ -32,6 +32,25 @@ def test_kernel_properties():
     assert np.trapezoid(phi, s) == pytest.approx(1.0, abs=1e-10)  # unit mass
     assert np.all(phi[np.abs(s) > 2 * 0.37 / 3] == 0.0)        # support
     assert np.all(s * mol.dphi(s) <= 1e-12)                    # s phi'(s) <= 0
+
+
+def test_mollifier_cdf_matches_clipped_polynomial():
+    # the polynomial evaluated everywhere on the argument clipped to the support
+    def ref(s, delta):
+        a = KERNEL_SUPPORT
+        t = np.clip(np.asarray(s, dtype=float) / delta, -a, a)
+        P = (64.0 / 729.0) * t - (16.0 / 81.0) * t ** 3 + (12.0 / 45.0) * t ** 5 - t ** 7 / 7.0
+        Pa = (64.0 / 729.0) * a - (16.0 / 81.0) * a ** 3 + (12.0 / 45.0) * a ** 5 - a ** 7 / 7.0
+        return KERNEL_C * (P + Pa)
+
+    rng = np.random.default_rng(3)
+    for delta in (0.37, np.sqrt(4e-3), np.sqrt(2.5e-4)):
+        a = KERNEL_SUPPORT * delta
+        for s in (rng.normal(0.0, delta, 5000), rng.uniform(-2 * a, 2 * a, (400, 7)),
+                  np.array([a, -a, np.nextafter(a, 0), np.nextafter(-a, 0)]),
+                  np.array([1e3, -1e3, 1e300, -1e300, np.inf, -np.inf]),
+                  np.array([0.0, -0.0]), np.zeros(0)):
+            assert np.array_equal(Mollifier(delta).cdf(s), ref(s, delta))
 
 
 def test_mollify_constant_and_step():
@@ -63,15 +82,37 @@ def test_squeeze_map_examples():
     # C^1 at the branch point, odd, increasing, blows up near the edge
     h = 1e-9
     for x0 in (r / 2, -r / 2):
-        left = (_squeeze(np.array([x0]), eps) - _squeeze(np.array([x0 - h]), eps)) / h
-        right = (_squeeze(np.array([x0 + h]), eps) - _squeeze(np.array([x0]), eps)) / h
+        left = (squeeze_map(np.array([x0]), eps) - squeeze_map(np.array([x0 - h]), eps)) / h
+        right = (squeeze_map(np.array([x0 + h]), eps) - squeeze_map(np.array([x0]), eps)) / h
         assert left[0] == pytest.approx(right[0], rel=1e-5)
     xs = np.linspace(-r * 0.999, r * 0.999, 1001)
-    vals = _squeeze(xs, eps)
-    assert np.max(np.abs(vals + _squeeze(-xs, eps))) < 1e-18
+    vals = squeeze_map(xs, eps)
+    assert np.max(np.abs(vals + squeeze_map(-xs, eps))) < 1e-18
     assert np.all(np.diff(vals) > 0)
-    assert abs(_squeeze(np.array([r * (1 - 1e-6)]), eps)[0]) > 1e4 * r
-    assert np.all(_squeeze_d1(xs, eps) >= 1.0 - 1e-12)
+    assert abs(squeeze_map(np.array([r * (1 - 1e-6)]), eps)[0]) > 1e4 * r
+    assert np.all(_squeeze_jet(xs, eps)[1] >= 1.0 - 1e-12)
+
+
+def test_squeeze_jet_matches_separate_formulas():
+    # the map and its derivatives as three separate masked evaluations
+    def ref(x, eps):
+        r = np.sqrt(eps)
+        p, p1, p2 = x.copy(), np.ones_like(x), np.zeros_like(x)
+        hi, lo = x > 0.5 * r, x < -0.5 * r
+        p[hi] = eps / (4.0 * (r - x[hi]))
+        p[lo] = -eps / (4.0 * (r + x[lo]))
+        p1[hi] = eps / (4.0 * (r - x[hi]) ** 2)
+        p1[lo] = eps / (4.0 * (r + x[lo]) ** 2)
+        p2[hi] = eps / (2.0 * (r - x[hi]) ** 3)
+        p2[lo] = -eps / (2.0 * (r + x[lo]) ** 3)
+        return p, p1, p2
+
+    rng = np.random.default_rng(4)
+    for eps in (4e-3, 2e-3, 2.5e-4):
+        r = np.sqrt(eps)
+        xs = np.concatenate([rng.uniform(-r, r, 2000) * (1 - 1e-12), [0.0, 0.5 * r, -0.5 * r]])
+        for got, want in zip(_squeeze_jet(xs, eps), ref(xs, eps)):
+            assert np.array_equal(got, want)
 
 
 def test_select_big_shocks_examples():

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from vanvisc.errors import CFLViolation, DomainTooSmall, NotLaxPair
 from vanvisc.riemann import lax_curve
 from vanvisc.system import SystemModel, eigen_frame, preset_model
-from vanvisc.viscous import shock_profile, solve_viscous, tail_bound_check
+from vanvisc.viscous import (ShockProfile, _orbit_arrays, shock_profile, solve_viscous,
+                             tail_bound_check)
 
 B = preset_model("burgers")
 P = preset_model("p_system")
@@ -30,7 +34,44 @@ def test_profile_rescaling():
     eps = 0.01
     s = np.linspace(-0.4, 0.4, 101)
     exact = 0.5 - 0.5 * np.tanh(s / (4 * eps))
-    assert np.max(np.abs(pr.value_rescaled(s, eps)[:, 0] - exact)) < 1e-8
+    assert np.max(np.abs(pr.value(s / eps)[:, 0] - exact)) < 1e-8
+
+
+def _dop853_solution():
+    """Three components with a sharp bump in the forcing at t = 2, so the
+    steps are uneven; a terminal event cuts the last step short, as the
+    landing event does in the shooting."""
+    def rhs(t, y):
+        return [1.0 / (1.0 + 400.0 * (t - 2.0) ** 2), y[0] * np.cos(y[1]),
+                np.sin(5.0 * t) * y[0] - y[2]]
+
+    def stop(t, y):
+        return t - 4.3
+
+    stop.terminal = True
+    return solve_ivp(rhs, (0.0, 6.0), [0.0, 0.5, -1.0], method="DOP853", rtol=1e-9,
+                     atol=1e-12, dense_output=True, events=stop)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 3), t=st.lists(st.floats(-0.5, 4.8), min_size=1, max_size=60))
+def test_orbit_evaluator_matches_dop853_dense_output(m, t):
+    sol = _dop853_solution()
+    orbit = ShockProfile(left_state=None, right_state=None, speed=0.0, family=1,
+                         strength=-1.0, center_shift=0.0, s_lo=0.0, s_hi=0.0,
+                         _orient=1.0, _raw_lo=0.0, _raw_hi=0.0, model=None,
+                         **_orbit_arrays(sol.sol))._orbit
+    ts = sol.sol.ts
+    dts = np.diff(ts)
+    assert dts.max() > 10 * dts.min()
+    assert ts[-1] < sol.sol.interpolants[-1].t
+    # random points (some beyond the ends), every knot, both ends
+    pts = np.concatenate([t, ts, [ts[0], ts[-1]]])
+    assert np.array_equal(orbit(pts), sol.sol(pts).T)
+    assert np.array_equal(orbit(pts, m), sol.sol(pts)[:m].T)
+    for x in (t[0], ts[0], ts[-1], ts[len(ts) // 2]):
+        assert np.array_equal(orbit(x), sol.sol(x))
+        assert np.array_equal(orbit(x, m), sol.sol(x)[:m])
 
 
 def test_p_system_profiles_both_families():
