@@ -90,13 +90,3 @@ class OverlappingTracks(VanviscError):
 class ResolutionTooCoarse(VanviscError):
     pass
 
-
-class UnclassifiableEvent(VanviscError):
-    pass
-
-
-# functionals
-class MonotonicityViolation(VanviscError):
-    def __init__(self, message, event=None):
-        super().__init__(message)
-        self.event = event

@@ -65,9 +65,6 @@ class FrontConfiguration:
         vals = [self.left_state] + [f.right_state for f in self.fronts]
         return PiecewiseConstant(xs, np.array(vals))
 
-    def total_np_strength(self):
-        return sum(f.strength for f in self.fronts if not f.physical)
-
     def validate(self, atol=1e-9):
         prev = self.left_state
         prev_x = -np.inf
@@ -109,6 +106,11 @@ class FTRun:
     epsilon_prime: float
     rarefaction_cap: float
     glimm_history: list    # (t, V, Q, Upsilon) at t=0 and after each event
+
+    @property
+    def t_edges(self):
+        """[0, t_1, ..., t_N, tau]: configs[k] covers [t_edges[k], t_edges[k+1])."""
+        return [0.0] + list(self.times) + [self.tau]
 
     def config_at(self, t, merge_pairs=False):
         """Post-interaction configuration advanced to t (right-continuous)."""
@@ -357,19 +359,14 @@ def run_until(model, config, tau, epsilon_prime=None, rarefaction_cap=None,
                  glimm_history=history)
 
 
-def sample_profile(run_or_config, t=None, merge_pairs=False):
-    """Piecewise-constant u(t, .) with the right-continuous convention."""
-    if isinstance(run_or_config, FTRun):
-        return run_or_config.config_at(t, merge_pairs=merge_pairs).profile()
-    cfg = run_or_config if t is None else run_or_config.advanced(t)
-    if merge_pairs:
-        cfg = merge_cancelling_pairs(cfg)
-    return cfg.profile()
+def sample_profile(run, t):
+    """Piecewise-constant u(t, .) of a run, right-continuous in t."""
+    return run.config_at(t).profile()
 
 
-def merge_cancelling_pairs(config, gap_tol=POS_TOL):
+def merge_cancelling_pairs(config):
     """Remark-3 cleanup: adjacent same-family fronts of opposite sign closer
-    than gap_tol are merged into a single jump (used before measure
+    than POS_TOL are merged into a single jump (used before measure
     extraction, never for evolution)."""
     fronts = list(config.fronts)
     changed = True
@@ -381,7 +378,7 @@ def merge_cancelling_pairs(config, gap_tol=POS_TOL):
                 a.physical and b.physical
                 and a.family == b.family
                 and a.strength * b.strength < 0
-                and abs(b.pos - a.pos) < gap_tol
+                and abs(b.pos - a.pos) < POS_TOL
             ):
                 s = a.strength + b.strength
                 kind = "shock" if s < 0 else "rarefaction_step"

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MonotonicityViolation
 from .front_tracking import glimm_functionals
 from .hybrid import classify_event
 
@@ -48,29 +47,20 @@ class FunctionalSnapshot:
     epsilon: float
     rho: float = None
 
-    def recompose(self):
-        c = self.constants
-        r = SQRT(self.epsilon)
-        ln = abs(np.log(self.epsilon))
-        return r * ln * (c.c1 * self.upsilon + c.c2 * self.q_flat + c.c3 * self.q_natural) \
-            + r * self.q_sharp
-
 
 def w_flat(x_alpha, fam_alpha, x_beta, fam_beta, epsilon):
-    """Transversal pair weight, piecewise linear over +-2 sqrt(eps)."""
+    """Transversal pair weight, piecewise linear over +-2 sqrt(eps): rising
+    in d = x_beta - x_alpha when beta is of the slower family, else falling,
+    which is the rising ramp at -d."""
     r = SQRT(epsilon)
     d = x_beta - x_alpha
-    if fam_beta < fam_alpha:
-        if d < -2 * r:
-            return 0.0
-        if d > 2 * r:
-            return 1.0
-        return 0.5 + d / (4 * r)
+    if fam_beta >= fam_alpha:
+        d = -d
     if d < -2 * r:
-        return 1.0
-    if d > 2 * r:
         return 0.0
-    return 0.5 - d / (4 * r)
+    if d > 2 * r:
+        return 1.0
+    return 0.5 + d / (4 * r)
 
 
 def w_natural(x, x_alpha, epsilon):
@@ -93,27 +83,26 @@ def q_flat(config, epsilon):
 
 def _natural_alpha(fronts, ai, epsilon):
     """Integral of W_natural against the cut-off rarefaction accumulator of
-    the shock fronts[ai]; ties in position are resolved by list order."""
+    the shock fronts[ai]; ties in position are resolved by list order.
+
+    The accumulator grows away from x_alpha on the right and shrinks on the
+    left; the left walk carries its negation, which is exact, so one walk
+    serves both sides."""
     alpha = fronts[ai]
+    total = _natural_side(alpha, fronts[ai + 1 :], epsilon, 0.0)
+    return _natural_side(alpha, reversed(fronts[:ai]), epsilon, total)
+
+
+def _natural_side(alpha, side, epsilon, total):
+    """Add to total the rarefaction mass of side (fronts ordered away from
+    alpha) below the cut-off |sigma_alpha|/4, weighted by W_natural."""
     cap = abs(alpha.strength) / 4.0
-    total = 0.0
-    # right side: cumulative rarefaction mass, clipped at +cap
     cum = 0.0
-    for b in fronts[ai + 1 :]:
+    for b in side:
         if not b.physical or b.family != alpha.family or b.kind != "rarefaction_step":
             continue
         new = cum + b.strength
         mass = min(new, cap) - min(cum, cap)
-        if mass > 0:
-            total += w_natural(b.pos, alpha.pos, epsilon) * mass
-        cum = new
-    # left side: accumulates negatively, clipped at -cap
-    cum = 0.0
-    for b in reversed(fronts[:ai]):
-        if not b.physical or b.family != alpha.family or b.kind != "rarefaction_step":
-            continue
-        new = cum - b.strength
-        mass = max(cum, -cap) - max(new, -cap)
         if mass > 0:
             total += w_natural(b.pos, alpha.pos, epsilon) * mass
         cum = new
@@ -141,12 +130,18 @@ def _sharp_alpha(fronts, ai, epsilon):
     is not counted.
     """
     alpha = fronts[ai]
-    base = abs(alpha.strength) / 2.0
-    total = 0.0
-    # right side: z starts at +base, envelope is the running max
-    z = base
-    runmax = base
-    for b in fronts[ai + 1 :]:
+    total = _sharp_side(alpha, fronts[ai + 1 :], epsilon, 0.0)
+    total = _sharp_side(alpha, reversed(fronts[:ai]), epsilon, total)
+    return abs(alpha.strength) * total
+
+
+def _sharp_side(alpha, side, epsilon, total):
+    """Add to total the W_sharp-weighted shock content of side (fronts
+    ordered away from alpha).  z starts at |sigma_alpha|/2 and the envelope
+    is its running max; on the left this is the negation of z, which starts
+    at -|sigma_alpha|/2 under the running min."""
+    z = runmax = abs(alpha.strength) / 2.0
+    for b in side:
         if not b.physical or b.family != alpha.family:
             continue
         if b.kind == "shock":
@@ -158,22 +153,7 @@ def _sharp_alpha(fronts, ai, epsilon):
             runmax = max(runmax, z_new)
         else:
             z = z - 3.0 * b.strength
-    # left side: z starts at -base, envelope is the running min
-    z = -base
-    runmin = -base
-    for b in reversed(fronts[:ai]):
-        if not b.physical or b.family != alpha.family:
-            continue
-        if b.kind == "shock":
-            z_new = z - abs(b.strength)
-            mass = max(0.0, runmin - z_new)
-            if mass > 0:
-                total += w_natural(b.pos, alpha.pos, epsilon) * mass / (epsilon - runmin)
-            z = z_new
-            runmin = min(runmin, z_new)
-        else:
-            z = z + 3.0 * b.strength
-    return abs(alpha.strength) * total
+    return total
 
 
 def q_sharp(config, epsilon):
@@ -223,15 +203,7 @@ class AuditReport:
     def ok(self):
         return not self.violations
 
-    def raise_if_violated(self):
-        if self.violations:
-            ev = self.violations[0]
-            raise MonotonicityViolation(
-                f"q_hat increased by {ev['dq_hat']:.3e} at t={ev['t']} (case {ev['case']})",
-                event=ev,
-            )
-
-    def to_json(self, path=None):
+    def to_json(self):
         payload = {
             "epsilon": self.epsilon,
             "rho": self.rho,
@@ -241,17 +213,12 @@ class AuditReport:
             "creation_ratios": self.creation_ratios,
             "merge_records": self.merge_records,
         }
-        text = json.dumps(payload, sort_keys=True, indent=1, default=float)
-        if path:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
+        return json.dumps(payload, sort_keys=True, indent=1, default=float)
 
 
-def audit_events(run, tracks, epsilon, constants=FunctionalConstants(), rho=None,
-                 tol=1e-10):
+def audit_events(run, tracks, epsilon, constants=FunctionalConstants(), rho=None):
     """Classify every interaction and check the composite-functional law:
-    decrease (within tol) unless a new big shock is created; at creations,
+    decrease (within 1e-10) unless a new big shock is created; at creations,
     record the increase ratio against sqrt(eps) |ln eps| |sigma_alpha|."""
     r = SQRT(epsilon)
     ln = abs(np.log(epsilon))
@@ -293,7 +260,7 @@ def audit_events(run, tracks, epsilon, constants=FunctionalConstants(), rho=None
                  "surcharge_ratio": surcharge / (r * ln * sigma)}
             )
         else:
-            if d_qhat > tol:
+            if d_qhat > 1e-10:
                 report.violations.append(record)
         if case == "merge":
             incoming_uids = {f.uid for f in ev.incoming}
@@ -332,17 +299,16 @@ def flat_decay_rate(config, epsilon):
     return rate, pair_sum
 
 
-def interaction_decay_rates(run, tracks, epsilon, constants=FunctionalConstants(),
-                            fd_frac=1.0 / 64.0):
+def interaction_decay_rates(run, tracks, epsilon):
     """Per-interval report of the decay rates of the weighted functionals.
 
     q_flat decays at an exactly computable rate; q_natural and q_sharp rates
-    are sampled by centered differences inside the interval (the envelopes
-    are frozen between events, so the only time dependence is the linear
-    front motion).  The pair sums entering the right-hand sides of the decay
-    estimates are itemized per interval.
+    are sampled by centered differences of step 1/64 of the interval at its
+    midpoint (the envelopes are frozen between events, so the only time
+    dependence is the linear front motion).  The pair sums entering the
+    right-hand sides of the decay estimates are itemized per interval.
     """
-    t_edges = [0.0] + list(run.times) + [run.tau]
+    t_edges = run.t_edges
     rows = []
     r = SQRT(epsilon)
     for k, cfg in enumerate(run.configs):
@@ -350,7 +316,7 @@ def interaction_decay_rates(run, tracks, epsilon, constants=FunctionalConstants(
         if t1 - t0 <= 1e-14:
             continue
         tm = 0.5 * (t0 + t1)
-        h = max((t1 - t0) * fd_frac, 1e-12)
+        h = max((t1 - t0) / 64.0, 1e-12)
         bs = big_shock_uids(tracks, k)
         c_m = cfg.advanced(tm)
         c_p = cfg.advanced(tm + h)

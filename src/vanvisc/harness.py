@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import MonotonicityViolation, VanviscError
+from .errors import VanviscError
 from .front_tracking import init_front_tracking, run_until, sample_profile
 from .functionals import FunctionalConstants, audit_events, interaction_decay_rates
 from .hybrid import build_hybrid, jump_sum, residual, select_big_shocks
@@ -47,7 +47,6 @@ class ExperimentConfig:
     dx_rule: str = "eps/8"
     # rarefaction steps at the maximal small-wave scale (half the rho scale)
     cap_rule: str = "sqrt_eps*abs_ln_eps/2"
-    kappa: float = 10.0
     simplified_threshold: float = None   # default: epsilon_prime
     workers: int = 1
     delta_list: tuple = (0.1, 0.05, 0.02, 0.01, 0.005)
@@ -205,13 +204,14 @@ def scenario_data(model, name, seed=0, n_jumps=10, tv=0.3):
     raise ValueError(f"unknown scenario {name!r} for p_system")
 
 
-def data_max_speed(model, data, margin=0.1):
-    """Largest |lambda_i| over the states present in the data (plus margin)."""
+def data_max_speed(model, data):
+    """Largest |lambda_i| over the states present in the data, with a
+    margin of 20% plus 0.1."""
     worst = 0.0
     for u in data.values:
         lam = eigen_frame(model, u).lambdas
         worst = max(worst, float(np.max(np.abs(lam))))
-    return worst * 1.2 + margin
+    return worst * 1.2 + 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -258,18 +258,17 @@ def _track(cfg, model, data, scale, eps_prime):
                      max_events=cfg.max_events)
 
 
-def hybrid_vs_profile_l1(hyb, run, t, pad=None):
-    """L1 distance between the hybrid v(t) and the front-tracking u(t)."""
+def hybrid_vs_profile_l1(hyb, run, t):
+    """L1 distance between the hybrid v(t) and the front-tracking u(t),
+    over the fronts padded by delta."""
     st = hyb.strip_at(t)
     prof = sample_profile(run, t)
     delta = hyb.delta
     eps = hyb.epsilon
-    if pad is None:
-        pad = delta
     xs = st.front_positions(t)
     if xs.size == 0:
         return 0.0
-    lo, hi = xs.min() - pad, xs.max() + pad
+    lo, hi = xs.min() - delta, xs.max() + delta
     edges = [np.arange(lo, hi + delta / 40.0, delta / 40.0), prof.xs]
     r = np.sqrt(eps)
     for _, front, _ in st.tracks:
@@ -355,7 +354,7 @@ def functional_report_cmd(cfg, out_dir=None):
         run = _track(cfg, model, data, eps, min(1e-9, eps ** 3))
         tracks = select_big_shocks(run, rho)
         rep = audit_events(run, tracks, eps, cfg.constants(), rho=rho)
-        rates = interaction_decay_rates(run, tracks, eps, cfg.constants())
+        rates = interaction_decay_rates(run, tracks, eps)
         any_violation = any_violation or not rep.ok()
         reports["%.6g" % eps] = {
             "audit": json.loads(rep.to_json()),
@@ -371,14 +370,14 @@ def functional_report_cmd(cfg, out_dir=None):
 # ---------------------------------------------------------------------------
 # decay
 
-def decay_report_cmd(cfg, out_dir=None, mode="rarefactions_only"):
+def decay_report_cmd(cfg, out_dir=None):
     model = preset_model(cfg.system, gamma=cfg.gamma, k=cfg.k)
     data = scenario_data(model, cfg.scenario, cfg.seed, cfg.n_jumps, cfg.tv)
     run = _track(cfg, model, data, min(cfg.delta_list), 1e-9)
     tv = data.total_variation()
     rows = []
     for delta in sorted(cfg.delta_list, reverse=True):
-        E = pair_interaction_integral(run, delta, cfg.tau, mode=mode)
+        E = pair_interaction_integral(run, delta, cfg.tau)
         scale = delta * (math.log(2.0 + cfg.tau) + abs(math.log(delta))) * max(tv, 1e-300)
         rows.append({"delta": delta, "integral": E, "scale": scale,
                      "ratio": E / scale})
@@ -431,9 +430,6 @@ def main(argv=None):
             return 2 if violated else 0
         decay_report_cmd(cfg, args.out)
         return 0
-    except MonotonicityViolation:
-        traceback.print_exc()
-        return 2
     except (VanviscError, ValueError, ArithmeticError, np.linalg.LinAlgError):
         traceback.print_exc()
         return 3

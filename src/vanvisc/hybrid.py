@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfRange, OverlappingTracks, ResolutionTooCoarse, UnclassifiableEvent
+from .errors import OutOfRange, OverlappingTracks, ResolutionTooCoarse
 from .front_tracking import config_index
 from .viscous import shock_profile
 
@@ -86,8 +86,9 @@ def mollify(u, delta):
     return value
 
 
-def mollification_l1_error(u, delta, n_sub=8, n_gauss=10):
-    """Integral of |u * phi_delta - u| (dense Gauss between kernel edges)."""
+def mollification_l1_error(u, delta):
+    """Integral of |u * phi_delta - u|: 10-point Gauss on 8 sub-intervals of
+    each gap between kernel edges."""
     mol = Mollifier(delta)
     xs = np.asarray(u.xs, dtype=float)
     if xs.size == 0:
@@ -95,10 +96,10 @@ def mollification_l1_error(u, delta, n_sub=8, n_gauss=10):
     jumps = u.jumps()
     edges = np.unique(np.concatenate([
         xs, xs - KERNEL_SUPPORT * delta, xs + KERNEL_SUPPORT * delta]))
-    gx, gw = np.polynomial.legendre.leggauss(n_gauss)
+    gx, gw = np.polynomial.legendre.leggauss(10)
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
-        sub = np.linspace(a, b, n_sub + 1)
+        sub = np.linspace(a, b, 9)
         for s0, s1 in zip(sub[:-1], sub[1:]):
             h = 0.5 * (s1 - s0)
             pts = 0.5 * (s0 + s1) + h * gx
@@ -217,7 +218,7 @@ def select_big_shocks(run, rho):
     above rho/2 but below rho starts the track at the merge itself: the
     parents alone never qualify as large.
     """
-    t_edges = [0.0] + list(run.times) + [run.tau]
+    t_edges = run.t_edges
     uid_lookup = [{f.uid: f for f in cfg.fronts} for cfg in run.configs]
     tracks = []
     for chain in _shock_chains(run):
@@ -397,7 +398,7 @@ def build_hybrid(run, tracks, epsilon, delta=None):
     if delta is None:
         delta = np.sqrt(epsilon)
     profiles = ProfileCache(run.model)
-    t_edges = [0.0] + list(run.times) + [run.tau]
+    t_edges = run.t_edges
     strips = []
     for k, cfg in enumerate(run.configs):
         t0, t1 = t_edges[k], t_edges[k + 1]
@@ -527,18 +528,14 @@ def classify_event(ev, tracks):
             flags.add("absorption")
     if not flags:
         flags.add("small")
-    for c in _CASE_ORDER:
-        if c in flags:
-            return c, flags
-    raise UnclassifiableEvent(f"event at t={ev.time} defies classification")
+    return next(c for c in _CASE_ORDER if c in flags), flags
 
 
-def jump_sum(run, tracks, hyb, dx=None):
+def jump_sum(run, tracks, hyb):
     """Sum over interaction times of the L1 jump of the hybrid hyb of run,
-    with per-case totals."""
+    with per-case totals, on a grid of step min(eps/8, delta/40)."""
     delta = hyb.delta
-    if dx is None:
-        dx = min(hyb.epsilon / 8.0, delta / 40.0)
+    dx = min(hyb.epsilon / 8.0, delta / 40.0)
     per_case = {c: 0.0 for c in _CASE_ORDER}
     per_event = []
     total = 0.0

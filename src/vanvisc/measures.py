@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NegativeMass, NonMonotoneHistory, NotMonotone
-from .front_tracking import FTRun
+from .front_tracking import FTRun, front_birth_times
 from .riemann import solve_riemann
 
 
@@ -47,11 +47,11 @@ class WaveMeasure:
         return WaveMeasure(atoms=arr, family=family)
 
     @staticmethod
-    def from_density(xs, vals, family=0):
+    def from_density(xs, vals):
         xs = np.asarray(xs, dtype=float)
         vals = np.asarray(vals, dtype=float)
         assert vals[0] == 0.0 and vals[-1] == 0.0, "density must have compact support"
-        return WaveMeasure(atoms=np.zeros((0, 2)), density_xs=xs, density_vals=vals, family=family)
+        return WaveMeasure(atoms=np.zeros((0, 2)), density_xs=xs, density_vals=vals)
 
     def with_density(self, xs, vals):
         return WaveMeasure(self.atoms, np.asarray(xs, float), np.asarray(vals, float), self.family)
@@ -191,9 +191,6 @@ class MonotoneProfile:
     def singular_mass(self):
         return self.measure.atom_mass()
 
-    def v_right(self):
-        return self.v_left + self.measure.total_mass()
-
     def value(self, x):
         return self.v_left + self.measure.cdf(x)
 
@@ -312,9 +309,6 @@ class OddProfile:
         if not self.kinks or self.kinks[0] != (0.0, 0.0):
             self.kinks = [(0.0, 0.0)] + self.kinks
 
-    def w_max(self):
-        return self.kinks[-1][1]
-
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         ax = np.abs(x)
@@ -426,7 +420,7 @@ def burgers_comparison(mu0_plus, q_history, kappa):
     return ComparisonSolution(mu0_plus, q_history, kappa)
 
 
-def spread_positive_waves(run, t, family, min_age=1e-12):
+def spread_positive_waves(run, t, family):
     """Positive i-wave measure of a run at time t with each rarefaction step
     opened back into the fan it discretizes.
 
@@ -434,10 +428,9 @@ def spread_positive_waves(run, t, family, min_age=1e-12):
     interval of width sigma (t - t_b) behind its front with density
     1/(t - t_b); adjacent steps of a common fan tile the exact rarefaction.
     Without this reconstruction the sampled steps are atoms and are strictly
-    more singular than any Lipschitz comparison profile.
+    more singular than any Lipschitz comparison profile.  A step born at t
+    itself (age below 1e-12) stays an atom.
     """
-    from .front_tracking import front_birth_times
-
     births = front_birth_times(run)
     cfg = run.config_at(t, merge_pairs=True)
     atoms = []
@@ -446,7 +439,7 @@ def spread_positive_waves(run, t, family, min_age=1e-12):
         if not f.physical or f.family != family or f.strength <= 0:
             continue
         age = t - births.get(f.uid, 0.0)
-        if age <= min_age:
+        if age <= 1e-12:
             atoms.append((f.pos, f.strength))
         else:
             pieces.append((f.pos - f.strength * age, f.pos, 1.0 / age))

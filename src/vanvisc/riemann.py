@@ -20,6 +20,9 @@ from .system import eigen_frame
 RH_TOL = 1e-8
 _NEWTON_TOL = 1e-11
 ZERO_WAVE = 1e-12
+# Riemann iteration: clip on each starting strength, and Newton step budget
+_MAX_STRENGTH = 4.0
+_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -132,7 +135,7 @@ def _hugoniot_point(model, i, u0, s):
     raise NoRoot("Hugoniot Newton did not converge in 60 iterations")
 
 
-def shock_speed(model, u_minus, u_plus, tol=RH_TOL):
+def shock_speed(model, u_minus, u_plus):
     """Least-squares Rankine-Hugoniot speed; NotOnLocus if the pair is not
     (numerically) on a single Hugoniot locus."""
     um = np.asarray(u_minus, dtype=float)
@@ -144,8 +147,8 @@ def shock_speed(model, u_minus, u_plus, tol=RH_TOL):
     df = model.flux(up) - model.flux(um)
     speed = float(df @ du) / nd
     resid = float(np.linalg.norm(df - speed * du))
-    if resid > tol:
-        raise NotOnLocus(f"RH residual {resid:.3e} exceeds {tol:.1e}")
+    if resid > RH_TOL:
+        raise NotOnLocus(f"RH residual {resid:.3e} exceeds {RH_TOL:.1e}")
     return speed
 
 
@@ -158,7 +161,7 @@ def _compose(model, u_minus, s, max_param):
     return states
 
 
-def solve_riemann(model, u_minus, u_plus, max_strength=4.0, max_iter=100):
+def solve_riemann(model, u_minus, u_plus):
     """Classical Lax solution of the Riemann problem (small data).
 
     Returns a WaveFan whose strengths, composed through lax_curve, map
@@ -177,8 +180,8 @@ def solve_riemann(model, u_minus, u_plus, max_strength=4.0, max_iter=100):
     mid = 0.5 * (um + up)
     fr = eigen_frame(model, mid)
     s = fr.l @ (up - um)
-    s = np.clip(s, -max_strength, max_strength)
-    slack = 1.5 * max_strength + 0.1  # Newton probes may step past the data size
+    s = np.clip(s, -_MAX_STRENGTH, _MAX_STRENGTH)
+    slack = 1.5 * _MAX_STRENGTH + 0.1  # Newton probes may step past the data size
 
     def residual(s):
         states = _compose(model, um, s, max_param=slack)
@@ -188,7 +191,7 @@ def solve_riemann(model, u_minus, u_plus, max_strength=4.0, max_iter=100):
     it = 0
     while np.max(np.abs(f)) > _NEWTON_TOL * scale:
         it += 1
-        if it > max_iter:
+        if it > _MAX_ITER:
             raise NoSolution(f"Riemann iteration stalled at residual {np.max(np.abs(f)):.3e}")
         J = np.empty((n, n))
         h = 1e-7
@@ -229,12 +232,3 @@ def solve_riemann(model, u_minus, u_plus, max_strength=4.0, max_iter=100):
             waves.append(ElementaryWave(i, "rarefaction", si, (lam_l, lam_r), ul, ur))
     return WaveFan(waves=waves, intermediate_states=states)
 
-
-def lax_admissible(model, wave, tol=1e-9):
-    """Lax inequalities lambda_i(u+) < speed < lambda_i(u-) for a shock."""
-    if wave.kind != "shock":
-        return True
-    i = wave.family - 1
-    lam_l = eigen_frame(model, wave.left_state).lambdas[i]
-    lam_r = eigen_frame(model, wave.right_state).lambdas[i]
-    return lam_r < wave.speed + tol and wave.speed < lam_l + tol

@@ -116,23 +116,23 @@ def _eig_sorted(A):
     return lam.real[order], V.real[:, order].T
 
 
-def grad_lambda_fd(model, u, i, step=_FD_STEP):
+def grad_lambda_fd(model, u, i):
     """Central finite difference of lambda_i at u (i is 0-based here)."""
     u = np.asarray(u, dtype=float)
     g = np.zeros(model.n)
     for k in range(model.n):
         e = np.zeros(model.n)
-        e[k] = step
+        e[k] = _FD_STEP
         lp, _ = _eig_sorted(model.jacobian(u + e))
         lm, _ = _eig_sorted(model.jacobian(u - e))
-        g[k] = (lp[i] - lm[i]) / (2 * step)
+        g[k] = (lp[i] - lm[i]) / (2 * _FD_STEP)
     return g
 
 
-def grad_lambda(model, u, i, step=_FD_STEP):
+def grad_lambda(model, u, i):
     if model.grad_lambda_fn is not None:
         return model.grad_lambda_fn(np.asarray(u, dtype=float))[i]
-    return grad_lambda_fd(model, u, i, step)
+    return grad_lambda_fd(model, u, i)
 
 
 def eigen_frame(model, u):
@@ -211,7 +211,7 @@ def preset_model(name, gamma=None, k=None):
     raise BadParameter(f"unknown preset {name!r}")
 
 
-def check_genuine_nonlinearity(model, samples=100, rng=None):
+def check_genuine_nonlinearity(model, samples=100):
     """Sample grad(lambda_i) . r_i with unit eigenvectors over the domain box.
 
     The eigenvector sign is fixed so the product is >= 0 (r is only defined
@@ -223,11 +223,6 @@ def check_genuine_nonlinearity(model, samples=100, rng=None):
         raise BadParameter("samples must be >= 1")
     per_side = max(2, int(round(samples ** (1.0 / model.n))))
     pts = _domain_grid(model.domain_box, per_side)
-    if rng is not None:
-        lo = np.array([b[0] for b in model.domain_box])
-        hi = np.array([b[1] for b in model.domain_box])
-        extra = lo + (hi - lo) * rng.random((samples, model.n))
-        pts = np.vstack([pts, extra])
     gnl_min = np.full(model.n, np.inf)
     argmin = [None] * model.n
     gap_min = np.inf

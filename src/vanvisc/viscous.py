@@ -38,25 +38,21 @@ class GridSolution:
     def final(self):
         return self.values[-1]
 
-    def total_variation(self, k=-1):
-        dv = np.diff(self.values[k], axis=0)
+    def total_variation(self):
+        dv = np.diff(self.values[-1], axis=0)
         return float(np.sum(np.linalg.norm(dv, axis=1)))
 
     def mass(self, k=-1):
         dx = self.x[1] - self.x[0]
         return np.sum(self.values[k], axis=0) * dx
 
-    def to_csv(self, path, k=-1):
-        with open(path, "w") as fh:
-            n = self.values[k].shape[1]
-            fh.write("x," + ",".join(f"u_{i+1}" for i in range(n)) + "\n")
-            for xi, ui in zip(self.x, self.values[k]):
-                fh.write(("%.17g," % xi) + ",".join("%.17g" % v for v in ui) + "\n")
-
 
 def solve_viscous(model, epsilon, initial, tau, dx, domain=None, out_times=None,
                   vmax=None):
     """Explicit conservative solve of u_t + A(u)u_x = eps u_xx up to tau.
+
+    initial is evaluated once on the whole grid x of N points and must
+    return shape (N,) or (N, n); a PiecewiseConstant does.
 
     vmax caps the advection speeds actually present in the data; it defaults
     to the worst speed over the whole domain box, which can be far larger
@@ -82,13 +78,11 @@ def solve_viscous(model, epsilon, initial, tau, dx, domain=None, out_times=None,
             raise DomainTooSmall(f"domain {domain} leaves less than {need:.3g} of padding")
     N = int(np.ceil((domain[1] - domain[0]) / dx)) + 1
     x = domain[0] + dx * np.arange(N)
-    try:
-        u = np.atleast_2d(np.asarray(initial(x), dtype=float))
-        if u.shape[0] != N:
-            u = u.T
-        assert u.shape == (N, model.n)
-    except Exception:
-        u = np.atleast_2d(np.array([np.atleast_1d(initial(xi)) for xi in x], dtype=float))
+    u = np.asarray(initial(x), dtype=float)
+    if u.shape == (N,):
+        u = u[:, None]
+    if u.shape != (N, model.n):
+        raise ValueError(f"initial(x) has shape {u.shape}, not ({N},) or ({N}, {model.n})")
 
     dt = CFL / (vmax / dx + 2.0 * epsilon / dx ** 2)
     steps = max(1, int(np.ceil(tau / dt)))
@@ -265,11 +259,11 @@ class ShockProfile:
         return worst
 
 
-def _lax_family(model, u_minus, u_plus, speed, tol=1e-7):
+def _lax_family(model, u_minus, u_plus, speed):
     lam_l = eigen_frame(model, u_minus).lambdas
     lam_r = eigen_frame(model, u_plus).lambdas
     for i in range(model.n):
-        if lam_r[i] < speed + tol and speed < lam_l[i] + tol:
+        if lam_r[i] < speed + 1e-7 and speed < lam_l[i] + 1e-7:
             return i + 1
     raise NotLaxPair(
         f"no family satisfies lambda_i(u+) < {speed:.6g} < lambda_i(u-); "
@@ -291,7 +285,7 @@ def _orbit_arrays(ode_solution):
     }
 
 
-def shock_profile(model, u_minus, u_plus, eta_factor=1e-8):
+def shock_profile(model, u_minus, u_plus):
     """Viscous profile connecting a Lax shock pair, centered per the
     equal-mass rule (integral of |omega - u-| on s<0 equals that of
     |omega - u+| on s>0)."""
@@ -318,7 +312,7 @@ def shock_profile(model, u_minus, u_plus, eta_factor=1e-8):
     d = d / np.linalg.norm(d)
     if float(d @ (up - um)) * (1.0 if forward else -1.0) < 0:
         d = -d
-    eta = eta_factor * abs(sigma)
+    eta = 1e-8 * abs(sigma)
     w0 = start_anchor + eta * d
 
     sign = 1.0 if forward else -1.0
@@ -383,7 +377,7 @@ def shock_profile(model, u_minus, u_plus, eta_factor=1e-8):
     return prof
 
 
-def tail_bound_check(profile, epsilon=1.0, samples=4000):
+def tail_bound_check(profile):
     """Fit C1, C2 in the exponential tail envelopes of the profile derivatives.
 
     The envelope rate is the endpoint linearization rate
@@ -399,7 +393,7 @@ def tail_bound_check(profile, epsilon=1.0, samples=4000):
     sigma = abs(profile.strength)
     rate_factor = rate / sigma
 
-    s = np.linspace(profile.s_lo, profile.s_hi, samples) - profile.center_shift
+    s = np.linspace(profile.s_lo, profile.s_hi, 4000) - profile.center_shift
     w, d1, d2 = profile.jet(s)
     # drop the deep tails where the orbit sits below the dense-output noise
     # floor; the envelope is about the profile shape, not float dust
@@ -429,5 +423,4 @@ def tail_bound_check(profile, epsilon=1.0, samples=4000):
         "c2": float(np.max(r2)),
         "rate_factor": float(rate_factor),
         "max_violation": max(viol(r1), viol(r2)),
-        "epsilon": epsilon,
     }

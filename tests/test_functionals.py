@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vanvisc.errors import MonotonicityViolation
 from vanvisc.front_tracking import Front, FrontConfiguration, init_front_tracking, run_until
-from vanvisc.functionals import (FunctionalConstants, audit_events, big_shock_uids,
-                                 flat_decay_rate, interaction_decay_rates, q_flat,
-                                 q_hat, q_natural, q_sharp, w_flat, w_natural)
+from vanvisc.functionals import (FunctionalConstants, _natural_alpha, _sharp_alpha,
+                                 audit_events, big_shock_uids, flat_decay_rate,
+                                 interaction_decay_rates, q_flat, q_hat, q_natural,
+                                 q_sharp, w_flat, w_natural)
 from vanvisc.hybrid import select_big_shocks
 from vanvisc.piecewise import PiecewiseConstant
 from vanvisc.riemann import lax_curve
@@ -77,7 +79,6 @@ def test_q_hat_snapshot():
     assert snap.q_hat == 0.0 and snap.V == 0.0
     cfg = config([shock(0, 0.0, 1, -0.5), raref(1, 0.01, 1, 0.1)])
     snap = q_hat(cfg, {0}, EPS)
-    assert abs(snap.q_hat - snap.recompose()) < 1e-12
     # composite bound shape: q_hat = O(sqrt(eps) |ln eps| TV) with the default
     # constants dominated by C1 Upsilon
     tv = 0.6
@@ -124,16 +125,6 @@ def test_audit_creation_ratio_recorded():
     rec = rep.creation_ratios[0]
     assert rec["sigma"] == pytest.approx(1.2, abs=1e-10)
     assert np.isfinite(rec["ratio"])
-
-
-def test_monotonicity_violation_raises():
-    rep_cls = audit_events(
-        run_until(B, init_front_tracking(B, PiecewiseConstant([0.0, 1.0], [[2.0], [1.0], [0.0]]), 1e-9, 0.25), 2.0),
-        [], EPS,
-    )
-    rep_cls.violations.append({"t": 0.5, "case": "small", "dq_hat": 1.0})
-    with pytest.raises(MonotonicityViolation):
-        rep_cls.raise_if_violated()
 
 
 def test_flat_decay_rate_closed_form():
@@ -184,7 +175,7 @@ def test_q_flat_nonincreasing_between_events():
     xs = np.sort(rng.uniform(-0.5, 0.5, 6))
     cfg = init_front_tracking(P, PiecewiseConstant(xs, np.array(vals)), 1e-9, 0.05)
     run = run_until(P, cfg, 1.0)
-    t_edges = [0.0] + list(run.times) + [run.tau]
+    t_edges = run.t_edges
     for k, c in enumerate(run.configs):
         t0, t1 = t_edges[k], t_edges[k + 1]
         if t1 - t0 < 1e-9:
@@ -192,3 +183,115 @@ def test_q_flat_nonincreasing_between_events():
         ts = np.linspace(t0 + 1e-9, t1 - 1e-9, 5)
         vals_q = [q_flat(c.advanced(t), EPS) for t in ts]
         assert all(b <= a + 1e-12 for a, b in zip(vals_q[:-1], vals_q[1:]))
+
+
+# The two-sided walks as they were written before one one-sided walk served
+# both sides; the rewrite must reproduce them bit for bit.
+
+def _w_flat_two_branches(x_alpha, fam_alpha, x_beta, fam_beta, epsilon):
+    r = np.sqrt(epsilon)
+    d = x_beta - x_alpha
+    if fam_beta < fam_alpha:
+        if d < -2 * r:
+            return 0.0
+        if d > 2 * r:
+            return 1.0
+        return 0.5 + d / (4 * r)
+    if d < -2 * r:
+        return 1.0
+    if d > 2 * r:
+        return 0.0
+    return 0.5 - d / (4 * r)
+
+
+def _natural_alpha_two_walks(fronts, ai, epsilon):
+    alpha = fronts[ai]
+    cap = abs(alpha.strength) / 4.0
+    total = 0.0
+    cum = 0.0
+    for b in fronts[ai + 1 :]:
+        if not b.physical or b.family != alpha.family or b.kind != "rarefaction_step":
+            continue
+        new = cum + b.strength
+        mass = min(new, cap) - min(cum, cap)
+        if mass > 0:
+            total += w_natural(b.pos, alpha.pos, epsilon) * mass
+        cum = new
+    cum = 0.0
+    for b in reversed(fronts[:ai]):
+        if not b.physical or b.family != alpha.family or b.kind != "rarefaction_step":
+            continue
+        new = cum - b.strength
+        mass = max(cum, -cap) - max(new, -cap)
+        if mass > 0:
+            total += w_natural(b.pos, alpha.pos, epsilon) * mass
+        cum = new
+    return total
+
+
+def _sharp_alpha_two_walks(fronts, ai, epsilon):
+    alpha = fronts[ai]
+    base = abs(alpha.strength) / 2.0
+    total = 0.0
+    z = base
+    runmax = base
+    for b in fronts[ai + 1 :]:
+        if not b.physical or b.family != alpha.family:
+            continue
+        if b.kind == "shock":
+            z_new = z + abs(b.strength)
+            mass = max(0.0, z_new - runmax)
+            if mass > 0:
+                total += w_natural(b.pos, alpha.pos, epsilon) * mass / (epsilon + runmax)
+            z = z_new
+            runmax = max(runmax, z_new)
+        else:
+            z = z - 3.0 * b.strength
+    z = -base
+    runmin = -base
+    for b in reversed(fronts[:ai]):
+        if not b.physical or b.family != alpha.family:
+            continue
+        if b.kind == "shock":
+            z_new = z - abs(b.strength)
+            mass = max(0.0, runmin - z_new)
+            if mass > 0:
+                total += w_natural(b.pos, alpha.pos, epsilon) * mass / (epsilon - runmin)
+            z = z_new
+            runmin = min(runmin, z_new)
+        else:
+            z = z + 3.0 * b.strength
+    return abs(alpha.strength) * total
+
+
+# one front: position in units of sqrt(eps) (a coarse lattice makes ties),
+# family 1 or 2, or 3 for a non-physical front, and a strength magnitude
+# spread over decades, so that several rarefactions fit under a cut-off
+_FRONT = st.tuples(
+    st.one_of(st.integers(-8, 8).map(lambda k: 0.5 * k), st.floats(-6.0, 6.0)),
+    st.sampled_from([1, 2, 3]),
+    st.booleans(),
+    st.floats(-6.0, -0.3).map(lambda e: 10.0 ** e),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_FRONT, max_size=14), st.floats(1e-5, 1e-2))
+def test_one_sided_walks_match_two_walks(specs, eps):
+    r = np.sqrt(eps)
+    fronts = []
+    for uid, (pos, fam, is_shock, size) in enumerate(sorted(specs, key=lambda t: t[0])):
+        if fam == 3:
+            kind, strength = "non_physical", size
+        else:
+            kind, strength = ("shock", -size) if is_shock else ("rarefaction_step", size)
+        fronts.append(Front(uid, pos * r, fam, kind, strength, 0.0,
+                            np.zeros(2), np.zeros(2)))
+    for i, a in enumerate(fronts):
+        if a.kind == "shock":
+            assert _natural_alpha(fronts, i, eps) == _natural_alpha_two_walks(fronts, i, eps)
+            assert _sharp_alpha(fronts, i, eps) == _sharp_alpha_two_walks(fronts, i, eps)
+        for b in fronts:
+            if a.physical and b.physical:
+                assert (w_flat(a.pos, a.family, b.pos, b.family, eps)
+                        == _w_flat_two_branches(a.pos, a.family, b.pos, b.family, eps))

@@ -158,6 +158,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     for text, word in (("epsilon_list = -1\n", "positive"),
                        ("foo = 1\n", "foo"),
+                       ("kappa = 10\n", "kappa"),
                        ("rho_rule = (1).__class__\n", "__class__"),
                        ("dx_rule = eps/\n", "parse"),
                        ("tau = abc\n", "tau")):

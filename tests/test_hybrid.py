@@ -224,7 +224,7 @@ def test_residual_far_field_matches_oscillation_diagnostic():
     hyb = build_hybrid(run, [], eps)
     res = residual(hyb)
     osc = 0.0
-    t_edges = [0.0] + list(run.times) + [run.tau]
+    t_edges = run.t_edges
     for k, cfgk in enumerate(run.configs):
         tm = 0.5 * (t_edges[k] + t_edges[k + 1])
         prof = run.config_at(tm).profile()
@@ -330,7 +330,7 @@ class _RefTrack:
 
 
 def _ref_select(run, rho):
-    t_edges = [0.0] + list(run.times) + [run.tau]
+    t_edges = run.t_edges
     uid_lookup = [{f.uid: f for f in cfg.fronts} for cfg in run.configs]
     tracks = []
     for chain in _shock_chains(run):

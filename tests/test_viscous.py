@@ -120,9 +120,11 @@ def test_not_lax_pair_errors():
 
 
 def test_solve_viscous_constant_data():
-    sol = solve_viscous(B, 0.02, lambda x: np.full((np.size(x), 1), 0.7),
-                        0.5, 0.005, domain=(-3, 3), vmax=1.0)
-    assert np.max(np.abs(sol.final() - 0.7)) == 0.0
+    # initial(x) may return shape (N, n) or, for n = 1, shape (N,)
+    for initial in (lambda x: np.full((np.size(x), 1), 0.7), lambda x: np.full(np.size(x), 0.7)):
+        sol = solve_viscous(B, 0.02, initial, 0.5, 0.005, domain=(-3, 3), vmax=1.0)
+        assert sol.final().shape == (sol.x.size, 1)
+        assert np.max(np.abs(sol.final() - 0.7)) == 0.0
 
 
 def test_solve_viscous_travelling_wave():
@@ -195,3 +197,8 @@ def test_solve_viscous_errors():
     data = PiecewiseConstant([0.0], [[1.0], [0.0]])
     with pytest.raises(DomainTooSmall):
         solve_viscous(B, 0.02, data, 1.0, 0.005, domain=(-0.5, 0.5), vmax=1.2)
+    # any other shape is refused, the transposed (n, N) one included
+    for shape in (lambda N: (1, N), lambda N: (N, 2), lambda N: ()):
+        with pytest.raises(ValueError, match="initial.x. has shape"):
+            solve_viscous(B, 0.02, lambda x: np.zeros(shape(np.size(x))), 0.1, 0.005,
+                          domain=(-1, 1), vmax=1.0)
