@@ -20,7 +20,7 @@ import numpy as np
 from .errors import EventBudgetExceeded, InvalidConfiguration, OutOfRange
 from .piecewise import PiecewiseConstant
 from .riemann import solve_riemann, shock_speed, lax_curve
-from .system import eigen_frame
+from .system import wave_speeds
 
 GLIMM_C0 = 4.0
 TIME_TOL = 1e-12
@@ -103,8 +103,6 @@ class FTRun:
     times: list            # interaction times t_1 < ... < t_N
     events: list           # EventRecord per interaction
     tau: float
-    epsilon_prime: float
-    rarefaction_cap: float
     glimm_history: list    # (t, V, Q, Upsilon) at t=0 and after each event
 
     @property
@@ -112,12 +110,9 @@ class FTRun:
         """[0, t_1, ..., t_N, tau]: configs[k] covers [t_edges[k], t_edges[k+1])."""
         return [0.0] + list(self.times) + [self.tau]
 
-    def config_at(self, t, merge_pairs=False):
+    def config_at(self, t):
         """Post-interaction configuration advanced to t (right-continuous)."""
-        cfg = self.configs[config_index(self.times, self.tau, t)].advanced(t)
-        if merge_pairs:
-            cfg = merge_cancelling_pairs(cfg)
-        return cfg
+        return self.configs[config_index(self.times, self.tau, t)].advanced(t)
 
 
 def config_index(times, tau, t):
@@ -171,7 +166,7 @@ def _rarefaction_steps(model, family, u, strength, x, cap, uid_iter):
     out = []
     for _ in range(m):
         u_next = lax_curve(model, family, u, s_step)
-        sp = float(eigen_frame(model, u_next).lambdas[family - 1])
+        sp = float(wave_speeds(model, u_next)[family - 1])
         out.append(Front(next(uid_iter), x, family, "rarefaction_step", s_step, sp, u, u_next))
         u = u_next
     return out
@@ -355,7 +350,6 @@ def run_until(model, config, tau, epsilon_prime=None, rarefaction_cap=None,
         history.append((ev.time, V1, Q1, V1 + GLIMM_C0 * Q1))
         V, Q = V1, Q1
     return FTRun(model=model, configs=configs, times=times, events=events, tau=tau,
-                 epsilon_prime=epsilon_prime, rarefaction_cap=rarefaction_cap,
                  glimm_history=history)
 
 

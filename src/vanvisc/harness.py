@@ -27,7 +27,7 @@ from .hybrid import build_hybrid, jump_sum, residual, select_big_shocks
 from .measures import pair_interaction_integral
 from .piecewise import PiecewiseConstant, l1_distance_to_grid
 from .riemann import lax_curve
-from .system import eigen_frame, preset_model
+from .system import max_abs_eigenvalue, preset_model
 from .viscous import solve_viscous
 
 
@@ -207,11 +207,7 @@ def scenario_data(model, name, seed=0, n_jumps=10, tv=0.3):
 def data_max_speed(model, data):
     """Largest |lambda_i| over the states present in the data, with a
     margin of 20% plus 0.1."""
-    worst = 0.0
-    for u in data.values:
-        lam = eigen_frame(model, u).lambdas
-        worst = max(worst, float(np.max(np.abs(lam))))
-    return worst * 1.2 + 0.1
+    return float(np.max(max_abs_eigenvalue(model, data.values))) * 1.2 + 0.1
 
 
 # ---------------------------------------------------------------------------

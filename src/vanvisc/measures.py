@@ -14,8 +14,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NegativeMass, NonMonotoneHistory, NotMonotone
-from .front_tracking import FTRun, front_birth_times
+from .front_tracking import FTRun, front_birth_times, merge_cancelling_pairs
 from .riemann import solve_riemann
+from .system import wave_speeds
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +165,7 @@ def wave_measure(model, u, i):
             left = right
             continue
         if model.n == 1:
-            s = float(model.jacobian(right)[0, 0] - model.jacobian(left)[0, 0])
+            s = float(wave_speeds(model, right)[0] - wave_speeds(model, left)[0])
         else:
             fan = solve_riemann(model, left, right)
             s = fan.strengths(model.n)[i - 1]
@@ -432,7 +433,7 @@ def spread_positive_waves(run, t, family):
     itself (age below 1e-12) stays an atom.
     """
     births = front_birth_times(run)
-    cfg = run.config_at(t, merge_pairs=True)
+    cfg = merge_cancelling_pairs(run.config_at(t))
     atoms = []
     pieces = []
     for f in cfg.fronts:

@@ -15,12 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CurveEscape, NoRoot, NoSolution, NotOnLocus
-from .system import eigen_frame
+from .system import eigen_frame, wave_speeds
 
 RH_TOL = 1e-8
-_NEWTON_TOL = 1e-11
 ZERO_WAVE = 1e-12
-# Riemann iteration: clip on each starting strength, and Newton step budget
+# absolute residual bound of the Hugoniot point
+_HUGONIOT_TOL = 1e-11
+# Riemann iteration: residual bound relative to the data scale, clip on each
+# starting strength, and Newton step budget
+_RIEMANN_TOL = 1e-14
 _MAX_STRENGTH = 4.0
 _MAX_ITER = 100
 
@@ -86,11 +89,52 @@ def lax_curve(model, i, u0, s, max_param=1.0):
     return _hugoniot_point(model, i, u0, s)
 
 
+def _damped_newton(res, z, tol, max_iter, error):
+    """Newton's method for res(z) = (residual, extra) = (0, extra).
+
+    The Jacobian is a forward difference with column step
+    1e-7 max(1, |z_k|); each step is halved up to 40 times until the max
+    norm of the residual decreases, and a probe that raises counts as no
+    decrease.  Returns z and its extra once the residual is below tol;
+    raises error on a singular Jacobian, a failed line search or after
+    max_iter steps.
+    """
+    f, extra = res(z)
+    it = 0
+    while np.max(np.abs(f)) >= tol:
+        it += 1
+        if it > max_iter:
+            raise error(f"Newton did not converge in {max_iter} steps, "
+                        f"residual {np.max(np.abs(f)):.3e}")
+        J = np.empty((f.size, z.size))
+        for k in range(z.size):
+            dz = np.zeros(z.size)
+            dz[k] = 1e-7 * max(1.0, abs(z[k]))
+            J[:, k] = (res(z + dz)[0] - f) / dz[k]
+        try:
+            step = np.linalg.solve(J, -f)
+        except np.linalg.LinAlgError:
+            raise error("singular Jacobian in Newton's method")
+        lam = 1.0
+        for _ in range(40):
+            z_new = z + lam * step
+            try:
+                f_new, extra_new = res(z_new)
+            except Exception:
+                f_new = None
+            if f_new is not None and np.max(np.abs(f_new)) < np.max(np.abs(f)):
+                z, f, extra = z_new, f_new, extra_new
+                break
+            lam *= 0.5
+        else:
+            raise error(f"Newton line search failed at residual {np.max(np.abs(f)):.3e}")
+    return z, extra
+
+
 def _hugoniot_point(model, i, u0, s):
     """Solve f(u)-f(u0) = speed (u-u0), lambda_i(u)-lambda_i(u0) = s."""
-    frame0 = eigen_frame(model, u0)
-    lam0 = frame0.lambdas[i - 1]
-    r0 = frame0.r[i - 1]
+    lam0 = wave_speeds(model, u0)[i - 1]
+    r0 = eigen_frame(model, u0).r[i - 1]
     n = model.n
     z = np.empty(n + 1)
     z[:n] = u0 + s * r0
@@ -98,41 +142,14 @@ def _hugoniot_point(model, i, u0, s):
 
     def res(z):
         u, sp = z[:n], z[n]
+        # the line search rejects probes outside the domain by this raise
+        model.check_domain(u)
         out = np.empty(n + 1)
         out[:n] = model.flux(u) - model.flux(u0) - sp * (u - u0)
-        out[n] = eigen_frame(model, u).lambdas[i - 1] - lam0 - s
-        return out
+        out[n] = wave_speeds(model, u)[i - 1] - lam0 - s
+        return out, None
 
-    f = res(z)
-    for _ in range(60):
-        if np.max(np.abs(f)) < _NEWTON_TOL:
-            u = z[:n]
-            if not model.in_domain(u, slack=1e-12):
-                raise CurveEscape(f"Hugoniot locus left domain at {u}")
-            return u
-        J = np.empty((n + 1, n + 1))
-        for k in range(n + 1):
-            dz = np.zeros(n + 1)
-            dz[k] = 1e-7 * max(1.0, abs(z[k]))
-            J[:, k] = (res(z + dz) - f) / dz[k]
-        try:
-            step = np.linalg.solve(J, -f)
-        except np.linalg.LinAlgError:
-            raise NoRoot("singular Jacobian in Hugoniot parametrization")
-        lam_damp = 1.0
-        for _ in range(40):
-            z_new = z + lam_damp * step
-            try:
-                f_new = res(z_new)
-            except Exception:
-                f_new = None
-            if f_new is not None and np.max(np.abs(f_new)) < np.max(np.abs(f)):
-                z, f = z_new, f_new
-                break
-            lam_damp *= 0.5
-        else:
-            raise NoRoot("Hugoniot Newton stalled")
-    raise NoRoot("Hugoniot Newton did not converge in 60 iterations")
+    return _damped_newton(res, z, _HUGONIOT_TOL, 60, NoRoot)[0][:n]
 
 
 def shock_speed(model, u_minus, u_plus):
@@ -165,13 +182,12 @@ def solve_riemann(model, u_minus, u_plus):
     """Classical Lax solution of the Riemann problem (small data).
 
     Returns a WaveFan whose strengths, composed through lax_curve, map
-    u_minus to u_plus with residual below 1e-10.
+    u_minus to u_plus with residual below 1e-14 times the data scale.
     """
     um = np.asarray(u_minus, dtype=float)
     up = np.asarray(u_plus, dtype=float)
     model.check_domain(um)
     model.check_domain(up)
-    n = model.n
     scale = max(1.0, float(np.max(np.abs(up))), float(np.max(np.abs(um))))
 
     if np.max(np.abs(up - um)) < ZERO_WAVE * scale:
@@ -187,38 +203,10 @@ def solve_riemann(model, u_minus, u_plus):
         states = _compose(model, um, s, max_param=slack)
         return states[-1] - up, states
 
-    f, states = residual(s)
-    it = 0
-    while np.max(np.abs(f)) > _NEWTON_TOL * scale:
-        it += 1
-        if it > _MAX_ITER:
-            raise NoSolution(f"Riemann iteration stalled at residual {np.max(np.abs(f)):.3e}")
-        J = np.empty((n, n))
-        h = 1e-7
-        for k in range(n):
-            ds = np.zeros(n)
-            ds[k] = h
-            fk, _ = residual(s + ds)
-            J[:, k] = (fk - f) / h
-        try:
-            step = np.linalg.solve(J, -f)
-        except np.linalg.LinAlgError:
-            raise NoSolution("singular Jacobian in Riemann iteration")
-        lam = 1.0
-        for _ in range(40):
-            try:
-                f_new, states_new = residual(s + lam * step)
-            except Exception:
-                f_new = None
-            if f_new is not None and np.max(np.abs(f_new)) < np.max(np.abs(f)):
-                s, f, states = s + lam * step, f_new, states_new
-                break
-            lam *= 0.5
-        else:
-            raise NoSolution("Riemann damping failed")
+    s, states = _damped_newton(residual, s, _RIEMANN_TOL * scale, _MAX_ITER, NoSolution)
 
     waves = []
-    for i in range(1, n + 1):
+    for i in range(1, model.n + 1):
         si = float(s[i - 1])
         ul, ur = states[i - 1], states[i]
         if abs(si) <= ZERO_WAVE:
@@ -227,8 +215,8 @@ def solve_riemann(model, u_minus, u_plus):
             sp = shock_speed(model, ul, ur)
             waves.append(ElementaryWave(i, "shock", si, sp, ul, ur))
         else:
-            lam_l = eigen_frame(model, ul).lambdas[i - 1]
-            lam_r = eigen_frame(model, ur).lambdas[i - 1]
+            lam_l = wave_speeds(model, ul)[i - 1]
+            lam_r = wave_speeds(model, ur)[i - 1]
             waves.append(ElementaryWave(i, "rarefaction", si, (lam_l, lam_r), ul, ur))
     return WaveFan(waves=waves, intermediate_states=states)
 

@@ -37,8 +37,8 @@ class SystemModel:
     # optional closed-form gradient of the eigenvalues, rows = grad lambda_i;
     # presets ship one, the finite-difference fallback remains the oracle
     grad_lambda_fn: Callable = None
-    # optional closed-form eigenvalues; without it max_abs_eigenvalue falls
-    # back to batched np.linalg.eigvals of the jacobian
+    # optional closed-form eigenvalues; without it wave_speeds falls back to
+    # batched np.linalg.eigvals of the jacobian
     lambda_fn: Callable = None
 
     def in_domain(self, u, slack=0.0):
@@ -56,11 +56,7 @@ class SystemModel:
     def max_speed(self):
         """Largest |lambda_i| over a 5-point-per-axis grid of the domain box,
         computed once per model."""
-        worst = 0.0
-        for u in _domain_grid(self.domain_box, 5):
-            lam = np.linalg.eigvals(self.jacobian(u)).real
-            worst = max(worst, float(np.max(np.abs(lam))))
-        return worst
+        return float(np.max(max_abs_eigenvalue(self, _domain_grid(self.domain_box, 5))))
 
 
 @dataclass(frozen=True)
@@ -70,12 +66,18 @@ class EigenFrame:
     l: np.ndarray        # l[i] . r[j] = delta_ij
 
 
+def wave_speeds(model, u):
+    """Eigenvalues lambda_1 <= ... <= lambda_n at one state (n,) or a stack
+    (..., n): model.lambda_fn, or the sorted eigenvalues of the jacobian."""
+    u = np.asarray(u, dtype=float)
+    if model.lambda_fn is not None:
+        return model.lambda_fn(u)
+    return np.sort(np.linalg.eigvals(model.jacobian(u)).real, axis=-1)
+
+
 def max_abs_eigenvalue(model, u):
     """max_i |lambda_i(u)| for a stack of states u of shape (..., n)."""
-    if model.lambda_fn is None:
-        lam = np.linalg.eigvals(model.jacobian(u)).real
-        return np.max(np.abs(lam), axis=-1)
-    lam = model.lambda_fn(u)
+    lam = wave_speeds(model, u)
     # ascending eigenvalues: the extreme families bound every |lambda_i|
     return np.maximum(np.abs(lam[..., 0]), np.abs(lam[..., -1]))
 

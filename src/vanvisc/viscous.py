@@ -21,7 +21,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import CFLViolation, DomainTooSmall, NotLaxPair, ShootFailure
 from .riemann import shock_speed
-from .system import eigen_frame, max_abs_eigenvalue
+from .system import eigen_frame, max_abs_eigenvalue, wave_speeds
 
 _LAND_TOL = 1e-12
 CFL = 0.9
@@ -259,10 +259,8 @@ class ShockProfile:
         return worst
 
 
-def _lax_family(model, u_minus, u_plus, speed):
-    lam_l = eigen_frame(model, u_minus).lambdas
-    lam_r = eigen_frame(model, u_plus).lambdas
-    for i in range(model.n):
+def _lax_family(lam_l, lam_r, speed):
+    for i in range(len(lam_l)):
         if lam_r[i] < speed + 1e-7 and speed < lam_l[i] + 1e-7:
             return i + 1
     raise NotLaxPair(
@@ -295,8 +293,9 @@ def shock_profile(model, u_minus, u_plus):
         lam = shock_speed(model, um, up)
     except Exception as exc:
         raise NotLaxPair(str(exc))
-    fam = _lax_family(model, um, up, lam)
-    sigma = float(eigen_frame(model, up).lambdas[fam - 1] - eigen_frame(model, um).lambdas[fam - 1])
+    lam_l, lam_r = wave_speeds(model, um), wave_speeds(model, up)
+    fam = _lax_family(lam_l, lam_r, lam)
+    sigma = float(lam_r[fam - 1] - lam_l[fam - 1])
     if sigma >= 0:
         raise NotLaxPair("strength is non-negative; not a shock")
     scale = max(1.0, float(np.max(np.abs(um))), float(np.max(np.abs(up))))
@@ -387,8 +386,8 @@ def tail_bound_check(profile):
     ratio |omega'| / envelope: zero for a valid envelope.
     """
     i = profile.family - 1
-    lam_l = eigen_frame(profile.model, profile.left_state).lambdas[i]
-    lam_r = eigen_frame(profile.model, profile.right_state).lambdas[i]
+    lam_l = wave_speeds(profile.model, profile.left_state)[i]
+    lam_r = wave_speeds(profile.model, profile.right_state)[i]
     rate = min(lam_l - profile.speed, profile.speed - lam_r)
     sigma = abs(profile.strength)
     rate_factor = rate / sigma

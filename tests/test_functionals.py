@@ -8,6 +8,7 @@ from vanvisc.functionals import (FunctionalConstants, _natural_alpha, _sharp_alp
                                  audit_events, big_shock_uids, flat_decay_rate,
                                  interaction_decay_rates, q_flat, q_hat, q_natural,
                                  q_sharp, w_flat, w_natural)
+from vanvisc.harness import eval_rule, scenario_data
 from vanvisc.hybrid import select_big_shocks
 from vanvisc.piecewise import PiecewiseConstant
 from vanvisc.riemann import lax_curve
@@ -125,6 +126,24 @@ def test_audit_creation_ratio_recorded():
     rec = rep.creation_ratios[0]
     assert rec["sigma"] == pytest.approx(1.2, abs=1e-10)
     assert np.isfinite(rec["ratio"])
+
+
+@pytest.mark.parametrize("seed", [1940059042105, 1999834075])
+def test_audit_p_system_riemann_landing_seeds(seed):
+    # corpus setting of criteria 3-4 on two held-out p-system seeds.  With the
+    # Riemann iteration stopped at an absolute residual of 1e-11, an accurate
+    # solve glued up to 1e-11 of state defect into its last outgoing wave; a
+    # later pass-through re-landed a 1e-10 shock and put the defect into a
+    # non-physical front, so Upsilon rose by 6.6e-12 and 6.9e-12 and the audit
+    # found one q_hat rise each.  At 1e-14 times the data scale neither happens
+    data = scenario_data(P, "random_bv", seed=seed, n_jumps=8, tv=0.3)
+    run = run_until(P, init_front_tracking(P, data, 1e-6, 0.02), 1.5,
+                    epsilon_prime=1e-6, simplified_threshold=1e-8)
+    hist = run.glimm_history
+    assert max(b[3] - a[3] for a, b in zip(hist[:-1], hist[1:])) <= 1e-13
+    rho = eval_rule("4*sqrt_eps*abs_ln_eps", EPS)
+    rep = audit_events(run, select_big_shocks(run, rho), EPS, rho=rho)
+    assert rep.violations == []
 
 
 def test_flat_decay_rate_closed_form():

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from vanvisc.errors import NotOnLocus
-from vanvisc.riemann import lax_curve, shock_speed, solve_riemann
-from vanvisc.system import eigen_frame, preset_model
+from vanvisc.errors import NoRoot, NoSolution, NotOnLocus
+from vanvisc.riemann import _damped_newton, lax_curve, shock_speed, solve_riemann
+from vanvisc.system import SystemModel, eigen_frame, preset_model
 
 B = preset_model("burgers")
 P = preset_model("p_system", gamma=2, k=1)
@@ -108,3 +108,41 @@ def test_strength_additivity_burgers_merge():
     s2 = solve_riemann(B, b, c).waves[0].strength
     s = solve_riemann(B, a, c).waves[0].strength
     assert s == pytest.approx(s1 + s2, abs=1e-12)
+
+
+# u_t + (u^3/3)_x = 0: lambda = u^2 >= 0, so a target lambda below zero has
+# no Hugoniot point, and states of opposite sign have no Lax solution
+CUBIC = SystemModel(n=1, flux=lambda u: u ** 3 / 3.0,
+                    jacobian=lambda u: (np.asarray(u, dtype=float) ** 2)[..., None],
+                    domain_box=((-2.0, 2.0),))
+# Burgers on a box so wide that the data scale swamps the Newton tolerances
+WIDE = SystemModel(n=1, flux=lambda u: 0.5 * u * u,
+                   jacobian=lambda u: np.array(u, dtype=float)[..., None],
+                   domain_box=((-1e11, 1e11),))
+
+
+def test_lax_curve_without_hugoniot_point_raises_no_root():
+    with pytest.raises(NoRoot, match="line search failed"):
+        lax_curve(CUBIC, 1, np.array([0.5]), -0.5)
+    # flux differences of 1e20 never get below the absolute 1e-11
+    with pytest.raises(NoRoot):
+        lax_curve(WIDE, 1, np.array([1e10]), -0.5)
+
+
+def test_riemann_without_lax_solution_raises_no_solution():
+    with pytest.raises(NoSolution, match="line search failed"):
+        solve_riemann(CUBIC, np.array([1.0]), np.array([-0.5]))
+
+
+def test_damped_newton_failure_branches():
+    z0 = np.array([1.0])
+    with pytest.raises(NoRoot, match="singular Jacobian"):
+        _damped_newton(lambda z: (np.array([1.0]), None), z0, 1e-3, 5, NoRoot)
+    # z = 0 minimises 1 + z^2 > 0: no step decreases it
+    with pytest.raises(NoSolution, match="line search failed"):
+        _damped_newton(lambda z: (1.0 + z ** 2, None), np.array([0.0]), 1e-3, 5, NoSolution)
+    # 1 / (1 + z^2) falls by about 2.25 per step, from 0.5 to 7.5e-3 in five
+    with pytest.raises(NoRoot, match="in 5 steps"):
+        _damped_newton(lambda z: (1.0 / (1.0 + z ** 2), None), z0, 1e-3, 5, NoRoot)
+    z, extra = _damped_newton(lambda z: (z ** 2 - 2.0, "kept"), z0, 1e-12, 5, NoRoot)
+    assert z[0] == pytest.approx(np.sqrt(2.0), rel=1e-12) and extra == "kept"

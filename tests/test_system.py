@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from vanvisc.errors import BadParameter, GNLViolation, NonHyperbolic, OutOfDomain
 from vanvisc.system import (SystemModel, check_genuine_nonlinearity, eigen_frame,
-                            grad_lambda_fd, max_abs_eigenvalue, preset_model)
+                            grad_lambda_fd, max_abs_eigenvalue, preset_model, wave_speeds)
 
 PRESETS = {"burgers": preset_model("burgers"), "p_system": preset_model("p_system")}
 
@@ -66,6 +66,15 @@ def test_eigvals_fallback_matches_closed_form(case):
     got = max_abs_eigenvalue(bare, u)
     assert got.shape == u.shape[:-1]
     np.testing.assert_allclose(got, max_abs_eigenvalue(model, u), rtol=1e-12, atol=1e-12)
+    # ascending eigenvalues, stacked and one state at a time
+    lam = wave_speeds(bare, u)
+    assert lam.shape == u.shape
+    np.testing.assert_allclose(lam, wave_speeds(model, u), rtol=1e-12, atol=1e-12)
+    for idx in np.ndindex(u.shape[:-1]):
+        one = wave_speeds(bare, u[idx])
+        assert one.shape == (model.n,) and np.all(np.diff(one) >= 0)
+        np.testing.assert_allclose(one, wave_speeds(model, u[idx]), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(one, lam[idx], rtol=1e-12, atol=1e-12)
 
 
 def test_burgers_frame_examples():
