@@ -23,10 +23,6 @@ class GNLViolation(VanviscError):
 
 
 # riemann
-class CurveEscape(VanviscError):
-    pass
-
-
 class NoRoot(VanviscError):
     pass
 

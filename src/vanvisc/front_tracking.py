@@ -3,8 +3,8 @@
 Fronts move at constant speed between pairwise interactions.  At each
 interaction the incoming fronts are replaced either by the full Riemann fan
 of the outer states (rarefactions split into steps of at most the
-configured cap, each step travelling at the characteristic speed of its
-right state) or, when the product of incoming strengths falls below the
+configuration's cap, each step travelling at the characteristic speed of
+its right state) or, when the product of incoming strengths falls below the
 simplified-solver threshold, by outgoing waves of unchanged strength plus a
 non-physical front that carries the residual at a speed strictly above
 every characteristic speed.
@@ -12,6 +12,7 @@ every characteristic speed.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, replace
 
@@ -52,13 +53,16 @@ class FrontConfiguration:
     time: float
     fronts: list
     left_state: np.ndarray
+    # largest rarefaction step, for the initial fans and every fan an
+    # interaction emits alike
+    rarefaction_cap: float
 
     def advanced(self, t):
         """Same fronts moved linearly to time t (no interaction may occur
         strictly inside (self.time, t))."""
         dt = t - self.time
         moved = [replace(f, pos=f.pos + dt * f.speed) for f in self.fronts]
-        return FrontConfiguration(time=t, fronts=moved, left_state=self.left_state)
+        return replace(self, time=t, fronts=moved)
 
     def profile(self):
         xs = np.array([f.pos for f in self.fronts])
@@ -173,10 +177,12 @@ def _rarefaction_steps(model, family, u, strength, x, cap, uid_iter):
 
 
 def init_front_tracking(model, initial, epsilon_prime, rarefaction_cap):
-    """Resolve every jump of the piecewise-constant data into its wave fan."""
+    """Resolve every jump of the piecewise-constant data into its wave fan;
+    rarefaction_cap bounds every rarefaction step of the run, here and at
+    each later interaction."""
     if not isinstance(initial, PiecewiseConstant):
         initial = PiecewiseConstant(*initial)
-    uid_iter = iter(range(10 ** 9))
+    uid_iter = itertools.count()
     fronts = []
     u = initial.values[0]
     for x, u_next in zip(initial.xs, initial.values[1:]):
@@ -186,7 +192,8 @@ def init_front_tracking(model, initial, epsilon_prime, rarefaction_cap):
             # re-anchor so consecutive fans chain exactly
             fronts[-1] = replace(fronts[-1], right_state=u_next)
         u = u_next
-    cfg = FrontConfiguration(time=0.0, fronts=fronts, left_state=initial.values[0])
+    cfg = FrontConfiguration(time=0.0, fronts=fronts, left_state=initial.values[0],
+                             rarefaction_cap=rarefaction_cap)
     cfg.validate(atol=1e-7)
     return cfg
 
@@ -254,14 +261,10 @@ def _simplified_outgoing(model, incoming, u_l, u_r, x, cap, uid_iter):
     return out
 
 
-def resolve_interaction(model, config, event, epsilon_prime, rarefaction_cap,
-                        simplified_threshold=None, uid_iter=None):
-    """Replace the interacting fronts by the outgoing pattern at event time."""
-    if simplified_threshold is None:
-        simplified_threshold = epsilon_prime
-    if uid_iter is None:
-        top = max((f.uid for f in config.fronts), default=-1)
-        uid_iter = iter(range(top + 1, top + 10 ** 6))
+def resolve_interaction(model, config, event, simplified_threshold, uid_iter):
+    """Replace the interacting fronts by the outgoing pattern at event time;
+    new fronts draw their uids from uid_iter."""
+    cap = config.rarefaction_cap
     adv = config.advanced(event.time)
     fronts = adv.fronts
     i0, i1 = event.indices[0], event.indices[-1]
@@ -276,18 +279,17 @@ def resolve_interaction(model, config, event, epsilon_prime, rarefaction_cap,
         and abs(incoming[0].strength * incoming[1].strength) < simplified_threshold
     )
     if has_np or small:
-        outgoing = _simplified_outgoing(model, incoming, u_l, u_r, x, rarefaction_cap, uid_iter)
+        outgoing = _simplified_outgoing(model, incoming, u_l, u_r, x, cap, uid_iter)
         solver = "simplified"
     else:
         fan = solve_riemann(model, u_l, u_r)
-        outgoing = _fronts_from_fan(model, fan, x, rarefaction_cap, uid_iter)
+        outgoing = _fronts_from_fan(model, fan, x, cap, uid_iter)
         if outgoing:
             outgoing[-1] = replace(outgoing[-1], right_state=u_r)
         solver = "accurate"
 
     new_fronts = fronts[:i0] + outgoing + fronts[i1 + 1 :]
-    new_cfg = FrontConfiguration(time=event.time, fronts=new_fronts, left_state=adv.left_state)
-    return new_cfg, tuple(incoming), tuple(outgoing), solver
+    return replace(adv, fronts=new_fronts), tuple(incoming), tuple(outgoing), solver
 
 
 def glimm_functionals(config):
@@ -313,15 +315,15 @@ def glimm_functionals(config):
     return V, Q
 
 
-def run_until(model, config, tau, epsilon_prime=None, rarefaction_cap=None,
-              simplified_threshold=None, max_events=100000):
-    """Evolve a configuration to time tau, recording every interaction."""
-    if epsilon_prime is None:
-        epsilon_prime = 1e-9
-    if rarefaction_cap is None:
-        rarefaction_cap = 0.05
-    top = max((f.uid for f in config.fronts), default=-1)
-    uid_iter = iter(range(top + 1, top + 10 ** 9))
+def run_until(model, config, tau, epsilon_prime=1e-9, simplified_threshold=None,
+              max_events=100000):
+    """Evolve a configuration to time tau, recording every interaction.
+
+    Interactions whose strength product is below simplified_threshold
+    (default epsilon_prime) take the simplified solver."""
+    if simplified_threshold is None:
+        simplified_threshold = epsilon_prime
+    uid_iter = itertools.count(max((f.uid for f in config.fronts), default=-1) + 1)
 
     configs = [config]
     times, events = [], []
@@ -337,9 +339,7 @@ def run_until(model, config, tau, epsilon_prime=None, rarefaction_cap=None,
         if n_ev > max_events:
             raise EventBudgetExceeded(f"more than {max_events} interactions before t={tau}")
         cur, incoming, outgoing, solver = resolve_interaction(
-            model, cur, ev, epsilon_prime, rarefaction_cap,
-            simplified_threshold=simplified_threshold, uid_iter=uid_iter,
-        )
+            model, cur, ev, simplified_threshold, uid_iter)
         V1, Q1 = glimm_functionals(cur)
         events.append(
             EventRecord(index=n_ev - 1, time=ev.time, x=ev.x, incoming=incoming,
@@ -383,7 +383,7 @@ def merge_cancelling_pairs(config):
                 ) else [merged]
                 changed = True
                 break
-    return FrontConfiguration(time=config.time, fronts=fronts, left_state=config.left_state)
+    return replace(config, fronts=fronts)
 
 
 def front_birth_times(run):

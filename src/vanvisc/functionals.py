@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .front_tracking import glimm_functionals
+from .front_tracking import GLIMM_C0, glimm_functionals
 from .hybrid import classify_event
 
 SQRT = np.sqrt
@@ -27,7 +27,6 @@ SQRT = np.sqrt
 
 @dataclass(frozen=True)
 class FunctionalConstants:
-    c0: float = 4.0
     c1: float = 1e5
     c2: float = 1e3
     c3: float = 10.0
@@ -35,7 +34,6 @@ class FunctionalConstants:
 
 @dataclass(frozen=True)
 class FunctionalSnapshot:
-    t: float
     V: float
     Q: float
     upsilon: float
@@ -43,9 +41,6 @@ class FunctionalSnapshot:
     q_natural: float
     q_sharp: float
     q_hat: float
-    constants: FunctionalConstants
-    epsilon: float
-    rho: float = None
 
 
 def w_flat(x_alpha, fam_alpha, x_beta, fam_beta, epsilon):
@@ -171,20 +166,19 @@ def big_shock_uids(tracks, k):
     return {f.uid for f in (tr.front(k) for tr in tracks) if f is not None}
 
 
-def q_hat(config, bs, epsilon, constants=FunctionalConstants(), rho=None):
+def q_hat(config, bs, epsilon, constants=FunctionalConstants()):
     """Composite functional snapshot at the configuration's time; bs is the
     set of big-shock uids."""
     V, Q = glimm_functionals(config)
-    ups = V + constants.c0 * Q
+    ups = V + GLIMM_C0 * Q
     qf = q_flat(config, epsilon)
     qn = q_natural(config, bs, epsilon)
     qs = q_sharp(config, epsilon)
     r = SQRT(epsilon)
     ln = abs(np.log(epsilon))
     qh = r * ln * (constants.c1 * ups + constants.c2 * qf + constants.c3 * qn) + r * qs
-    return FunctionalSnapshot(t=config.time, V=V, Q=Q, upsilon=ups, q_flat=qf,
-                              q_natural=qn, q_sharp=qs, q_hat=qh,
-                              constants=constants, epsilon=epsilon, rho=rho)
+    return FunctionalSnapshot(V=V, Q=Q, upsilon=ups, q_flat=qf, q_natural=qn,
+                              q_sharp=qs, q_hat=qh)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +201,7 @@ class AuditReport:
         payload = {
             "epsilon": self.epsilon,
             "rho": self.rho,
-            "constants": vars(self.constants),
+            "constants": {"c0": GLIMM_C0, **vars(self.constants)},
             "events": self.events,
             "violations": self.violations,
             "creation_ratios": self.creation_ratios,
@@ -229,8 +223,8 @@ def audit_events(run, tracks, epsilon, constants=FunctionalConstants(), rho=None
         after = run.configs[k + 1]
         bs_b = big_shock_uids(tracks, k)
         bs_a = big_shock_uids(tracks, k + 1)
-        sb = q_hat(before, bs_b, epsilon, constants, rho=rho)
-        sa = q_hat(after, bs_a, epsilon, constants, rho=rho)
+        sb = q_hat(before, bs_b, epsilon, constants)
+        sa = q_hat(after, bs_a, epsilon, constants)
         d_qhat = sa.q_hat - sb.q_hat
         case, flags = classify_event(ev, tracks)
         born = [tr for tr in tracks if tr.first == k + 1]

@@ -50,7 +50,6 @@ class ExperimentConfig:
     simplified_threshold: float = None   # default: epsilon_prime
     workers: int = 1
     delta_list: tuple = (0.1, 0.05, 0.02, 0.01, 0.005)
-    c0: float = 4.0
     c1: float = 1e5
     c2: float = 1e3
     c3: float = 10.0
@@ -69,7 +68,7 @@ class ExperimentConfig:
                 eval_rule(rule, e)
 
     def constants(self):
-        return FunctionalConstants(c0=self.c0, c1=self.c1, c2=self.c2, c3=self.c3)
+        return FunctionalConstants(c1=self.c1, c2=self.c2, c3=self.c3)
 
 
 _RULE_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
@@ -249,7 +248,7 @@ def _track(cfg, model, data, scale, eps_prime):
     by cfg.cap_rule at the given length scale."""
     cap = eval_rule(cfg.cap_rule, scale)
     return run_until(model, init_front_tracking(model, data, eps_prime, cap),
-                     cfg.tau, epsilon_prime=eps_prime, rarefaction_cap=cap,
+                     cfg.tau, epsilon_prime=eps_prime,
                      simplified_threshold=cfg.simplified_threshold,
                      max_events=cfg.max_events)
 

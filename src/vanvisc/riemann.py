@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CurveEscape, NoRoot, NoSolution, NotOnLocus
+from .errors import NoRoot, NoSolution, NotOnLocus
 from .system import eigen_frame, wave_speeds
 
 RH_TOL = 1e-8
@@ -41,7 +41,6 @@ class ElementaryWave:
 @dataclass(frozen=True)
 class WaveFan:
     waves: list
-    intermediate_states: list  # omega_0 = u_minus, ..., omega_n = u_plus
 
     def strengths(self, n):
         out = np.zeros(n)
@@ -83,8 +82,7 @@ def lax_curve(model, i, u0, s, max_param=1.0):
         return u0.copy()
     if s > 0:
         u = _rk4_curve(model, i, u0, s)
-        if not model.in_domain(u, slack=1e-12):
-            raise CurveEscape(f"rarefaction curve left domain at {u}")
+        model.check_domain(u)
         return u
     return _hugoniot_point(model, i, u0, s)
 
@@ -191,7 +189,7 @@ def solve_riemann(model, u_minus, u_plus):
     scale = max(1.0, float(np.max(np.abs(up))), float(np.max(np.abs(um))))
 
     if np.max(np.abs(up - um)) < ZERO_WAVE * scale:
-        return WaveFan(waves=[], intermediate_states=[um, up])
+        return WaveFan(waves=[])
 
     mid = 0.5 * (um + up)
     fr = eigen_frame(model, mid)
@@ -218,5 +216,5 @@ def solve_riemann(model, u_minus, u_plus):
             lam_l = wave_speeds(model, ul)[i - 1]
             lam_r = wave_speeds(model, ur)[i - 1]
             waves.append(ElementaryWave(i, "rarefaction", si, (lam_l, lam_r), ul, ur))
-    return WaveFan(waves=waves, intermediate_states=states)
+    return WaveFan(waves=waves)
 

@@ -41,10 +41,10 @@ class SystemModel:
     # batched np.linalg.eigvals of the jacobian
     lambda_fn: Callable = None
 
-    def in_domain(self, u, slack=0.0):
+    def in_domain(self, u):
         u = np.asarray(u, dtype=float)
         for ui, (lo, hi) in zip(u, self.domain_box):
-            if ui < lo - slack or ui > hi + slack:
+            if ui < lo or ui > hi:
                 return False
         return True
 

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ from vanvisc.errors import EventBudgetExceeded, InvalidConfiguration, OutOfRange
 from vanvisc.front_tracking import (FrontConfiguration, glimm_functionals, init_front_tracking,
                                     merge_cancelling_pairs, next_interaction,
                                     resolve_interaction, run_until, sample_profile)
+from vanvisc.harness import scenario_data
 from vanvisc.piecewise import PiecewiseConstant
 from vanvisc.system import preset_model
 
@@ -44,11 +46,10 @@ def test_init_p_system_families_ordered():
 
 def test_validate_raises_on_broken_configuration():
     cfg = init_front_tracking(B, pc([0.0, 1.0], [1.0, 0.0, -0.5]), 1e-9, 0.25)
-    swapped = FrontConfiguration(0.0, cfg.fronts[::-1], cfg.left_state)
+    swapped = replace(cfg, fronts=cfg.fronts[::-1])
     with pytest.raises(InvalidConfiguration, match="inconsistent adjacent states"):
         swapped.validate()
-    crossed = FrontConfiguration(0.0, [cfg.fronts[0], replace(cfg.fronts[1], pos=-1.0)],
-                                 cfg.left_state)
+    crossed = replace(cfg, fronts=[cfg.fronts[0], replace(cfg.fronts[1], pos=-1.0)])
     with pytest.raises(InvalidConfiguration, match="left of its neighbour"):
         crossed.validate()
 
@@ -81,7 +82,8 @@ def test_resolve_merge_drops_q():
     V0, Q0 = glimm_functionals(cfg)
     assert (V0, Q0) == (pytest.approx(2.0), pytest.approx(1.0))
     ev = next_interaction(cfg)
-    new, incoming, outgoing, solver = resolve_interaction(B, cfg, ev, 1e-9, 0.25)
+    new, incoming, outgoing, solver = resolve_interaction(B, cfg, ev, 1e-9,
+                                                          itertools.count(len(cfg.fronts)))
     assert solver == "accurate"
     assert len(outgoing) == 1
     assert outgoing[0].strength == pytest.approx(-2.0)
@@ -208,11 +210,37 @@ def test_event_budget():
 
 
 def test_merge_cancelling_pairs():
-    from vanvisc.front_tracking import Front, FrontConfiguration
+    from vanvisc.front_tracking import Front
 
     a = Front(0, 0.0, 1, "shock", -0.3, 0.0, np.array([0.15]), np.array([-0.15]))
     b = Front(1, 0.0, 1, "rarefaction_step", 0.1, -0.1, np.array([-0.15]), np.array([-0.05]))
-    cfg = FrontConfiguration(time=0.0, fronts=[a, b], left_state=np.array([0.15]))
+    cfg = FrontConfiguration(time=0.0, fronts=[a, b], left_state=np.array([0.15]),
+                             rarefaction_cap=0.25)
     merged = merge_cancelling_pairs(cfg)
-    assert len(merged.fronts) == 1
+    assert len(merged.fronts) == 1 and merged.rarefaction_cap == 0.25
     assert merged.fronts[0].strength == pytest.approx(-0.2)
+
+
+def test_rarefaction_cap_bounds_every_step_of_a_corpus_run():
+    # a p-system corpus run whose interactions emit rarefactions: the cap
+    # given at initialisation bounds the steps born at interactions too
+    data = scenario_data(P, "random_bv", seed=106, n_jumps=8, tv=0.3)
+    run = run_until(P, init_front_tracking(P, data, 1e-6, 0.02), 1.5,
+                    epsilon_prime=1e-6, simplified_threshold=1e-8)
+    steps = [f.strength for c in run.configs for f in c.fronts
+             if f.kind == "rarefaction_step"]
+    assert max(steps) <= 0.02 * (1 + 1e-12)
+    assert all(c.rarefaction_cap == 0.02 for c in run.configs)
+
+
+def test_interaction_fan_split_at_the_configured_cap():
+    # a 0.25 step catches a -0.05 shock at t = 2; the outgoing 0.2
+    # rarefaction is within the cap of 0.25, so it stays one step
+    cfg = init_front_tracking(B, pc([0.0, 0.05], [0.0, 0.25, 0.2]), 1e-9, 0.25)
+    run = run_until(B, cfg, 2.5)
+    assert len(run.events) == 1
+    ev = run.events[0]
+    assert ev.time == pytest.approx(2.0)
+    assert len(ev.outgoing) == 1
+    assert ev.outgoing[0].kind == "rarefaction_step"
+    assert ev.outgoing[0].strength == pytest.approx(0.2, abs=1e-12)

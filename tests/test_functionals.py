@@ -29,7 +29,8 @@ def raref(uid, pos, fam, s, speed=0.0):
 
 
 def config(fronts):
-    return FrontConfiguration(time=0.0, fronts=fronts, left_state=np.zeros(1))
+    return FrontConfiguration(time=0.0, fronts=fronts, left_state=np.zeros(1),
+                              rarefaction_cap=0.25)
 
 
 def test_q_flat_examples():

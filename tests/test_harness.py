@@ -159,6 +159,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     for text, word in (("epsilon_list = -1\n", "positive"),
                        ("foo = 1\n", "foo"),
                        ("kappa = 10\n", "kappa"),
+                       ("c0 = 4\n", "c0"),
                        ("rho_rule = (1).__class__\n", "__class__"),
                        ("dx_rule = eps/\n", "parse"),
                        ("tau = abc\n", "tau")):

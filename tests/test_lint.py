@@ -1,5 +1,5 @@
-"""Static checks on the package source: every imported name is used, and
-every function parameter is read.
+"""Static checks on the package source: every imported name is used, every
+function parameter is read, and every dataclass field is read somewhere.
 
 Lambdas and parameters whose names start with "_" are exempt from the
 parameter check.  UNREAD_PARAMETERS lists the known exceptions as
@@ -10,7 +10,10 @@ so the list stays exact.
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "vanvisc"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "vanvisc"
+# every directory whose code may read a field of the package's dataclasses
+READERS = ("src", "tests", "demos", "perfbench")
 
 # callers outside the package pass it positionally (perfbench's corpus)
 UNREAD_PARAMETERS = {("front_tracking", "init_front_tracking", "epsilon_prime")}
@@ -59,9 +62,42 @@ def unread_parameters():
     return found
 
 
+def _is_dataclass(decorator):
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    return getattr(decorator, "id", getattr(decorator, "attr", None)) == "dataclass"
+
+
+def unread_dataclass_fields():
+    """(module, class, field) for each field of a dataclass in src/ whose
+    name is never read as an attribute (x.field) in READERS.
+
+    The match is by name only: a field counts as read when any attribute of
+    that name is read anywhere.  So it cannot see a field whose name other
+    classes share, such as the echoes of q_hat's arguments that
+    FunctionalSnapshot once carried (t, constants, epsilon, rho)."""
+    read = set()
+    for d in READERS:
+        for path in (ROOT / d).rglob("*.py"):
+            read.update(n.attr for n in ast.walk(ast.parse(path.read_text()))
+                        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+    found = []
+    for mod, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
+                found += [(mod, node.name, st.target.id) for st in node.body
+                          if isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name)
+                          and st.target.id not in read]
+    return found
+
+
 def test_every_import_is_used():
     assert unused_imports() == []
 
 
 def test_every_parameter_is_read():
     assert unread_parameters() == UNREAD_PARAMETERS
+
+
+def test_every_dataclass_field_is_read():
+    assert unread_dataclass_fields() == []

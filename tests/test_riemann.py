@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vanvisc.errors import NoRoot, NoSolution, NotOnLocus
+from vanvisc.errors import NoRoot, NoSolution, NotOnLocus, OutOfDomain
 from vanvisc.riemann import _damped_newton, lax_curve, shock_speed, solve_riemann
 from vanvisc.system import SystemModel, eigen_frame, preset_model
 
@@ -20,6 +20,14 @@ def test_lax_curve_burgers():
     assert lax_curve(B, 1, np.array([0.0]), 0.5)[0] == pytest.approx(0.5, abs=1e-12)
     assert lax_curve(B, 1, np.array([1.0]), -1.0)[0] == pytest.approx(0.0, abs=1e-10)
     assert lax_curve(B, 1, np.array([0.3]), 0.0)[0] == pytest.approx(0.3)
+
+
+def test_rarefaction_curve_leaving_the_domain_raises_out_of_domain():
+    # Burgers' box is [-4, 4]; the p-system curve runs out of its w range
+    with pytest.raises(OutOfDomain):
+        lax_curve(B, 1, [3.9], 0.5)
+    with pytest.raises(OutOfDomain):
+        lax_curve(P, 2, [1.0, 1.9], 0.9)
 
 
 def test_lax_curve_p_system_strength_parametrization():
