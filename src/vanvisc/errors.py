@@ -66,10 +66,6 @@ class CFLViolation(VanviscError):
     pass
 
 
-class DomainTooSmall(VanviscError):
-    pass
-
-
 class NotLaxPair(VanviscError):
     pass
 

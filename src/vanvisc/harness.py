@@ -27,7 +27,7 @@ from .hybrid import build_hybrid, jump_sum, residual, select_big_shocks
 from .measures import pair_interaction_integral
 from .piecewise import PiecewiseConstant, l1_distance_to_grid
 from .riemann import lax_curve
-from .system import max_abs_eigenvalue, preset_model
+from .system import preset_model
 from .viscous import solve_viscous
 
 
@@ -66,6 +66,14 @@ class ExperimentConfig:
         for e in eps:
             for rule in (self.delta_rule, self.rho_rule, self.dx_rule, self.cap_rule):
                 eval_rule(rule, e)
+        # an unknown system or scenario, or a bad model parameter, fails
+        # here; the model is not kept, since workers > 1 pickles the config
+        self.model_and_data()
+
+    def model_and_data(self):
+        """The preset model and the scenario's initial data."""
+        model = preset_model(self.system, gamma=self.gamma, k=self.k)
+        return model, scenario_data(model, self.scenario, self.seed, self.n_jumps, self.tv)
 
     def constants(self):
         return FunctionalConstants(c1=self.c1, c2=self.c2, c3=self.c3)
@@ -175,7 +183,7 @@ def scenario_data(model, name, seed=0, n_jumps=10, tv=0.3):
         }
         if name in table:
             return PiecewiseConstant(*table[name])
-        if name in ("random_bv", "random"):
+        if name == "random_bv":
             rng = np.random.default_rng(seed)
             xs = np.sort(rng.uniform(-1.0, 1.0, n_jumps))
             jumps = rng.normal(size=n_jumps)
@@ -190,7 +198,7 @@ def scenario_data(model, name, seed=0, n_jumps=10, tv=0.3):
         return PiecewiseConstant([0.0], [base, lax_curve(model, 1, base, -0.3)])
     if name == "lone_rarefaction":
         return PiecewiseConstant([0.0], [base, lax_curve(model, 1, base, 0.3)])
-    if name in ("random_bv", "random"):
+    if name == "random_bv":
         rng = np.random.default_rng(seed)
         xs = np.sort(rng.uniform(-1.0, 1.0, n_jumps))
         strengths = rng.normal(size=n_jumps)
@@ -201,12 +209,6 @@ def scenario_data(model, name, seed=0, n_jumps=10, tv=0.3):
             vals.append(lax_curve(model, int(f), vals[-1], float(s)))
         return PiecewiseConstant(xs, np.array(vals))
     raise ValueError(f"unknown scenario {name!r} for p_system")
-
-
-def data_max_speed(model, data):
-    """Largest |lambda_i| over the states present in the data, with a
-    margin of 20% plus 0.1."""
-    return float(np.max(max_abs_eigenvalue(model, data.values))) * 1.2 + 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +280,7 @@ def hybrid_vs_profile_l1(hyb, run, t):
 
 def converge_row(cfg, eps):
     """One epsilon row of the convergence experiment."""
-    model = preset_model(cfg.system, gamma=cfg.gamma, k=cfg.k)
-    data = scenario_data(model, cfg.scenario, cfg.seed, cfg.n_jumps, cfg.tv)
+    model, data = cfg.model_and_data()
     delta = eval_rule(cfg.delta_rule, eps)
     rho = eval_rule(cfg.rho_rule, eps)
     dx = eval_rule(cfg.dx_rule, eps)
@@ -290,8 +291,7 @@ def converge_row(cfg, eps):
     u_tau = sample_profile(run, cfg.tau)
     tv0 = data.total_variation()
 
-    vmax = data_max_speed(model, data)
-    sol = solve_viscous(model, eps, data, cfg.tau, dx, vmax=vmax)
+    sol = solve_viscous(model, eps, data, cfg.tau, dx)
     l1_err = l1_distance_to_grid(u_tau, sol.x, sol.final())
 
     tracks = select_big_shocks(run, rho)
@@ -340,8 +340,7 @@ def converge_cmd(cfg, out_dir=None):
 # functionals
 
 def functional_report_cmd(cfg, out_dir=None):
-    model = preset_model(cfg.system, gamma=cfg.gamma, k=cfg.k)
-    data = scenario_data(model, cfg.scenario, cfg.seed, cfg.n_jumps, cfg.tv)
+    model, data = cfg.model_and_data()
     reports = {}
     any_violation = False
     for eps in cfg.epsilon_list:
@@ -366,8 +365,7 @@ def functional_report_cmd(cfg, out_dir=None):
 # decay
 
 def decay_report_cmd(cfg, out_dir=None):
-    model = preset_model(cfg.system, gamma=cfg.gamma, k=cfg.k)
-    data = scenario_data(model, cfg.scenario, cfg.seed, cfg.n_jumps, cfg.tv)
+    model, data = cfg.model_and_data()
     run = _track(cfg, model, data, min(cfg.delta_list), 1e-9)
     tv = data.total_variation()
     rows = []

@@ -163,7 +163,6 @@ class BigShockTrack:
     """
     id: int
     family: int
-    rho: float
     t_minus: float
     t_plus: float
     first: int
@@ -253,7 +252,7 @@ def select_big_shocks(run, rho):
                 first = links[open_idx][0]
                 fronts = [f for link in links[open_idx : k + 1] for f in link[1]]
                 tracks.append(BigShockTrack(
-                    id=len(tracks), family=fronts[0].family, rho=rho,
+                    id=len(tracks), family=fronts[0].family,
                     t_minus=t_edges[first], t_plus=t_edges[first + len(fronts)],
                     first=first, fronts=fronts,
                 ))
@@ -378,8 +377,7 @@ class HybridApprox:
     """All strips of the construction over [0, tau]; strips[k] belongs to
     the run's configs[k] and times are the run's event times."""
 
-    def __init__(self, model, strips, times, tau, epsilon, delta):
-        self.model = model
+    def __init__(self, strips, times, tau, epsilon, delta):
         self.strips = strips
         self.times = times
         self.tau = tau
@@ -417,7 +415,7 @@ def build_hybrid(run, tracks, epsilon, delta=None):
                         f"tracks {ia}, {ib} of different families overlap"
                     )
         strips.append(st)
-    return HybridApprox(run.model, strips, run.times, run.tau, epsilon, delta)
+    return HybridApprox(strips, run.times, run.tau, epsilon, delta)
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,9 @@ class WaveMeasure:
     atoms: np.ndarray
     density_xs: np.ndarray = field(default_factory=lambda: np.array([]))
     density_vals: np.ndarray = field(default_factory=lambda: np.array([0.0]))
-    family: int = 0
 
     @staticmethod
-    def from_atoms(pairs, family=0):
+    def from_atoms(pairs):
         pairs = sorted((float(x), float(m)) for x, m in pairs)
         merged = []
         for x, m in pairs:
@@ -45,7 +44,7 @@ class WaveMeasure:
             else:
                 merged.append([x, m])
         arr = np.array(merged, dtype=float).reshape(-1, 2)
-        return WaveMeasure(atoms=arr, family=family)
+        return WaveMeasure(atoms=arr)
 
     @staticmethod
     def from_density(xs, vals):
@@ -55,7 +54,7 @@ class WaveMeasure:
         return WaveMeasure(atoms=np.zeros((0, 2)), density_xs=xs, density_vals=vals)
 
     def with_density(self, xs, vals):
-        return WaveMeasure(self.atoms, np.asarray(xs, float), np.asarray(vals, float), self.family)
+        return WaveMeasure(self.atoms, np.asarray(xs, float), np.asarray(vals, float))
 
     def atom_mass(self):
         return float(np.sum(self.atoms[:, 1])) if self.atoms.size else 0.0
@@ -130,7 +129,7 @@ def pos_neg_parts(m):
     pieces = m.density_pieces()
 
     def build(atoms, keep):
-        mu = WaveMeasure.from_atoms(atoms, family=m.family)
+        mu = WaveMeasure.from_atoms(atoms)
         return _with_step_density(mu, [(a, b, abs(v)) for a, b, v in pieces if keep(v)])
 
     return build(pos_atoms, lambda v: v > 0), build(neg_atoms, lambda v: v < 0)
@@ -172,7 +171,7 @@ def wave_measure(model, u, i):
         if s != 0.0:
             atoms.append((float(x), float(s)))
         left = right
-    return WaveMeasure.from_atoms(atoms, family=i)
+    return WaveMeasure.from_atoms(atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +242,7 @@ def odd_rearrangement(v):
     else:
         dens_xs, dens_vals = np.array([]), np.array([0.0])
     atoms = np.array([[0.0, S]]) if S > 0 else np.zeros((0, 2))
-    mu_hat = WaveMeasure(atoms=atoms, density_xs=dens_xs, density_vals=dens_vals,
-                         family=mu.family)
+    mu_hat = WaveMeasure(atoms=atoms, density_xs=dens_xs, density_vals=dens_vals)
     return MonotoneProfile(v_left=-0.5 * mu_hat.total_mass(), measure=mu_hat)
 
 
@@ -444,19 +442,17 @@ def spread_positive_waves(run, t, family):
             atoms.append((f.pos, f.strength))
         else:
             pieces.append((f.pos - f.strength * age, f.pos, 1.0 / age))
-    return _with_step_density(WaveMeasure.from_atoms(atoms, family=family), pieces)
+    return _with_step_density(WaveMeasure.from_atoms(atoms), pieces)
 
 
 # ---------------------------------------------------------------------------
 # pairwise interaction integrals along a front-tracking run
 
-def pair_interaction_integral(run, delta, tau=None, mode="rarefactions_only"):
+def pair_interaction_integral(run, delta, tau=None):
     """Time integral of the pairwise proximity sums along a run.
 
-    rarefactions_only: sum over ordered pairs (alpha, beta), including
-    alpha = beta, of rarefaction fronts of the same family with
-    |x_alpha - x_beta| <= delta.  all_fronts: all ordered pairs of physical
-    fronts regardless of family and kind (the mollification-error sum).
+    The sum is over ordered pairs (alpha, beta), including alpha = beta, of
+    rarefaction fronts of the same family with |x_alpha - x_beta| <= delta.
     Exact per strip: indicators of linearly moving gaps switch at computable
     times.
     """
@@ -470,9 +466,7 @@ def pair_interaction_integral(run, delta, tau=None, mode="rarefactions_only"):
         if t1 - t0 <= 0:
             continue
         cfg = run.configs[k].advanced(t0)
-        fronts = [f for f in cfg.fronts if f.physical]
-        if mode == "rarefactions_only":
-            fronts = [f for f in fronts if f.kind == "rarefaction_step"]
+        fronts = [f for f in cfg.fronts if f.physical and f.kind == "rarefaction_step"]
         if not fronts:
             continue
         x = np.array([f.pos for f in fronts])
@@ -486,9 +480,7 @@ def pair_interaction_integral(run, delta, tau=None, mode="rarefactions_only"):
         for a in range(n):
             g0 = x[a + 1 :] - x[a]
             dv = v[a + 1 :] - v[a]
-            w = s[a] * s[a + 1 :]
-            if mode == "rarefactions_only":
-                w = np.where(fam[a + 1 :] == fam[a], w, 0.0)
+            w = np.where(fam[a + 1 :] == fam[a], s[a] * s[a + 1 :], 0.0)
             dur = _window_duration(g0, dv, delta, L)
             total += 2.0 * float(w @ dur)
     return total

@@ -97,16 +97,15 @@ class PiecewiseConstant:
 
 
 def l1_distance_to_grid(profile, x_grid, u_grid):
-    """Exact L1 distance between a PiecewiseConstant and a grid function.
+    """L1 distance on [x_grid[0], x_grid[-1]] between a PiecewiseConstant
+    and the piecewise-linear interpolant of (x_grid, u_grid).
 
-    The grid function is the piecewise-linear interpolant of (x_grid, u_grid)
-    and is integrated exactly against the constants of `profile` (the
-    integrand |a + b t| is integrated in closed form per sub-segment, with a
-    sign-change split for each component before taking the Euclidean norm via
-    per-component exactness; for n > 1 the Euclidean norm of a linear function
-    is not piecewise linear, so Gauss-Legendre of order 6 per sub-segment is
-    used, which is exact well below 1e-12 for the nearly-linear integrands
-    that occur here).
+    The interval is cut at the grid nodes and at the profile's breakpoints
+    inside it, so on each segment the difference is linear, a + b t, and
+    its Euclidean norm is integrated by 6-point Gauss-Legendre.  The rule is
+    exact where |a + b t| is linear in t (n = 1 with no sign change on the
+    segment); it is not exact on a segment where a + b t has a zero inside,
+    at the kink of the norm, nor where the norm is curved (n > 1).
     """
     x_grid = np.asarray(x_grid, dtype=float)
     u_grid = np.atleast_2d(np.asarray(u_grid, dtype=float))

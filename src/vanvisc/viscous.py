@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import CFLViolation, DomainTooSmall, NotLaxPair, ShootFailure
+from .errors import CFLViolation, NotLaxPair, ShootFailure
+from .piecewise import PiecewiseConstant
 from .riemann import shock_speed
 from .system import eigen_frame, max_abs_eigenvalue, wave_speeds
 
@@ -30,9 +31,8 @@ CFL = 0.9
 @dataclass
 class GridSolution:
     x: np.ndarray
-    times: list
-    values: list          # one (N, n) array per output time
-    epsilon: float
+    times: list           # [tau]
+    values: list          # [the (N, n) state at tau]
     dt: float
 
     def final(self):
@@ -42,42 +42,34 @@ class GridSolution:
         dv = np.diff(self.values[-1], axis=0)
         return float(np.sum(np.linalg.norm(dv, axis=1)))
 
-    def mass(self, k=-1):
-        dx = self.x[1] - self.x[0]
-        return np.sum(self.values[k], axis=0) * dx
 
-
-def solve_viscous(model, epsilon, initial, tau, dx, domain=None, out_times=None,
-                  vmax=None):
-    """Explicit conservative solve of u_t + A(u)u_x = eps u_xx up to tau.
+def solve_viscous(model, epsilon, initial, tau, dx):
+    """Explicit conservative solve of u_t + A(u)u_x = eps u_xx; the state at tau.
 
     initial is evaluated once on the whole grid x of N points and must
     return shape (N,) or (N, n); a PiecewiseConstant does.
 
-    vmax caps the advection speeds actually present in the data; it defaults
-    to the worst speed over the whole domain box, which can be far larger
-    than the data needs and inflate both the padding and the step count.
+    The solver sizes its own grid.  The speed bound vmax is, for a
+    PiecewiseConstant, the largest |lambda_i| over its states with a margin
+    of 20% plus 0.1, and for any other callable model.max_speed, the worst
+    speed over the domain box.  The grid spans the data's breakpoints, or
+    [-1, 1] without any, padded on each side by vmax tau, the diffusion
+    width sqrt(4 eps tau ln 1e10) and 10 dx.
     """
     if epsilon <= 0:
         raise CFLViolation("epsilon must be positive")
     if dx > epsilon / 4.0 + 1e-15:
         raise CFLViolation(f"dx={dx} must satisfy dx <= eps/4 = {epsilon/4.0}")
-    if vmax is None:
-        vmax = model.max_speed
-    diff_pad = np.sqrt(4.0 * epsilon * tau * np.log(1e10))
-    need = vmax * tau + diff_pad
-    if domain is None:
-        if hasattr(initial, "xs") and len(initial.xs):
+    vmax = model.max_speed
+    lo, hi = -1.0, 1.0
+    if isinstance(initial, PiecewiseConstant):
+        vmax = float(np.max(max_abs_eigenvalue(model, initial.values))) * 1.2 + 0.1
+        if initial.xs.size:
             lo, hi = float(initial.xs[0]), float(initial.xs[-1])
-        else:
-            lo, hi = -1.0, 1.0
-        domain = (lo - need - 10 * dx, hi + need + 10 * dx)
-    elif hasattr(initial, "xs") and len(initial.xs):
-        lo, hi = float(initial.xs[0]), float(initial.xs[-1])
-        if domain[0] > lo - need or domain[1] < hi + need:
-            raise DomainTooSmall(f"domain {domain} leaves less than {need:.3g} of padding")
-    N = int(np.ceil((domain[1] - domain[0]) / dx)) + 1
-    x = domain[0] + dx * np.arange(N)
+    need = vmax * tau + np.sqrt(4.0 * epsilon * tau * np.log(1e10))
+    lo, hi = lo - need - 10 * dx, hi + need + 10 * dx
+    N = int(np.ceil((hi - lo) / dx)) + 1
+    x = lo + dx * np.arange(N)
     u = np.asarray(initial(x), dtype=float)
     if u.shape == (N,):
         u = u[:, None]
@@ -90,23 +82,9 @@ def solve_viscous(model, epsilon, initial, tau, dx, domain=None, out_times=None,
     if dt * (vmax / dx + 2.0 * epsilon / dx ** 2) > 1.0:
         raise CFLViolation("time step violates the CFL bound")
 
-    if out_times is None:
-        out_times = [tau]
-    out_times = sorted(out_times)
-    out_steps = {}
-    for t in out_times:
-        if t <= 0:
-            continue
-        out_steps.setdefault(max(1, int(round(t / dt))), t)
-
-    values, times = [], []
-    if any(t <= 0 for t in out_times):
-        values.append(u.copy())
-        times.append(0.0)
-
     lam_dt_dx = dt / dx
     mu_coef = epsilon * dt / dx ** 2
-    for m in range(1, steps + 1):
+    for _ in range(steps):
         # Roe-type upwind flux with |A| at the arithmetic mean state
         f = model.flux(u)
         a = max_abs_eigenvalue(model, 0.5 * (u[:-1] + u[1:]))[:, None]
@@ -116,13 +94,7 @@ def solve_viscous(model, epsilon, initial, tau, dx, domain=None, out_times=None,
         u[1:-1] += mu_coef * lap
         u[0] = u[1]
         u[-1] = u[-2]
-        if m in out_steps:
-            values.append(u.copy())
-            times.append(out_steps[m])
-    if not times or times[-1] != out_times[-1]:
-        values.append(u.copy())
-        times.append(tau)
-    return GridSolution(x=x, times=times, values=values, epsilon=epsilon, dt=dt)
+    return GridSolution(x=x, times=[tau], values=[u], dt=dt)
 
 
 # ---------------------------------------------------------------------------
@@ -139,16 +111,15 @@ class ShockProfile:
     s_lo: float             # centered parameter range covered by the orbit
     s_hi: float
     # the shooting orbit (omega and the two mass integrals) as DOP853 dense
-    # output: knots ts, and per step its start t_old, length h, start state
-    # y_old and coefficient rows F of shape (n_seg, 7, n + 2) in Horner order
+    # output: knots ts (from 0 to the landing parameter), and per step its
+    # start t_old, length h, start state y_old and coefficient rows F of
+    # shape (n_seg, 7, n + 2) in Horner order
     _ts: np.ndarray
     _t_old: np.ndarray
     _h: np.ndarray
     _y_old: np.ndarray
     _F: np.ndarray
     _orient: float          # raw = orient * (s + shift) mapping
-    _raw_lo: float
-    _raw_hi: float
     model: object
 
     def _orbit(self, raw, m=None):
@@ -179,7 +150,7 @@ class ShockProfile:
         """omega at centered parameter s (clamped to u-+ / u+ in the tails)."""
         s = np.asarray(s, dtype=float)
         raw = self._orient * (s + self.center_shift)
-        raw_cl = np.clip(raw, self._raw_lo, self._raw_hi)
+        raw_cl = np.clip(raw, self._ts[0], self._ts[-1])
         out = np.atleast_2d(self._orbit(raw_cl, self.model.n))
         left = s + self.center_shift < self.s_lo
         right = s + self.center_shift > self.s_hi
@@ -213,9 +184,9 @@ class ShockProfile:
         """I-(s) - I+(s): left mass below s minus right mass above s, using
         the quadrature states carried by the shooting integration."""
         n = self.model.n
-        raw = float(np.clip(self._orient * s_uncentered, self._raw_lo, self._raw_hi))
+        raw = float(np.clip(self._orient * s_uncentered, self._ts[0], self._ts[-1]))
         y = self._orbit(raw)
-        yT = self._orbit(self._raw_hi)
+        yT = self._orbit(self._ts[-1])
         if self._orient > 0:
             i_minus = float(y[n])
             i_plus = float(yT[n + 1] - y[n + 1])
@@ -350,16 +321,14 @@ def shock_profile(model, u_minus, u_plus):
     # physical parameter: forward raw in [0, T] maps to s in [0, T] with u-
     # behind; backward raw in [0, T] maps to s in [-T, 0]
     if forward:
-        raw_lo, raw_hi, orient = 0.0, T, 1.0
-        s_lo, s_hi = 0.0, T
+        orient, s_lo, s_hi = 1.0, 0.0, T
     else:
-        raw_lo, raw_hi, orient = 0.0, T, -1.0
-        s_lo, s_hi = -T, 0.0
+        orient, s_lo, s_hi = -1.0, -T, 0.0
 
     prof = ShockProfile(
         left_state=um, right_state=up, speed=lam, family=fam, strength=sigma,
         center_shift=0.0, s_lo=s_lo, s_hi=s_hi, **_orbit_arrays(sol.sol),
-        _orient=orient, _raw_lo=0.0, _raw_hi=T, model=model,
+        _orient=orient, model=model,
     )
     lo, hi = s_lo, s_hi
     if prof.mass_balance(lo) > 0 or prof.mass_balance(hi) < 0:

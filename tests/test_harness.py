@@ -181,11 +181,20 @@ def test_cli_exit_codes(tmp_path, capsys):
     rule = tmp_path / "rule.cfg"
     _write_fast_cfg(rule, rho_rule="min(0.5, 40*eps)")
     assert main(["converge", "--config", str(rule), "--out", str(tmp_path / "rule")]) == 0
-    # an unknown system name is an error, not a silent fallback to the p-system
+    # an unknown system (not a silent fallback to the p-system) or scenario,
+    # or a bad p-system parameter, is a bad config of one line naming the
+    # value, and no command starts
     typo = tmp_path / "typo.cfg"
-    typo.write_text("system = Burgers\nscenario = lone_shock\nepsilon_list = 1e-2\n")
-    for cmd in ("converge", "functionals", "decay"):
-        assert main([cmd, "--config", str(typo), "--out", str(tmp_path / cmd)]) == 3
+    for text, word in (("system = Burgers\nscenario = lone_shock\n", "'Burgers'"),
+                       ("system = p_system\nscenario = merge\n", "'merge'"),
+                       ("system = p_system\nscenario = lone_shock\ngamma = 1\n", "gamma > 1"),
+                       ("scenario = random\n", "'random'")):
+        typo.write_text(text + "epsilon_list = 1e-2\n")
+        for cmd in ("converge", "functionals", "decay"):
+            assert main([cmd, "--config", str(typo), "--out", str(tmp_path / cmd)]) == 3
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and word in err
+            assert not (tmp_path / cmd).exists()
 
 
 def test_cli_exit_code_on_monotonicity_violation(tmp_path):

@@ -1,13 +1,15 @@
 """Static checks on the package source: every imported name is used, every
-function parameter is read, and every dataclass field is read somewhere.
+function parameter is read, every dataclass field is read somewhere, and
+every optional parameter is set by some caller outside the tests.
 
 Lambdas and parameters whose names start with "_" are exempt from the
-parameter check.  UNREAD_PARAMETERS lists the known exceptions as
-(module, function, parameter); an entry that no longer applies fails too,
-so the list stays exact.
+parameter check.  UNREAD_PARAMETERS and TEST_ONLY_OPTIONS list the known
+exceptions as (module, function, parameter); an entry that no longer
+applies fails too, so the lists stay exact.
 """
 
 import ast
+import math
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -15,8 +17,26 @@ SRC = ROOT / "src" / "vanvisc"
 # every directory whose code may read a field of the package's dataclasses
 READERS = ("src", "tests", "demos", "perfbench")
 
+# every directory whose calls count as setting an option (files named
+# test_*.py excluded)
+CALLERS = ("src", "demos", "perfbench")
+
 # callers outside the package pass it positionally (perfbench's corpus)
 UNREAD_PARAMETERS = {("front_tracking", "init_front_tracking", "epsilon_prime")}
+
+# optional parameters that only tests set, each with the reason it stays
+TEST_ONLY_OPTIONS = {
+    ("hybrid", "residual", "check"):
+        "the residual's own resolution check, which a test turns on",
+    ("viscous", "ShockProfile.ode_residual", "samples"):
+        "a check of the shooting orbit; tests run it on a coarser base grid",
+    ("system", "check_genuine_nonlinearity", "samples"):
+        "a check of a model; tests choose how many states it samples",
+    ("piecewise", "PiecewiseConstant.simplified", "tol"):
+        "tests drop jumps below round-off from a sampled profile",
+    ("harness", "main", "argv"):
+        "the console entry point reads sys.argv; tests pass the arguments",
+}
 
 
 def _modules():
@@ -91,6 +111,67 @@ def unread_dataclass_fields():
     return found
 
 
+def _functions(tree):
+    """(qualified name, call name, def node, is_method) for every function
+    in a module.  A method is named Class.method, and its calls are matched
+    by the method name, or by the class name for __init__."""
+    out = []
+
+    def visit(node, prefix, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".", True)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in child.decorator_list)
+                call_name = prefix.split(".")[-2] if child.name == "__init__" else child.name
+                out.append((prefix + child.name, call_name, child, in_class and not static))
+                visit(child, prefix + child.name + ".", False)
+
+    visit(tree, "", False)
+    return out
+
+
+def optional_parameters():
+    """(module, qualified function, parameter, call name, index) for every
+    parameter with a default value of a function in src/.  index is the
+    parameter's position in a call, which skips a method's self, or None
+    for a keyword-only parameter."""
+    found = []
+    for mod, tree in _modules():
+        for qual, name, fn, method in _functions(tree):
+            a = fn.args
+            pos = a.posonlyargs + a.args
+            found += [(mod, qual, p.arg, name, i - method) for i, p in enumerate(pos)
+                      if i >= len(pos) - len(a.defaults)]
+            found += [(mod, qual, p.arg, name, None)
+                      for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return found
+
+
+def unset_options():
+    """(module, function, parameter) for each optional parameter of a src/
+    function that no call in CALLERS sets, by keyword or by position.
+
+    Calls are matched by the callee's name only, like the other checks.  A
+    call with *args sets every position and one with **kwargs every
+    keyword."""
+    calls = {}
+    for d in CALLERS:
+        for path in (ROOT / d).rglob("*.py"):
+            if path.name.startswith("test_"):
+                continue
+            for n in ast.walk(ast.parse(path.read_text())):
+                if isinstance(n, ast.Call):
+                    name = getattr(n.func, "id", getattr(n.func, "attr", None))
+                    n_pos = (math.inf if any(isinstance(x, ast.Starred) for x in n.args)
+                             else len(n.args))
+                    calls.setdefault(name, []).append((n_pos, {k.arg for k in n.keywords}))
+    return {(mod, qual, p) for mod, qual, p, name, index in optional_parameters()
+            if not any(p in keys or None in keys or (index is not None and n_pos > index)
+                       for n_pos, keys in calls.get(name, []))}
+
+
 def test_every_import_is_used():
     assert unused_imports() == []
 
@@ -101,3 +182,7 @@ def test_every_parameter_is_read():
 
 def test_every_dataclass_field_is_read():
     assert unread_dataclass_fields() == []
+
+
+def test_every_option_is_set_outside_the_tests():
+    assert unset_options() == set(TEST_ONLY_OPTIONS)

@@ -183,7 +183,6 @@ def test_pair_interaction_integral_examples():
     cfg = init_front_tracking(B, PiecewiseConstant([0.0], [[1.0], [0.0]]), 1e-9, 0.25)
     run = run_until(B, cfg, 1.0)
     assert pair_interaction_integral(run, 0.1, 1.0) == 0.0
-    assert pair_interaction_integral(run, 0.1, 1.0, mode="all_fronts") == pytest.approx(1.0)
 
     # two rarefaction steps at constant distance > delta never fire
     data = PiecewiseConstant([0.0, 1.0], [[0.0], [0.1], [0.1]])
@@ -304,6 +303,29 @@ def test_proposition1_comparison_on_run():
     for t in np.linspace(0.05, 2.0, 8):
         mup = spread_positive_waves(run, t, 1)
         assert order_leq(mup, cs.profile_at(t).dx_measure(), tol=1e-9)
+
+
+def test_comparison_order_cap_effect_on_held_out_seeds():
+    # criterion 6's check (kappa = 10 at ten times up to tau = 2) on Burgers
+    # random_bv seeds outside its own 500-519: at rarefaction cap 0.02 it
+    # fails at these times, and at caps 0.01 and 0.005 it holds at all ten,
+    # so the failures are a resolution effect of the cap
+    from vanvisc.harness import scenario_data
+    from vanvisc.measures import spread_positive_waves
+
+    times = np.linspace(0.2, 2.0, 10)
+    failing = {(0.02, 1509): [1.6, 1.8], (0.02, 2511): [2.0], (0.02, 2519): [2.0]}
+    for cap in (0.02, 0.01, 0.005):
+        for seed in (1509, 2511, 2519):
+            data = scenario_data(B, "random_bv", seed=seed, n_jumps=10, tv=0.3)
+            run = run_until(B, init_front_tracking(B, data, 1e-9, cap), 2.0)
+            mu0p, _ = pos_neg_parts(wave_measure(B, run.configs[0].profile(), 1))
+            qh = [(t, Q) for (t, V, Q, U) in run.glimm_history]
+            cs = burgers_comparison(mu0p, qh, kappa=10.0)
+            bad = [round(t, 1) for t in times
+                   if not order_leq(spread_positive_waves(run, t, 1),
+                                    cs.profile_at(t).dx_measure(), tol=1e-9)]
+            assert bad == failing.get((cap, seed), []), (cap, seed)
 
 
 # ---------------------------------------------------------------------------
