@@ -19,11 +19,13 @@ run = run_until(model, cfg, 1.0)
 
 print(f"{len(run.events)} interactions on [0, 1]")
 print(f"{'t':>8} {'x':>8} {'solver':>10} {'dV':>10} {'dQ':>10}")
-for ev in run.events:
-    print(f"{ev.time:8.4f} {ev.x:8.4f} {ev.solver:>10} {ev.dV:10.3e} {ev.dQ:10.3e}")
+# the Glimm history holds (t, V, Q, Upsilon) before the first event and after each
+hist = run.glimm_history
+for ev, (_, V0, Q0, _), (_, V1, Q1, _) in zip(run.events, hist, hist[1:]):
+    print(f"{ev.time:8.4f} {ev.x:8.4f} {ev.solver:>10} {V1 - V0:10.3e} {Q1 - Q0:10.3e}")
 
 print("\nGlimm history (t, V, Q, Upsilon):")
-for row in run.glimm_history:
+for row in hist:
     print("  " + "  ".join(f"{v:.6f}" for v in row))
 
 for t in (0.0, 0.5, 1.0):

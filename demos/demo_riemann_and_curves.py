@@ -8,6 +8,7 @@ reproduces the right state.
 import numpy as np
 
 from vanvisc import eigen_frame, lax_curve, preset_model, shock_speed, solve_riemann
+from vanvisc.system import wave_speeds
 
 b = preset_model("burgers")
 p = preset_model("p_system", gamma=2, k=1)
@@ -20,13 +21,13 @@ for um, up in (([1.0], [0.0]), ([0.0], [1.0]), ([0.5], [-0.25])):
 
 print("\n== p-system, gamma=2, k=1 ==")
 u0 = np.array([1.0, 0.0])
-fr = eigen_frame(p, u0)
-print("  eigenvalues at (1,0):", fr.lambdas)
-print("  normalized right eigenvectors:\n", fr.r)
+lam0 = wave_speeds(p, u0)
+print("  eigenvalues at (1,0):", lam0)
+print("  normalized right eigenvectors:\n", eigen_frame(p, u0))
 
 u1 = lax_curve(p, 2, u0, 0.15)
 print("  2-rarefaction curve from (1,0) at s=0.15 ->", u1)
-print("  lambda_2 increment:", eigen_frame(p, u1).lambdas[1] - fr.lambdas[1])
+print("  lambda_2 increment:", wave_speeds(p, u1)[1] - lam0[1])
 
 up = np.array([1.08, 0.04])
 fan = solve_riemann(p, u0, up)

@@ -96,8 +96,6 @@ class EventRecord:
     incoming: tuple
     outgoing: tuple
     solver: str
-    dV: float
-    dQ: float
 
 
 @dataclass
@@ -180,8 +178,6 @@ def init_front_tracking(model, initial, epsilon_prime, rarefaction_cap):
     """Resolve every jump of the piecewise-constant data into its wave fan;
     rarefaction_cap bounds every rarefaction step of the run, here and at
     each later interaction."""
-    if not isinstance(initial, PiecewiseConstant):
-        initial = PiecewiseConstant(*initial)
     uid_iter = itertools.count()
     fronts = []
     u = initial.values[0]
@@ -343,7 +339,7 @@ def run_until(model, config, tau, epsilon_prime=1e-9, simplified_threshold=None,
         V1, Q1 = glimm_functionals(cur)
         events.append(
             EventRecord(index=n_ev - 1, time=ev.time, x=ev.x, incoming=incoming,
-                        outgoing=outgoing, solver=solver, dV=V1 - V, dQ=Q1 - Q)
+                        outgoing=outgoing, solver=solver)
         )
         times.append(ev.time)
         configs.append(cur)
@@ -396,11 +392,13 @@ def front_birth_times(run):
 
 
 def write_run_log(run, path):
-    """JSON-lines event log: time, solver type, dV, dQ."""
+    """JSON-lines event log: time, solver type, and the changes dV, dQ of
+    the Glimm functionals across each event, from run.glimm_history."""
+    hist = run.glimm_history
     with open(path, "w") as fh:
-        for ev in run.events:
+        for ev, (_, V0, Q0, _), (_, V1, Q1, _) in zip(run.events, hist, hist[1:]):
             fh.write(json.dumps({
                 "t": round(ev.time, 15), "x": round(ev.x, 15), "solver": ev.solver,
-                "dV": round(ev.dV, 15), "dQ": round(ev.dQ, 15),
+                "dV": round(V1 - V0, 15), "dQ": round(Q1 - Q0, 15),
                 "n_in": len(ev.incoming), "n_out": len(ev.outgoing),
             }, sort_keys=True) + "\n")

@@ -370,7 +370,7 @@ def decay_report_cmd(cfg, out_dir=None):
     tv = data.total_variation()
     rows = []
     for delta in sorted(cfg.delta_list, reverse=True):
-        E = pair_interaction_integral(run, delta, cfg.tau)
+        E = pair_interaction_integral(run, delta)
         scale = delta * (math.log(2.0 + cfg.tau) + abs(math.log(delta))) * max(tv, 1e-300)
         rows.append({"delta": delta, "integral": E, "scale": scale,
                      "ratio": E / scale})

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfRange, OverlappingTracks, ResolutionTooCoarse
+from .errors import OverlappingTracks, ResolutionTooCoarse
 from .front_tracking import config_index
 from .viscous import shock_profile
 
@@ -118,15 +118,6 @@ def oscillation_weighted_tv(u, delta):
 
 # ---------------------------------------------------------------------------
 # squeeze map (C^1 compression of the line onto |xi| < sqrt(eps))
-
-def squeeze_map(xi, epsilon):
-    r = np.sqrt(epsilon)
-    x = np.asarray(xi, dtype=float)
-    if np.any(np.abs(x) >= r):
-        raise OutOfRange(f"|xi| must be < sqrt(eps) = {r}")
-    p = _squeeze_jet(x, epsilon)[0]
-    return p[0] if x.ndim == 0 else p
-
 
 def _squeeze_jet(x, epsilon):
     """The squeeze map and its first two derivatives at |x| < sqrt(eps):

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NegativeMass, NonMonotoneHistory, NotMonotone
-from .front_tracking import FTRun, front_birth_times, merge_cancelling_pairs
+from .front_tracking import front_birth_times, merge_cancelling_pairs
 from .riemann import solve_riemann
 from .system import wave_speeds
 
@@ -216,14 +216,12 @@ def sup_mass(mu, size):
 
 
 def odd_rearrangement(v):
-    """Odd rearrangement v-hat of a MonotoneProfile (or of a measure).
+    """Odd rearrangement v-hat of a MonotoneProfile.
 
     v-hat(0+) = singular mass / 2 and, for x > 0, v-hat grows with the
     symmetric non-increasing rearrangement of the density; it satisfies
     v-hat(x) = sgn(x) sup_{meas(A) <= 2|x|} mu(A)/2.
     """
-    if isinstance(v, WaveMeasure):
-        v = MonotoneProfile(0.0, v)
     mu = v.measure
     S = mu.atom_mass()
     pieces = sorted(mu.density_pieces(), key=lambda p: -p[2])
@@ -251,8 +249,8 @@ def order_leq(mu, mu_prime, tol=1e-12):
     for m in (mu, mu_prime):
         if not m.is_nonnegative():
             raise NegativeMass("order_leq is defined for positive measures")
-    a = odd_rearrangement(mu).measure
-    b = odd_rearrangement(mu_prime).measure
+    a = odd_rearrangement(MonotoneProfile(0.0, mu)).measure
+    b = odd_rearrangement(MonotoneProfile(0.0, mu_prime)).measure
     pts = np.unique(np.concatenate([[0.0], a.density_xs[a.density_xs > 0],
                                     b.density_xs[b.density_xs > 0]]))
     pts = np.append(pts, pts[-1] + 1.0)
@@ -448,17 +446,15 @@ def spread_positive_waves(run, t, family):
 # ---------------------------------------------------------------------------
 # pairwise interaction integrals along a front-tracking run
 
-def pair_interaction_integral(run, delta, tau=None):
+def pair_interaction_integral(run, delta):
     """Time integral of the pairwise proximity sums along a run.
 
     The sum is over ordered pairs (alpha, beta), including alpha = beta, of
     rarefaction fronts of the same family with |x_alpha - x_beta| <= delta.
     Exact per strip: indicators of linearly moving gaps switch at computable
-    times.
+    times.  The integral runs from 0 to run.tau.
     """
-    assert isinstance(run, FTRun)
-    if tau is None:
-        tau = run.tau
+    tau = run.tau
     t_edges = [0.0] + [t for t in run.times if t < tau] + [tau]
     total = 0.0
     for k in range(len(t_edges) - 1):

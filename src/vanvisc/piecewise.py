@@ -42,19 +42,6 @@ class PiecewiseConstant:
             return 0.0
         return float(np.sum(np.linalg.norm(self.jumps(), axis=1)))
 
-    def simplified(self, tol=0.0):
-        """Drop breakpoints whose jump is <= tol in Euclidean norm."""
-        if self.xs.size == 0:
-            return self
-        keep = np.linalg.norm(self.jumps(), axis=1) > tol
-        vals = [self.values[0]]
-        xs = []
-        for j, k in enumerate(keep):
-            if k:
-                xs.append(self.xs[j])
-                vals.append(self.values[j + 1])
-        return PiecewiseConstant(np.array(xs), np.array(vals))
-
     def l1_distance(self, other):
         """Exact integral of the Euclidean pointwise distance.
 
@@ -98,7 +85,8 @@ class PiecewiseConstant:
 
 def l1_distance_to_grid(profile, x_grid, u_grid):
     """L1 distance on [x_grid[0], x_grid[-1]] between a PiecewiseConstant
-    and the piecewise-linear interpolant of (x_grid, u_grid).
+    and the piecewise-linear interpolant of (x_grid, u_grid), with u_grid
+    of shape (N, n) on the N nodes x_grid.
 
     The interval is cut at the grid nodes and at the profile's breakpoints
     inside it, so on each segment the difference is linear, a + b t, and
@@ -107,10 +95,6 @@ def l1_distance_to_grid(profile, x_grid, u_grid):
     segment); it is not exact on a segment where a + b t has a zero inside,
     at the kink of the norm, nor where the norm is curved (n > 1).
     """
-    x_grid = np.asarray(x_grid, dtype=float)
-    u_grid = np.atleast_2d(np.asarray(u_grid, dtype=float))
-    if u_grid.shape[0] != x_grid.size:
-        u_grid = u_grid.T
     cut = np.union1d(x_grid, profile.xs[(profile.xs >= x_grid[0]) & (profile.xs <= x_grid[-1])])
     # 6-point Gauss nodes on [0, 1]
     gx, gw = np.polynomial.legendre.leggauss(6)

@@ -56,7 +56,7 @@ def _rk4_curve(model, i, u0, s):
     u = np.array(u0, dtype=float)
 
     def rhs(w):
-        return eigen_frame(model, w).r[i - 1]
+        return eigen_frame(model, w)[i - 1]
 
     for _ in range(steps):
         k1 = rhs(u)
@@ -132,7 +132,7 @@ def _damped_newton(res, z, tol, max_iter, error):
 def _hugoniot_point(model, i, u0, s):
     """Solve f(u)-f(u0) = speed (u-u0), lambda_i(u)-lambda_i(u0) = s."""
     lam0 = wave_speeds(model, u0)[i - 1]
-    r0 = eigen_frame(model, u0).r[i - 1]
+    r0 = eigen_frame(model, u0)[i - 1]
     n = model.n
     z = np.empty(n + 1)
     z[:n] = u0 + s * r0
@@ -192,8 +192,9 @@ def solve_riemann(model, u_minus, u_plus):
         return WaveFan(waves=[])
 
     mid = 0.5 * (um + up)
-    fr = eigen_frame(model, mid)
-    s = fr.l @ (up - um)
+    # the left eigenvectors, dual to the rows of R, give the linearised strengths
+    L = np.linalg.inv(eigen_frame(model, mid).T)
+    s = L @ (up - um)
     s = np.clip(s, -_MAX_STRENGTH, _MAX_STRENGTH)
     slack = 1.5 * _MAX_STRENGTH + 0.1  # Newton probes may step past the data size
 

@@ -1,9 +1,8 @@
-"""Hyperbolic system definitions: flux, Jacobian and normalized eigenframes.
+"""Hyperbolic system definitions: flux, Jacobian and normalized eigenvectors.
 
 Ships two genuinely nonlinear presets: the scalar Burgers law f(u) = u^2/2
 and the 2x2 p-system (v, w) with f(v, w) = (-w, p(v)), p(v) = k v^(-gamma).
-Right eigenvectors are scaled so that grad(lambda_i) . r_i = 1; the left
-basis is the dual one (l_i . r_j = delta_ij).
+Right eigenvectors are scaled so that grad(lambda_i) . r_i = 1.
 """
 
 from __future__ import annotations
@@ -57,13 +56,6 @@ class SystemModel:
         """Largest |lambda_i| over a 5-point-per-axis grid of the domain box,
         computed once per model."""
         return float(np.max(max_abs_eigenvalue(self, _domain_grid(self.domain_box, 5))))
-
-
-@dataclass(frozen=True)
-class EigenFrame:
-    lambdas: np.ndarray  # sorted ascending, shape (n,)
-    r: np.ndarray        # r[i] = i-th right eigenvector, shape (n, n)
-    l: np.ndarray        # l[i] . r[j] = delta_ij
 
 
 def wave_speeds(model, u):
@@ -138,7 +130,9 @@ def grad_lambda(model, u, i):
 
 
 def eigen_frame(model, u):
-    """Normalized eigenframe at u (grad lambda_i . r_i = 1, l_i . r_j = delta)."""
+    """Normalized right eigenvectors at u: row i of the (n, n) result is r_i,
+    with grad lambda_i . r_i = 1.  The eigenvalues of the decomposition only
+    check the gap between families; wave_speeds is the eigenvalue source."""
     u = np.asarray(u, dtype=float)
     model.check_domain(u)
     lams, V = _eig_sorted(model.jacobian(u))
@@ -151,8 +145,7 @@ def eigen_frame(model, u):
         if abs(scale) < 1e-14:
             raise GNLViolation(f"grad lambda_{i+1} . r_{i+1} vanishes at {u}")
         R[i] = V[i] / scale
-    L = np.linalg.inv(R.T)  # rows of L are dual to rows of R
-    return EigenFrame(lambdas=lams, r=R, l=L)
+    return R
 
 
 def preset_model(name, gamma=None, k=None):

@@ -20,7 +20,6 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import CFLViolation, NotLaxPair, ShootFailure
-from .piecewise import PiecewiseConstant
 from .riemann import shock_speed
 from .system import eigen_frame, max_abs_eigenvalue, wave_speeds
 
@@ -38,43 +37,31 @@ class GridSolution:
     def final(self):
         return self.values[-1]
 
-    def total_variation(self):
-        dv = np.diff(self.values[-1], axis=0)
-        return float(np.sum(np.linalg.norm(dv, axis=1)))
-
 
 def solve_viscous(model, epsilon, initial, tau, dx):
     """Explicit conservative solve of u_t + A(u)u_x = eps u_xx; the state at tau.
 
-    initial is evaluated once on the whole grid x of N points and must
-    return shape (N,) or (N, n); a PiecewiseConstant does.
+    initial is a PiecewiseConstant, sampled once on the whole grid x.
 
-    The solver sizes its own grid.  The speed bound vmax is, for a
-    PiecewiseConstant, the largest |lambda_i| over its states with a margin
-    of 20% plus 0.1, and for any other callable model.max_speed, the worst
-    speed over the domain box.  The grid spans the data's breakpoints, or
-    [-1, 1] without any, padded on each side by vmax tau, the diffusion
-    width sqrt(4 eps tau ln 1e10) and 10 dx.
+    The solver sizes its own grid.  The speed bound vmax is the largest
+    |lambda_i| over the data's states with a margin of 20% plus 0.1.  The
+    grid spans the data's breakpoints, or [-1, 1] without any, padded on
+    each side by vmax tau, the diffusion width sqrt(4 eps tau ln 1e10) and
+    10 dx.
     """
     if epsilon <= 0:
         raise CFLViolation("epsilon must be positive")
     if dx > epsilon / 4.0 + 1e-15:
         raise CFLViolation(f"dx={dx} must satisfy dx <= eps/4 = {epsilon/4.0}")
-    vmax = model.max_speed
+    vmax = float(np.max(max_abs_eigenvalue(model, initial.values))) * 1.2 + 0.1
     lo, hi = -1.0, 1.0
-    if isinstance(initial, PiecewiseConstant):
-        vmax = float(np.max(max_abs_eigenvalue(model, initial.values))) * 1.2 + 0.1
-        if initial.xs.size:
-            lo, hi = float(initial.xs[0]), float(initial.xs[-1])
+    if initial.xs.size:
+        lo, hi = float(initial.xs[0]), float(initial.xs[-1])
     need = vmax * tau + np.sqrt(4.0 * epsilon * tau * np.log(1e10))
     lo, hi = lo - need - 10 * dx, hi + need + 10 * dx
     N = int(np.ceil((hi - lo) / dx)) + 1
     x = lo + dx * np.arange(N)
-    u = np.asarray(initial(x), dtype=float)
-    if u.shape == (N,):
-        u = u[:, None]
-    if u.shape != (N, model.n):
-        raise ValueError(f"initial(x) has shape {u.shape}, not ({N},) or ({N}, {model.n})")
+    u = initial(x)        # a fresh (N, n) array, updated in place below
 
     dt = CFL / (vmax / dx + 2.0 * epsilon / dx ** 2)
     steps = max(1, int(np.ceil(tau / dt)))
@@ -278,7 +265,7 @@ def shock_profile(model, u_minus, u_plus):
         start_anchor, target = um, up
     else:
         start_anchor, target = up, um
-    d = eigen_frame(model, start_anchor).r[fam - 1]
+    d = eigen_frame(model, start_anchor)[fam - 1]
     d = d / np.linalg.norm(d)
     if float(d @ (up - um)) * (1.0 if forward else -1.0) < 0:
         d = -d

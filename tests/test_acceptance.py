@@ -287,7 +287,7 @@ def test_criterion_7_decay_scaling():
     K = 1.0
     rows = []
     for delta in (0.1, 0.05, 0.02, 0.01, 0.005):
-        E = pair_interaction_integral(run, delta, tau)
+        E = pair_interaction_integral(run, delta)
         bound = 2 * K ** 2 * delta * sigma * (1 + math.log(sigma * tau / (2 * delta)))
         rows.append((delta, E, bound))
         assert E <= bound, f"delta={delta}: E={E} > bound={bound}"
@@ -306,7 +306,7 @@ def test_criterion_7_decay_scaling():
     deltas = (0.025, 0.0125, 0.00625, 0.003125, 0.0015625)
     Es, Ss = [], []
     for d in deltas:
-        Es.append(pair_interaction_integral(run_mixed, d, tau))
+        Es.append(pair_interaction_integral(run_mixed, d))
         Ss.append(d * (math.log(2.0 + tau) + abs(math.log(d))) * tv)
     p_fit = float(np.polyfit(np.log(Ss), np.log(Es), 1)[0])
     assert abs(p_fit - 1.0) <= 0.25

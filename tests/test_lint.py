@@ -1,11 +1,13 @@
 """Static checks on the package source: every imported name is used, every
-function parameter is read, every dataclass field is read somewhere, and
-every optional parameter is set by some caller outside the tests.
+function parameter is read, every dataclass field is read somewhere, every
+optional parameter is set by some caller outside the tests, and every
+public function and method has a caller outside the tests.
 
 Lambdas and parameters whose names start with "_" are exempt from the
 parameter check.  UNREAD_PARAMETERS and TEST_ONLY_OPTIONS list the known
-exceptions as (module, function, parameter); an entry that no longer
-applies fails too, so the lists stay exact.
+exceptions as (module, function, parameter), and TEST_ONLY_FUNCTIONS as
+(module, function); an entry that no longer applies fails too, so the lists
+stay exact.
 """
 
 import ast
@@ -32,10 +34,27 @@ TEST_ONLY_OPTIONS = {
         "a check of the shooting orbit; tests run it on a coarser base grid",
     ("system", "check_genuine_nonlinearity", "samples"):
         "a check of a model; tests choose how many states it samples",
-    ("piecewise", "PiecewiseConstant.simplified", "tol"):
-        "tests drop jumps below round-off from a sampled profile",
     ("harness", "main", "argv"):
         "the console entry point reads sys.argv; tests pass the arguments",
+}
+
+# public functions and methods that only tests call, each with the reason it
+# stays: a lemma the tests check, or an oracle for what the package computes
+TEST_ONLY_FUNCTIONS = {
+    ("hybrid", "mollify"):
+        "the exact convolution u * phi_delta, the oracle of a hybrid without tracks",
+    ("hybrid", "mollification_l1_error"):
+        "checks the lemma ||u * phi_delta - u||_L1 <= delta TV(u)",
+    ("hybrid", "oscillation_weighted_tv"):
+        "checks that the far-field residual is bounded by the oscillation-weighted TV",
+    ("measures", "sup_mass"):
+        "the oracle of odd_rearrangement: v-hat(x) = sup_{meas(A) <= 2x} mu(A) / 2",
+    ("piecewise", "PiecewiseConstant.l1_distance"):
+        "the exact L1 distance of two profiles, which checks front tracking's finite speed",
+    ("system", "check_genuine_nonlinearity"):
+        "checks that a model is genuinely nonlinear; tests run it on the presets",
+    ("viscous", "ShockProfile.ode_residual"):
+        "re-steps a shooting orbit by RK4, the oracle of a profile's accuracy",
 }
 
 
@@ -172,6 +191,44 @@ def unset_options():
                        for n_pos, keys in calls.get(name, []))}
 
 
+def uncalled_functions():
+    """(module, function) for each public module-level function or method
+    of a module-level class in src/ whose name no code in CALLERS loads,
+    by a call or a reference (files named test_*.py excluded).
+
+    Dunder methods, which Python calls, are exempt, and so are properties,
+    which are read like fields.  The match is by name only, like the other
+    checks: a method counts as called when any function or attribute of its
+    name is.  So it cannot see a test-only method whose name a called one
+    shares, such as GridSolution.total_variation, which only a test called
+    while PiecewiseConstant.total_variation has callers."""
+    loaded = set()
+    for d in CALLERS:
+        for path in (ROOT / d).rglob("*.py"):
+            if path.name.startswith("test_"):
+                continue
+            for n in ast.walk(ast.parse(path.read_text())):
+                if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                    loaded.add(n.attr)
+                elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                    loaded.add(n.id)
+    found = set()
+    for mod, tree in _modules():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs = [(node.name, node)]
+            elif isinstance(node, ast.ClassDef):
+                defs = [(f"{node.name}.{fn.name}", fn) for fn in node.body
+                        if isinstance(fn, ast.FunctionDef)
+                        and not any(getattr(d, "id", None) in ("property", "cached_property")
+                                    for d in fn.decorator_list)]
+            else:
+                continue
+            found |= {(mod, qual) for qual, fn in defs
+                      if not fn.name.startswith("_") and fn.name not in loaded}
+    return found
+
+
 def test_every_import_is_used():
     assert unused_imports() == []
 
@@ -186,3 +243,7 @@ def test_every_dataclass_field_is_read():
 
 def test_every_option_is_set_outside_the_tests():
     assert unset_options() == set(TEST_ONLY_OPTIONS)
+
+
+def test_every_public_function_is_called_outside_the_tests():
+    assert uncalled_functions() == set(TEST_ONLY_FUNCTIONS)

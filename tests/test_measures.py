@@ -182,13 +182,13 @@ def test_single_rarefaction_reference_examples():
 def test_pair_interaction_integral_examples():
     cfg = init_front_tracking(B, PiecewiseConstant([0.0], [[1.0], [0.0]]), 1e-9, 0.25)
     run = run_until(B, cfg, 1.0)
-    assert pair_interaction_integral(run, 0.1, 1.0) == 0.0
+    assert pair_interaction_integral(run, 0.1) == 0.0
 
     # two rarefaction steps at constant distance > delta never fire
     data = PiecewiseConstant([0.0, 1.0], [[0.0], [0.1], [0.1]])
     cfg = init_front_tracking(B, data, 1e-9, 0.25)
     run = run_until(B, cfg, 1.0)
-    E = pair_interaction_integral(run, 0.5, 1.0)
+    E = pair_interaction_integral(run, 0.5)
     assert E == pytest.approx(0.1 ** 2 * 1.0)  # only the self-pair survives
 
 

@@ -51,10 +51,19 @@ def test_stack_rows_match_single_state_calls(case):
 @settings(max_examples=60, deadline=None)
 @given(preset_stacks())
 def test_lambda_fn_matches_eigen_frame(case):
+    # row i of eigen_frame is an eigenvector of the jacobian for the i-th
+    # wave speed: lambda_fn's, and the eigvals of a model without lambda_fn
     model, u = case
+    bare = SystemModel(n=model.n, flux=model.flux, jacobian=model.jacobian,
+                       domain_box=model.domain_box)
     for idx in np.ndindex(u.shape[:-1]):
-        lam = eigen_frame(model, u[idx]).lambdas
-        assert model.lambda_fn(u[idx]) == pytest.approx(lam, rel=1e-14, abs=1e-15)
+        J = model.jacobian(u[idx])
+        for m in (model, bare):
+            R = eigen_frame(m, u[idx])
+            lam = wave_speeds(m, u[idx])
+            assert R.shape == (model.n, model.n)
+            for i in range(model.n):
+                np.testing.assert_allclose(J @ R[i], lam[i] * R[i], rtol=1e-13, atol=1e-13)
 
 
 @settings(max_examples=60, deadline=None)
@@ -80,21 +89,23 @@ def test_eigvals_fallback_matches_closed_form(case):
 def test_burgers_frame_examples():
     b = preset_model("burgers")
     for u in (0.7, 0.0):
-        fr = eigen_frame(b, np.array([u]))
-        assert fr.lambdas[0] == pytest.approx(u, abs=1e-14)
-        assert fr.r[0, 0] == pytest.approx(1.0, abs=1e-12)
-        assert fr.l[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert eigen_frame(b, np.array([u])) == pytest.approx(np.array([[1.0]]), abs=1e-12)
 
 
 def test_p_system_frame_at_reference_state():
     p = preset_model("p_system", gamma=2, k=1)
-    fr = eigen_frame(p, np.array([1.0, 0.0]))
-    assert fr.lambdas == pytest.approx([-np.sqrt(2), np.sqrt(2)], abs=1e-12)
-    # finite-difference normalization oracle
+    u = np.array([1.0, 0.0])
+    R = eigen_frame(p, u)
+    # lambda_{1,2} = -/+ sqrt(2) at v = 1 with eigenvectors along
+    # (1, -lambda_i), and grad lambda_{1,2} = (+/- 3/sqrt(2), 0)
+    r2 = np.sqrt(2.0)
+    assert R == pytest.approx(np.array([[r2, 2.0], [-r2, 2.0]]) / 3.0, abs=1e-12)
+    lam = np.array([-r2, r2])
     for i in range(2):
-        g = grad_lambda_fd(p, np.array([1.0, 0.0]), i)
-        assert float(g @ fr.r[i]) == pytest.approx(1.0, abs=1e-5)
-    assert fr.l @ fr.r.T == pytest.approx(np.eye(2), abs=1e-10)
+        assert p.jacobian(u) @ R[i] == pytest.approx(lam[i] * R[i], abs=1e-12)
+        # finite-difference normalization oracle
+        g = grad_lambda_fd(p, u, i)
+        assert float(g @ R[i]) == pytest.approx(1.0, abs=1e-5)
 
 
 def test_eigen_normalization_and_duality_on_samples():
@@ -102,11 +113,16 @@ def test_eigen_normalization_and_duality_on_samples():
     rng = np.random.default_rng(0)
     for _ in range(25):
         u = np.array([rng.uniform(0.6, 1.9), rng.uniform(-1.5, 1.5)])
-        fr = eigen_frame(p, u)
-        assert np.all(np.diff(fr.lambdas) > 0)
+        R = eigen_frame(p, u)
+        lam = wave_speeds(p, u)
+        assert np.all(np.diff(lam) > 0)
         for i in range(2):
-            assert float(grad_lambda_fd(p, u, i) @ fr.r[i]) == pytest.approx(1.0, abs=1e-5)
-        assert fr.l @ fr.r.T == pytest.approx(np.eye(2), abs=1e-10)
+            assert float(grad_lambda_fd(p, u, i) @ R[i]) == pytest.approx(1.0, abs=1e-5)
+        # the dual basis solve_riemann builds: its rows are left eigenvectors
+        L = np.linalg.inv(R.T)
+        assert L @ R.T == pytest.approx(np.eye(2), abs=1e-10)
+        for i in range(2):
+            assert L[i] @ p.jacobian(u) == pytest.approx(lam[i] * L[i], abs=1e-10)
 
 
 def test_jacobian_matches_flux_fd():

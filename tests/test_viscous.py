@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from vanvisc.errors import CFLViolation, NotLaxPair
+from vanvisc.piecewise import PiecewiseConstant
 from vanvisc.riemann import lax_curve
-from vanvisc.system import SystemModel, eigen_frame, preset_model
+from vanvisc.system import SystemModel, preset_model, wave_speeds
 from vanvisc.viscous import (ShockProfile, _orbit_arrays, shock_profile, solve_viscous,
                              tail_bound_check)
 
@@ -93,7 +94,7 @@ def test_profile_lambda_monotone_along_family():
     up = lax_curve(P, 1, um, -0.3)
     pr = shock_profile(P, um, up)
     s = np.linspace(pr.s_lo, pr.s_hi, 400) - pr.center_shift
-    lams = [eigen_frame(P, w).lambdas[0] for w in pr.value(s)]
+    lams = wave_speeds(P, pr.value(s))[:, 0]
     assert np.all(np.diff(lams) < 1e-10)
 
 
@@ -120,17 +121,18 @@ def test_not_lax_pair_errors():
 
 
 def test_solve_viscous_constant_data():
-    # initial(x) may return shape (N, n) or, for n = 1, shape (N,)
-    for initial in (lambda x: np.full((np.size(x), 1), 0.7), lambda x: np.full(np.size(x), 0.7)):
-        sol = solve_viscous(B, 0.02, initial, 0.5, 0.005)
-        assert sol.final().shape == (sol.x.size, 1)
-        assert np.max(np.abs(sol.final() - 0.7)) == 0.0
+    # data without breakpoints: the grid spans [-1, 1] plus the padding
+    sol = solve_viscous(B, 0.02, PiecewiseConstant([], [[0.7]]), 0.5, 0.005)
+    assert sol.final().shape == (sol.x.size, 1)
+    assert sol.x[0] < -1.0 and sol.x[-1] > 1.0
+    assert np.max(np.abs(sol.final() - 0.7)) == 0.0
 
 
 def test_solve_viscous_travelling_wave():
+    # the Riemann step 1 -> 0 relaxes to the travelling profile of speed 1/2
     eps, dx = 0.01, 0.01 / 8
     exact = lambda x: 0.5 - 0.5 * np.tanh(np.asarray(x) / (4 * eps))
-    sol = solve_viscous(B, eps, lambda x: exact(x)[:, None], 1.0, dx)
+    sol = solve_viscous(B, eps, PiecewiseConstant([0.0], [[1.0], [0.0]]), 1.0, dx)
     err = np.sum(np.abs(sol.final()[:, 0] - exact(sol.x - 0.5))) * dx
     assert err <= 5 * dx
 
@@ -138,8 +140,6 @@ def test_solve_viscous_travelling_wave():
 def test_solve_viscous_rarefaction_near_exact():
     eps = 0.02
     dx = eps / 4
-    from vanvisc.piecewise import PiecewiseConstant
-
     data = PiecewiseConstant([0.0], [[0.0], [1.0]])
     tau = 1.0
     sol = solve_viscous(B, eps, data, tau, dx)
@@ -149,23 +149,19 @@ def test_solve_viscous_rarefaction_near_exact():
 
 
 def test_solve_viscous_conservation():
-    init = lambda x: (0.3 * np.exp(-np.asarray(x) ** 2 / 0.1))[:, None]
-    sol = solve_viscous(B, 0.02, init, 0.5, 0.005)
+    data = PiecewiseConstant([-0.3, 0.2], [[0.0], [0.3], [0.0]])
+    sol = solve_viscous(B, 0.02, data, 0.5, 0.005)
     assert sol.times == [0.5]
-    assert abs(np.sum(sol.final()[:, 0]) - np.sum(init(sol.x)[:, 0])) * 0.005 < 1e-10
+    assert abs(np.sum(sol.final()[:, 0]) - np.sum(data(sol.x)[:, 0])) * 0.005 < 1e-10
 
 
 def test_solve_viscous_tv_bound_and_refinement():
-    from vanvisc.piecewise import PiecewiseConstant
-
     data = PiecewiseConstant([-0.3, 0.2], [[0.8], [0.1], [0.5]])
     eps = 0.02
     tv0 = data.total_variation()
     sol1 = solve_viscous(B, eps, data, 0.5, eps / 4)
-    assert sol1.total_variation() <= 1.5 * tv0
+    assert np.sum(np.abs(np.diff(sol1.final()[:, 0]))) <= 1.5 * tv0
     sol2 = solve_viscous(B, eps, data, 0.5, eps / 8)
-    from vanvisc.piecewise import l1_distance_to_grid
-
     # first-order sanity: halving dx moves the answer by O(dx)
     u2_on_1 = np.interp(sol1.x, sol2.x, sol2.final()[:, 0])
     diff = np.sum(np.abs(u2_on_1 - sol1.final()[:, 0])) * (eps / 4)
@@ -175,8 +171,6 @@ def test_solve_viscous_tv_bound_and_refinement():
 def test_solve_viscous_eigvals_fallback_matches_preset():
     # a model without lambda_fn takes the interface speeds from batched
     # eigenvalues of the jacobian instead of the preset's closed form
-    from vanvisc.piecewise import PiecewiseConstant
-
     um = np.array([1.0, 0.0])
     cases = ((B, PiecewiseConstant([0.0], [[1.0], [0.0]])),
              (P, PiecewiseConstant([0.0], [um, lax_curve(P, 1, um, -0.3)])))
@@ -189,9 +183,8 @@ def test_solve_viscous_eigvals_fallback_matches_preset():
 
 
 def test_solve_viscous_errors():
-    with pytest.raises(CFLViolation):
-        solve_viscous(B, 0.01, lambda x: np.zeros((np.size(x), 1)), 0.1, 0.01)
-    # any other shape is refused, the transposed (n, N) one included
-    for shape in (lambda N: (1, N), lambda N: (N, 2), lambda N: ()):
-        with pytest.raises(ValueError, match="initial.x. has shape"):
-            solve_viscous(B, 0.02, lambda x: np.zeros(shape(np.size(x))), 0.1, 0.005)
+    data = PiecewiseConstant([0.0], [[1.0], [0.0]])
+    with pytest.raises(CFLViolation, match="dx"):
+        solve_viscous(B, 0.01, data, 0.1, 0.01)
+    with pytest.raises(CFLViolation, match="epsilon"):
+        solve_viscous(B, 0.0, data, 0.1, 0.01)
