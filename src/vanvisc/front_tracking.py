@@ -34,8 +34,10 @@ NP_FLOOR = 1e-13
 
 @dataclass(frozen=True)
 class Front:
+    """A front from its birth at (x0, t0) on; configurations share it."""
     uid: int
-    pos: float
+    x0: float
+    t0: float
     family: int          # 1..n physical, n+1 for non-physical fronts
     kind: str            # "shock" | "rarefaction_step" | "non_physical"
     strength: float      # signed sigma; |u+ - u-| for non-physical
@@ -47,6 +49,10 @@ class Front:
     def physical(self):
         return self.kind != "non_physical"
 
+    def x(self, t):
+        """Position at time t: the front moves at constant speed."""
+        return self.x0 + (t - self.t0) * self.speed
+
 
 @dataclass
 class FrontConfiguration:
@@ -57,15 +63,13 @@ class FrontConfiguration:
     # interaction emits alike
     rarefaction_cap: float
 
-    def advanced(self, t):
-        """Same fronts moved linearly to time t (no interaction may occur
-        strictly inside (self.time, t))."""
-        dt = t - self.time
-        moved = [replace(f, pos=f.pos + dt * f.speed) for f in self.fronts]
-        return replace(self, time=t, fronts=moved)
+    def at(self, t):
+        """The same fronts at time t (no interaction may occur strictly
+        inside (self.time, t))."""
+        return replace(self, time=t)
 
     def profile(self):
-        xs = np.array([f.pos for f in self.fronts])
+        xs = np.array([f.x(self.time) for f in self.fronts])
         vals = [self.left_state] + [f.right_state for f in self.fronts]
         return PiecewiseConstant(xs, np.array(vals))
 
@@ -73,11 +77,12 @@ class FrontConfiguration:
         prev = self.left_state
         prev_x = -np.inf
         for f in self.fronts:
-            if f.pos < prev_x - POS_TOL:
-                raise InvalidConfiguration(f"front {f.uid} at {f.pos} left of its neighbour")
+            x = f.x(self.time)
+            if x < prev_x - POS_TOL:
+                raise InvalidConfiguration(f"front {f.uid} at {x} left of its neighbour")
             if not np.allclose(f.left_state, prev, atol=atol):
                 raise InvalidConfiguration(f"front {f.uid}: inconsistent adjacent states")
-            prev, prev_x = f.right_state, f.pos
+            prev, prev_x = f.right_state, x
         return True
 
 
@@ -113,8 +118,8 @@ class FTRun:
         return [0.0] + list(self.times) + [self.tau]
 
     def config_at(self, t):
-        """Post-interaction configuration advanced to t (right-continuous)."""
-        return self.configs[config_index(self.times, self.tau, t)].advanced(t)
+        """Post-interaction configuration at t (right-continuous)."""
+        return self.configs[config_index(self.times, self.tau, t)].at(t)
 
 
 def config_index(times, tau, t):
@@ -130,10 +135,11 @@ def lambda_hat(model):
     return model.max_speed + 1.0
 
 
-def _np_front(uid, x, model, u_l, u_r):
+def _np_front(uid, x, t, model, u_l, u_r):
     return Front(
         uid=uid,
-        pos=x,
+        x0=x,
+        t0=t,
         family=model.n + 1,
         kind="non_physical",
         strength=float(np.linalg.norm(u_r - u_l)),
@@ -143,33 +149,35 @@ def _np_front(uid, x, model, u_l, u_r):
     )
 
 
-def _fronts_from_fan(model, fan, x, cap, uid_iter):
-    """Fan waves to fronts; rarefactions split into steps of strength <= cap."""
+def _fronts_from_fan(model, fan, x, t, cap, uid_iter):
+    """Fan waves to fronts born at (x, t); rarefactions split into steps of
+    strength <= cap."""
     out = []
     for w in fan.waves:
         if abs(w.strength) < WAVE_FLOOR:
             continue
         if w.kind == "shock":
             out.append(
-                Front(next(uid_iter), x, w.family, "shock", w.strength, w.speed,
+                Front(next(uid_iter), x, t, w.family, "shock", w.strength, w.speed,
                       w.left_state, w.right_state)
             )
         else:
             out.extend(_rarefaction_steps(model, w.family, w.left_state, w.strength,
-                                          x, cap, uid_iter))
+                                          x, t, cap, uid_iter))
     return out
 
 
-def _rarefaction_steps(model, family, u, strength, x, cap, uid_iter):
-    """A rarefaction of the given strength from u split into equal steps of
-    strength <= cap, each at the characteristic speed of its right state."""
+def _rarefaction_steps(model, family, u, strength, x, t, cap, uid_iter):
+    """A rarefaction of the given strength from u, born at (x, t), split into
+    equal steps of strength <= cap, each at the characteristic speed of its
+    right state."""
     m = max(1, int(np.ceil(strength / cap - 1e-12)))
     s_step = strength / m
     out = []
     for _ in range(m):
         u_next = lax_curve(model, family, u, s_step)
         sp = float(wave_speeds(model, u_next)[family - 1])
-        out.append(Front(next(uid_iter), x, family, "rarefaction_step", s_step, sp, u, u_next))
+        out.append(Front(next(uid_iter), x, t, family, "rarefaction_step", s_step, sp, u, u_next))
         u = u_next
     return out
 
@@ -183,7 +191,7 @@ def init_front_tracking(model, initial, epsilon_prime, rarefaction_cap):
     u = initial.values[0]
     for x, u_next in zip(initial.xs, initial.values[1:]):
         fan = solve_riemann(model, u, u_next)
-        fronts.extend(_fronts_from_fan(model, fan, float(x), rarefaction_cap, uid_iter))
+        fronts.extend(_fronts_from_fan(model, fan, float(x), 0.0, rarefaction_cap, uid_iter))
         if fronts:
             # re-anchor so consecutive fans chain exactly
             fronts[-1] = replace(fronts[-1], right_state=u_next)
@@ -197,14 +205,15 @@ def init_front_tracking(model, initial, epsilon_prime, rarefaction_cap):
 def next_interaction(config):
     """Earliest future pairwise crossing (ties grouped; leftmost first)."""
     fronts = config.fronts
+    xs = [f.x(config.time) for f in fronts]
     cands = []
     for i in range(len(fronts) - 1):
         a, b = fronts[i], fronts[i + 1]
         dv = a.speed - b.speed
         if dv <= 1e-14:
             continue
-        dt = max(0.0, (b.pos - a.pos)) / dv
-        cands.append((config.time + dt, a.pos + a.speed * dt, i))
+        dt = max(0.0, (xs[i + 1] - xs[i])) / dv
+        cands.append((config.time + dt, xs[i] + a.speed * dt, i))
     if not cands:
         return None
     tmin = min(c[0] for c in cands)
@@ -218,20 +227,20 @@ def next_interaction(config):
     # swallow same-position neighbours that would re-collide immediately
     while i0 > 0:
         f = fronts[i0 - 1]
-        if abs(f.pos + f.speed * (t_ev - config.time) - x_ev) <= POS_TOL and f.speed > fronts[i0].speed - 1e-14:
+        if abs(f.x(t_ev) - x_ev) <= POS_TOL and f.speed > fronts[i0].speed - 1e-14:
             i0 -= 1
         else:
             break
     while i1 < len(fronts) - 1:
         f = fronts[i1 + 1]
-        if abs(f.pos + f.speed * (t_ev - config.time) - x_ev) <= POS_TOL and f.speed < fronts[i1].speed + 1e-14:
+        if abs(f.x(t_ev) - x_ev) <= POS_TOL and f.speed < fronts[i1].speed + 1e-14:
             i1 += 1
         else:
             break
     return Event(time=t_ev, x=x_ev, indices=tuple(range(i0, i1 + 1)))
 
 
-def _simplified_outgoing(model, incoming, u_l, u_r, x, cap, uid_iter):
+def _simplified_outgoing(model, incoming, u_l, u_r, x, t, cap, uid_iter):
     """Pass-through solver: physical strengths preserved, residual goes NP."""
     phys = [f for f in incoming if f.physical]
     order = sorted(phys, key=lambda f: f.family)  # outgoing by family
@@ -247,26 +256,26 @@ def _simplified_outgoing(model, incoming, u_l, u_r, x, cap, uid_iter):
         if f.strength < 0:
             u_next = lax_curve(model, f.family, u, f.strength)
             sp = shock_speed(model, u, u_next)
-            out.append(Front(next(uid_iter), x, f.family, "shock", f.strength, sp, u, u_next))
+            out.append(Front(next(uid_iter), x, t, f.family, "shock", f.strength, sp, u, u_next))
         else:
-            out.extend(_rarefaction_steps(model, f.family, u, f.strength, x, cap, uid_iter))
+            out.extend(_rarefaction_steps(model, f.family, u, f.strength, x, t, cap, uid_iter))
             u_next = out[-1].right_state
         u = u_next
     if float(np.linalg.norm(u_r - u)) > NP_FLOOR:
-        out.append(_np_front(next(uid_iter), x, model, u, u_r))
+        out.append(_np_front(next(uid_iter), x, t, model, u, u_r))
     return out
 
 
 def resolve_interaction(model, config, event, simplified_threshold, uid_iter):
-    """Replace the interacting fronts by the outgoing pattern at event time;
-    new fronts draw their uids from uid_iter."""
+    """Replace the interacting fronts by the outgoing pattern born at the
+    event's (x, t); new fronts draw their uids from uid_iter, and the
+    untouched fronts are kept as they are."""
     cap = config.rarefaction_cap
-    adv = config.advanced(event.time)
-    fronts = adv.fronts
+    fronts = config.fronts
     i0, i1 = event.indices[0], event.indices[-1]
     incoming = fronts[i0 : i1 + 1]
     u_l, u_r = incoming[0].left_state, incoming[-1].right_state
-    x = event.x
+    x, t = event.x, event.time
 
     has_np = any(not f.physical for f in incoming)
     small = (
@@ -275,17 +284,17 @@ def resolve_interaction(model, config, event, simplified_threshold, uid_iter):
         and abs(incoming[0].strength * incoming[1].strength) < simplified_threshold
     )
     if has_np or small:
-        outgoing = _simplified_outgoing(model, incoming, u_l, u_r, x, cap, uid_iter)
+        outgoing = _simplified_outgoing(model, incoming, u_l, u_r, x, t, cap, uid_iter)
         solver = "simplified"
     else:
         fan = solve_riemann(model, u_l, u_r)
-        outgoing = _fronts_from_fan(model, fan, x, cap, uid_iter)
+        outgoing = _fronts_from_fan(model, fan, x, t, cap, uid_iter)
         if outgoing:
             outgoing[-1] = replace(outgoing[-1], right_state=u_r)
         solver = "accurate"
 
     new_fronts = fronts[:i0] + outgoing + fronts[i1 + 1 :]
-    return replace(adv, fronts=new_fronts), tuple(incoming), tuple(outgoing), solver
+    return replace(config, time=t, fronts=new_fronts), tuple(incoming), tuple(outgoing), solver
 
 
 def glimm_functionals(config):
@@ -359,6 +368,7 @@ def merge_cancelling_pairs(config):
     than POS_TOL are merged into a single jump (used before measure
     extraction, never for evolution)."""
     fronts = list(config.fronts)
+    t = config.time
     changed = True
     while changed:
         changed = False
@@ -368,27 +378,19 @@ def merge_cancelling_pairs(config):
                 a.physical and b.physical
                 and a.family == b.family
                 and a.strength * b.strength < 0
-                and abs(b.pos - a.pos) < POS_TOL
+                and abs(b.x(t) - a.x(t)) < POS_TOL
             ):
                 s = a.strength + b.strength
                 kind = "shock" if s < 0 else "rarefaction_step"
-                merged = Front(a.uid, a.pos, a.family, kind, s,
-                               0.5 * (a.speed + b.speed), a.left_state, b.right_state)
+                # keeps a's birth: measure extraction reads its position
+                # and age, never its speed
+                merged = replace(a, kind=kind, strength=s, right_state=b.right_state)
                 fronts[i : i + 2] = [] if abs(s) < 1e-14 and np.allclose(
                     a.left_state, b.right_state, atol=1e-12
                 ) else [merged]
                 changed = True
                 break
     return replace(config, fronts=fronts)
-
-
-def front_birth_times(run):
-    """uid -> creation time (0 for initial fronts, event time otherwise)."""
-    births = {f.uid: 0.0 for f in run.configs[0].fronts}
-    for ev in run.events:
-        for f in ev.outgoing:
-            births[f.uid] = ev.time
-    return births
 
 
 def write_run_log(run, path):

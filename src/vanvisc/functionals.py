@@ -64,34 +64,36 @@ def w_natural(x, x_alpha, epsilon):
 
 def q_flat(config, epsilon):
     """Sum over ordered pairs of different families of W_flat |sigma sigma'|."""
-    fronts = [f for f in config.fronts if f.physical]
+    fronts = [(f, f.x(config.time)) for f in config.fronts if f.physical]
     total = 0.0
-    for a in fronts:
-        for b in fronts:
+    for a, xa in fronts:
+        for b, xb in fronts:
             if a is b or a.family == b.family:
                 continue
-            total += w_flat(a.pos, a.family, b.pos, b.family, epsilon) * abs(
+            total += w_flat(xa, a.family, xb, b.family, epsilon) * abs(
                 a.strength * b.strength
             )
     return total
 
 
-def _natural_alpha(fronts, ai, epsilon):
+def _natural_alpha(fronts, ai, epsilon, t):
     """Integral of W_natural against the cut-off rarefaction accumulator of
-    the shock fronts[ai]; ties in position are resolved by list order.
+    the shock fronts[ai] at time t; ties in position are resolved by list
+    order.
 
     The accumulator grows away from x_alpha on the right and shrinks on the
     left; the left walk carries its negation, which is exact, so one walk
     serves both sides."""
     alpha = fronts[ai]
-    total = _natural_side(alpha, fronts[ai + 1 :], epsilon, 0.0)
-    return _natural_side(alpha, reversed(fronts[:ai]), epsilon, total)
+    total = _natural_side(alpha, fronts[ai + 1 :], epsilon, t, 0.0)
+    return _natural_side(alpha, reversed(fronts[:ai]), epsilon, t, total)
 
 
-def _natural_side(alpha, side, epsilon, total):
+def _natural_side(alpha, side, epsilon, t, total):
     """Add to total the rarefaction mass of side (fronts ordered away from
     alpha) below the cut-off |sigma_alpha|/4, weighted by W_natural."""
     cap = abs(alpha.strength) / 4.0
+    x_alpha = alpha.x(t)
     cum = 0.0
     for b in side:
         if not b.physical or b.family != alpha.family or b.kind != "rarefaction_step":
@@ -99,7 +101,7 @@ def _natural_side(alpha, side, epsilon, total):
         new = cum + b.strength
         mass = min(new, cap) - min(cum, cap)
         if mass > 0:
-            total += w_natural(b.pos, alpha.pos, epsilon) * mass
+            total += w_natural(b.x(t), x_alpha, epsilon) * mass
         cum = new
     return total
 
@@ -110,12 +112,13 @@ def q_natural(config, bs_uids, epsilon):
     total = 0.0
     for i, f in enumerate(fronts):
         if f.kind == "shock" and f.uid in bs_uids:
-            total += _natural_alpha(fronts, i, epsilon)
+            total += _natural_alpha(fronts, i, epsilon, config.time)
     return total
 
 
-def _sharp_alpha(fronts, ai, epsilon):
-    """|sigma_alpha| int W_nat W_sharp dz-tilde for the shock fronts[ai].
+def _sharp_alpha(fronts, ai, epsilon, t):
+    """|sigma_alpha| int W_nat W_sharp dz-tilde for the shock fronts[ai] at
+    time t.
 
     z accumulates |sigma| for same-family shocks and -3 sigma for
     same-family rarefactions moving away from x_alpha; the monotone envelope
@@ -125,17 +128,18 @@ def _sharp_alpha(fronts, ai, epsilon):
     is not counted.
     """
     alpha = fronts[ai]
-    total = _sharp_side(alpha, fronts[ai + 1 :], epsilon, 0.0)
-    total = _sharp_side(alpha, reversed(fronts[:ai]), epsilon, total)
+    total = _sharp_side(alpha, fronts[ai + 1 :], epsilon, t, 0.0)
+    total = _sharp_side(alpha, reversed(fronts[:ai]), epsilon, t, total)
     return abs(alpha.strength) * total
 
 
-def _sharp_side(alpha, side, epsilon, total):
+def _sharp_side(alpha, side, epsilon, t, total):
     """Add to total the W_sharp-weighted shock content of side (fronts
     ordered away from alpha).  z starts at |sigma_alpha|/2 and the envelope
     is its running max; on the left this is the negation of z, which starts
     at -|sigma_alpha|/2 under the running min."""
     z = runmax = abs(alpha.strength) / 2.0
+    x_alpha = alpha.x(t)
     for b in side:
         if not b.physical or b.family != alpha.family:
             continue
@@ -143,7 +147,7 @@ def _sharp_side(alpha, side, epsilon, total):
             z_new = z + abs(b.strength)
             mass = max(0.0, z_new - runmax)
             if mass > 0:
-                total += w_natural(b.pos, alpha.pos, epsilon) * mass / (epsilon + runmax)
+                total += w_natural(b.x(t), x_alpha, epsilon) * mass / (epsilon + runmax)
             z = z_new
             runmax = max(runmax, z_new)
         else:
@@ -157,7 +161,7 @@ def q_sharp(config, epsilon):
     total = 0.0
     for i, f in enumerate(fronts):
         if f.kind == "shock":
-            total += _sharp_alpha(fronts, i, epsilon)
+            total += _sharp_alpha(fronts, i, epsilon, config.time)
     return total
 
 
@@ -219,7 +223,7 @@ def audit_events(run, tracks, epsilon, constants=FunctionalConstants(), rho=None
     report = AuditReport(epsilon=epsilon, rho=rho, constants=constants)
     for ev in run.events:
         k = ev.index
-        before = run.configs[k].advanced(ev.time)
+        before = run.configs[k].at(ev.time)
         after = run.configs[k + 1]
         bs_b = big_shock_uids(tracks, k)
         bs_a = big_shock_uids(tracks, k + 1)
@@ -279,14 +283,14 @@ def flat_decay_rate(config, epsilon):
     over ordered different-family pairs within 2 sqrt(eps) of
     |sigma sigma'| |dx/dt difference| / (4 sqrt(eps))."""
     r = SQRT(epsilon)
-    fronts = [f for f in config.fronts if f.physical]
+    fronts = [(f, f.x(config.time)) for f in config.fronts if f.physical]
     rate = 0.0
     pair_sum = 0.0
-    for i, a in enumerate(fronts):
-        for b in fronts[i + 1 :]:
+    for i, (a, xa) in enumerate(fronts):
+        for b, xb in fronts[i + 1 :]:
             if a.family == b.family:
                 continue
-            if abs(b.pos - a.pos) >= 2 * r:
+            if abs(xb - xa) >= 2 * r:
                 continue
             rate -= 2.0 * abs(a.strength * b.strength) * abs(a.speed - b.speed) / (4 * r)
             pair_sum += 2.0 * abs(a.strength * b.strength)
@@ -312,9 +316,9 @@ def interaction_decay_rates(run, tracks, epsilon):
         tm = 0.5 * (t0 + t1)
         h = max((t1 - t0) / 64.0, 1e-12)
         bs = big_shock_uids(tracks, k)
-        c_m = cfg.advanced(tm)
-        c_p = cfg.advanced(tm + h)
-        c_q = cfg.advanced(tm - h)
+        c_m = cfg.at(tm)
+        c_p = cfg.at(tm + h)
+        c_q = cfg.at(tm - h)
         rate_flat, flat_pairs = flat_decay_rate(c_m, epsilon)
         fd_flat = (q_flat(c_p, epsilon) - q_flat(c_q, epsilon)) / (2 * h)
         fd_nat = (q_natural(c_p, bs, epsilon) - q_natural(c_q, bs, epsilon)) / (2 * h)
@@ -323,10 +327,10 @@ def interaction_decay_rates(run, tracks, epsilon):
         nat_pairs = 0.0
         sharp_pairs = 0.0
         cross_pairs = 0.0
-        fronts = [f for f in c_m.fronts if f.physical]
-        for i, a in enumerate(fronts):
-            for j, b in enumerate(fronts):
-                if i == j or abs(b.pos - a.pos) > 2 * r:
+        fronts = [(f, f.x(tm)) for f in c_m.fronts if f.physical]
+        for i, (a, xa) in enumerate(fronts):
+            for j, (b, xb) in enumerate(fronts):
+                if i == j or abs(xb - xa) > 2 * r:
                     continue
                 if a.family != b.family:
                     cross_pairs += abs(a.strength * b.strength)

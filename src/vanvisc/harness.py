@@ -14,7 +14,6 @@ import math
 import operator
 import os
 import sys
-import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -42,12 +41,10 @@ class ExperimentConfig:
     tv: float = 0.3
     tau: float = 1.0
     epsilon_list: tuple = (4e-3, 2e-3, 1e-3, 5e-4, 2.5e-4)
-    delta_rule: str = "sqrt_eps"
     rho_rule: str = "4*sqrt_eps*abs_ln_eps"
     dx_rule: str = "eps/8"
     # rarefaction steps at the maximal small-wave scale (half the rho scale)
     cap_rule: str = "sqrt_eps*abs_ln_eps/2"
-    simplified_threshold: float = None   # default: epsilon_prime
     workers: int = 1
     delta_list: tuple = (0.1, 0.05, 0.02, 0.01, 0.005)
     c1: float = 1e5
@@ -64,7 +61,7 @@ class ExperimentConfig:
         if self.tau <= 0:
             raise ValueError("tau must be positive")
         for e in eps:
-            for rule in (self.delta_rule, self.rho_rule, self.dx_rule, self.cap_rule):
+            for rule in (self.rho_rule, self.dx_rule, self.cap_rule):
                 eval_rule(rule, e)
         # an unknown system or scenario, or a bad model parameter, fails
         # here; the model is not kept, since workers > 1 pickles the config
@@ -250,9 +247,7 @@ def _track(cfg, model, data, scale, eps_prime):
     by cfg.cap_rule at the given length scale."""
     cap = eval_rule(cfg.cap_rule, scale)
     return run_until(model, init_front_tracking(model, data, eps_prime, cap),
-                     cfg.tau, epsilon_prime=eps_prime,
-                     simplified_threshold=cfg.simplified_threshold,
-                     max_events=cfg.max_events)
+                     cfg.tau, epsilon_prime=eps_prime, max_events=cfg.max_events)
 
 
 def hybrid_vs_profile_l1(hyb, run, t):
@@ -269,7 +264,7 @@ def hybrid_vs_profile_l1(hyb, run, t):
     edges = [np.arange(lo, hi + delta / 40.0, delta / 40.0), prof.xs]
     r = np.sqrt(eps)
     for _, front, _ in st.tracks:
-        xa = st.track_x(front, t)
+        xa = front.x(t)
         edges.append(np.arange(xa - 1.2 * r, xa + 1.2 * r, eps / 8.0))
     e = np.unique(np.concatenate(edges))
     e = e[(e >= lo) & (e <= hi)]
@@ -281,7 +276,6 @@ def hybrid_vs_profile_l1(hyb, run, t):
 def converge_row(cfg, eps):
     """One epsilon row of the convergence experiment."""
     model, data = cfg.model_and_data()
-    delta = eval_rule(cfg.delta_rule, eps)
     rho = eval_rule(cfg.rho_rule, eps)
     dx = eval_rule(cfg.dx_rule, eps)
     ln_eps = abs(math.log(eps))
@@ -295,7 +289,7 @@ def converge_row(cfg, eps):
     l1_err = l1_distance_to_grid(u_tau, sol.x, sol.final())
 
     tracks = select_big_shocks(run, rho)
-    hyb = build_hybrid(run, tracks, eps, delta=delta)
+    hyb = build_hybrid(run, tracks, eps)
     res = residual(hyb)
     js = jump_sum(run, tracks, hyb)
     e0 = hybrid_vs_profile_l1(hyb, run, 0.0)
@@ -423,8 +417,8 @@ def main(argv=None):
             return 2 if violated else 0
         decay_report_cmd(cfg, args.out)
         return 0
-    except (VanviscError, ValueError, ArithmeticError, np.linalg.LinAlgError):
-        traceback.print_exc()
+    except (VanviscError, ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+        print(f"vanvisc: {args.command} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -248,7 +248,7 @@ def select_big_shocks(run, rho):
                     first=first, fronts=fronts,
                 ))
             j = k + 1
-    tracks.sort(key=lambda tr: (tr.first, tr.fronts[0].pos))
+    tracks.sort(key=lambda tr: (tr.first, tr.fronts[0].x(tr.t_minus)))
     for i, tr in enumerate(tracks):
         tr.id = i
     return tracks
@@ -282,18 +282,16 @@ class HybridStrip:
         self.delta = delta
         self.mol = Mollifier(delta)
         self.u_left = config.left_state
-        self.xs0 = np.array([f.pos for f in config.fronts])
+        self.x0s = np.array([f.x0 for f in config.fronts])
+        self.t0s = np.array([f.t0 for f in config.fronts])
         self.speeds = np.array([f.speed for f in config.fronts])
         prof = config.profile()
-        self.jumps = prof.jumps() if self.xs0.size else np.zeros((0, model.n))
+        self.jumps = prof.jumps() if self.x0s.size else np.zeros((0, model.n))
         self.tracks = tracks
 
     def front_positions(self, t):
-        return self.xs0 + (t - self.t0) * self.speeds
-
-    def track_x(self, front, t):
-        """Position at time t of a front of the strip's configuration."""
-        return front.pos + (t - self.t0) * front.speed
+        """Front.x of every front at time t, elementwise."""
+        return self.x0s + (t - self.t0s) * self.speeds
 
     def _mollified(self, t, x):
         xs = self.front_positions(t)
@@ -316,7 +314,7 @@ class HybridStrip:
         """omega-tilde minus rho for one track's front, with derivatives."""
         eps = self.epsilon
         r = np.sqrt(eps)
-        xi = x - self.track_x(front, t)
+        xi = x - front.x(t)
         du = front.right_state - front.left_state
         n = self.model.n
         v = np.zeros((x.size, n))
@@ -382,10 +380,10 @@ class HybridApprox:
         return self.strip_at(t).value(t, np.atleast_1d(x))
 
 
-def build_hybrid(run, tracks, epsilon, delta=None):
-    """Assemble the per-strip hybrid approximation of a front-tracking run."""
-    if delta is None:
-        delta = np.sqrt(epsilon)
+def build_hybrid(run, tracks, epsilon):
+    """Assemble the per-strip hybrid approximation of a front-tracking run,
+    mollified at width sqrt(eps)."""
+    delta = np.sqrt(epsilon)
     profiles = ProfileCache(run.model)
     t_edges = run.t_edges
     strips = []
@@ -399,8 +397,8 @@ def build_hybrid(run, tracks, epsilon, delta=None):
         st = HybridStrip(run.model, cfg, t0, t1, slices, epsilon, delta)
         for i, (ia, a, _) in enumerate(slices):
             for ib, b, _ in slices[i + 1 :]:
-                gap0 = abs(st.track_x(a, t0) - st.track_x(b, t0))
-                gap1 = abs(st.track_x(a, t1) - st.track_x(b, t1))
+                gap0 = abs(a.x(t0) - b.x(t0))
+                gap1 = abs(a.x(t1) - b.x(t1))
                 if min(gap0, gap1) < 2 * delta and a.family != b.family:
                     raise OverlappingTracks(
                         f"tracks {ia}, {ib} of different families overlap"
@@ -427,7 +425,7 @@ def _strip_grid(strip, t, refine):
     edges = [np.arange(lo, hi + dx_far, dx_far)]
     r = np.sqrt(eps)
     for _, front, _ in strip.tracks:
-        xa = strip.track_x(front, t)
+        xa = front.x(t)
         edges.append(np.arange(xa - 1.1 * r, xa + 1.1 * r + dx_near, dx_near))
     e = np.unique(np.concatenate(edges))
     e = e[(e >= lo) & (e <= hi)]
@@ -465,7 +463,7 @@ def residual(hyb, check=False):
                 total += wt * float(r @ h)
                 near_any = np.zeros(mid.size, dtype=bool)
                 for tid, front, _ in st.tracks:
-                    near = np.abs(mid - st.track_x(front, t)) <= np.sqrt(epsilon)
+                    near = np.abs(mid - front.x(t)) <= np.sqrt(epsilon)
                     near_any |= near
                     per_track[tid] = per_track.get(tid, 0.0) + wt * float(
                         r[near] @ h[near]
@@ -534,9 +532,9 @@ def jump_sum(run, tracks, hyb):
         # the jump is supported near the event and near any touched track
         centers = [ev.x]
         for tr in tracks:
-            for st, front in ((before, tr.front(k)), (after, tr.front(k + 1))):
+            for front in (tr.front(k), tr.front(k + 1)):
                 if front is not None:
-                    centers.append(st.track_x(front, ev.time))
+                    centers.append(front.x(ev.time))
         lo = min(centers) - 2.0 * delta
         hi = max(centers) + 2.0 * delta
         grid = np.arange(lo, hi + dx, dx)

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NegativeMass, NonMonotoneHistory, NotMonotone
-from .front_tracking import front_birth_times, merge_cancelling_pairs
+from .front_tracking import merge_cancelling_pairs
 from .riemann import solve_riemann
 from .system import wave_speeds
 
@@ -428,18 +428,18 @@ def spread_positive_waves(run, t, family):
     more singular than any Lipschitz comparison profile.  A step born at t
     itself (age below 1e-12) stays an atom.
     """
-    births = front_birth_times(run)
     cfg = merge_cancelling_pairs(run.config_at(t))
     atoms = []
     pieces = []
     for f in cfg.fronts:
         if not f.physical or f.family != family or f.strength <= 0:
             continue
-        age = t - births.get(f.uid, 0.0)
+        age = t - f.t0
+        x = f.x(t)
         if age <= 1e-12:
-            atoms.append((f.pos, f.strength))
+            atoms.append((x, f.strength))
         else:
-            pieces.append((f.pos - f.strength * age, f.pos, 1.0 / age))
+            pieces.append((x - f.strength * age, x, 1.0 / age))
     return _with_step_density(WaveMeasure.from_atoms(atoms), pieces)
 
 
@@ -461,11 +461,11 @@ def pair_interaction_integral(run, delta):
         t0, t1 = t_edges[k], t_edges[k + 1]
         if t1 - t0 <= 0:
             continue
-        cfg = run.configs[k].advanced(t0)
-        fronts = [f for f in cfg.fronts if f.physical and f.kind == "rarefaction_step"]
+        fronts = [f for f in run.configs[k].fronts
+                  if f.physical and f.kind == "rarefaction_step"]
         if not fronts:
             continue
-        x = np.array([f.pos for f in fronts])
+        x = np.array([f.x(t0) for f in fronts])
         v = np.array([f.speed for f in fronts])
         s = np.array([abs(f.strength) for f in fronts])
         fam = np.array([f.family for f in fronts])

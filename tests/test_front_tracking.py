@@ -3,9 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vanvisc.errors import EventBudgetExceeded, InvalidConfiguration, OutOfRange
-from vanvisc.front_tracking import (FrontConfiguration, glimm_functionals, init_front_tracking,
+from vanvisc.front_tracking import (POS_TOL, FrontConfiguration, glimm_functionals,
+                                    init_front_tracking,
                                     merge_cancelling_pairs, next_interaction,
                                     resolve_interaction, run_until, sample_profile)
 from vanvisc.harness import scenario_data
@@ -49,7 +52,7 @@ def test_validate_raises_on_broken_configuration():
     swapped = replace(cfg, fronts=cfg.fronts[::-1])
     with pytest.raises(InvalidConfiguration, match="inconsistent adjacent states"):
         swapped.validate()
-    crossed = replace(cfg, fronts=[cfg.fronts[0], replace(cfg.fronts[1], pos=-1.0)])
+    crossed = replace(cfg, fronts=[cfg.fronts[0], replace(cfg.fronts[1], x0=-1.0)])
     with pytest.raises(InvalidConfiguration, match="left of its neighbour"):
         crossed.validate()
 
@@ -212,8 +215,8 @@ def test_event_budget():
 def test_merge_cancelling_pairs():
     from vanvisc.front_tracking import Front
 
-    a = Front(0, 0.0, 1, "shock", -0.3, 0.0, np.array([0.15]), np.array([-0.15]))
-    b = Front(1, 0.0, 1, "rarefaction_step", 0.1, -0.1, np.array([-0.15]), np.array([-0.05]))
+    a = Front(0, 0.0, 0.0, 1, "shock", -0.3, 0.0, np.array([0.15]), np.array([-0.15]))
+    b = Front(1, 0.0, 0.0, 1, "rarefaction_step", 0.1, -0.1, np.array([-0.15]), np.array([-0.05]))
     cfg = FrontConfiguration(time=0.0, fronts=[a, b], left_state=np.array([0.15]),
                              rarefaction_cap=0.25)
     merged = merge_cancelling_pairs(cfg)
@@ -244,3 +247,24 @@ def test_interaction_fan_split_at_the_configured_cap():
     assert len(ev.outgoing) == 1
     assert ev.outgoing[0].kind == "rarefaction_step"
     assert ev.outgoing[0].strength == pytest.approx(0.2, abs=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(["burgers", "p_system"]), st.integers(0, 10 ** 6))
+def test_configurations_share_fronts_born_at_their_events(system, seed):
+    # a front is made once, at its birth: configurations share the fronts
+    # an event leaves untouched, each outgoing front is born at the event,
+    # and each incoming front reaches the event along Front.x
+    model = B if system == "burgers" else P
+    data = scenario_data(model, "random_bv", seed=seed, n_jumps=10 if model is B else 8,
+                         tv=0.3)
+    run = run_until(model, init_front_tracking(model, data, 1e-6, 0.05), 1.5,
+                    epsilon_prime=1e-6, simplified_threshold=1e-8)
+    for c in run.configs:
+        assert c.validate()
+    distinct = {id(f) for c in run.configs for f in c.fronts}
+    assert len(distinct) == len(run.configs[0].fronts) + sum(
+        len(ev.outgoing) for ev in run.events)
+    for ev in run.events:
+        assert all((f.x0, f.t0) == (ev.x, ev.time) for f in ev.outgoing)
+        assert all(abs(f.x(ev.time) - ev.x) <= POS_TOL for f in ev.incoming)

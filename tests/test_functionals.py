@@ -21,11 +21,11 @@ R = np.sqrt(EPS)
 
 
 def shock(uid, pos, fam, s, speed=0.0):
-    return Front(uid, pos, fam, "shock", s, speed, np.zeros(1), np.zeros(1))
+    return Front(uid, pos, 0.0, fam, "shock", s, speed, np.zeros(1), np.zeros(1))
 
 
 def raref(uid, pos, fam, s, speed=0.0):
-    return Front(uid, pos, fam, "rarefaction_step", s, speed, np.zeros(1), np.zeros(1))
+    return Front(uid, pos, 0.0, fam, "rarefaction_step", s, speed, np.zeros(1), np.zeros(1))
 
 
 def config(fronts):
@@ -201,7 +201,7 @@ def test_q_flat_nonincreasing_between_events():
         if t1 - t0 < 1e-9:
             continue
         ts = np.linspace(t0 + 1e-9, t1 - 1e-9, 5)
-        vals_q = [q_flat(c.advanced(t), EPS) for t in ts]
+        vals_q = [q_flat(c.at(t), EPS) for t in ts]
         assert all(b <= a + 1e-12 for a, b in zip(vals_q[:-1], vals_q[1:]))
 
 
@@ -235,7 +235,7 @@ def _natural_alpha_two_walks(fronts, ai, epsilon):
         new = cum + b.strength
         mass = min(new, cap) - min(cum, cap)
         if mass > 0:
-            total += w_natural(b.pos, alpha.pos, epsilon) * mass
+            total += w_natural(b.x0, alpha.x0, epsilon) * mass
         cum = new
     cum = 0.0
     for b in reversed(fronts[:ai]):
@@ -244,7 +244,7 @@ def _natural_alpha_two_walks(fronts, ai, epsilon):
         new = cum - b.strength
         mass = max(cum, -cap) - max(new, -cap)
         if mass > 0:
-            total += w_natural(b.pos, alpha.pos, epsilon) * mass
+            total += w_natural(b.x0, alpha.x0, epsilon) * mass
         cum = new
     return total
 
@@ -262,7 +262,7 @@ def _sharp_alpha_two_walks(fronts, ai, epsilon):
             z_new = z + abs(b.strength)
             mass = max(0.0, z_new - runmax)
             if mass > 0:
-                total += w_natural(b.pos, alpha.pos, epsilon) * mass / (epsilon + runmax)
+                total += w_natural(b.x0, alpha.x0, epsilon) * mass / (epsilon + runmax)
             z = z_new
             runmax = max(runmax, z_new)
         else:
@@ -276,7 +276,7 @@ def _sharp_alpha_two_walks(fronts, ai, epsilon):
             z_new = z - abs(b.strength)
             mass = max(0.0, runmin - z_new)
             if mass > 0:
-                total += w_natural(b.pos, alpha.pos, epsilon) * mass / (epsilon - runmin)
+                total += w_natural(b.x0, alpha.x0, epsilon) * mass / (epsilon - runmin)
             z = z_new
             runmin = min(runmin, z_new)
         else:
@@ -305,13 +305,13 @@ def test_one_sided_walks_match_two_walks(specs, eps):
             kind, strength = "non_physical", size
         else:
             kind, strength = ("shock", -size) if is_shock else ("rarefaction_step", size)
-        fronts.append(Front(uid, pos * r, fam, kind, strength, 0.0,
+        fronts.append(Front(uid, pos * r, 0.0, fam, kind, strength, 0.0,
                             np.zeros(2), np.zeros(2)))
     for i, a in enumerate(fronts):
         if a.kind == "shock":
-            assert _natural_alpha(fronts, i, eps) == _natural_alpha_two_walks(fronts, i, eps)
-            assert _sharp_alpha(fronts, i, eps) == _sharp_alpha_two_walks(fronts, i, eps)
+            assert _natural_alpha(fronts, i, eps, 0.0) == _natural_alpha_two_walks(fronts, i, eps)
+            assert _sharp_alpha(fronts, i, eps, 0.0) == _sharp_alpha_two_walks(fronts, i, eps)
         for b in fronts:
             if a.physical and b.physical:
-                assert (w_flat(a.pos, a.family, b.pos, b.family, eps)
-                        == _w_flat_two_branches(a.pos, a.family, b.pos, b.family, eps))
+                assert (w_flat(a.x0, a.family, b.x0, b.family, eps)
+                        == _w_flat_two_branches(a.x0, a.family, b.x0, b.family, eps))

@@ -160,6 +160,8 @@ def test_cli_exit_codes(tmp_path, capsys):
                        ("foo = 1\n", "foo"),
                        ("kappa = 10\n", "kappa"),
                        ("c0 = 4\n", "c0"),
+                       ("delta_rule = sqrt_eps\n", "delta_rule"),
+                       ("simplified_threshold = 1e-8\n", "simplified_threshold"),
                        ("rho_rule = (1).__class__\n", "__class__"),
                        ("dx_rule = eps/\n", "parse"),
                        ("tau = abc\n", "tau")):
@@ -195,6 +197,20 @@ def test_cli_exit_codes(tmp_path, capsys):
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and word in err
             assert not (tmp_path / cmd).exists()
+
+
+def test_cli_numeric_failure_is_one_line(tmp_path, capsys):
+    # a numeric failure inside a command is one stderr line naming the
+    # exception class, not a traceback, and the command writes no output
+    cfgf = tmp_path / "budget.cfg"
+    cfgf.write_text("scenario = merge_cancellation\nepsilon_list = 4e-3\nmax_events = 1\n")
+    for cmd in ("converge", "functionals"):
+        out = tmp_path / cmd
+        assert main([cmd, "--config", str(cfgf), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"vanvisc: {cmd} failed: EventBudgetExceeded: ")
+        assert not out.exists()
 
 
 def test_cli_exit_code_on_monotonicity_violation(tmp_path):

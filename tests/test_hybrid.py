@@ -349,7 +349,7 @@ def _ref_select(run, rho):
                 t1 = t_edges[k + 1]
             if t1 <= t0 or (segs and t0 < segs[-1].t1 - 1e-14):
                 continue
-            segs.append(_RefSegment(t0, t1, uid, f.pos, f.speed, f.strength))
+            segs.append(_RefSegment(t0, t1, uid, f.x(t0), f.speed, f.strength))
             big_merge.append(sum(1 for p in parents if p >= rho / 2.0) >= 2)
         j = 0
         while j < len(segs):
@@ -438,7 +438,7 @@ def test_index_lookups_match_time_and_side_reference():
                     assert (front is None) == (seg is None)
                     if front is not None:
                         assert (front.uid, front.strength) == (seg.uid, seg.sigma)
-                        x = front.pos + (t - run.configs[kk].time) * front.speed
+                        x = front.x(t)
                         assert x == pytest.approx(seg.x0 + (t - seg.t0) * seg.speed,
                                                   rel=1e-13, abs=1e-13)
             assert big_shock_uids(tracks, k) == _ref_uids(ref, t, "-")

@@ -1,7 +1,8 @@
 """Static checks on the package source: every imported name is used, every
 function parameter is read, every dataclass field is read somewhere, every
-optional parameter is set by some caller outside the tests, and every
-public function and method has a caller outside the tests.
+optional parameter is set by some caller outside the tests, every public
+function and method has a caller outside the tests, and README's config-key
+table lists exactly the ExperimentConfig fields.
 
 Lambdas and parameters whose names start with "_" are exempt from the
 parameter check.  UNREAD_PARAMETERS and TEST_ONLY_OPTIONS list the known
@@ -13,6 +14,7 @@ stay exact.
 import ast
 import math
 import pathlib
+import re
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "vanvisc"
@@ -247,3 +249,23 @@ def test_every_option_is_set_outside_the_tests():
 
 def test_every_public_function_is_called_outside_the_tests():
     assert uncalled_functions() == set(TEST_ONLY_FUNCTIONS)
+
+
+def config_fields():
+    """The field names of harness.ExperimentConfig."""
+    tree = ast.parse((SRC / "harness.py").read_text())
+    cls = next(n for n in ast.walk(tree)
+               if isinstance(n, ast.ClassDef) and n.name == "ExperimentConfig")
+    return {st.target.id for st in cls.body if isinstance(st, ast.AnnAssign)}
+
+
+def readme_config_keys():
+    """The keys in the first cells of README's `| key | meaning |` table."""
+    text = (ROOT / "README.md").read_text()
+    table = text.split("| key | meaning |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    cells = [row.split("|")[1] for row in table.splitlines()]
+    return {key for cell in cells for key in re.findall(r"\w+", cell)}
+
+
+def test_readme_config_table_lists_every_config_key():
+    assert readme_config_keys() == config_fields()
