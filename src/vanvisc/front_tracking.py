@@ -12,7 +12,6 @@ every characteristic speed.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, replace
 
@@ -32,10 +31,10 @@ WAVE_FLOOR = 1e-10
 NP_FLOOR = 1e-13
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Front:
-    """A front from its birth at (x0, t0) on; configurations share it."""
-    uid: int
+    """A front from its birth at (x0, t0) on; configurations share it, and
+    the object itself is its identity (fronts compare and hash by object)."""
     x0: float
     t0: float
     family: int          # 1..n physical, n+1 for non-physical fronts
@@ -76,12 +75,12 @@ class FrontConfiguration:
     def validate(self, atol=1e-9):
         prev = self.left_state
         prev_x = -np.inf
-        for f in self.fronts:
+        for i, f in enumerate(self.fronts):
             x = f.x(self.time)
             if x < prev_x - POS_TOL:
-                raise InvalidConfiguration(f"front {f.uid} at {x} left of its neighbour")
+                raise InvalidConfiguration(f"front {i} at {x} left of its neighbour")
             if not np.allclose(f.left_state, prev, atol=atol):
-                raise InvalidConfiguration(f"front {f.uid}: inconsistent adjacent states")
+                raise InvalidConfiguration(f"front {i}: inconsistent adjacent states")
             prev, prev_x = f.right_state, x
         return True
 
@@ -135,9 +134,8 @@ def lambda_hat(model):
     return model.max_speed + 1.0
 
 
-def _np_front(uid, x, t, model, u_l, u_r):
+def _np_front(x, t, model, u_l, u_r):
     return Front(
-        uid=uid,
         x0=x,
         t0=t,
         family=model.n + 1,
@@ -149,7 +147,7 @@ def _np_front(uid, x, t, model, u_l, u_r):
     )
 
 
-def _fronts_from_fan(model, fan, x, t, cap, uid_iter):
+def _fronts_from_fan(model, fan, x, t, cap):
     """Fan waves to fronts born at (x, t); rarefactions split into steps of
     strength <= cap."""
     out = []
@@ -158,16 +156,16 @@ def _fronts_from_fan(model, fan, x, t, cap, uid_iter):
             continue
         if w.kind == "shock":
             out.append(
-                Front(next(uid_iter), x, t, w.family, "shock", w.strength, w.speed,
+                Front(x, t, w.family, "shock", w.strength, w.speed,
                       w.left_state, w.right_state)
             )
         else:
             out.extend(_rarefaction_steps(model, w.family, w.left_state, w.strength,
-                                          x, t, cap, uid_iter))
+                                          x, t, cap))
     return out
 
 
-def _rarefaction_steps(model, family, u, strength, x, t, cap, uid_iter):
+def _rarefaction_steps(model, family, u, strength, x, t, cap):
     """A rarefaction of the given strength from u, born at (x, t), split into
     equal steps of strength <= cap, each at the characteristic speed of its
     right state."""
@@ -177,7 +175,7 @@ def _rarefaction_steps(model, family, u, strength, x, t, cap, uid_iter):
     for _ in range(m):
         u_next = lax_curve(model, family, u, s_step)
         sp = float(wave_speeds(model, u_next)[family - 1])
-        out.append(Front(next(uid_iter), x, t, family, "rarefaction_step", s_step, sp, u, u_next))
+        out.append(Front(x, t, family, "rarefaction_step", s_step, sp, u, u_next))
         u = u_next
     return out
 
@@ -186,12 +184,11 @@ def init_front_tracking(model, initial, epsilon_prime, rarefaction_cap):
     """Resolve every jump of the piecewise-constant data into its wave fan;
     rarefaction_cap bounds every rarefaction step of the run, here and at
     each later interaction."""
-    uid_iter = itertools.count()
     fronts = []
     u = initial.values[0]
     for x, u_next in zip(initial.xs, initial.values[1:]):
         fan = solve_riemann(model, u, u_next)
-        fronts.extend(_fronts_from_fan(model, fan, float(x), 0.0, rarefaction_cap, uid_iter))
+        fronts.extend(_fronts_from_fan(model, fan, float(x), 0.0, rarefaction_cap))
         if fronts:
             # re-anchor so consecutive fans chain exactly
             fronts[-1] = replace(fronts[-1], right_state=u_next)
@@ -240,7 +237,7 @@ def next_interaction(config):
     return Event(time=t_ev, x=x_ev, indices=tuple(range(i0, i1 + 1)))
 
 
-def _simplified_outgoing(model, incoming, u_l, u_r, x, t, cap, uid_iter):
+def _simplified_outgoing(model, incoming, u_l, u_r, x, t, cap):
     """Pass-through solver: physical strengths preserved, residual goes NP."""
     phys = [f for f in incoming if f.physical]
     order = sorted(phys, key=lambda f: f.family)  # outgoing by family
@@ -256,20 +253,19 @@ def _simplified_outgoing(model, incoming, u_l, u_r, x, t, cap, uid_iter):
         if f.strength < 0:
             u_next = lax_curve(model, f.family, u, f.strength)
             sp = shock_speed(model, u, u_next)
-            out.append(Front(next(uid_iter), x, t, f.family, "shock", f.strength, sp, u, u_next))
+            out.append(Front(x, t, f.family, "shock", f.strength, sp, u, u_next))
         else:
-            out.extend(_rarefaction_steps(model, f.family, u, f.strength, x, t, cap, uid_iter))
+            out.extend(_rarefaction_steps(model, f.family, u, f.strength, x, t, cap))
             u_next = out[-1].right_state
         u = u_next
     if float(np.linalg.norm(u_r - u)) > NP_FLOOR:
-        out.append(_np_front(next(uid_iter), x, t, model, u, u_r))
+        out.append(_np_front(x, t, model, u, u_r))
     return out
 
 
-def resolve_interaction(model, config, event, simplified_threshold, uid_iter):
+def resolve_interaction(model, config, event, simplified_threshold):
     """Replace the interacting fronts by the outgoing pattern born at the
-    event's (x, t); new fronts draw their uids from uid_iter, and the
-    untouched fronts are kept as they are."""
+    event's (x, t); the untouched fronts are kept as the same objects."""
     cap = config.rarefaction_cap
     fronts = config.fronts
     i0, i1 = event.indices[0], event.indices[-1]
@@ -284,11 +280,11 @@ def resolve_interaction(model, config, event, simplified_threshold, uid_iter):
         and abs(incoming[0].strength * incoming[1].strength) < simplified_threshold
     )
     if has_np or small:
-        outgoing = _simplified_outgoing(model, incoming, u_l, u_r, x, t, cap, uid_iter)
+        outgoing = _simplified_outgoing(model, incoming, u_l, u_r, x, t, cap)
         solver = "simplified"
     else:
         fan = solve_riemann(model, u_l, u_r)
-        outgoing = _fronts_from_fan(model, fan, x, t, cap, uid_iter)
+        outgoing = _fronts_from_fan(model, fan, x, t, cap)
         if outgoing:
             outgoing[-1] = replace(outgoing[-1], right_state=u_r)
         solver = "accurate"
@@ -328,7 +324,6 @@ def run_until(model, config, tau, epsilon_prime=1e-9, simplified_threshold=None,
     (default epsilon_prime) take the simplified solver."""
     if simplified_threshold is None:
         simplified_threshold = epsilon_prime
-    uid_iter = itertools.count(max((f.uid for f in config.fronts), default=-1) + 1)
 
     configs = [config]
     times, events = [], []
@@ -344,7 +339,7 @@ def run_until(model, config, tau, epsilon_prime=1e-9, simplified_threshold=None,
         if n_ev > max_events:
             raise EventBudgetExceeded(f"more than {max_events} interactions before t={tau}")
         cur, incoming, outgoing, solver = resolve_interaction(
-            model, cur, ev, simplified_threshold, uid_iter)
+            model, cur, ev, simplified_threshold)
         V1, Q1 = glimm_functionals(cur)
         events.append(
             EventRecord(index=n_ev - 1, time=ev.time, x=ev.x, incoming=incoming,

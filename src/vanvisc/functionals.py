@@ -106,12 +106,13 @@ def _natural_side(alpha, side, epsilon, t, total):
     return total
 
 
-def q_natural(config, bs_uids, epsilon):
-    """Sum of the cut-off rarefaction potentials over the big shocks."""
+def q_natural(config, bs, epsilon):
+    """Sum of the cut-off rarefaction potentials over the big shocks, the
+    fronts in the set bs."""
     fronts = list(config.fronts)
     total = 0.0
     for i, f in enumerate(fronts):
-        if f.kind == "shock" and f.uid in bs_uids:
+        if f.kind == "shock" and f in bs:
             total += _natural_alpha(fronts, i, epsilon, config.time)
     return total
 
@@ -165,14 +166,14 @@ def q_sharp(config, epsilon):
     return total
 
 
-def big_shock_uids(tracks, k):
-    """uids of the big-shock fronts in the run's configs[k]."""
-    return {f.uid for f in (tr.front(k) for tr in tracks) if f is not None}
+def big_shock_fronts(tracks, k):
+    """The big-shock fronts in the run's configs[k]."""
+    return {f for f in (tr.front(k) for tr in tracks) if f is not None}
 
 
 def q_hat(config, bs, epsilon, constants=FunctionalConstants()):
     """Composite functional snapshot at the configuration's time; bs is the
-    set of big-shock uids."""
+    set of big-shock fronts."""
     V, Q = glimm_functionals(config)
     ups = V + GLIMM_C0 * Q
     qf = q_flat(config, epsilon)
@@ -225,8 +226,8 @@ def audit_events(run, tracks, epsilon, constants=FunctionalConstants(), rho=None
         k = ev.index
         before = run.configs[k].at(ev.time)
         after = run.configs[k + 1]
-        bs_b = big_shock_uids(tracks, k)
-        bs_a = big_shock_uids(tracks, k + 1)
+        bs_b = big_shock_fronts(tracks, k)
+        bs_a = big_shock_fronts(tracks, k + 1)
         sb = q_hat(before, bs_b, epsilon, constants)
         sa = q_hat(after, bs_a, epsilon, constants)
         d_qhat = sa.q_hat - sb.q_hat
@@ -249,8 +250,8 @@ def audit_events(run, tracks, epsilon, constants=FunctionalConstants(), rho=None
             # increase attributable to the creation itself: the only part of
             # the composite functional that depends on the big-shock set is
             # the shock-rarefaction potential
-            born_uids = {tr.fronts[0].uid for tr in born}
-            qn_without = q_natural(after, bs_a - born_uids, epsilon)
+            born_fronts = {tr.fronts[0] for tr in born}
+            qn_without = q_natural(after, bs_a - born_fronts, epsilon)
             surcharge = r * ln * constants.c3 * (sa.q_natural - qn_without)
             report.creation_ratios.append(
                 {"t": ev.time, "sigma": sigma,
@@ -261,9 +262,7 @@ def audit_events(run, tracks, epsilon, constants=FunctionalConstants(), rho=None
             if d_qhat > 1e-10:
                 report.violations.append(record)
         if case == "merge":
-            incoming_uids = {f.uid for f in ev.incoming}
-            in_fronts = [f for f in (tr.front(k) for tr in tracks)
-                         if f is not None and f.uid in incoming_uids]
+            in_fronts = [f for f in (tr.front(k) for tr in tracks) if f in ev.incoming]
             if len(in_fronts) >= 2:
                 s1, s2 = (abs(f.strength) for f in in_fronts[:2])
                 bound = r * s1 * s2 / (s1 + s2 + epsilon)
@@ -315,7 +314,7 @@ def interaction_decay_rates(run, tracks, epsilon):
             continue
         tm = 0.5 * (t0 + t1)
         h = max((t1 - t0) / 64.0, 1e-12)
-        bs = big_shock_uids(tracks, k)
+        bs = big_shock_fronts(tracks, k)
         c_m = cfg.at(tm)
         c_p = cfg.at(tm + h)
         c_q = cfg.at(tm - h)
@@ -335,7 +334,7 @@ def interaction_decay_rates(run, tracks, epsilon):
                 if a.family != b.family:
                     cross_pairs += abs(a.strength * b.strength)
                     continue
-                if a.kind == "shock" and a.uid in bs and b.kind == "rarefaction_step":
+                if a.kind == "shock" and a in bs and b.kind == "rarefaction_step":
                     nat_pairs += abs(a.strength * b.strength)
                 if a.kind == "shock" and b.kind == "shock" and i < j:
                     sharp_pairs += abs(a.strength * b.strength)

@@ -231,15 +231,19 @@ class ConvergenceTable:
 
     def fit(self):
         ok = [r for r in self.rows if r.get("l1_error") is not None]
-        x = np.log([r["rate_var"] for r in ok])
-        y = np.log([r["l1_error"] for r in ok])
-        A = np.stack([x, np.ones_like(x)], axis=1)
-        sol, *_ = np.linalg.lstsq(A, y, rcond=None)
-        self.fit_p = float(sol[0])
-        self.fit_c = float(np.exp(sol[1]))
+        self.fit_p, self.fit_c = _loglog_fit([r["rate_var"] for r in ok],
+                                             [r["l1_error"] for r in ok])
         ratios = [r["l1_error"] / r["rate_var"] for r in ok]
         self.ratio_spread = float(max(ratios) / min(ratios))
         return self.fit_p, self.fit_c
+
+
+def _loglog_fit(xs, ys):
+    """Least-squares fit of ys = c xs^p on log-log axes; returns (p, c)."""
+    x = np.log(xs)
+    A = np.stack([x, np.ones_like(x)], axis=1)
+    sol, *_ = np.linalg.lstsq(A, np.log(ys), rcond=None)
+    return float(sol[0]), float(np.exp(sol[1]))
 
 
 def _track(cfg, model, data, scale, eps_prime):
@@ -368,15 +372,13 @@ def decay_report_cmd(cfg, out_dir=None):
         scale = delta * (math.log(2.0 + cfg.tau) + abs(math.log(delta))) * max(tv, 1e-300)
         rows.append({"delta": delta, "integral": E, "scale": scale,
                      "ratio": E / scale})
-    x = np.log([r["scale"] for r in rows if r["integral"] > 0])
-    y = np.log([r["integral"] for r in rows if r["integral"] > 0])
-    if x.size >= 2:
-        A = np.stack([x, np.ones_like(x)], axis=1)
-        solv, *_ = np.linalg.lstsq(A, y, rcond=None)
-        fit_p, fit_c = float(solv[0]), float(np.exp(solv[1]))
+    positive = [r for r in rows if r["integral"] > 0]
+    if len(positive) >= 2:
+        fit_p, fit_c = _loglog_fit([r["scale"] for r in positive],
+                                   [r["integral"] for r in positive])
     else:
         fit_p, fit_c = None, None
-    ratios = [r["ratio"] for r in rows if r["integral"] > 0]
+    ratios = [r["ratio"] for r in positive]
     stability = (max(ratios) / min(ratios)) if ratios else None
     out = {"rows": rows, "fit_p": fit_p, "fit_c": fit_c, "ratio_stability": stability}
     if out_dir:

@@ -166,14 +166,15 @@ class BigShockTrack:
 
 
 def _shock_chains(run):
-    """Lineage chains of shock fronts: lists of (config_index, uid, merged)
-    where merged marks links created by a same-family shock-shock merge."""
+    """Lineage chains of shock fronts: lists of (config_index, front,
+    parents), where parents holds the strengths of the same-family shocks
+    that merged into the front (empty for a new shock)."""
     chains = []
-    owner = {}         # uid -> chain index
+    owner = {}         # front -> chain index
     for f in run.configs[0].fronts:
         if f.kind == "shock":
-            owner[f.uid] = len(chains)
-            chains.append([(0, f.uid, [])])
+            owner[f] = len(chains)
+            chains.append([(0, f, [])])
     for k, ev in enumerate(run.events):
         incoming = [f for f in ev.incoming if f.kind == "shock"]
         outgoing = [f for f in ev.outgoing if f.kind == "shock"]
@@ -184,17 +185,17 @@ def _shock_chains(run):
             parents = by_family_in.pop(g.family, [])
             if parents:
                 main = max(parents, key=lambda f: abs(f.strength))
-                ci = owner.pop(main.uid)
-                chains[ci].append((k + 1, g.uid, [abs(f.strength) for f in parents]))
-                owner[g.uid] = ci
+                ci = owner.pop(main)
+                chains[ci].append((k + 1, g, [abs(f.strength) for f in parents]))
+                owner[g] = ci
                 for other in parents:
-                    owner.pop(other.uid, None)
+                    owner.pop(other, None)
             else:
-                owner[g.uid] = len(chains)
-                chains.append([(k + 1, g.uid, [])])
+                owner[g] = len(chains)
+                chains.append([(k + 1, g, [])])
         for fam, parents in by_family_in.items():
             for f in parents:
-                owner.pop(f.uid, None)
+                owner.pop(f, None)
     return chains
 
 
@@ -209,18 +210,17 @@ def select_big_shocks(run, rho):
     parents alone never qualify as large.
     """
     t_edges = run.t_edges
-    uid_lookup = [{f.uid: f for f in cfg.fronts} for cfg in run.configs]
+    # a front lives through configs[start:end], where end is one past the
+    # event that consumes it, or len(run.configs) if none does
+    end = {f: ev.index + 1 for ev in run.events for f in ev.incoming}
     tracks = []
     for chain in _shock_chains(run):
-        # one link per chain front: its first configuration, its Front in
-        # each configuration it persists through, and whether it began at a
+        # one link per chain front: its first configuration, the front once
+        # for each configuration it lives through, and whether it began at a
         # merge of two shocks that were each >= rho/2
         links = []
-        for start, uid, parents in chain:
-            end = start
-            while end < len(run.configs) and uid in uid_lookup[end]:
-                end += 1
-            links.append((start, [uid_lookup[i][uid] for i in range(start, end)],
+        for start, f, parents in chain:
+            links.append((start, [f] * (end.get(f, len(run.configs)) - start),
                           sum(1 for p in parents if p >= rho / 2.0) >= 2))
 
         def sigma(m):
@@ -256,18 +256,6 @@ def select_big_shocks(run, rho):
 
 # ---------------------------------------------------------------------------
 # hybrid approximation per strip
-
-class ProfileCache:
-    def __init__(self, model):
-        self.model = model
-        self._cache = {}
-
-    def __call__(self, u_minus, u_plus):
-        key = (tuple(np.round(u_minus, 13)), tuple(np.round(u_plus, 13)))
-        if key not in self._cache:
-            self._cache[key] = shock_profile(self.model, u_minus, u_plus)
-        return self._cache[key]
-
 
 class HybridStrip:
     """The approximation v on one strip [t0, t1) between interaction times.
@@ -384,7 +372,7 @@ def build_hybrid(run, tracks, epsilon):
     """Assemble the per-strip hybrid approximation of a front-tracking run,
     mollified at width sqrt(eps)."""
     delta = np.sqrt(epsilon)
-    profiles = ProfileCache(run.model)
+    profiles = {}      # track front -> its shock profile, shot once
     t_edges = run.t_edges
     strips = []
     for k, cfg in enumerate(run.configs):
@@ -393,7 +381,9 @@ def build_hybrid(run, tracks, epsilon):
         for tr in tracks:
             f = tr.front(k)
             if f is not None:
-                slices.append((tr.id, f, profiles(f.left_state, f.right_state)))
+                if f not in profiles:
+                    profiles[f] = shock_profile(run.model, f.left_state, f.right_state)
+                slices.append((tr.id, f, profiles[f]))
         st = HybridStrip(run.model, cfg, t0, t1, slices, epsilon, delta)
         for i, (ia, a, _) in enumerate(slices):
             for ib, b, _ in slices[i + 1 :]:
@@ -493,9 +483,7 @@ def classify_event(ev, tracks):
     Tracks are read in the configurations before (ev.index) and after
     (ev.index + 1) the event."""
     k = ev.index
-    incoming_uids = {f.uid for f in ev.incoming}
-    in_tracks = [tr for tr in tracks
-                 if tr.front(k) is not None and tr.front(k).uid in incoming_uids]
+    in_tracks = [tr for tr in tracks if tr.front(k) in ev.incoming]
     born = [tr for tr in tracks if tr.first == k + 1]
     died = [tr for tr in tracks if tr.front(k) is not None and tr.front(k + 1) is None]
     flags = set()
@@ -507,8 +495,8 @@ def classify_event(ev, tracks):
     if died and not flags & {"merge"}:
         flags.add("termination")
     if in_tracks:
-        track_uids = {tr.front(k).uid for tr in in_tracks}
-        others = [f for f in ev.incoming if f.uid not in track_uids]
+        track_fronts = {tr.front(k) for tr in in_tracks}
+        others = [f for f in ev.incoming if f not in track_fronts]
         if any(f.physical and f.family != in_tracks[0].family for f in others):
             flags.add("transversal")
         if any(f.physical and f.family == in_tracks[0].family for f in others):

@@ -110,23 +110,26 @@ def _eig_sorted(A):
     return lam.real[order], V.real[:, order].T
 
 
-def grad_lambda_fd(model, u, i):
-    """Central finite difference of lambda_i at u (i is 0-based here)."""
+def grad_lambda_fd(model, u):
+    """Central finite differences of every lambda_i at u: row i of the
+    (n, n) result is grad lambda_i."""
     u = np.asarray(u, dtype=float)
-    g = np.zeros(model.n)
+    g = np.zeros((model.n, model.n))
     for k in range(model.n):
         e = np.zeros(model.n)
         e[k] = _FD_STEP
         lp, _ = _eig_sorted(model.jacobian(u + e))
         lm, _ = _eig_sorted(model.jacobian(u - e))
-        g[k] = (lp[i] - lm[i]) / (2 * _FD_STEP)
+        g[:, k] = (lp - lm) / (2 * _FD_STEP)
     return g
 
 
-def grad_lambda(model, u, i):
+def grad_lambda(model, u):
+    """Row i is grad lambda_i at u: model.grad_lambda_fn, or finite
+    differences without it."""
     if model.grad_lambda_fn is not None:
-        return model.grad_lambda_fn(np.asarray(u, dtype=float))[i]
-    return grad_lambda_fd(model, u, i)
+        return model.grad_lambda_fn(np.asarray(u, dtype=float))
+    return grad_lambda_fd(model, u)
 
 
 def eigen_frame(model, u):
@@ -138,10 +141,10 @@ def eigen_frame(model, u):
     lams, V = _eig_sorted(model.jacobian(u))
     if model.n > 1 and np.min(np.diff(lams)) < _EIG_TOL:
         raise NonHyperbolic(f"eigenvalue gap below {_EIG_TOL} at {u}")
+    G = grad_lambda(model, u)
     R = np.empty((model.n, model.n))
     for i in range(model.n):
-        g = grad_lambda(model, u, i)
-        scale = float(g @ V[i])
+        scale = float(G[i] @ V[i])
         if abs(scale) < 1e-14:
             raise GNLViolation(f"grad lambda_{i+1} . r_{i+1} vanishes at {u}")
         R[i] = V[i] / scale
@@ -225,8 +228,9 @@ def check_genuine_nonlinearity(model, samples=100):
         lams, V = _eig_sorted(model.jacobian(u))
         if model.n > 1:
             gap_min = min(gap_min, float(np.min(np.diff(lams))))
+        G = grad_lambda_fd(model, u)
         for i in range(model.n):
-            val = abs(float(grad_lambda_fd(model, u, i) @ V[i]))
+            val = abs(float(G[i] @ V[i]))
             if val < gnl_min[i]:
                 gnl_min[i] = val
                 argmin[i] = u.copy()

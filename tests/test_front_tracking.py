@@ -1,4 +1,3 @@
-import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vanvisc.errors import EventBudgetExceeded, InvalidConfiguration, OutOfRange
-from vanvisc.front_tracking import (POS_TOL, FrontConfiguration, glimm_functionals,
+from vanvisc.front_tracking import (POS_TOL, Front, FrontConfiguration, glimm_functionals,
                                     init_front_tracking,
                                     merge_cancelling_pairs, next_interaction,
                                     resolve_interaction, run_until, sample_profile)
@@ -50,11 +49,24 @@ def test_init_p_system_families_ordered():
 def test_validate_raises_on_broken_configuration():
     cfg = init_front_tracking(B, pc([0.0, 1.0], [1.0, 0.0, -0.5]), 1e-9, 0.25)
     swapped = replace(cfg, fronts=cfg.fronts[::-1])
-    with pytest.raises(InvalidConfiguration, match="inconsistent adjacent states"):
+    with pytest.raises(InvalidConfiguration, match="front 0: inconsistent adjacent states"):
         swapped.validate()
     crossed = replace(cfg, fronts=[cfg.fronts[0], replace(cfg.fronts[1], x0=-1.0)])
-    with pytest.raises(InvalidConfiguration, match="left of its neighbour"):
+    with pytest.raises(InvalidConfiguration, match="front 1 at -1.0 left of its neighbour"):
         crossed.validate()
+
+
+def test_front_is_its_own_identity():
+    # fronts compare and hash by object: equal fields make another front,
+    # and a replaced front is a new one
+    a = Front(0.0, 0.0, 1, "shock", -0.3, 0.0, np.array([0.15]), np.array([-0.15]))
+    b = Front(0.0, 0.0, 1, "shock", -0.3, 0.0, np.array([0.15]), np.array([-0.15]))
+    assert a == a and a != b
+    assert len({a, b}) == 2
+    profiles = {a: "a", b: "b"}
+    assert (profiles[a], profiles[b]) == ("a", "b")
+    c = replace(a, strength=-0.3)
+    assert c is not a and c not in profiles
 
 
 def test_next_interaction_two_shocks():
@@ -85,8 +97,7 @@ def test_resolve_merge_drops_q():
     V0, Q0 = glimm_functionals(cfg)
     assert (V0, Q0) == (pytest.approx(2.0), pytest.approx(1.0))
     ev = next_interaction(cfg)
-    new, incoming, outgoing, solver = resolve_interaction(B, cfg, ev, 1e-9,
-                                                          itertools.count(len(cfg.fronts)))
+    new, incoming, outgoing, solver = resolve_interaction(B, cfg, ev, 1e-9)
     assert solver == "accurate"
     assert len(outgoing) == 1
     assert outgoing[0].strength == pytest.approx(-2.0)
@@ -213,10 +224,8 @@ def test_event_budget():
 
 
 def test_merge_cancelling_pairs():
-    from vanvisc.front_tracking import Front
-
-    a = Front(0, 0.0, 0.0, 1, "shock", -0.3, 0.0, np.array([0.15]), np.array([-0.15]))
-    b = Front(1, 0.0, 0.0, 1, "rarefaction_step", 0.1, -0.1, np.array([-0.15]), np.array([-0.05]))
+    a = Front(0.0, 0.0, 1, "shock", -0.3, 0.0, np.array([0.15]), np.array([-0.15]))
+    b = Front(0.0, 0.0, 1, "rarefaction_step", 0.1, -0.1, np.array([-0.15]), np.array([-0.05]))
     cfg = FrontConfiguration(time=0.0, fronts=[a, b], left_state=np.array([0.15]),
                              rarefaction_cap=0.25)
     merged = merge_cancelling_pairs(cfg)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from vanvisc.front_tracking import Front, FrontConfiguration, init_front_tracking, run_until
 from vanvisc.functionals import (FunctionalConstants, _natural_alpha, _sharp_alpha,
-                                 audit_events, big_shock_uids, flat_decay_rate,
+                                 audit_events, flat_decay_rate,
                                  interaction_decay_rates, q_flat, q_hat, q_natural,
                                  q_sharp, w_flat, w_natural)
 from vanvisc.harness import eval_rule, scenario_data
@@ -20,12 +20,12 @@ EPS = 1e-3
 R = np.sqrt(EPS)
 
 
-def shock(uid, pos, fam, s, speed=0.0):
-    return Front(uid, pos, 0.0, fam, "shock", s, speed, np.zeros(1), np.zeros(1))
+def shock(pos, fam, s, speed=0.0):
+    return Front(pos, 0.0, fam, "shock", s, speed, np.zeros(1), np.zeros(1))
 
 
-def raref(uid, pos, fam, s, speed=0.0):
-    return Front(uid, pos, 0.0, fam, "rarefaction_step", s, speed, np.zeros(1), np.zeros(1))
+def raref(pos, fam, s, speed=0.0):
+    return Front(pos, 0.0, fam, "rarefaction_step", s, speed, np.zeros(1), np.zeros(1))
 
 
 def config(fronts):
@@ -34,7 +34,7 @@ def config(fronts):
 
 
 def test_q_flat_examples():
-    assert q_flat(config([shock(0, 0.0, 1, -0.5), shock(1, 1.0, 1, -0.3)]), EPS) == 0.0
+    assert q_flat(config([shock(0.0, 1, -0.5), shock(1.0, 1, -0.3)]), EPS) == 0.0
     # single ordered pair weight at coincident positions is 1/2
     assert w_flat(0.0, 2, 0.0, 1, EPS) == pytest.approx(0.5)
     assert w_flat(0.0, 2, -2.1 * R, 1, EPS) == 0.0
@@ -48,11 +48,14 @@ def test_q_flat_examples():
 
 
 def test_q_natural_examples():
-    assert q_natural(config([shock(0, 0.0, 1, -1.0)]), {0}, EPS) == 0.0
-    cfg = config([shock(0, 0.0, 1, -1.0), raref(1, 0.0, 1, 0.1)])
-    assert q_natural(cfg, {0}, EPS) == pytest.approx(0.05)
-    cfg = config([shock(0, 0.0, 1, -1.0)] + [raref(10 + j, 0.0, 1, 0.125) for j in range(4)])
-    assert q_natural(cfg, {0}, EPS) == pytest.approx(0.125)  # cut off at 1/4 * 1/2
+    a = shock(0.0, 1, -1.0)
+    assert q_natural(config([a]), {a}, EPS) == 0.0
+    cfg = config([a, raref(0.0, 1, 0.1)])
+    assert q_natural(cfg, {a}, EPS) == pytest.approx(0.05)
+    # a shock of equal fields is another front: not big
+    assert q_natural(cfg, {shock(0.0, 1, -1.0)}, EPS) == 0.0
+    cfg = config([a] + [raref(0.0, 1, 0.125) for _ in range(4)])
+    assert q_natural(cfg, {a}, EPS) == pytest.approx(0.125)  # cut off at 1/4 * 1/2
 
 
 def test_q_natural_weight_range():
@@ -62,25 +65,26 @@ def test_q_natural_weight_range():
 
 
 def test_q_sharp_examples():
-    assert q_sharp(config([shock(0, 0.0, 1, -0.4)]), EPS) == 0.0
+    assert q_sharp(config([shock(0.0, 1, -0.4)]), EPS) == 0.0
     s, d = 0.2, 0.5 * R
-    cfg = config([shock(0, 0.0, 1, -s), shock(1, d, 1, -s)])
+    cfg = config([shock(0.0, 1, -s), shock(d, 1, -s)])
     expect = 2 * s * (0.5 + d / (4 * R)) * s / (EPS + s / 2)
     assert q_sharp(cfg, EPS) == pytest.approx(expect, rel=1e-12)
     # partner atom erased by interleaved rarefactions (3x rule)
     Rmass = (2.0 / 3.0) * (s + s / 2) * 1.05
-    fronts = [shock(0, 0.0, 1, -s)]
+    fronts = [shock(0.0, 1, -s)]
     for j in range(4):
-        fronts.append(raref(10 + j, d * (j + 1) / 6.0, 1, Rmass / 4))
-    fronts.append(shock(1, d, 1, -s))
+        fronts.append(raref(d * (j + 1) / 6.0, 1, Rmass / 4))
+    fronts.append(shock(d, 1, -s))
     assert q_sharp(config(fronts), EPS) == 0.0
 
 
 def test_q_hat_snapshot():
     snap = q_hat(config([]), set(), EPS)
     assert snap.q_hat == 0.0 and snap.V == 0.0
-    cfg = config([shock(0, 0.0, 1, -0.5), raref(1, 0.01, 1, 0.1)])
-    snap = q_hat(cfg, {0}, EPS)
+    a = shock(0.0, 1, -0.5)
+    cfg = config([a, raref(0.01, 1, 0.1)])
+    snap = q_hat(cfg, {a}, EPS)
     # composite bound shape: q_hat = O(sqrt(eps) |ln eps| TV) with the default
     # constants dominated by C1 Upsilon
     tv = 0.6
@@ -300,12 +304,12 @@ _FRONT = st.tuples(
 def test_one_sided_walks_match_two_walks(specs, eps):
     r = np.sqrt(eps)
     fronts = []
-    for uid, (pos, fam, is_shock, size) in enumerate(sorted(specs, key=lambda t: t[0])):
+    for pos, fam, is_shock, size in sorted(specs, key=lambda t: t[0]):
         if fam == 3:
             kind, strength = "non_physical", size
         else:
             kind, strength = ("shock", -size) if is_shock else ("rarefaction_step", size)
-        fronts.append(Front(uid, pos * r, 0.0, fam, kind, strength, 0.0,
+        fronts.append(Front(pos * r, 0.0, fam, kind, strength, 0.0,
                             np.zeros(2), np.zeros(2)))
     for i, a in enumerate(fronts):
         if a.kind == "shock":

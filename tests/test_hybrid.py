@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from test_acceptance import _creation_chain_data
 
+from vanvisc import hybrid
 from vanvisc.errors import OverlappingTracks
 from vanvisc.front_tracking import init_front_tracking, run_until
-from vanvisc.functionals import big_shock_uids
-from vanvisc.harness import scenario_data
+from vanvisc.functionals import big_shock_fronts
+from vanvisc.harness import ExperimentConfig, _track, eval_rule, scenario_data
 from vanvisc.hybrid import (KERNEL_C, KERNEL_SUPPORT, Mollifier, build_hybrid,
                             classify_event, jump_sum, mollification_l1_error, mollify,
                             oscillation_weighted_tv, residual, select_big_shocks,
@@ -282,6 +283,32 @@ def test_jump_sum_merge_case():
     assert js["per_case"]["merge"] > 0
 
 
+@pytest.mark.parametrize("eps, shots", [(4e-3, 6), (2e-3, 7)])
+def test_build_hybrid_shoots_once_per_track_front(monkeypatch, eps, shots):
+    # the converge row's run: every strip of a track's front shares the one
+    # profile shot for that front
+    cfg = ExperimentConfig(scenario="merge_cancellation", epsilon_list=(eps,),
+                           rho_rule="sqrt_eps*abs_ln_eps")
+    model, data = cfg.model_and_data()
+    run = _track(cfg, model, data, eps, min(1e-9, eps ** 3))
+    tracks = select_big_shocks(run, eval_rule(cfg.rho_rule, eps))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return object()
+
+    monkeypatch.setattr(hybrid, "shock_profile", counted)
+    hyb = build_hybrid(run, tracks, eps)
+    track_fronts = {f for tr in tracks for f in tr.fronts}
+    assert len(calls) == len(track_fronts) == shots
+    profiles = {}
+    for st in hyb.strips:
+        for _, front, profile in st.tracks:
+            assert profiles.setdefault(front, profile) is profile
+    assert len(profiles) == shots and len({id(p) for p in profiles.values()}) == shots
+
+
 def test_different_family_overlap_raises():
     u0 = np.array([1.0, 0.0])
     u1 = lax_curve(P, 2, u0, -0.4)
@@ -304,7 +331,7 @@ def test_different_family_overlap_raises():
 class _RefSegment:
     t0: float
     t1: float
-    uid: int
+    front: object
     x0: float
     speed: float
     sigma: float
@@ -333,23 +360,23 @@ class _RefTrack:
 
 def _ref_select(run, rho):
     t_edges = run.t_edges
-    uid_lookup = [{f.uid: f for f in cfg.fronts} for cfg in run.configs]
     tracks = []
     for chain in _shock_chains(run):
         segs, big_merge, family = [], [], None
-        for cfg_idx, uid, parents in chain:
-            f = uid_lookup[cfg_idx].get(uid)
-            if f is None:
+        for cfg_idx, f, parents in chain:
+            if f not in run.configs[cfg_idx].fronts:
                 continue
             family = f.family if family is None else family
             t0, t1 = t_edges[cfg_idx], t_edges[cfg_idx + 1]
             k = cfg_idx
-            while k + 1 < len(run.configs) and uid in uid_lookup[k + 1]:
+            # a scan over each configuration: the oracle of the lifetimes
+            # that select_big_shocks reads from the event log
+            while k + 1 < len(run.configs) and f in run.configs[k + 1].fronts:
                 k += 1
                 t1 = t_edges[k + 1]
             if t1 <= t0 or (segs and t0 < segs[-1].t1 - 1e-14):
                 continue
-            segs.append(_RefSegment(t0, t1, uid, f.x(t0), f.speed, f.strength))
+            segs.append(_RefSegment(t0, t1, f, f.x(t0), f.speed, f.strength))
             big_merge.append(sum(1 for p in parents if p >= rho / 2.0) >= 2)
         j = 0
         while j < len(segs):
@@ -373,16 +400,15 @@ def _ref_select(run, rho):
     return tracks
 
 
-def _ref_uids(tracks, t, side):
-    return {tr.segment_at(t, side).uid for tr in tracks
+def _ref_fronts(tracks, t, side):
+    return {tr.segment_at(t, side).front for tr in tracks
             if tr.alive(t, side) and tr.segment_at(t, side) is not None}
 
 
 def _ref_classify(ev, tracks):
     t = ev.time
-    incoming_uids = {f.uid for f in ev.incoming}
     in_tracks = [tr for tr in tracks if tr.segment_at(t, "-") is not None
-                 and tr.segment_at(t, "-").uid in incoming_uids and tr.alive(t, "-")]
+                 and tr.segment_at(t, "-").front in ev.incoming and tr.alive(t, "-")]
     born = [tr for tr in tracks if abs(tr.t_minus - t) < 1e-14]
     died = [tr for tr in tracks if abs(tr.t_plus - t) < 1e-14]
     flags = set()
@@ -394,8 +420,8 @@ def _ref_classify(ev, tracks):
     if died and "merge" not in flags:
         flags.add("termination")
     if in_tracks:
-        mine = {tr.segment_at(t, "-").uid for tr in in_tracks}
-        others = [f for f in ev.incoming if f.uid not in mine]
+        mine = {tr.segment_at(t, "-").front for tr in in_tracks}
+        others = [f for f in ev.incoming if f not in mine]
         if any(f.physical and f.family != in_tracks[0].family for f in others):
             flags.add("transversal")
         if any(f.physical and f.family == in_tracks[0].family for f in others):
@@ -437,12 +463,12 @@ def test_index_lookups_match_time_and_side_reference():
                     seg = rt.segment_at(t, side) if rt.alive(t, side) else None
                     assert (front is None) == (seg is None)
                     if front is not None:
-                        assert (front.uid, front.strength) == (seg.uid, seg.sigma)
+                        assert front is seg.front
                         x = front.x(t)
                         assert x == pytest.approx(seg.x0 + (t - seg.t0) * seg.speed,
                                                   rel=1e-13, abs=1e-13)
-            assert big_shock_uids(tracks, k) == _ref_uids(ref, t, "-")
-            assert big_shock_uids(tracks, k + 1) == _ref_uids(ref, t, "+")
+            assert big_shock_fronts(tracks, k) == _ref_fronts(ref, t, "-")
+            assert big_shock_fronts(tracks, k + 1) == _ref_fronts(ref, t, "+")
             case, flags = classify_event(ev, tracks)
             assert (case, flags) == _ref_classify(ev, ref)
             cases.add(case)
