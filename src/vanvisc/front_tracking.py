@@ -348,7 +348,6 @@ def run_until(model, config, tau, epsilon_prime=1e-9, simplified_threshold=None,
         times.append(ev.time)
         configs.append(cur)
         history.append((ev.time, V1, Q1, V1 + GLIMM_C0 * Q1))
-        V, Q = V1, Q1
     return FTRun(model=model, configs=configs, times=times, events=events, tau=tau,
                  glimm_history=history)
 

@@ -47,9 +47,9 @@ class ExperimentConfig:
     cap_rule: str = "sqrt_eps*abs_ln_eps/2"
     workers: int = 1
     delta_list: tuple = (0.1, 0.05, 0.02, 0.01, 0.005)
-    c1: float = 1e5
-    c2: float = 1e3
-    c3: float = 10.0
+    c1: float = FunctionalConstants.c1
+    c2: float = FunctionalConstants.c2
+    c3: float = FunctionalConstants.c3
     max_events: int = 100000
 
     def __post_init__(self):
@@ -239,7 +239,10 @@ class ConvergenceTable:
 
 
 def _loglog_fit(xs, ys):
-    """Least-squares fit of ys = c xs^p on log-log axes; returns (p, c)."""
+    """Least-squares fit of ys = c xs^p on log-log axes; returns (p, c), or
+    (None, None) from fewer than two points."""
+    if len(xs) < 2:
+        return None, None
     x = np.log(xs)
     A = np.stack([x, np.ones_like(x)], axis=1)
     sol, *_ = np.linalg.lstsq(A, np.log(ys), rcond=None)
@@ -373,11 +376,8 @@ def decay_report_cmd(cfg, out_dir=None):
         rows.append({"delta": delta, "integral": E, "scale": scale,
                      "ratio": E / scale})
     positive = [r for r in rows if r["integral"] > 0]
-    if len(positive) >= 2:
-        fit_p, fit_c = _loglog_fit([r["scale"] for r in positive],
-                                   [r["integral"] for r in positive])
-    else:
-        fit_p, fit_c = None, None
+    fit_p, fit_c = _loglog_fit([r["scale"] for r in positive],
+                               [r["integral"] for r in positive])
     ratios = [r["ratio"] for r in positive]
     stability = (max(ratios) / min(ratios)) if ratios else None
     out = {"rows": rows, "fit_p": fit_p, "fit_c": fit_c, "ratio_stability": stability}

@@ -80,47 +80,33 @@ def _domain_grid(box, samples):
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def _eig_sorted(A):
-    """Real sorted eigen-decomposition; closed form for n <= 2."""
+def _unit_eigenvectors(A, lam):
+    """Unit right eigenvectors of the (n, n) matrix A for its real eigenvalues
+    lam: row i spans the null space of A - lam_i I.  A coupled 2x2 takes one
+    adjugate column per speed; a diagonal 2x2 and n >= 3 take the SVD null
+    vector."""
     n = A.shape[0]
     if n == 1:
-        return np.array([A[0, 0]]), np.array([[1.0]])
-    if n == 2:
-        tr = A[0, 0] + A[1, 1]
-        det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-        disc = tr * tr / 4.0 - det
-        if disc < 0:
-            raise NonHyperbolic("complex eigenvalues")
-        rt = np.sqrt(disc)
-        lams = np.array([tr / 2.0 - rt, tr / 2.0 + rt])
-        vecs = []
-        for lam in lams:
-            if abs(A[0, 1]) >= abs(A[1, 0]):
-                v = np.array([A[0, 1], lam - A[0, 0]])
-            else:
-                v = np.array([lam - A[1, 1], A[1, 0]])
-            nv = np.linalg.norm(v)
-            if nv == 0.0:
-                v = np.array([1.0, 0.0]) if abs(A[0, 0] - lam) < abs(A[1, 1] - lam) else np.array([0.0, 1.0])
-                nv = 1.0
-            vecs.append(v / nv)
-        return lams, np.array(vecs)
-    lam, V = np.linalg.eig(A)
-    order = np.argsort(lam.real)
-    return lam.real[order], V.real[:, order].T
+        return np.array([[1.0]])
+    if n == 2 and (A[0, 1] != 0.0 or A[1, 0] != 0.0):
+        V = np.empty((2, 2))
+        if abs(A[0, 1]) >= abs(A[1, 0]):
+            V[:, 0], V[:, 1] = A[0, 1], lam - A[0, 0]
+        else:
+            V[:, 0], V[:, 1] = lam - A[1, 1], A[1, 0]
+        return V / np.hypot(V[:, 0], V[:, 1])[:, None]
+    return np.array([np.linalg.svd(A - li * np.eye(n))[2][-1] for li in lam])
 
 
 def grad_lambda_fd(model, u):
-    """Central finite differences of every lambda_i at u: row i of the
-    (n, n) result is grad lambda_i."""
+    """Central finite differences of wave_speeds at u, one axis at a time:
+    row i of the (n, n) result is grad lambda_i."""
     u = np.asarray(u, dtype=float)
-    g = np.zeros((model.n, model.n))
+    g = np.empty((model.n, model.n))
     for k in range(model.n):
         e = np.zeros(model.n)
         e[k] = _FD_STEP
-        lp, _ = _eig_sorted(model.jacobian(u + e))
-        lm, _ = _eig_sorted(model.jacobian(u - e))
-        g[:, k] = (lp - lm) / (2 * _FD_STEP)
+        g[:, k] = (wave_speeds(model, u + e) - wave_speeds(model, u - e)) / (2 * _FD_STEP)
     return g
 
 
@@ -134,13 +120,15 @@ def grad_lambda(model, u):
 
 def eigen_frame(model, u):
     """Normalized right eigenvectors at u: row i of the (n, n) result is r_i,
-    with grad lambda_i . r_i = 1.  The eigenvalues of the decomposition only
-    check the gap between families; wave_speeds is the eigenvalue source."""
+    an eigenvector for the i-th speed of wave_speeds, with
+    grad lambda_i . r_i = 1.  A complex pair shares its real part, so it
+    fails the gap check between families."""
     u = np.asarray(u, dtype=float)
     model.check_domain(u)
-    lams, V = _eig_sorted(model.jacobian(u))
+    lams = wave_speeds(model, u)
     if model.n > 1 and np.min(np.diff(lams)) < _EIG_TOL:
         raise NonHyperbolic(f"eigenvalue gap below {_EIG_TOL} at {u}")
+    V = _unit_eigenvectors(model.jacobian(u), lams)
     G = grad_lambda(model, u)
     R = np.empty((model.n, model.n))
     for i in range(model.n):
@@ -225,7 +213,8 @@ def check_genuine_nonlinearity(model, samples=100):
     argmin = [None] * model.n
     gap_min = np.inf
     for u in pts:
-        lams, V = _eig_sorted(model.jacobian(u))
+        lams = wave_speeds(model, u)
+        V = _unit_eigenvectors(model.jacobian(u), lams)
         if model.n > 1:
             gap_min = min(gap_min, float(np.min(np.diff(lams))))
         G = grad_lambda_fd(model, u)

@@ -101,6 +101,10 @@ def test_converge_cmd_outputs(tmp_path):
     text = (tmp_path / "table.csv").read_text().splitlines()
     assert text[0].startswith("epsilon,")
     assert len(text) == 2
+    # a line through one point is not a fit: a one-row sweep writes null
+    fit = json.loads((tmp_path / "fit.json").read_text())
+    assert fit["fit_p"] is None and fit["fit_c"] is None
+    assert table.fit_p is None and table.fit_c is None
 
 
 def test_functional_report_cmd(tmp_path):

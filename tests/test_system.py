@@ -191,3 +191,54 @@ def test_eigen_frame_errors():
     )
     with pytest.raises(NonHyperbolic):
         eigen_frame(twin, np.array([0.0, 0.0]))
+    # a complex pair shares its real part, so the gap check rejects it
+    rotation = SystemModel(
+        n=2,
+        flux=lambda u: np.array([-u[1], u[0]]),
+        jacobian=lambda u: np.array([[0.0, -1.0], [1.0, 0.0]]),
+        domain_box=((-1, 1), (-1, 1)),
+        name="rotation",
+    )
+    with pytest.raises(NonHyperbolic):
+        eigen_frame(rotation, np.array([0.0, 0.0]))
+
+
+def _decoupled_burgers(n):
+    # u_j,t + (j u_j^2 / 2)_x = 0: a diagonal jacobian diag(j u_j) and no
+    # lambda_fn, so the speeds are the jacobian's eigvals
+    j = np.arange(1, n + 1)
+    return SystemModel(n=n, flux=lambda u: 0.5 * j * u * u,
+                       jacobian=lambda u: np.diag(j * u),
+                       domain_box=((-1.0, 1.0),) * n, name=f"decoupled_{n}")
+
+
+def test_decoupled_pair_frame_follows_wave_speeds():
+    # speeds 0.2 (from u_2) < 0.5 (from u_1); grad lambda_1 = (0, 2) and
+    # grad lambda_2 = (1, 0), so r_1 = (0, 1/2) and r_2 = (1, 0)
+    model = _decoupled_burgers(2)
+    R = eigen_frame(model, np.array([0.5, 0.1]))
+    assert R == pytest.approx(np.array([[0.0, 0.5], [1.0, 0.0]]), abs=1e-9)
+    rep = check_genuine_nonlinearity(model, samples=16)
+    assert np.all(rep["gnl_min"] > 0.9)
+
+
+def test_three_component_frame_takes_null_vectors():
+    R = eigen_frame(_decoupled_burgers(3), np.array([0.1, 0.2, 0.3]))
+    assert R == pytest.approx(np.diag([1.0, 1.0 / 2.0, 1.0 / 3.0]), abs=1e-9)
+
+
+def test_grad_lambda_fd_is_central_difference_of_wave_speeds():
+    rng = np.random.default_rng(2)
+    for model in PRESETS.values():
+        bare = SystemModel(n=model.n, flux=model.flux, jacobian=model.jacobian,
+                           domain_box=model.domain_box)
+        lo = np.array([b[0] for b in model.domain_box])
+        hi = np.array([b[1] for b in model.domain_box])
+        for m in (model, bare):
+            for _ in range(5):
+                u = lo + (hi - lo) * rng.uniform(0.1, 0.9, model.n)
+                for k in range(model.n):
+                    e = np.zeros(model.n)
+                    e[k] = 1e-6
+                    col = (wave_speeds(m, u + e) - wave_speeds(m, u - e)) / 2e-6
+                    assert np.array_equal(grad_lambda_fd(m, u)[:, k], col)
