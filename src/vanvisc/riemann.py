@@ -19,7 +19,8 @@ from .system import eigen_frame, wave_speeds
 
 RH_TOL = 1e-8
 ZERO_WAVE = 1e-12
-# absolute residual bound of the Hugoniot point
+# residual bound of the Hugoniot point, relative to the scale of f(u0) in
+# the Rankine-Hugoniot rows and of lambda(u0) in the speed row
 _HUGONIOT_TOL = 1e-11
 # Riemann iteration: residual bound relative to the data scale, clip on each
 # starting strength, and Newton step budget
@@ -72,7 +73,8 @@ def lax_curve(model, i, u0, s, max_param=1.0):
 
     s > 0 follows the rarefaction curve (integral curve of r_i, so that
     lambda_i increases by exactly s); s < 0 lands on the Hugoniot locus with
-    lambda_i(result) - lambda_i(u0) = s.
+    lambda_i(result) - lambda_i(u0) = s.  model.wave_curve gives the point in
+    closed form; a model without it takes RK4 on r_i or Newton on the locus.
     """
     u0 = np.asarray(u0, dtype=float)
     model.check_domain(u0)
@@ -80,11 +82,14 @@ def lax_curve(model, i, u0, s, max_param=1.0):
         raise ValueError(f"|s|={abs(s)} exceeds max_param={max_param}")
     if s == 0.0:
         return u0.copy()
-    if s > 0:
+    if model.wave_curve is not None:
+        u = model.wave_curve(i, u0, s)
+    elif s > 0:
         u = _rk4_curve(model, i, u0, s)
-        model.check_domain(u)
-        return u
-    return _hugoniot_point(model, i, u0, s)
+    else:
+        u = _hugoniot_point(model, i, u0, s)
+    model.check_domain(u)
+    return u
 
 
 def _damped_newton(res, z, tol, max_iter, error):
@@ -131,8 +136,12 @@ def _damped_newton(res, z, tol, max_iter, error):
 
 def _hugoniot_point(model, i, u0, s):
     """Solve f(u)-f(u0) = speed (u-u0), lambda_i(u)-lambda_i(u0) = s."""
-    lam0 = wave_speeds(model, u0)[i - 1]
+    lams0 = wave_speeds(model, u0)
+    lam0 = lams0[i - 1]
     r0 = eigen_frame(model, u0)[i - 1]
+    f0 = model.flux(u0)
+    f_scale = max(1.0, float(np.max(np.abs(f0))))
+    lam_scale = max(1.0, float(np.max(np.abs(lams0))))
     n = model.n
     z = np.empty(n + 1)
     z[:n] = u0 + s * r0
@@ -143,8 +152,8 @@ def _hugoniot_point(model, i, u0, s):
         # the line search rejects probes outside the domain by this raise
         model.check_domain(u)
         out = np.empty(n + 1)
-        out[:n] = model.flux(u) - model.flux(u0) - sp * (u - u0)
-        out[n] = wave_speeds(model, u)[i - 1] - lam0 - s
+        out[:n] = (model.flux(u) - f0 - sp * (u - u0)) / f_scale
+        out[n] = (wave_speeds(model, u)[i - 1] - lam0 - s) / lam_scale
         return out, None
 
     return _damped_newton(res, z, _HUGONIOT_TOL, 60, NoRoot)[0][:n]

@@ -39,11 +39,19 @@ class SystemModel:
     # optional closed-form eigenvalues; without it wave_speeds falls back to
     # batched np.linalg.eigvals of the jacobian
     lambda_fn: Callable = None
+    # optional closed-form Lax wave curve: wave_curve(i, u0, s) is the state
+    # with lambda_i - lambda_i(u0) = s on the i-th rarefaction curve (s > 0)
+    # or Hugoniot locus (s < 0) through one state u0, raising OutOfDomain
+    # where the curve has no such state; without it riemann.lax_curve
+    # integrates r_i by RK4 and solves the Hugoniot locus by Newton, which
+    # remain the oracle
+    wave_curve: Callable = None
 
     def in_domain(self, u):
         u = np.asarray(u, dtype=float)
         for ui, (lo, hi) in zip(u, self.domain_box):
-            if ui < lo or ui > hi:
+            # written so that NaN is outside
+            if not lo <= ui <= hi:
                 return False
         return True
 
@@ -185,6 +193,31 @@ def preset_model(name, gamma=None, k=None):
             d = root_gk * 0.5 * (gamma + 1.0) * v ** (-(gamma + 3.0) / 2.0)
             return np.array([[d, 0.0], [-d, 0.0]])
 
+        def wave_curve(i, u0, s):
+            # lambda_i = -/+ c(v), so c(v) = c(v0) -/+ s gives v.  On a
+            # rarefaction, w -/+ 2 c(v) v / (gamma - 1) is the Riemann
+            # invariant; on a shock, (w - w0)^2 = -(p(v) - p(v0))(v - v0)
+            # with sign(w - w0) = +/- sign(v - v0) (Smoller, ch. 17).  The
+            # increments go through log1p/expm1 of ln(c / c0), so a small s
+            # moves u0 by a small, accurate amount.
+            v0, w0 = u0
+            sign = 1.0 if i == 1 else -1.0
+            c0 = root_gk * v0 ** (-(gamma + 1.0) / 2.0)
+            dc = -sign * s / c0             # c / c0 - 1
+            if not dc > -1.0:
+                raise OutOfDomain(f"{i}-wave curve through {u0} leaves v > 0 at s = {s}")
+            log_c = np.log1p(dc)            # ln(c / c0); v / v0 = (c / c0)^(-2 / (gamma + 1))
+            dv = v0 * np.expm1(-2.0 * log_c / (gamma + 1.0))
+            if s > 0:
+                # w - w0 = 2 (c0 v0 - c v) / (gamma - 1) up to the sign
+                cv_ratio_m1 = np.expm1((gamma - 1.0) * log_c / (gamma + 1.0))
+                dw = -2.0 * c0 * v0 / (gamma - 1.0) * cv_ratio_m1
+            else:
+                # p(v) - p(v0) = p(v0) ((v / v0)^(-gamma) - 1)
+                dp = k * v0 ** (-gamma) * np.expm1(2.0 * gamma * log_c / (gamma + 1.0))
+                dw = np.copysign(np.sqrt(abs(dp * dv)), dv)
+            return np.array([v0 + dv, w0 + sign * dw])
+
         return SystemModel(
             n=2,
             flux=flux,
@@ -193,6 +226,7 @@ def preset_model(name, gamma=None, k=None):
             name="p_system",
             grad_lambda_fn=grad_lam,
             lambda_fn=lam,
+            wave_curve=wave_curve,
         )
     raise BadParameter(f"unknown preset {name!r}")
 

@@ -1,12 +1,24 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from vanvisc.errors import NoRoot, NoSolution, NotOnLocus, OutOfDomain
 from vanvisc.riemann import _damped_newton, lax_curve, shock_speed, solve_riemann
-from vanvisc.system import SystemModel, preset_model
+from vanvisc.system import SystemModel, eigen_frame, preset_model, wave_speeds
 
 B = preset_model("burgers")
 P = preset_model("p_system", gamma=2, k=1)
+# the p-system without its closed-form wave curve: RK4 on r_i and Newton on
+# the Hugoniot locus, the oracle of the closed form
+P_GENERIC = dataclasses.replace(P, wave_curve=None)
+
+# a state in the p-system box, a family and a wave strength
+P_STATE = st.tuples(st.floats(0.5, 2.0), st.floats(-2.0, 2.0)).map(np.array)
+FAMILY = st.sampled_from([1, 2])
+STRENGTH = st.floats(-0.3, 0.3)
 
 
 def _lam(model, u, i):
@@ -34,6 +46,78 @@ def test_rarefaction_curve_leaving_the_domain_raises_out_of_domain():
         lax_curve(B, 1, [3.9], 0.5)
     with pytest.raises(OutOfDomain):
         lax_curve(P, 2, [1.0, 1.9], 0.9)
+    # a 1-shock from v = 0.55 ends below the box's v >= 0.5
+    with pytest.raises(OutOfDomain):
+        lax_curve(P, 1, [0.55, 0.0], -0.9)
+    # lambda_2 = c(v) = 0.5 at v = 2, and lambda_1 = -c(v): these ask for
+    # c < 0, which no v > 0 has
+    for i, s in ((2, -0.6), (1, 0.6)):
+        with pytest.raises(OutOfDomain):
+            lax_curve(P, i, [2.0, 0.0], s)
+        # Python floats too, whose negative ** fractional is complex
+        with pytest.raises(OutOfDomain):
+            P.wave_curve(i, (2.0, 0.0), s)
+    # c = 0 and c = 1e-12: v -> infinity
+    for s in (0.5, 0.5 - 1e-12):
+        with pytest.raises(OutOfDomain):
+            lax_curve(P, 1, [2.0, 0.0], s)
+    assert not P.in_domain([np.nan, 0.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(P_STATE, FAMILY, STRENGTH)
+def test_p_system_wave_curve_agrees_with_generic_path(u0, i, s):
+    try:
+        u = lax_curve(P, i, u0, s)
+    except OutOfDomain:
+        with pytest.raises((OutOfDomain, NoRoot)):
+            lax_curve(P_GENERIC, i, u0, s)
+        return
+    try:
+        ref = lax_curve(P_GENERIC, i, u0, s)
+    except OutOfDomain:
+        # Newton starts from u0 + s r_i(u0), which may leave the box although
+        # the shock's end state is inside
+        assert s < 0 and not P.in_domain(u0 + s * eigen_frame(P, u0)[i - 1])
+        return
+    # RK4's truncation error at |s| = 0.3 is up to 7e-10
+    assert np.max(np.abs(u - ref)) <= 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(P_STATE, FAMILY, STRENGTH)
+def test_p_system_wave_curve_is_parametrised_by_strength(u0, i, s):
+    try:
+        u = lax_curve(P, i, u0, s)
+    except OutOfDomain:
+        return
+    lam0, lam = wave_speeds(P, u0)[i - 1], wave_speeds(P, u)[i - 1]
+    assert lam - lam0 == pytest.approx(s, abs=1e-14)
+    # a strength below the rounding of u0 leaves it where it is
+    if s < 0 and not np.array_equal(u, u0):
+        speed = shock_speed(P, u0, u)
+        # the difference quotient's error, ~1e-16 / |s|, is below |s| / 2
+        if s < -1e-6:
+            assert lam < speed < lam0
+
+
+# solve_riemann's linearised start and its Newton probes may leave the box
+# when the data lie within ~1e-2 of its edge, at either wave-curve path;
+# the round trip keeps both states 0.05 inside it
+P_INNER_STATE = st.tuples(st.floats(0.55, 1.95), st.floats(-1.95, 1.95)).map(np.array)
+
+
+@settings(max_examples=100, deadline=None)
+@given(P_INNER_STATE, FAMILY, STRENGTH)
+def test_p_system_riemann_round_trips_on_wave_curve(u0, i, s):
+    try:
+        u = lax_curve(P, i, u0, s)
+    except OutOfDomain:
+        return
+    assume(0.55 <= u[0] <= 1.95 and abs(u[1]) <= 1.95)
+    expect = np.zeros(2)
+    expect[i - 1] = s
+    assert solve_riemann(P, u0, u).strengths(2) == pytest.approx(expect, abs=1e-7)
 
 
 def test_lax_curve_p_system_strength_parametrization():
@@ -128,7 +212,7 @@ def test_strength_additivity_burgers_merge():
 CUBIC = SystemModel(n=1, flux=lambda u: u ** 3 / 3.0,
                     jacobian=lambda u: (np.asarray(u, dtype=float) ** 2)[..., None],
                     domain_box=((-2.0, 2.0),))
-# Burgers on a box so wide that the data scale swamps the Newton tolerances
+# Burgers without its preset closed forms, on a box where f is up to 5e21
 WIDE = SystemModel(n=1, flux=lambda u: 0.5 * u * u,
                    jacobian=lambda u: np.array(u, dtype=float)[..., None],
                    domain_box=((-1e11, 1e11),))
@@ -137,9 +221,14 @@ WIDE = SystemModel(n=1, flux=lambda u: 0.5 * u * u,
 def test_lax_curve_without_hugoniot_point_raises_no_root():
     with pytest.raises(NoRoot, match="line search failed"):
         lax_curve(CUBIC, 1, np.array([0.5]), -0.5)
-    # flux differences of 1e20 never get below the absolute 1e-11
-    with pytest.raises(NoRoot):
-        lax_curve(WIDE, 1, np.array([1e10]), -0.5)
+
+
+def test_hugoniot_point_residual_is_relative_to_the_data_scale():
+    # flux differences of 1e20 carry rounding far above 1e-11, which only a
+    # bound relative to the data scale admits
+    u0 = np.array([1e10])
+    u = lax_curve(WIDE, 1, u0, -0.5)
+    assert wave_speeds(WIDE, u)[0] - wave_speeds(WIDE, u0)[0] == pytest.approx(-0.5, abs=1e-5)
 
 
 def test_riemann_without_lax_solution_raises_no_solution():
