@@ -43,55 +43,69 @@ class FunctionalSnapshot:
     q_hat: float
 
 
-def w_flat(x_alpha, fam_alpha, x_beta, fam_beta, epsilon):
-    """Transversal pair weight, piecewise linear over +-2 sqrt(eps): rising
-    in d = x_beta - x_alpha when beta is of the slower family, else falling,
-    which is the rising ramp at -d."""
+def _ramp(d, dd, epsilon):
+    """clip(1/2 + d/(4 sqrt(eps)), 0, 1) for a distance d moving at rate dd,
+    with its right t-derivative: dd/(4 sqrt(eps)) inside the window and 0
+    outside.  On a window edge the branch is the one d enters just after t."""
     r = SQRT(epsilon)
-    d = x_beta - x_alpha
+    if d < -2 * r or (d == -2 * r and dd <= 0):
+        return 0.0, 0.0
+    if d > 2 * r or (d == 2 * r and dd >= 0):
+        return 1.0, 0.0
+    return 0.5 + d / (4 * r), dd / (4 * r)
+
+
+def w_flat(d, dd, fam_alpha, fam_beta, epsilon):
+    """Transversal pair weight and its right t-derivative, for
+    d = x_beta - x_alpha moving at rate dd: piecewise linear over
+    +-2 sqrt(eps), rising in d when beta is of the slower family, else
+    falling, which is the rising ramp at -d."""
     if fam_beta >= fam_alpha:
-        d = -d
-    if d < -2 * r:
-        return 0.0
-    if d > 2 * r:
-        return 1.0
-    return 0.5 + d / (4 * r)
+        d, dd = -d, -dd
+    return _ramp(d, dd, epsilon)
 
 
-def w_natural(x, x_alpha, epsilon):
-    return min(0.5 + abs(x - x_alpha) / (4 * SQRT(epsilon)), 1.0)
+def w_natural(d, dd, epsilon):
+    """min(1/2 + |d|/(4 sqrt(eps)), 1) and its right t-derivative, for
+    d = x - x_alpha moving at rate dd; at a tie |d| grows at |dd|."""
+    if d < 0 or (d == 0 and dd < 0):
+        d, dd = -d, -dd
+    return _ramp(d, dd, epsilon)
 
 
 def q_flat(config, epsilon):
-    """Sum over ordered pairs of different families of W_flat |sigma sigma'|."""
+    """Sum over ordered pairs of different families of W_flat |sigma sigma'|,
+    and its right t-derivative."""
     fronts = [(f, f.x(config.time)) for f in config.fronts if f.physical]
-    total = 0.0
+    total = rate = 0.0
     for a, xa in fronts:
         for b, xb in fronts:
             if a is b or a.family == b.family:
                 continue
-            total += w_flat(xa, a.family, xb, b.family, epsilon) * abs(
-                a.strength * b.strength
-            )
-    return total
+            w, dw = w_flat(xb - xa, b.speed - a.speed, a.family, b.family, epsilon)
+            m = abs(a.strength * b.strength)
+            total += w * m
+            rate += dw * m
+    return total, rate
 
 
 def _natural_alpha(fronts, ai, epsilon, t):
     """Integral of W_natural against the cut-off rarefaction accumulator of
-    the shock fronts[ai] at time t; ties in position are resolved by list
-    order.
+    the shock fronts[ai] at time t, and its right t-derivative; ties in
+    position are resolved by list order.
 
     The accumulator grows away from x_alpha on the right and shrinks on the
     left; the left walk carries its negation, which is exact, so one walk
     serves both sides."""
     alpha = fronts[ai]
-    total = _natural_side(alpha, fronts[ai + 1 :], epsilon, t, 0.0)
-    return _natural_side(alpha, reversed(fronts[:ai]), epsilon, t, total)
+    total, rate = _natural_side(alpha, fronts[ai + 1 :], epsilon, t, 0.0, 0.0)
+    return _natural_side(alpha, reversed(fronts[:ai]), epsilon, t, total, rate)
 
 
-def _natural_side(alpha, side, epsilon, t, total):
+def _natural_side(alpha, side, epsilon, t, total, rate):
     """Add to total the rarefaction mass of side (fronts ordered away from
-    alpha) below the cut-off |sigma_alpha|/4, weighted by W_natural."""
+    alpha) below the cut-off |sigma_alpha|/4, weighted by W_natural, and to
+    rate its t-derivative; the masses are frozen between events."""
     cap = abs(alpha.strength) / 4.0
     x_alpha = alpha.x(t)
     cum = 0.0
@@ -101,25 +115,28 @@ def _natural_side(alpha, side, epsilon, t, total):
         new = cum + b.strength
         mass = min(new, cap) - min(cum, cap)
         if mass > 0:
-            total += w_natural(b.x(t), x_alpha, epsilon) * mass
+            w, dw = w_natural(b.x(t) - x_alpha, b.speed - alpha.speed, epsilon)
+            total += w * mass
+            rate += dw * mass
         cum = new
-    return total
+    return total, rate
 
 
 def q_natural(config, bs, epsilon):
     """Sum of the cut-off rarefaction potentials over the big shocks, the
-    fronts in the set bs."""
+    fronts in the set bs, and its right t-derivative."""
     fronts = list(config.fronts)
-    total = 0.0
+    total = rate = 0.0
     for i, f in enumerate(fronts):
         if f.kind == "shock" and f in bs:
-            total += _natural_alpha(fronts, i, epsilon, config.time)
-    return total
+            v, dv = _natural_alpha(fronts, i, epsilon, config.time)
+            total, rate = total + v, rate + dv
+    return total, rate
 
 
 def _sharp_alpha(fronts, ai, epsilon, t):
     """|sigma_alpha| int W_nat W_sharp dz-tilde for the shock fronts[ai] at
-    time t.
+    time t, and its right t-derivative.
 
     z accumulates |sigma| for same-family shocks and -3 sigma for
     same-family rarefactions moving away from x_alpha; the monotone envelope
@@ -129,16 +146,17 @@ def _sharp_alpha(fronts, ai, epsilon, t):
     is not counted.
     """
     alpha = fronts[ai]
-    total = _sharp_side(alpha, fronts[ai + 1 :], epsilon, t, 0.0)
-    total = _sharp_side(alpha, reversed(fronts[:ai]), epsilon, t, total)
-    return abs(alpha.strength) * total
+    total, rate = _sharp_side(alpha, fronts[ai + 1 :], epsilon, t, 0.0, 0.0)
+    total, rate = _sharp_side(alpha, reversed(fronts[:ai]), epsilon, t, total, rate)
+    return abs(alpha.strength) * total, abs(alpha.strength) * rate
 
 
-def _sharp_side(alpha, side, epsilon, t, total):
+def _sharp_side(alpha, side, epsilon, t, total, rate):
     """Add to total the W_sharp-weighted shock content of side (fronts
-    ordered away from alpha).  z starts at |sigma_alpha|/2 and the envelope
-    is its running max; on the left this is the negation of z, which starts
-    at -|sigma_alpha|/2 under the running min."""
+    ordered away from alpha), and to rate its t-derivative.  z starts at
+    |sigma_alpha|/2 and the envelope is its running max; on the left this is
+    the negation of z, which starts at -|sigma_alpha|/2 under the running
+    min."""
     z = runmax = abs(alpha.strength) / 2.0
     x_alpha = alpha.x(t)
     for b in side:
@@ -148,22 +166,26 @@ def _sharp_side(alpha, side, epsilon, t, total):
             z_new = z + abs(b.strength)
             mass = max(0.0, z_new - runmax)
             if mass > 0:
-                total += w_natural(b.x(t), x_alpha, epsilon) * mass / (epsilon + runmax)
+                w, dw = w_natural(b.x(t) - x_alpha, b.speed - alpha.speed, epsilon)
+                total += w * mass / (epsilon + runmax)
+                rate += dw * mass / (epsilon + runmax)
             z = z_new
             runmax = max(runmax, z_new)
         else:
             z = z - 3.0 * b.strength
-    return total
+    return total, rate
 
 
 def q_sharp(config, epsilon):
-    """Same-family shock interaction potential (all shocks, big or small)."""
+    """Same-family shock interaction potential (all shocks, big or small),
+    and its right t-derivative."""
     fronts = list(config.fronts)
-    total = 0.0
+    total = rate = 0.0
     for i, f in enumerate(fronts):
         if f.kind == "shock":
-            total += _sharp_alpha(fronts, i, epsilon, config.time)
-    return total
+            v, dv = _sharp_alpha(fronts, i, epsilon, config.time)
+            total, rate = total + v, rate + dv
+    return total, rate
 
 
 def big_shock_fronts(tracks, k):
@@ -176,9 +198,9 @@ def q_hat(config, bs, epsilon, constants=FunctionalConstants()):
     set of big-shock fronts."""
     V, Q = glimm_functionals(config)
     ups = V + GLIMM_C0 * Q
-    qf = q_flat(config, epsilon)
-    qn = q_natural(config, bs, epsilon)
-    qs = q_sharp(config, epsilon)
+    qf, _ = q_flat(config, epsilon)
+    qn, _ = q_natural(config, bs, epsilon)
+    qs, _ = q_sharp(config, epsilon)
     r = SQRT(epsilon)
     ln = abs(np.log(epsilon))
     qh = r * ln * (constants.c1 * ups + constants.c2 * qf + constants.c3 * qn) + r * qs
@@ -251,7 +273,7 @@ def audit_events(run, tracks, epsilon, constants=FunctionalConstants(), rho=None
             # the composite functional that depends on the big-shock set is
             # the shock-rarefaction potential
             born_fronts = {tr.fronts[0] for tr in born}
-            qn_without = q_natural(after, bs_a - born_fronts, epsilon)
+            qn_without, _ = q_natural(after, bs_a - born_fronts, epsilon)
             surcharge = r * ln * constants.c3 * (sa.q_natural - qn_without)
             report.creation_ratios.append(
                 {"t": ev.time, "sigma": sigma,
@@ -277,33 +299,16 @@ def audit_events(run, tracks, epsilon, constants=FunctionalConstants(), rho=None
 # ---------------------------------------------------------------------------
 # inter-event decay rates
 
-def flat_decay_rate(config, epsilon):
-    """Exact dQ_flat/dt for the configuration's current motion: minus the sum
-    over ordered different-family pairs within 2 sqrt(eps) of
-    |sigma sigma'| |dx/dt difference| / (4 sqrt(eps))."""
-    r = SQRT(epsilon)
-    fronts = [(f, f.x(config.time)) for f in config.fronts if f.physical]
-    rate = 0.0
-    pair_sum = 0.0
-    for i, (a, xa) in enumerate(fronts):
-        for b, xb in fronts[i + 1 :]:
-            if a.family == b.family:
-                continue
-            if abs(xb - xa) >= 2 * r:
-                continue
-            rate -= 2.0 * abs(a.strength * b.strength) * abs(a.speed - b.speed) / (4 * r)
-            pair_sum += 2.0 * abs(a.strength * b.strength)
-    return rate, pair_sum
-
-
 def interaction_decay_rates(run, tracks, epsilon):
     """Per-interval report of the decay rates of the weighted functionals.
 
-    q_flat decays at an exactly computable rate; q_natural and q_sharp rates
-    are sampled by centered differences of step 1/64 of the interval at its
-    midpoint (the envelopes are frozen between events, so the only time
-    dependence is the linear front motion).  The pair sums entering the
-    right-hand sides of the decay estimates are itemized per interval.
+    Between events the masses, cut-offs and envelopes are frozen and every
+    front moves linearly, so q_flat, q_natural and q_sharp are piecewise
+    linear in t; each rate is the exact right t-derivative at the interval's
+    midpoint.  The pair sums entering the right-hand sides of the decay
+    estimates are itemized per interval: ordered pairs within 2 sqrt(eps) of
+    different families (cross), of a big shock and a same-family rarefaction
+    (natural), and unordered pairs of same-family shocks (sharp).
     """
     t_edges = run.t_edges
     rows = []
@@ -313,19 +318,12 @@ def interaction_decay_rates(run, tracks, epsilon):
         if t1 - t0 <= 1e-14:
             continue
         tm = 0.5 * (t0 + t1)
-        h = max((t1 - t0) / 64.0, 1e-12)
         bs = big_shock_fronts(tracks, k)
         c_m = cfg.at(tm)
-        c_p = cfg.at(tm + h)
-        c_q = cfg.at(tm - h)
-        rate_flat, flat_pairs = flat_decay_rate(c_m, epsilon)
-        fd_flat = (q_flat(c_p, epsilon) - q_flat(c_q, epsilon)) / (2 * h)
-        fd_nat = (q_natural(c_p, bs, epsilon) - q_natural(c_q, bs, epsilon)) / (2 * h)
-        fd_sharp = (q_sharp(c_p, epsilon) - q_sharp(c_q, epsilon)) / (2 * h)
-        # itemized proximity sums (right-hand sides of the decay estimates)
-        nat_pairs = 0.0
-        sharp_pairs = 0.0
-        cross_pairs = 0.0
+        _, rate_flat = q_flat(c_m, epsilon)
+        _, rate_nat = q_natural(c_m, bs, epsilon)
+        _, rate_sharp = q_sharp(c_m, epsilon)
+        nat_pairs = sharp_pairs = cross_pairs = 0.0
         fronts = [(f, f.x(tm)) for f in c_m.fronts if f.physical]
         for i, (a, xa) in enumerate(fronts):
             for j, (b, xb) in enumerate(fronts):
@@ -340,9 +338,8 @@ def interaction_decay_rates(run, tracks, epsilon):
                     sharp_pairs += abs(a.strength * b.strength)
         rows.append({
             "t0": t0, "t1": t1, "t_mid": tm,
-            "rate_flat_exact": rate_flat, "rate_flat_fd": fd_flat,
-            "rate_natural_fd": fd_nat, "rate_sharp_fd": fd_sharp,
-            "flat_pair_sum": flat_pairs, "natural_pair_sum": nat_pairs,
-            "sharp_pair_sum": sharp_pairs, "cross_pair_sum": cross_pairs,
+            "rate_flat": rate_flat, "rate_natural": rate_nat, "rate_sharp": rate_sharp,
+            "natural_pair_sum": nat_pairs, "sharp_pair_sum": sharp_pairs,
+            "cross_pair_sum": cross_pairs,
         })
     return rows

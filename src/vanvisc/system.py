@@ -107,14 +107,15 @@ def _unit_eigenvectors(A, lam):
 
 
 def grad_lambda_fd(model, u):
-    """Central finite differences of wave_speeds at u, one axis at a time:
-    row i of the (n, n) result is grad lambda_i."""
+    """Central finite differences of wave_speeds at u, one axis at a time,
+    with the step 1e-6 max(1, |u_k|) so that it stays above the rounding of
+    large states: row i of the (n, n) result is grad lambda_i."""
     u = np.asarray(u, dtype=float)
     g = np.empty((model.n, model.n))
     for k in range(model.n):
         e = np.zeros(model.n)
-        e[k] = _FD_STEP
-        g[:, k] = (wave_speeds(model, u + e) - wave_speeds(model, u - e)) / (2 * _FD_STEP)
+        e[k] = h = _FD_STEP * max(1.0, abs(u[k]))
+        g[:, k] = (wave_speeds(model, u + e) - wave_speeds(model, u - e)) / (2 * h)
     return g
 
 

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vanvisc.front_tracking import Front, FrontConfiguration, init_front_tracking, run_until
+from vanvisc.front_tracking import (Front, FrontConfiguration, config_index,
+                                    init_front_tracking, run_until)
 from vanvisc.functionals import (FunctionalConstants, _natural_alpha, _sharp_alpha,
-                                 audit_events, flat_decay_rate,
-                                 interaction_decay_rates, q_flat, q_hat, q_natural,
-                                 q_sharp, w_flat, w_natural)
+                                 audit_events, big_shock_fronts, interaction_decay_rates,
+                                 q_flat, q_hat, q_natural, q_sharp, w_flat, w_natural)
 from vanvisc.harness import eval_rule, scenario_data
 from vanvisc.hybrid import select_big_shocks
 from vanvisc.piecewise import PiecewiseConstant
@@ -34,49 +34,49 @@ def config(fronts):
 
 
 def test_q_flat_examples():
-    assert q_flat(config([shock(0.0, 1, -0.5), shock(1.0, 1, -0.3)]), EPS) == 0.0
+    assert q_flat(config([shock(0.0, 1, -0.5), shock(1.0, 1, -0.3)]), EPS) == (0.0, 0.0)
     # single ordered pair weight at coincident positions is 1/2
-    assert w_flat(0.0, 2, 0.0, 1, EPS) == pytest.approx(0.5)
-    assert w_flat(0.0, 2, -2.1 * R, 1, EPS) == 0.0
-    assert w_flat(0.0, 2, 2.1 * R, 1, EPS) == 1.0
+    assert w_flat(0.0, 0.0, 2, 1, EPS)[0] == pytest.approx(0.5)
+    assert w_flat(-2.1 * R, 0.0, 2, 1, EPS)[0] == 0.0
+    assert w_flat(2.1 * R, 0.0, 2, 1, EPS)[0] == 1.0
     # weight table is continuous at the branch points
     for fa, fb in ((2, 1), (1, 2)):
         for edge in (-2 * R, 2 * R):
-            lo = w_flat(0.0, fa, edge - 1e-12, fb, EPS)
-            hi = w_flat(0.0, fa, edge + 1e-12, fb, EPS)
+            lo, _ = w_flat(edge - 1e-12, 0.0, fa, fb, EPS)
+            hi, _ = w_flat(edge + 1e-12, 0.0, fa, fb, EPS)
             assert lo == pytest.approx(hi, abs=1e-10)
 
 
 def test_q_natural_examples():
     a = shock(0.0, 1, -1.0)
-    assert q_natural(config([a]), {a}, EPS) == 0.0
+    assert q_natural(config([a]), {a}, EPS)[0] == 0.0
     cfg = config([a, raref(0.0, 1, 0.1)])
-    assert q_natural(cfg, {a}, EPS) == pytest.approx(0.05)
+    assert q_natural(cfg, {a}, EPS)[0] == pytest.approx(0.05)
     # a shock of equal fields is another front: not big
-    assert q_natural(cfg, {shock(0.0, 1, -1.0)}, EPS) == 0.0
+    assert q_natural(cfg, {shock(0.0, 1, -1.0)}, EPS)[0] == 0.0
     cfg = config([a] + [raref(0.0, 1, 0.125) for _ in range(4)])
-    assert q_natural(cfg, {a}, EPS) == pytest.approx(0.125)  # cut off at 1/4 * 1/2
+    assert q_natural(cfg, {a}, EPS)[0] == pytest.approx(0.125)  # cut off at 1/4 * 1/2
 
 
 def test_q_natural_weight_range():
-    assert w_natural(0.0, 0.0, EPS) == 0.5
-    assert w_natural(10.0, 0.0, EPS) == 1.0
-    assert 0.5 <= w_natural(1.3 * R, 0.0, EPS) <= 1.0
+    assert w_natural(0.0, 0.0, EPS)[0] == 0.5
+    assert w_natural(10.0, 0.0, EPS)[0] == 1.0
+    assert 0.5 <= w_natural(1.3 * R, 0.0, EPS)[0] <= 1.0
 
 
 def test_q_sharp_examples():
-    assert q_sharp(config([shock(0.0, 1, -0.4)]), EPS) == 0.0
+    assert q_sharp(config([shock(0.0, 1, -0.4)]), EPS)[0] == 0.0
     s, d = 0.2, 0.5 * R
     cfg = config([shock(0.0, 1, -s), shock(d, 1, -s)])
     expect = 2 * s * (0.5 + d / (4 * R)) * s / (EPS + s / 2)
-    assert q_sharp(cfg, EPS) == pytest.approx(expect, rel=1e-12)
+    assert q_sharp(cfg, EPS)[0] == pytest.approx(expect, rel=1e-12)
     # partner atom erased by interleaved rarefactions (3x rule)
     Rmass = (2.0 / 3.0) * (s + s / 2) * 1.05
     fronts = [shock(0.0, 1, -s)]
     for j in range(4):
         fronts.append(raref(d * (j + 1) / 6.0, 1, Rmass / 4))
     fronts.append(shock(d, 1, -s))
-    assert q_sharp(config(fronts), EPS) == 0.0
+    assert q_sharp(config(fronts), EPS)[0] == 0.0
 
 
 def test_q_hat_snapshot():
@@ -160,10 +160,9 @@ def test_flat_decay_rate_closed_form():
     run = run_until(P, cfg, 1e-5)
     rows = interaction_decay_rates(run, [], EPS)
     row = rows[0]
-    assert row["rate_flat_exact"] == pytest.approx(row["rate_flat_fd"], abs=1e-10)
     a, b = run.configs[0].fronts
     expect = -2 * abs(a.strength * b.strength) * abs(a.speed - b.speed) / (4 * R)
-    assert row["rate_flat_exact"] == pytest.approx(expect, rel=1e-12)
+    assert row["rate_flat"] == pytest.approx(expect, rel=1e-12)
 
 
 def test_flat_decay_rate_empty_window():
@@ -172,8 +171,8 @@ def test_flat_decay_rate_empty_window():
     u2 = lax_curve(P, 2, u1, -0.15)
     data = PiecewiseConstant([0.0, 10 * R], [u0, u1, u2])
     cfg = init_front_tracking(P, data, 1e-9, 0.1)
-    rate, pairs = flat_decay_rate(cfg, EPS)
-    assert rate == 0.0 and pairs == 0.0
+    (row,) = interaction_decay_rates(run_until(P, cfg, 1e-5), [], EPS)
+    assert row["rate_flat"] == 0.0 and row["cross_pair_sum"] == 0.0
 
 
 def test_natural_decay_rate_clean_case():
@@ -186,7 +185,7 @@ def test_natural_decay_rate_clean_case():
     rows = interaction_decay_rates(run, tracks, EPS)
     row = rows[0]
     sigma_a, sigma_b = 1.0, 0.1
-    assert row["rate_natural_fd"] <= -(sigma_a / 4.0) * sigma_b / (4 * R) + 1e-9
+    assert row["rate_natural"] <= -(sigma_a / 4.0) * sigma_b / (4 * R) + 1e-9
 
 
 def test_q_flat_nonincreasing_between_events():
@@ -205,7 +204,7 @@ def test_q_flat_nonincreasing_between_events():
         if t1 - t0 < 1e-9:
             continue
         ts = np.linspace(t0 + 1e-9, t1 - 1e-9, 5)
-        vals_q = [q_flat(c.at(t), EPS) for t in ts]
+        vals_q = [q_flat(c.at(t), EPS)[0] for t in ts]
         assert all(b <= a + 1e-12 for a, b in zip(vals_q[:-1], vals_q[1:]))
 
 
@@ -239,7 +238,7 @@ def _natural_alpha_two_walks(fronts, ai, epsilon):
         new = cum + b.strength
         mass = min(new, cap) - min(cum, cap)
         if mass > 0:
-            total += w_natural(b.x0, alpha.x0, epsilon) * mass
+            total += w_natural(b.x0 - alpha.x0, 0.0, epsilon)[0] * mass
         cum = new
     cum = 0.0
     for b in reversed(fronts[:ai]):
@@ -248,7 +247,7 @@ def _natural_alpha_two_walks(fronts, ai, epsilon):
         new = cum - b.strength
         mass = max(cum, -cap) - max(new, -cap)
         if mass > 0:
-            total += w_natural(b.x0, alpha.x0, epsilon) * mass
+            total += w_natural(b.x0 - alpha.x0, 0.0, epsilon)[0] * mass
         cum = new
     return total
 
@@ -266,7 +265,7 @@ def _sharp_alpha_two_walks(fronts, ai, epsilon):
             z_new = z + abs(b.strength)
             mass = max(0.0, z_new - runmax)
             if mass > 0:
-                total += w_natural(b.x0, alpha.x0, epsilon) * mass / (epsilon + runmax)
+                total += w_natural(b.x0 - alpha.x0, 0.0, epsilon)[0] * mass / (epsilon + runmax)
             z = z_new
             runmax = max(runmax, z_new)
         else:
@@ -280,7 +279,7 @@ def _sharp_alpha_two_walks(fronts, ai, epsilon):
             z_new = z - abs(b.strength)
             mass = max(0.0, runmin - z_new)
             if mass > 0:
-                total += w_natural(b.x0, alpha.x0, epsilon) * mass / (epsilon - runmin)
+                total += w_natural(b.x0 - alpha.x0, 0.0, epsilon)[0] * mass / (epsilon - runmin)
             z = z_new
             runmin = min(runmin, z_new)
         else:
@@ -313,9 +312,123 @@ def test_one_sided_walks_match_two_walks(specs, eps):
                             np.zeros(2), np.zeros(2)))
     for i, a in enumerate(fronts):
         if a.kind == "shock":
-            assert _natural_alpha(fronts, i, eps, 0.0) == _natural_alpha_two_walks(fronts, i, eps)
-            assert _sharp_alpha(fronts, i, eps, 0.0) == _sharp_alpha_two_walks(fronts, i, eps)
+            assert _natural_alpha(fronts, i, eps, 0.0)[0] == _natural_alpha_two_walks(fronts, i, eps)
+            assert _sharp_alpha(fronts, i, eps, 0.0)[0] == _sharp_alpha_two_walks(fronts, i, eps)
         for b in fronts:
             if a.physical and b.physical:
-                assert (w_flat(a.x0, a.family, b.x0, b.family, eps)
+                assert (w_flat(b.x0 - a.x0, 0.0, a.family, b.family, eps)[0]
                         == _w_flat_two_branches(a.x0, a.family, b.x0, b.family, eps))
+
+
+# The exact rates against difference quotients.  Between events the masses,
+# cut-offs and envelopes are frozen and every front moves linearly, so
+# q_flat, q_natural and q_sharp are piecewise linear in t: a difference
+# quotient whose stencil holds no kink is the derivative up to rounding.
+
+def _values_and_rates(cfg, bs, eps):
+    """(q_flat, q_natural, q_sharp) of cfg and their rates, as two arrays."""
+    values, rates = zip(q_flat(cfg, eps), q_natural(cfg, bs, eps), q_sharp(cfg, eps))
+    return np.array(values), np.array(rates)
+
+
+# one moving front: position in units of sqrt(eps)/2, family (3 for a
+# non-physical front), shock or rarefaction, strength magnitude, speed
+_MOVING_FRONT = st.tuples(
+    st.integers(-8, 8),
+    st.sampled_from([1, 2, 3]),
+    st.booleans(),
+    st.floats(-6.0, -0.3).map(lambda e: 10.0 ** e),
+    st.floats(-1.0, 1.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_MOVING_FRONT, max_size=12), st.integers(2, 7))
+def test_rates_are_right_derivatives(specs, j):
+    # eps = 4^-j makes sqrt(eps) a power of two, so the lattice positions,
+    # their distances and the window edges +-2 sqrt(eps) are exact: ties and
+    # pairs on a window edge occur, and the rate there is the one-sided one
+    eps, r = 4.0 ** -j, 2.0 ** -j
+    fronts = []
+    for k, fam, is_shock, size, speed in sorted(specs, key=lambda t: t[0]):
+        if fam == 3:
+            kind, strength = "non_physical", size
+        else:
+            kind, strength = ("shock", -size) if is_shock else ("rarefaction_step", size)
+        fronts.append(Front(0.5 * k * r, 0.0, fam, kind, strength, speed,
+                            np.zeros(2), np.zeros(2)))
+    cfg = config(fronts)
+    bs = {f for f in fronts if f.kind == "shock"}
+    # a lattice distance off a kink (-2 sqrt(eps), 0, 2 sqrt(eps)) is at
+    # least sqrt(eps)/2 from it and closes at speed 2 or less, so no kink
+    # lies in (0, h]
+    h = r / 8
+    v0, rates = _values_and_rates(cfg, bs, eps)
+    v1, _ = _values_and_rates(cfg.at(h), bs, eps)
+    scale = sum(abs(f.strength) for f in fronts) ** 2
+    assert np.all(np.abs((v1 - v0) / h - rates) <= 1e-12 * scale / h)
+
+
+def _check_against_centred_differences(run, tracks, eps):
+    """Check each interval's rates against the centred difference of step
+    (t1 - t0)/64 at t_mid wherever the second difference is zero to rounding,
+    that is, where no pair crosses a kink inside the stencil.  Returns the
+    number of nonzero rates checked, per functional."""
+    checked = np.zeros(3, dtype=int)
+    for row in interaction_decay_rates(run, tracks, eps):
+        tm, h = row["t_mid"], (row["t1"] - row["t0"]) / 64
+        bs = big_shock_fronts(tracks, config_index(run.times, run.tau, tm))
+        v, _ = _values_and_rates(run.config_at(tm), bs, eps)
+        vp, _ = _values_and_rates(run.config_at(tm + h), bs, eps)
+        vm, _ = _values_and_rates(run.config_at(tm - h), bs, eps)
+        rates = np.array([row["rate_flat"], row["rate_natural"], row["rate_sharp"]])
+        linear = np.abs(vp - 2 * v + vm) <= 1e-12 * np.abs(v)
+        err = np.abs((vp - vm) / (2 * h) - rates)
+        assert np.all(err[linear] <= 1e-13 * np.abs(v[linear]) / h)
+        checked += linear & (rates != 0)
+    return checked
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """The random corpus of criteria 3-4: 25 Burgers runs, then the 25
+    p-system runs of random_bv seeds 100-124."""
+    runs = []
+    for model, seeds, n_jumps in ((B, range(25), 10), (P, range(100, 125), 8)):
+        for seed in seeds:
+            data = scenario_data(model, "random_bv", seed=seed, n_jumps=n_jumps, tv=0.3)
+            runs.append(run_until(model, init_front_tracking(model, data, 1e-6, 0.02), 1.5,
+                                  epsilon_prime=1e-6, simplified_threshold=1e-8))
+    return runs
+
+
+def test_corpus_rates_match_centred_differences(corpus):
+    rho = eval_rule("4*sqrt_eps*abs_ln_eps", EPS)
+    checked = sum(_check_against_centred_differences(run, select_big_shocks(run, rho), EPS)
+                  for run in corpus)
+    # no shock is big at this rho, so q_natural is 0 throughout
+    assert checked[0] >= 300 and checked[1] == 0 and checked[2] >= 50
+
+
+def test_flat_rate_where_a_pair_leaves_the_window(corpus):
+    # p-system random_bv seed 100: on [0.0528, 0.0944) a pair crosses the
+    # window edge within (t1 - t0)/64 of t_mid, so the centred difference
+    # of that step reads -0.14602 where the right derivative is -0.16064
+    run = corpus[25]
+    (row,) = [r for r in interaction_decay_rates(run, [], EPS) if r["t0"] < 0.07 < r["t1"]]
+    tm, h = row["t_mid"], (row["t1"] - row["t0"]) / 64
+    q = {t: q_flat(run.config_at(t), EPS)[0] for t in (tm - h, tm, tm + 1e-7, tm + h)}
+    assert row["rate_flat"] == pytest.approx((q[tm + 1e-7] - q[tm]) / 1e-7, rel=1e-6)
+    assert row["rate_flat"] == pytest.approx(-0.16064, abs=1e-5)
+    assert (q[tm + h] - q[tm - h]) / (2 * h) == pytest.approx(-0.14602, abs=1e-5)
+
+
+@pytest.mark.parametrize("eps, n_moving", [(4e-3, 2), (1e-3, 4)])
+def test_natural_rates_on_merge_cancellation(eps, n_moving):
+    # the functionals command's run of merge_cancellation: its big shocks
+    # meet same-family rarefaction steps, so q_natural moves
+    cap = eval_rule("sqrt_eps*abs_ln_eps/2", eps)
+    data = scenario_data(B, "merge_cancellation")
+    run = run_until(B, init_front_tracking(B, data, 1e-9, cap), 1.0, epsilon_prime=1e-9)
+    tracks = select_big_shocks(run, eval_rule("4*sqrt_eps*abs_ln_eps", eps))
+    assert _check_against_centred_differences(run, tracks, eps)[1] == n_moving

@@ -239,6 +239,18 @@ def test_grad_lambda_fd_is_central_difference_of_wave_speeds():
                 u = lo + (hi - lo) * rng.uniform(0.1, 0.9, model.n)
                 for k in range(model.n):
                     e = np.zeros(model.n)
-                    e[k] = 1e-6
-                    col = (wave_speeds(m, u + e) - wave_speeds(m, u - e)) / 2e-6
+                    e[k] = h = 1e-6 * max(1.0, abs(u[k]))
+                    col = (wave_speeds(m, u + e) - wave_speeds(m, u - e)) / (2 * h)
                     assert np.array_equal(grad_lambda_fd(m, u)[:, k], col)
+
+
+def test_grad_lambda_fd_step_scales_with_the_state():
+    # an absolute step of 1e-6 fell below the rounding of u = 1e9 and up:
+    # the gradient read 0.954 at 1e9, 1.907 at 1e10 and 0 at 3e10, where
+    # eigen_frame raised GNLViolation
+    wide = SystemModel(n=1, flux=lambda u: 0.5 * u * u,
+                       jacobian=lambda u: np.array(u, dtype=float)[..., None],
+                       domain_box=((-1e11, 1e11),), name="wide_burgers")
+    for u in (1e9, 1e10, 3e10, -3e10):
+        assert grad_lambda_fd(wide, np.array([u]))[0, 0] == pytest.approx(1.0, rel=1e-12)
+    assert eigen_frame(wide, np.array([3e10]))[0, 0] == pytest.approx(1.0, rel=1e-12)
