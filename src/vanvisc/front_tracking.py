@@ -147,21 +147,24 @@ def _np_front(x, t, model, u_l, u_r):
     )
 
 
-def _fronts_from_fan(model, fan, x, t, cap):
-    """Fan waves to fronts born at (x, t); rarefactions split into steps of
-    strength <= cap."""
+def _fronts_from_strengths(model, strengths, u, x, t, cap):
+    """Fronts born at (x, t) for per-family strengths composed from u
+    through lax_curve: each wave starts where the previous front ends, a
+    wave below WAVE_FLOOR is dropped without advancing the state, and a
+    rarefaction splits into steps of strength <= cap."""
     out = []
-    for w in fan.waves:
-        if abs(w.strength) < WAVE_FLOOR:
+    for family, s in enumerate(map(float, strengths), start=1):
+        if abs(s) < WAVE_FLOOR:
             continue
-        if w.kind == "shock":
-            out.append(
-                Front(x, t, w.family, "shock", w.strength, w.speed,
-                      w.left_state, w.right_state)
-            )
+        if s < 0:
+            # the strengths come from solve_riemann or from fronts already
+            # built, and a merged shock may exceed lax_curve's default bound
+            u_next = lax_curve(model, family, u, s, max_param=np.inf)
+            sp = shock_speed(model, u, u_next)
+            out.append(Front(x, t, family, "shock", s, sp, u, u_next))
         else:
-            out.extend(_rarefaction_steps(model, w.family, w.left_state, w.strength,
-                                          x, t, cap))
+            out.extend(_rarefaction_steps(model, family, u, s, x, t, cap))
+        u = out[-1].right_state
     return out
 
 
@@ -187,8 +190,9 @@ def init_front_tracking(model, initial, epsilon_prime, rarefaction_cap):
     fronts = []
     u = initial.values[0]
     for x, u_next in zip(initial.xs, initial.values[1:]):
-        fan = solve_riemann(model, u, u_next)
-        fronts.extend(_fronts_from_fan(model, fan, float(x), 0.0, rarefaction_cap))
+        strengths = solve_riemann(model, u, u_next).strengths(model.n)
+        fronts.extend(_fronts_from_strengths(model, strengths, u, float(x), 0.0,
+                                             rarefaction_cap))
         if fronts:
             # re-anchor so consecutive fans chain exactly
             fronts[-1] = replace(fronts[-1], right_state=u_next)
@@ -238,26 +242,14 @@ def next_interaction(config):
 
 
 def _simplified_outgoing(model, incoming, u_l, u_r, x, t, cap):
-    """Pass-through solver: physical strengths preserved, residual goes NP."""
-    phys = [f for f in incoming if f.physical]
-    order = sorted(phys, key=lambda f: f.family)  # outgoing by family
-    out = []
-    u = u_l
-    if len({f.family for f in phys}) < len(phys):
-        # same-family pair: single outgoing wave with summed strength
-        s = sum(f.strength for f in phys)
-        order = []
-        if abs(s) > WAVE_FLOOR:
-            order = [replace(phys[0], strength=s)]
-    for f in order:
-        if f.strength < 0:
-            u_next = lax_curve(model, f.family, u, f.strength)
-            sp = shock_speed(model, u, u_next)
-            out.append(Front(x, t, f.family, "shock", f.strength, sp, u, u_next))
-        else:
-            out.extend(_rarefaction_steps(model, f.family, u, f.strength, x, t, cap))
-            u_next = out[-1].right_state
-        u = u_next
+    """Pass-through solver: the per-family sums of the physical strengths
+    go out unchanged, and the residual goes to a non-physical front."""
+    strengths = np.zeros(model.n)
+    for f in incoming:
+        if f.physical:
+            strengths[f.family - 1] += f.strength
+    out = _fronts_from_strengths(model, strengths, u_l, x, t, cap)
+    u = out[-1].right_state if out else u_l
     if float(np.linalg.norm(u_r - u)) > NP_FLOOR:
         out.append(_np_front(x, t, model, u, u_r))
     return out
@@ -283,8 +275,8 @@ def resolve_interaction(model, config, event, simplified_threshold):
         outgoing = _simplified_outgoing(model, incoming, u_l, u_r, x, t, cap)
         solver = "simplified"
     else:
-        fan = solve_riemann(model, u_l, u_r)
-        outgoing = _fronts_from_fan(model, fan, x, t, cap)
+        strengths = solve_riemann(model, u_l, u_r).strengths(model.n)
+        outgoing = _fronts_from_strengths(model, strengths, u_l, x, t, cap)
         if outgoing:
             outgoing[-1] = replace(outgoing[-1], right_state=u_r)
         solver = "accurate"

@@ -16,7 +16,6 @@ import numpy as np
 from .errors import NegativeMass, NonMonotoneHistory, NotMonotone
 from .front_tracking import merge_cancelling_pairs
 from .riemann import solve_riemann
-from .system import wave_speeds
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +153,8 @@ def wave_measure(model, u, i):
     """Measure of i-waves of a piecewise-constant profile.
 
     One atom per jump, with mass equal to the i-th strength of the local
-    Riemann problem across that jump.  For scalar laws that strength is just
-    the eigenvalue difference across the jump.
+    Riemann problem across that jump (for Burgers, whose wave curve is
+    u0 + s, that is u_r - u_l).
     """
     atoms = []
     left = u.values[0]
@@ -163,11 +162,7 @@ def wave_measure(model, u, i):
         if np.allclose(left, right, atol=1e-15):
             left = right
             continue
-        if model.n == 1:
-            s = float(wave_speeds(model, right)[0] - wave_speeds(model, left)[0])
-        else:
-            fan = solve_riemann(model, left, right)
-            s = fan.strengths(model.n)[i - 1]
+        s = solve_riemann(model, left, right).strengths(model.n)[i - 1]
         if s != 0.0:
             atoms.append((float(x), float(s)))
         left = right

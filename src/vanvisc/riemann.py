@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoRoot, NoSolution, NotOnLocus
+from .errors import NoRoot, NoSolution, NotOnLocus, VanviscError
 from .system import eigen_frame, wave_speeds
 
 RH_TOL = 1e-8
@@ -99,8 +99,8 @@ def _damped_newton(res, z, tol, max_iter, error):
     1e-7 max(1, |z_k|); each step is halved up to 40 times until the max
     norm of the residual decreases, and a probe that raises counts as no
     decrease.  Returns z and its extra once the residual is below tol;
-    raises error on a singular Jacobian, a failed line search or after
-    max_iter steps.
+    raises error on a Jacobian probe that raises, a singular Jacobian, a
+    failed line search or after max_iter steps.
     """
     f, extra = res(z)
     it = 0
@@ -113,7 +113,11 @@ def _damped_newton(res, z, tol, max_iter, error):
         for k in range(z.size):
             dz = np.zeros(z.size)
             dz[k] = 1e-7 * max(1.0, abs(z[k]))
-            J[:, k] = (res(z + dz)[0] - f) / dz[k]
+            try:
+                J[:, k] = (res(z + dz)[0] - f) / dz[k]
+            except (ValueError, VanviscError) as exc:
+                # lax_curve's strength bound, or a probe outside the domain
+                raise error(f"Jacobian probe failed: {exc}") from exc
         try:
             step = np.linalg.solve(J, -f)
         except np.linalg.LinAlgError:

@@ -159,6 +159,7 @@ def preset_model(name, gamma=None, k=None):
             name="burgers",
             grad_lambda_fn=lambda u: np.array([[1.0]]),
             lambda_fn=lambda u: np.array(u, dtype=float),
+            wave_curve=lambda i, u0, s: u0 + s,   # lambda = u on both branches
         )
     if name == "p_system":
         gamma = 2.0 if gamma is None else float(gamma)

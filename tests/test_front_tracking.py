@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vanvisc.errors import EventBudgetExceeded, InvalidConfiguration, OutOfRange
-from vanvisc.front_tracking import (POS_TOL, Front, FrontConfiguration, glimm_functionals,
-                                    init_front_tracking,
+from vanvisc.front_tracking import (POS_TOL, Event, Front, FrontConfiguration,
+                                    glimm_functionals, init_front_tracking,
                                     merge_cancelling_pairs, next_interaction,
                                     resolve_interaction, run_until, sample_profile)
 from vanvisc.harness import scenario_data
@@ -131,6 +131,31 @@ def test_simplified_solver_emits_np_front():
     nps = [f for c in run.configs for f in c.fronts if not f.physical]
     assert nps, "expected a non-physical front"
     assert sum(f.strength for f in run.configs[-1].fronts if not f.physical) < 1e-3
+
+
+def test_pass_through_sums_strengths_per_family():
+    # a 1-shock, a 2-rarefaction and a 1-rarefaction meet a non-physical
+    # front; resolve_interaction reads neither positions nor speeds
+    from vanvisc.riemann import lax_curve
+
+    u0 = np.array([1.0, 0.0])
+    u1 = lax_curve(P, 1, u0, -0.05)
+    u2 = lax_curve(P, 2, u1, 0.03)
+    u3 = lax_curve(P, 1, u2, 0.02)
+    u4 = u3 + np.array([1e-9, 0.0])
+    fronts = [Front(0.0, 0.0, 1, "shock", -0.05, 0.0, u0, u1),
+              Front(0.0, 0.0, 2, "rarefaction_step", 0.03, 0.0, u1, u2),
+              Front(0.0, 0.0, 1, "rarefaction_step", 0.02, 0.0, u2, u3),
+              Front(0.0, 0.0, 3, "non_physical", 1e-9, 0.0, u3, u4)]
+    cfg = FrontConfiguration(0.0, fronts, u0, 0.05)
+    _, _, outgoing, solver = resolve_interaction(P, cfg, Event(0.0, 0.0, (0, 1, 2, 3)), 1e-9)
+    assert solver == "simplified"
+    assert [(f.family, f.kind) for f in outgoing] == [
+        (1, "shock"), (2, "rarefaction_step"), (3, "non_physical")]
+    assert outgoing[0].strength == pytest.approx(-0.03, abs=1e-15)
+    assert outgoing[1].strength == pytest.approx(0.03, abs=1e-15)
+    assert outgoing[0].left_state is u0 and np.array_equal(outgoing[-1].right_state, u4)
+    FrontConfiguration(0.0, list(outgoing), u0, 0.05).validate(atol=0.0)
 
 
 def test_run_until_examples():

@@ -11,14 +11,21 @@ from vanvisc.system import SystemModel, eigen_frame, preset_model, wave_speeds
 
 B = preset_model("burgers")
 P = preset_model("p_system", gamma=2, k=1)
-# the p-system without its closed-form wave curve: RK4 on r_i and Newton on
-# the Hugoniot locus, the oracle of the closed form
+# the presets without their closed-form wave curves: RK4 on r_i and Newton
+# on the Hugoniot locus, the oracle of the closed forms
 P_GENERIC = dataclasses.replace(P, wave_curve=None)
+B_GENERIC = dataclasses.replace(B, wave_curve=None)
 
 # a state in the p-system box, a family and a wave strength
 P_STATE = st.tuples(st.floats(0.5, 2.0), st.floats(-2.0, 2.0)).map(np.array)
 FAMILY = st.sampled_from([1, 2])
 STRENGTH = st.floats(-0.3, 0.3)
+# a preset with its generic twin, a state in its box and a family
+CURVE_INPUT = st.one_of(
+    st.tuples(st.just((P, P_GENERIC)), P_STATE, FAMILY),
+    st.tuples(st.just((B, B_GENERIC)), st.floats(-4.0, 4.0).map(lambda v: np.array([v])),
+              st.just(1)),
+)
 
 
 def _lam(model, u, i):
@@ -65,20 +72,21 @@ def test_rarefaction_curve_leaving_the_domain_raises_out_of_domain():
 
 
 @settings(max_examples=200, deadline=None)
-@given(P_STATE, FAMILY, STRENGTH)
-def test_p_system_wave_curve_agrees_with_generic_path(u0, i, s):
+@given(CURVE_INPUT, STRENGTH)
+def test_p_system_wave_curve_agrees_with_generic_path(curve_input, s):
+    (model, generic), u0, i = curve_input
     try:
-        u = lax_curve(P, i, u0, s)
+        u = lax_curve(model, i, u0, s)
     except OutOfDomain:
         with pytest.raises((OutOfDomain, NoRoot)):
-            lax_curve(P_GENERIC, i, u0, s)
+            lax_curve(generic, i, u0, s)
         return
     try:
-        ref = lax_curve(P_GENERIC, i, u0, s)
+        ref = lax_curve(generic, i, u0, s)
     except OutOfDomain:
         # Newton starts from u0 + s r_i(u0), which may leave the box although
         # the shock's end state is inside
-        assert s < 0 and not P.in_domain(u0 + s * eigen_frame(P, u0)[i - 1])
+        assert s < 0 and not model.in_domain(u0 + s * eigen_frame(model, u0)[i - 1])
         return
     # RK4's truncation error at |s| = 0.3 is up to 7e-10
     assert np.max(np.abs(u - ref)) <= 1e-9
@@ -248,3 +256,18 @@ def test_damped_newton_failure_branches():
         _damped_newton(lambda z: (1.0 / (1.0 + z ** 2), None), z0, 1e-3, 5, NoRoot)
     z, extra = _damped_newton(lambda z: (z ** 2 - 2.0, "kept"), z0, 1e-12, 5, NoRoot)
     assert z[0] == pytest.approx(np.sqrt(2.0), rel=1e-12) and extra == "kept"
+
+    # a Jacobian probe that raises ends the solve with the caller's class
+    def probe_fails(z):
+        if z[0] != 1.0:
+            raise OutOfDomain("probe outside the box")
+        return z - 2.0, None
+    with pytest.raises(NoRoot, match="Jacobian probe failed"):
+        _damped_newton(probe_fails, z0, 1e-3, 5, NoRoot)
+
+
+def test_riemann_probe_past_the_strength_bound_raises_no_solution():
+    # both states are in Burgers' box, but the jump of 6.5 is clipped to 4
+    # and Newton's probes reach lax_curve's bound 6.1 on the way up
+    with pytest.raises(NoSolution, match="Jacobian probe failed"):
+        solve_riemann(B, np.array([-3.5]), np.array([3.0]))
