@@ -24,7 +24,7 @@ from .front_tracking import init_front_tracking, run_until, sample_profile
 from .functionals import FunctionalConstants, audit_events, interaction_decay_rates
 from .hybrid import build_hybrid, jump_sum, residual, select_big_shocks
 from .measures import pair_interaction_integral
-from .piecewise import PiecewiseConstant, l1_distance_to_grid
+from .piecewise import PiecewiseConstant, gauss_l1, gauss_points, l1_distance_to_grid
 from .riemann import lax_curve
 from .system import preset_model
 from .viscous import solve_viscous
@@ -280,6 +280,40 @@ def hybrid_vs_profile_l1(hyb, run, t):
     return float(np.sum(np.linalg.norm(dv, axis=1) * np.diff(e)))
 
 
+# a fall of u between two points larger than its rounding marks a shock
+_FALL_TOL = 1e-12
+
+
+def _entropy_distances(model, data, eps, tau, x, u_ft):
+    """l1_exact = L1(u_eps, u) and ft_error = L1(u_FT, u) at tau on
+    [x[0], x[-1]], with u = model.entropy_fn and u_eps = model.viscous_fn.
+
+    The interval is cut at the nodes x, at u_FT's breakpoints and at the
+    shocks of u, and each segment is integrated by 6-point Gauss-Legendre.
+    Between shocks u does not fall (Oleinik's condition), so each segment
+    over which it falls holds a shock, which bisection on u locates."""
+    def u(pts):
+        return model.entropy_fn(data, tau, pts)[:, 0]
+
+    cut = np.union1d(x, u_ft.xs[(u_ft.xs > x[0]) & (u_ft.xs < x[-1])])
+    lo, hi = cut[:-1], cut[1:]
+    u_lo = u(lo)
+    falls = u_lo - u(hi) > _FALL_TOL
+    lo, hi, u_lo = lo[falls], hi[falls], u_lo[falls]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        u_mid = u(mid)
+        left = u_lo - u_mid > _FALL_TOL      # the fall is in [lo, mid]
+        hi = np.where(left, mid, hi)
+        lo = np.where(left, lo, mid)
+        u_lo = np.where(left, u_lo, u_mid)
+    cut = np.union1d(cut, 0.5 * (lo + hi))
+    pts = gauss_points(cut)
+    u_exact = model.entropy_fn(data, tau, pts)
+    return {"l1_exact": gauss_l1(cut, model.viscous_fn(data, eps, tau, pts), u_exact),
+            "ft_error": gauss_l1(cut, u_ft(pts), u_exact)}
+
+
 def converge_row(cfg, eps):
     """One epsilon row of the convergence experiment."""
     model, data = cfg.model_and_data()
@@ -301,12 +335,15 @@ def converge_row(cfg, eps):
     js = jump_sum(run, tracks, hyb)
     e0 = hybrid_vs_profile_l1(hyb, run, 0.0)
     etau = hybrid_vs_profile_l1(hyb, run, cfg.tau)
-    return {
+    row = {
         "epsilon": eps, "rate_var": rate_var, "l1_error": l1_err,
         "residual": res["total"], "jump_sum": js["total"],
         "endpoint_0": e0, "endpoint_tau": etau,
         "n_events": len(run.events), "n_tracks": len(tracks), "tv0": tv0,
     }
+    if model.viscous_fn is not None and model.entropy_fn is not None:
+        row.update(_entropy_distances(model, data, eps, cfg.tau, sol.x, u_tau))
+    return row
 
 
 def converge_cmd(cfg, out_dir=None):
@@ -332,6 +369,10 @@ def converge_cmd(cfg, out_dir=None):
                 for r in rows
             ],
         }
+        # the distances to the exact solution, for models with its closed form
+        for key in ("l1_exact", "ft_error"):
+            if key in rows[0]:
+                fit[key] = [r[key] for r in rows]
         with open(os.path.join(out_dir, "fit.json"), "w") as fh:
             fh.write(json.dumps(fit, sort_keys=True, indent=1) + "\n")
     return table

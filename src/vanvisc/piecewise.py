@@ -96,17 +96,27 @@ def l1_distance_to_grid(profile, x_grid, u_grid):
     at the kink of the norm, nor where the norm is curved (n > 1).
     """
     cut = np.union1d(x_grid, profile.xs[(profile.xs >= x_grid[0]) & (profile.xs <= x_grid[-1])])
-    # 6-point Gauss nodes on [0, 1]
-    gx, gw = np.polynomial.legendre.leggauss(6)
-    gx = 0.5 * (gx + 1.0)
-    gw = 0.5 * gw
-    a, b = cut[:-1], cut[1:]
-    h = b - a
-    pts = a[:, None] + h[:, None] * gx[None, :]
-    flat = pts.ravel()
-    pv = profile(flat)
-    gv = np.empty_like(pv)
-    for c in range(u_grid.shape[1]):
-        gv[:, c] = np.interp(flat, x_grid, u_grid[:, c])
-    norms = np.linalg.norm(pv - gv, axis=1).reshape(pts.shape)
-    return float(np.sum(norms @ gw * h))
+    pts = gauss_points(cut)
+    gv = np.stack([np.interp(pts, x_grid, u_grid[:, c]) for c in range(u_grid.shape[1])], axis=1)
+    return gauss_l1(cut, profile(pts), gv)
+
+
+# 6-point Gauss nodes and weights on [0, 1]
+_GX, _GW = np.polynomial.legendre.leggauss(6)
+_GX = 0.5 * (_GX + 1.0)
+_GW = 0.5 * _GW
+
+
+def gauss_points(cut):
+    """The 6-point Gauss-Legendre nodes of every segment between the
+    increasing cut points, flattened segment by segment."""
+    a, h = cut[:-1], np.diff(cut)
+    return (a[:, None] + h[:, None] * _GX[None, :]).ravel()
+
+
+def gauss_l1(cut, u, v):
+    """Sum over the segments between the cut points of the 6-point
+    Gauss-Legendre integral of |u - v|, from the values u and v, of shape
+    (6 (len(cut) - 1), n), at gauss_points(cut)."""
+    norms = np.linalg.norm(u - v, axis=1).reshape(-1, _GX.size)
+    return float(np.sum(norms @ _GW * np.diff(cut)))

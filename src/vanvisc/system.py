@@ -13,6 +13,7 @@ from typing import Callable
 
 import numpy as np
 
+from .burgers import TanhProfile, cole_hopf, hopf_lax
 from .errors import BadParameter, GNLViolation, NonHyperbolic, OutOfDomain
 
 _EIG_TOL = 1e-12
@@ -46,6 +47,18 @@ class SystemModel:
     # integrates r_i by RK4 and solves the Hugoniot locus by Newton, which
     # remain the oracle
     wave_curve: Callable = None
+    # optional closed-form viscous solution: viscous_fn(data, eps, t, x) is
+    # u_eps(t, x) of shape (len(x), n) for PiecewiseConstant data; with it
+    # viscous.solve_viscous evaluates it on its grid instead of stepping
+    viscous_fn: Callable = None
+    # optional closed-form travelling shock profile: profile_fn(u_minus,
+    # u_plus) for a Lax shock pair, centred at s = 0, whose jet(s) is all
+    # that the hybrid reads; without it viscous.shock_profile shoots
+    profile_fn: Callable = None
+    # optional closed-form entropy solution: entropy_fn(data, t, x) is u(t, x)
+    # of shape (len(x), n); with viscous_fn it gives the convergence rows
+    # their distances to the exact solution
+    entropy_fn: Callable = None
 
     def in_domain(self, u):
         u = np.asarray(u, dtype=float)
@@ -160,6 +173,9 @@ def preset_model(name, gamma=None, k=None):
             grad_lambda_fn=lambda u: np.array([[1.0]]),
             lambda_fn=lambda u: np.array(u, dtype=float),
             wave_curve=lambda i, u0, s: u0 + s,   # lambda = u on both branches
+            viscous_fn=cole_hopf,
+            profile_fn=TanhProfile,
+            entropy_fn=hopf_lax,
         )
     if name == "p_system":
         gamma = 2.0 if gamma is None else float(gamma)

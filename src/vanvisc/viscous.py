@@ -9,6 +9,10 @@ first integral of omega'' = (A(omega) - lambda) omega', namely
 by shooting from the endpoint at which the connection is attracting
 (forward from u- for the fastest family, backward from u+ for the slowest),
 then recentering the parameter so the mass on both sides of s = 0 balances.
+
+A model's closed forms, viscous_fn and profile_fn, take the place of the
+grid steps and of the shooting; both stay for models without them and as
+the tests' oracles.
 """
 
 from __future__ import annotations
@@ -41,7 +45,9 @@ class GridSolution:
 def solve_viscous(model, epsilon, initial, tau, dx):
     """Explicit conservative solve of u_t + A(u)u_x = eps u_xx; the state at tau.
 
-    initial is a PiecewiseConstant, sampled once on the whole grid x.
+    initial is a PiecewiseConstant, sampled once on the whole grid x.  A
+    model with viscous_fn has its closed form evaluated on the grid instead,
+    as one step of length tau.
 
     The solver sizes its own grid.  The speed bound vmax is the largest
     |lambda_i| over the data's states with a margin of 20% plus 0.1.  The
@@ -51,6 +57,8 @@ def solve_viscous(model, epsilon, initial, tau, dx):
     """
     if epsilon <= 0:
         raise CFLViolation("epsilon must be positive")
+    if not tau > 0:
+        raise CFLViolation("tau must be positive")
     if dx > epsilon / 4.0 + 1e-15:
         raise CFLViolation(f"dx={dx} must satisfy dx <= eps/4 = {epsilon/4.0}")
     vmax = float(np.max(max_abs_eigenvalue(model, initial.values))) * 1.2 + 0.1
@@ -61,6 +69,9 @@ def solve_viscous(model, epsilon, initial, tau, dx):
     lo, hi = lo - need - 10 * dx, hi + need + 10 * dx
     N = int(np.ceil((hi - lo) / dx)) + 1
     x = lo + dx * np.arange(N)
+    if model.viscous_fn is not None:
+        return GridSolution(x=x, times=[tau], values=[model.viscous_fn(initial, epsilon, tau, x)],
+                            dt=tau)
     u = initial(x)        # a fresh (N, n) array, updated in place below
 
     dt = CFL / (vmax / dx + 2.0 * epsilon / dx ** 2)
@@ -244,7 +255,10 @@ def _orbit_arrays(ode_solution):
 def shock_profile(model, u_minus, u_plus):
     """Viscous profile connecting a Lax shock pair, centered per the
     equal-mass rule (integral of |omega - u-| on s<0 equals that of
-    |omega - u+| on s>0)."""
+    |omega - u+| on s>0).
+
+    The pair is checked first; a model with profile_fn then returns its
+    closed form, and one without shoots."""
     um = np.asarray(u_minus, dtype=float)
     up = np.asarray(u_plus, dtype=float)
     try:
@@ -256,6 +270,8 @@ def shock_profile(model, u_minus, u_plus):
     sigma = float(lam_r[fam - 1] - lam_l[fam - 1])
     if sigma >= 0:
         raise NotLaxPair("strength is non-negative; not a shock")
+    if model.profile_fn is not None:
+        return model.profile_fn(um, up)
     scale = max(1.0, float(np.max(np.abs(um))), float(np.max(np.abs(up))))
 
     forward = fam == model.n

@@ -5,6 +5,7 @@ Each test prints one PASS line with the measured quantities (run pytest with
 and shared.
 """
 
+import dataclasses
 import math
 import time
 
@@ -28,6 +29,9 @@ from vanvisc.viscous import shock_profile, tail_bound_check
 
 B = preset_model("burgers")
 P = preset_model("p_system")
+# the preset without its closed-form viscous references: the shooting and
+# the grid solve, which criterion 8 checks against the tanh profile
+B_GENERIC = dataclasses.replace(B, viscous_fn=None, profile_fn=None)
 
 SWEEP_EPS = (4e-3, 2e-3, 1e-3, 5e-4, 2.5e-4)
 
@@ -62,6 +66,18 @@ def test_criterion_1_convergence_rate(sweep):
     assert sweep.elapsed <= 600.0
     print(f"\nPASS criterion 1: fitted p={p:.3f} (>=0.45), error ratio spread "
           f"{_spread(ratios):.2f}x (<3x), runtime {sweep.elapsed:.0f}s (<=600s)")
+
+
+def test_sweep_l1_error_is_within_front_tracking_error_of_l1_exact(sweep):
+    """The triangle inequality on the acceptance rows: l1_error = L1(u_FT,
+    u_eps) and l1_exact = L1(u_eps, u) differ by at most ft_error =
+    L1(u_FT, u), plus the error of the grid's linear interpolant of u_eps,
+    at most dx TV(u_eps) <= dx tv0 (dx = eps/4)."""
+    for r in sweep.rows:
+        margin = r["epsilon"] / 4 * r["tv0"]
+        assert abs(r["l1_error"] - r["l1_exact"]) <= r["ft_error"] + margin
+    print(f"PASS l1_exact {[round(r['l1_exact'], 5) for r in sweep.rows]}, ft_error "
+          f"{[round(r['ft_error'], 5) for r in sweep.rows]}")
 
 
 def test_criterion_2_hybrid_bounds(sweep):
@@ -316,7 +332,7 @@ def test_criterion_7_decay_scaling():
 
 
 def test_criterion_8_viscous_profiles():
-    pr = shock_profile(B, [1.0], [0.0])
+    pr = shock_profile(B_GENERIC, [1.0], [0.0])
     s = np.linspace(-40, 40, 4001)
     tanh_err = float(np.max(np.abs(pr.value(s)[:, 0] - (0.5 - 0.5 * np.tanh(s / 4)))))
     assert tanh_err <= 1e-8

@@ -237,3 +237,44 @@ def test_decomposition_consistency(tmp_path):
     # the measured distance is controlled by the sum of the decomposition
     # terms times a moderate stability factor
     assert all(r < 5.0 for r in fit["decomposition_ratio"])
+
+
+SWEEP_RULES = dict(tau=1.0, rho_rule="sqrt_eps*abs_ln_eps", dx_rule="eps/4")
+
+
+def test_exact_distances_of_a_lone_shock(tmp_path):
+    # front tracking is exact on a lone shock, and the viscous solution sits
+    # 4 ln 2 eps from it once the tanh layer has formed
+    cfg = ExperimentConfig(scenario="lone_shock", epsilon_list=(2e-3, 1e-3), **SWEEP_RULES)
+    table = converge_cmd(cfg, str(tmp_path))
+    for row in table.rows:
+        assert row["ft_error"] <= 1e-15
+        assert row["l1_exact"] == pytest.approx(4 * math.log(2) * row["epsilon"], rel=1e-12)
+    fit = json.loads((tmp_path / "fit.json").read_text())
+    assert fit["l1_exact"] == [r["l1_exact"] for r in table.rows]
+    assert fit["ft_error"] == [r["ft_error"] for r in table.rows]
+    # a model without the closed forms has neither
+    converge_cmd(ExperimentConfig(system="p_system", **FAST), str(tmp_path / "p"))
+    assert "l1_exact" not in json.loads((tmp_path / "p" / "fit.json").read_text())
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_l1_error_is_within_front_tracking_error_of_l1_exact(seed):
+    # held-out random_bv seeds: by the triangle inequality l1_error and
+    # l1_exact differ by at most ft_error, plus the error of the grid's
+    # linear interpolant, at most dx TV(u_eps) <= dx tv0
+    cfg = ExperimentConfig(scenario="random_bv", seed=seed, epsilon_list=(4e-3, 2e-3),
+                           **SWEEP_RULES)
+    for row in converge_cmd(cfg).rows:
+        margin = row["epsilon"] / 4 * row["tv0"]
+        assert abs(row["l1_error"] - row["l1_exact"]) <= row["ft_error"] + margin
+
+
+def test_front_tracking_converges_to_hopf_lax_at_first_order_in_the_cap():
+    errors = []
+    for cap in (0.1, 0.05, 0.025):
+        cfg = ExperimentConfig(scenario="merge_cancellation", epsilon_list=(4e-3,),
+                               cap_rule=str(cap), **SWEEP_RULES)
+        errors.append(converge_cmd(cfg).rows[0]["ft_error"])
+        assert 0.3 <= errors[-1] / cap <= 0.6
+    assert all(1.9 <= a / b <= 2.1 for a, b in zip(errors[:-1], errors[1:]))

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from vanvisc.errors import NoRoot, NoSolution, NotOnLocus, OutOfDomain
@@ -71,15 +71,29 @@ def test_rarefaction_curve_leaving_the_domain_raises_out_of_domain():
     assert not P.in_domain([np.nan, 0.0])
 
 
+def _box_gap(model, u):
+    """Distance from the state u to the nearest face of the domain box."""
+    return min(min(abs(ui - lo), abs(ui - hi)) for ui, (lo, hi) in zip(u, model.domain_box))
+
+
 @settings(max_examples=200, deadline=None)
 @given(CURVE_INPUT, STRENGTH)
+# a strength below the rounding of a state on the face w = 2: the closed
+# form lands an ulp outside w = 2, RK4 on u0 itself
+@example(((P, P_GENERIC), np.array([1.0, 2.0]), 1), 1e-15)
+@example(((P, P_GENERIC), np.array([1.0, 2.0]), 2), 1e-15)
 def test_p_system_wave_curve_agrees_with_generic_path(curve_input, s):
     (model, generic), u0, i = curve_input
     try:
         u = lax_curve(model, i, u0, s)
     except OutOfDomain:
-        with pytest.raises((OutOfDomain, NoRoot)):
-            lax_curve(generic, i, u0, s)
+        try:
+            ref = lax_curve(generic, i, u0, s)
+        except (OutOfDomain, NoRoot):
+            return
+        # the generic path may stay inside where the closed form's rounding
+        # steps out, but only on the box's boundary
+        assert _box_gap(model, ref) <= 1e-12
         return
     try:
         ref = lax_curve(generic, i, u0, s)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,10 +15,13 @@ from vanvisc.viscous import (ShockProfile, _orbit_arrays, shock_profile, solve_v
 
 B = preset_model("burgers")
 P = preset_model("p_system")
+# the preset without its closed-form viscous references (Cole-Hopf and the
+# tanh profile): the explicit grid solve and the shooting, their oracles
+B_GENERIC = dataclasses.replace(B, viscous_fn=None, profile_fn=None)
 
 
 def test_burgers_profile_matches_tanh():
-    pr = shock_profile(B, [1.0], [0.0])
+    pr = shock_profile(B_GENERIC, [1.0], [0.0])
     s = np.linspace(-40, 40, 2001)
     exact = 0.5 - 0.5 * np.tanh(s / 4.0)
     assert np.max(np.abs(pr.value(s)[:, 0] - exact)) < 1e-8
@@ -99,7 +104,7 @@ def test_profile_lambda_monotone_along_family():
 
 
 def test_tail_bounds():
-    pr = shock_profile(B, [1.0], [0.0])
+    pr = shock_profile(B_GENERIC, [1.0], [0.0])
     rep = tail_bound_check(pr)
     assert rep["c1"] <= 1.0
     assert rep["c2"] <= 1.0
@@ -120,21 +125,27 @@ def test_not_lax_pair_errors():
         shock_profile(P, np.array([1.0, 0.0]), np.array([1.1, 0.5]))  # off locus
 
 
+# the Burgers solve tests run on both paths: Cole-Hopf on the grid, and the
+# explicit loop of the hook-less twin
+
+
 def test_solve_viscous_constant_data():
     # data without breakpoints: the grid spans [-1, 1] plus the padding
-    sol = solve_viscous(B, 0.02, PiecewiseConstant([], [[0.7]]), 0.5, 0.005)
-    assert sol.final().shape == (sol.x.size, 1)
-    assert sol.x[0] < -1.0 and sol.x[-1] > 1.0
-    assert np.max(np.abs(sol.final() - 0.7)) == 0.0
+    for model in (B, B_GENERIC):
+        sol = solve_viscous(model, 0.02, PiecewiseConstant([], [[0.7]]), 0.5, 0.005)
+        assert sol.final().shape == (sol.x.size, 1)
+        assert sol.x[0] < -1.0 and sol.x[-1] > 1.0
+        assert np.max(np.abs(sol.final() - 0.7)) == 0.0
 
 
 def test_solve_viscous_travelling_wave():
     # the Riemann step 1 -> 0 relaxes to the travelling profile of speed 1/2
     eps, dx = 0.01, 0.01 / 8
     exact = lambda x: 0.5 - 0.5 * np.tanh(np.asarray(x) / (4 * eps))
-    sol = solve_viscous(B, eps, PiecewiseConstant([0.0], [[1.0], [0.0]]), 1.0, dx)
-    err = np.sum(np.abs(sol.final()[:, 0] - exact(sol.x - 0.5))) * dx
-    assert err <= 5 * dx
+    for model in (B, B_GENERIC):
+        sol = solve_viscous(model, eps, PiecewiseConstant([0.0], [[1.0], [0.0]]), 1.0, dx)
+        err = np.sum(np.abs(sol.final()[:, 0] - exact(sol.x - 0.5))) * dx
+        assert err <= 5 * dx
 
 
 def test_solve_viscous_rarefaction_near_exact():
@@ -142,37 +153,40 @@ def test_solve_viscous_rarefaction_near_exact():
     dx = eps / 4
     data = PiecewiseConstant([0.0], [[0.0], [1.0]])
     tau = 1.0
-    sol = solve_viscous(B, eps, data, tau, dx)
-    xr = np.clip(sol.x / tau, 0.0, 1.0)
-    err = np.sum(np.abs(sol.final()[:, 0] - xr)) * dx
-    assert err <= 3.0 * np.sqrt(eps)
+    for model in (B, B_GENERIC):
+        sol = solve_viscous(model, eps, data, tau, dx)
+        xr = np.clip(sol.x / tau, 0.0, 1.0)
+        err = np.sum(np.abs(sol.final()[:, 0] - xr)) * dx
+        assert err <= 3.0 * np.sqrt(eps)
 
 
 def test_solve_viscous_conservation():
     data = PiecewiseConstant([-0.3, 0.2], [[0.0], [0.3], [0.0]])
-    sol = solve_viscous(B, 0.02, data, 0.5, 0.005)
-    assert sol.times == [0.5]
-    assert abs(np.sum(sol.final()[:, 0]) - np.sum(data(sol.x)[:, 0])) * 0.005 < 1e-10
+    for model in (B, B_GENERIC):
+        sol = solve_viscous(model, 0.02, data, 0.5, 0.005)
+        assert sol.times == [0.5]
+        assert abs(np.sum(sol.final()[:, 0]) - np.sum(data(sol.x)[:, 0])) * 0.005 < 1e-10
 
 
 def test_solve_viscous_tv_bound_and_refinement():
     data = PiecewiseConstant([-0.3, 0.2], [[0.8], [0.1], [0.5]])
     eps = 0.02
     tv0 = data.total_variation()
-    sol1 = solve_viscous(B, eps, data, 0.5, eps / 4)
-    assert np.sum(np.abs(np.diff(sol1.final()[:, 0]))) <= 1.5 * tv0
-    sol2 = solve_viscous(B, eps, data, 0.5, eps / 8)
-    # first-order sanity: halving dx moves the answer by O(dx)
-    u2_on_1 = np.interp(sol1.x, sol2.x, sol2.final()[:, 0])
-    diff = np.sum(np.abs(u2_on_1 - sol1.final()[:, 0])) * (eps / 4)
-    assert diff < 10 * (eps / 4) * tv0
+    for model in (B, B_GENERIC):
+        sol1 = solve_viscous(model, eps, data, 0.5, eps / 4)
+        assert np.sum(np.abs(np.diff(sol1.final()[:, 0]))) <= 1.5 * tv0
+        sol2 = solve_viscous(model, eps, data, 0.5, eps / 8)
+        # first-order sanity: halving dx moves the answer by O(dx)
+        u2_on_1 = np.interp(sol1.x, sol2.x, sol2.final()[:, 0])
+        diff = np.sum(np.abs(u2_on_1 - sol1.final()[:, 0])) * (eps / 4)
+        assert diff < 10 * (eps / 4) * tv0
 
 
 def test_solve_viscous_eigvals_fallback_matches_preset():
     # a model without lambda_fn takes the interface speeds from batched
     # eigenvalues of the jacobian instead of the preset's closed form
     um = np.array([1.0, 0.0])
-    cases = ((B, PiecewiseConstant([0.0], [[1.0], [0.0]])),
+    cases = ((B_GENERIC, PiecewiseConstant([0.0], [[1.0], [0.0]])),
              (P, PiecewiseConstant([0.0], [um, lax_curve(P, 1, um, -0.3)])))
     for model, data in cases:
         bare = SystemModel(n=model.n, flux=model.flux, jacobian=model.jacobian,
@@ -188,3 +202,8 @@ def test_solve_viscous_errors():
         solve_viscous(B, 0.01, data, 0.1, 0.01)
     with pytest.raises(CFLViolation, match="epsilon"):
         solve_viscous(B, 0.0, data, 0.1, 0.01)
+    # Cole-Hopf has no t = 0, and the explicit loop would step backwards
+    for model in (B, B_GENERIC):
+        for tau in (0.0, -0.1):
+            with pytest.raises(CFLViolation, match="tau"):
+                solve_viscous(model, 0.01, data, tau, 0.0025)
