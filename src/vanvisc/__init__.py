@@ -3,7 +3,7 @@ laws, their vanishing-viscosity approximations, and the interaction
 functionals that control the convergence rate."""
 
 from .system import SystemModel, preset_model, eigen_frame, check_genuine_nonlinearity
-from .riemann import ElementaryWave, WaveFan, lax_curve, solve_riemann, shock_speed
+from .riemann import lax_curve, solve_riemann, shock_speed
 from .piecewise import PiecewiseConstant
 from .front_tracking import (Front, FrontConfiguration, FTRun, init_front_tracking,
                              next_interaction, resolve_interaction, run_until,

@@ -157,9 +157,7 @@ def _fronts_from_strengths(model, strengths, u, x, t, cap):
         if abs(s) < WAVE_FLOOR:
             continue
         if s < 0:
-            # the strengths come from solve_riemann or from fronts already
-            # built, and a merged shock may exceed lax_curve's default bound
-            u_next = lax_curve(model, family, u, s, max_param=np.inf)
+            u_next = lax_curve(model, family, u, s)
             sp = shock_speed(model, u, u_next)
             out.append(Front(x, t, family, "shock", s, sp, u, u_next))
         else:
@@ -190,7 +188,7 @@ def init_front_tracking(model, initial, epsilon_prime, rarefaction_cap):
     fronts = []
     u = initial.values[0]
     for x, u_next in zip(initial.xs, initial.values[1:]):
-        strengths = solve_riemann(model, u, u_next).strengths(model.n)
+        strengths = solve_riemann(model, u, u_next)
         fronts.extend(_fronts_from_strengths(model, strengths, u, float(x), 0.0,
                                              rarefaction_cap))
         if fronts:
@@ -275,7 +273,7 @@ def resolve_interaction(model, config, event, simplified_threshold):
         outgoing = _simplified_outgoing(model, incoming, u_l, u_r, x, t, cap)
         solver = "simplified"
     else:
-        strengths = solve_riemann(model, u_l, u_r).strengths(model.n)
+        strengths = solve_riemann(model, u_l, u_r)
         outgoing = _fronts_from_strengths(model, strengths, u_l, x, t, cap)
         if outgoing:
             outgoing[-1] = replace(outgoing[-1], right_state=u_r)

@@ -162,7 +162,7 @@ def wave_measure(model, u, i):
         if np.allclose(left, right, atol=1e-15):
             left = right
             continue
-        s = solve_riemann(model, left, right).strengths(model.n)[i - 1]
+        s = solve_riemann(model, left, right)[i - 1]
         if s != 0.0:
             atoms.append((float(x), float(s)))
         left = right

@@ -10,11 +10,9 @@ additive in every functional downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import NoRoot, NoSolution, NotOnLocus, VanviscError
+from .errors import NoRoot, NoSolution, NotOnLocus, OutOfDomain, VanviscError
 from .system import eigen_frame, wave_speeds
 
 RH_TOL = 1e-8
@@ -23,31 +21,12 @@ ZERO_WAVE = 1e-12
 # the Rankine-Hugoniot rows and of lambda(u0) in the speed row
 _HUGONIOT_TOL = 1e-11
 # Riemann iteration: residual bound relative to the data scale, clip on each
-# starting strength, and Newton step budget
+# starting strength, Newton step budget, and the largest strength a Newton
+# probe may compose (probes may step past the data size)
 _RIEMANN_TOL = 1e-14
 _MAX_STRENGTH = 4.0
 _MAX_ITER = 100
-
-
-@dataclass(frozen=True)
-class ElementaryWave:
-    family: int            # 1-based
-    kind: str              # "shock" | "rarefaction"
-    strength: float
-    speed: object          # float for shocks, (lambda_left, lambda_right) for fans
-    left_state: np.ndarray
-    right_state: np.ndarray
-
-
-@dataclass(frozen=True)
-class WaveFan:
-    waves: list
-
-    def strengths(self, n):
-        out = np.zeros(n)
-        for w in self.waves:
-            out[w.family - 1] += w.strength
-        return out
+_NEWTON_SLACK = 1.5 * _MAX_STRENGTH + 0.1
 
 
 def _rk4_curve(model, i, u0, s):
@@ -68,7 +47,7 @@ def _rk4_curve(model, i, u0, s):
     return u
 
 
-def lax_curve(model, i, u0, s, max_param=1.0):
+def lax_curve(model, i, u0, s):
     """Point at parameter s on the i-th Lax wave curve through u0.
 
     s > 0 follows the rarefaction curve (integral curve of r_i, so that
@@ -78,8 +57,6 @@ def lax_curve(model, i, u0, s, max_param=1.0):
     """
     u0 = np.asarray(u0, dtype=float)
     model.check_domain(u0)
-    if abs(s) > max_param:
-        raise ValueError(f"|s|={abs(s)} exceeds max_param={max_param}")
     if s == 0.0:
         return u0.copy()
     if model.wave_curve is not None:
@@ -93,16 +70,16 @@ def lax_curve(model, i, u0, s, max_param=1.0):
 
 
 def _damped_newton(res, z, tol, max_iter, error):
-    """Newton's method for res(z) = (residual, extra) = (0, extra).
+    """Newton's method for res(z) = 0.
 
     The Jacobian is a forward difference with column step
     1e-7 max(1, |z_k|); each step is halved up to 40 times until the max
     norm of the residual decreases, and a probe that raises counts as no
-    decrease.  Returns z and its extra once the residual is below tol;
-    raises error on a Jacobian probe that raises, a singular Jacobian, a
-    failed line search or after max_iter steps.
+    decrease.  Returns z once the residual is below tol; raises error on a
+    Jacobian probe that raises, a singular Jacobian, a failed line search or
+    after max_iter steps.
     """
-    f, extra = res(z)
+    f = res(z)
     it = 0
     while np.max(np.abs(f)) >= tol:
         it += 1
@@ -114,9 +91,9 @@ def _damped_newton(res, z, tol, max_iter, error):
             dz = np.zeros(z.size)
             dz[k] = 1e-7 * max(1.0, abs(z[k]))
             try:
-                J[:, k] = (res(z + dz)[0] - f) / dz[k]
-            except (ValueError, VanviscError) as exc:
-                # lax_curve's strength bound, or a probe outside the domain
+                J[:, k] = (res(z + dz) - f) / dz[k]
+            except VanviscError as exc:
+                # a probe past the Newton slack, or outside the domain
                 raise error(f"Jacobian probe failed: {exc}") from exc
         try:
             step = np.linalg.solve(J, -f)
@@ -126,16 +103,16 @@ def _damped_newton(res, z, tol, max_iter, error):
         for _ in range(40):
             z_new = z + lam * step
             try:
-                f_new, extra_new = res(z_new)
+                f_new = res(z_new)
             except Exception:
                 f_new = None
             if f_new is not None and np.max(np.abs(f_new)) < np.max(np.abs(f)):
-                z, f, extra = z_new, f_new, extra_new
+                z, f = z_new, f_new
                 break
             lam *= 0.5
         else:
             raise error(f"Newton line search failed at residual {np.max(np.abs(f)):.3e}")
-    return z, extra
+    return z
 
 
 def _hugoniot_point(model, i, u0, s):
@@ -158,9 +135,9 @@ def _hugoniot_point(model, i, u0, s):
         out = np.empty(n + 1)
         out[:n] = (model.flux(u) - f0 - sp * (u - u0)) / f_scale
         out[n] = (wave_speeds(model, u)[i - 1] - lam0 - s) / lam_scale
-        return out, None
+        return out
 
-    return _damped_newton(res, z, _HUGONIOT_TOL, 60, NoRoot)[0][:n]
+    return _damped_newton(res, z, _HUGONIOT_TOL, 60, NoRoot)[:n]
 
 
 def shock_speed(model, u_minus, u_plus):
@@ -180,20 +157,23 @@ def shock_speed(model, u_minus, u_plus):
     return speed
 
 
-def _compose(model, u_minus, s, max_param):
-    u = np.asarray(u_minus, dtype=float)
-    states = [u]
+def _compose(model, u_minus, s):
+    """End state of the strengths s composed from u_minus through lax_curve;
+    NoSolution for a Newton probe past _NEWTON_SLACK."""
+    if np.max(np.abs(s)) > _NEWTON_SLACK:
+        raise NoSolution(f"|s|={np.max(np.abs(s))} exceeds the Newton slack {_NEWTON_SLACK}")
+    u = u_minus
     for i in range(1, model.n + 1):
-        u = lax_curve(model, i, u, float(s[i - 1]), max_param=max_param)
-        states.append(u)
-    return states
+        u = lax_curve(model, i, u, float(s[i - 1]))
+    return u
 
 
 def solve_riemann(model, u_minus, u_plus):
     """Classical Lax solution of the Riemann problem (small data).
 
-    Returns a WaveFan whose strengths, composed through lax_curve, map
-    u_minus to u_plus with residual below 1e-14 times the data scale.
+    Returns the (n,) per-family signed strengths, one of at most ZERO_WAVE
+    set to 0; composed through lax_curve, they map u_minus to u_plus with
+    residual below 1e-14 times the data scale.
     """
     um = np.asarray(u_minus, dtype=float)
     up = np.asarray(u_plus, dtype=float)
@@ -202,33 +182,17 @@ def solve_riemann(model, u_minus, u_plus):
     scale = max(1.0, float(np.max(np.abs(up))), float(np.max(np.abs(um))))
 
     if np.max(np.abs(up - um)) < ZERO_WAVE * scale:
-        return WaveFan(waves=[])
+        return np.zeros(model.n)
 
-    mid = 0.5 * (um + up)
     # the left eigenvectors, dual to the rows of R, give the linearised strengths
-    L = np.linalg.inv(eigen_frame(model, mid).T)
-    s = L @ (up - um)
-    s = np.clip(s, -_MAX_STRENGTH, _MAX_STRENGTH)
-    slack = 1.5 * _MAX_STRENGTH + 0.1  # Newton probes may step past the data size
-
-    def residual(s):
-        states = _compose(model, um, s, max_param=slack)
-        return states[-1] - up, states
-
-    s, states = _damped_newton(residual, s, _RIEMANN_TOL * scale, _MAX_ITER, NoSolution)
-
-    waves = []
-    for i in range(1, model.n + 1):
-        si = float(s[i - 1])
-        ul, ur = states[i - 1], states[i]
-        if abs(si) <= ZERO_WAVE:
-            continue
-        if si < 0:
-            sp = shock_speed(model, ul, ur)
-            waves.append(ElementaryWave(i, "shock", si, sp, ul, ur))
-        else:
-            lam_l = wave_speeds(model, ul)[i - 1]
-            lam_r = wave_speeds(model, ur)[i - 1]
-            waves.append(ElementaryWave(i, "rarefaction", si, (lam_l, lam_r), ul, ur))
-    return WaveFan(waves=waves)
-
+    L = np.linalg.inv(eigen_frame(model, 0.5 * (um + up)).T)
+    s = np.clip(L @ (up - um), -_MAX_STRENGTH, _MAX_STRENGTH)
+    while True:
+        try:
+            s = _damped_newton(lambda s: _compose(model, um, s) - up, s,
+                               _RIEMANN_TOL * scale, _MAX_ITER, NoSolution)
+            return np.where(np.abs(s) <= ZERO_WAVE, 0.0, s)
+        except OutOfDomain:
+            # only the start's residual is unguarded: halve a start whose
+            # composition leaves the box toward 0, which composes to u_minus
+            s = 0.5 * s

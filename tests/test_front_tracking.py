@@ -38,6 +38,14 @@ def test_init_rarefaction_splitting():
         assert f.speed == pytest.approx(0.25 * (j + 1), abs=1e-10)
 
 
+def test_rarefaction_cap_alone_bounds_a_step():
+    # a cap of 2 keeps a rarefaction of strength 1.5 in one step
+    cfg = init_front_tracking(B, pc([0.0], [0.0, 1.5]), 1e-9, 2.0)
+    (f,) = cfg.fronts
+    assert f.kind == "rarefaction_step" and f.strength == 1.5
+    assert f.speed == pytest.approx(1.5, abs=1e-12)
+
+
 def test_init_p_system_families_ordered():
     data = PiecewiseConstant([0.0], [[1.0, 0.0], [1.1, 0.05]])
     cfg = init_front_tracking(P, data, 1e-9, 0.05)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vanvisc.front_tracking import (Front, FrontConfiguration, config_index,
@@ -344,6 +344,10 @@ _MOVING_FRONT = st.tuples(
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_MOVING_FRONT, max_size=12), st.integers(2, 7))
+# two fronts of size 1e-6 on one point: q_natural ~ 1.3e-7 is linear in the
+# strengths, so its rounding (1.6e-22 in the quotient) is above a bound that
+# scales with their square only
+@example(specs=[(0, 1, False, 1e-06, 1.0), (0, 1, True, 1e-06, 0.0)], j=2)
 def test_rates_are_right_derivatives(specs, j):
     # eps = 4^-j makes sqrt(eps) a power of two, so the lattice positions,
     # their distances and the window edges +-2 sqrt(eps) are exact: ties and
@@ -365,7 +369,10 @@ def test_rates_are_right_derivatives(specs, j):
     h = r / 8
     v0, rates = _values_and_rates(cfg, bs, eps)
     v1, _ = _values_and_rates(cfg.at(h), bs, eps)
-    scale = sum(abs(f.strength) for f in fronts) ** 2
+    # the quotient's rounding is relative to the values differenced, which are
+    # quadratic (q_flat, q_sharp) or linear (q_natural) in the strengths
+    scale = np.maximum(sum(abs(f.strength) for f in fronts) ** 2,
+                       np.maximum(np.abs(v0), np.abs(v1)))
     assert np.all(np.abs((v1 - v0) / h - rates) <= 1e-12 * scale / h)
 
 

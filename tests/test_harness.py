@@ -187,6 +187,13 @@ def test_cli_exit_codes(tmp_path, capsys):
     rule = tmp_path / "rule.cfg"
     _write_fast_cfg(rule, rho_rule="min(0.5, 40*eps)")
     assert main(["converge", "--config", str(rule), "--out", str(tmp_path / "rule")]) == 0
+    # a rarefaction cap above 1 builds the steps of a random jump of
+    # strength 1.08 (a valid config, not a failure)
+    big = tmp_path / "big.cfg"
+    big.write_text("scenario = random_bv\nseed = 0\nn_jumps = 3\ntv = 3\ntau = 0.5\n"
+                   "cap_rule = 2\nepsilon_list = 4e-3\ndx_rule = eps/4\n"
+                   "rho_rule = sqrt_eps*abs_ln_eps\n")
+    assert main(["converge", "--config", str(big), "--out", str(tmp_path / "big")]) == 0
     # an unknown system (not a silent fallback to the p-system) or scenario,
     # or a bad p-system parameter, is a bad config of one line naming the
     # value, and no command starts

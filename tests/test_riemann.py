@@ -6,6 +6,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from vanvisc.errors import NoRoot, NoSolution, NotOnLocus, OutOfDomain
+from vanvisc.front_tracking import WAVE_FLOOR, init_front_tracking
+from vanvisc.piecewise import PiecewiseConstant
 from vanvisc.riemann import _damped_newton, lax_curve, shock_speed, solve_riemann
 from vanvisc.system import SystemModel, eigen_frame, preset_model, wave_speeds
 
@@ -34,11 +36,11 @@ def _lam(model, u, i):
     return np.sort(np.linalg.eigvals(model.jacobian(np.asarray(u, dtype=float))).real)[i - 1]
 
 
-def assert_lax_inequalities(model, w):
-    """lambda_i(u+) < speed < lambda_i(u-) for a shock of family i."""
-    lam_r = _lam(model, w.right_state, w.family)
-    lam_l = _lam(model, w.left_state, w.family)
-    assert lam_r < w.speed < lam_l
+def assert_lax_inequalities(model, f):
+    """lambda_i(u+) < speed < lambda_i(u-) for a shock front of family i."""
+    lam_r = _lam(model, f.right_state, f.family)
+    lam_l = _lam(model, f.left_state, f.family)
+    assert lam_r < f.speed < lam_l
 
 
 def test_lax_curve_burgers():
@@ -123,9 +125,9 @@ def test_p_system_wave_curve_is_parametrised_by_strength(u0, i, s):
             assert lam < speed < lam0
 
 
-# solve_riemann's linearised start and its Newton probes may leave the box
-# when the data lie within ~1e-2 of its edge, at either wave-curve path;
-# the round trip keeps both states 0.05 inside it
+# solve_riemann's Newton probes may leave the box when the data lie on or
+# next to its edge, at either wave-curve path; the round trip keeps both
+# states 0.05 inside it
 P_INNER_STATE = st.tuples(st.floats(0.55, 1.95), st.floats(-1.95, 1.95)).map(np.array)
 
 
@@ -139,7 +141,7 @@ def test_p_system_riemann_round_trips_on_wave_curve(u0, i, s):
     assume(0.55 <= u[0] <= 1.95 and abs(u[1]) <= 1.95)
     expect = np.zeros(2)
     expect[i - 1] = s
-    assert solve_riemann(P, u0, u).strengths(2) == pytest.approx(expect, abs=1e-7)
+    assert solve_riemann(P, u0, u) == pytest.approx(expect, abs=1e-7)
 
 
 def test_lax_curve_p_system_strength_parametrization():
@@ -150,42 +152,113 @@ def test_lax_curve_p_system_strength_parametrization():
         assert dl == pytest.approx(s, abs=1e-8)
 
 
+def _fronts(model, u_l, u_r):
+    """The fronts init_front_tracking makes from the one jump u_l -> u_r,
+    with a rarefaction cap above any strength solve_riemann returns, so
+    that each rarefaction is one step."""
+    data = PiecewiseConstant([0.0], [u_l, u_r])
+    return init_front_tracking(model, data, 1e-9, 10.0).fronts
+
+
 def test_riemann_burgers_single_shock():
-    fan = solve_riemann(B, np.array([1.0]), np.array([0.0]))
-    assert len(fan.waves) == 1
-    w = fan.waves[0]
-    assert w.kind == "shock"
-    assert w.strength == pytest.approx(-1.0, abs=1e-10)
-    assert w.speed == pytest.approx(0.5, abs=1e-10)
-    assert_lax_inequalities(B, w)
+    um, up = np.array([1.0]), np.array([0.0])
+    assert solve_riemann(B, um, up) == pytest.approx([-1.0], abs=1e-10)
+    (f,) = _fronts(B, um, up)
+    assert f.kind == "shock"
+    assert f.strength == pytest.approx(-1.0, abs=1e-10)
+    assert f.speed == pytest.approx(0.5, abs=1e-10)
+    assert_lax_inequalities(B, f)
 
 
 def test_riemann_burgers_single_rarefaction():
-    fan = solve_riemann(B, np.array([0.0]), np.array([1.0]))
-    assert len(fan.waves) == 1
-    w = fan.waves[0]
-    assert w.kind == "rarefaction"
-    assert w.strength == pytest.approx(1.0, abs=1e-10)
-    assert w.speed[0] == pytest.approx(0.0, abs=1e-10)
-    assert w.speed[1] == pytest.approx(1.0, abs=1e-10)
+    um, up = np.array([0.0]), np.array([1.0])
+    assert solve_riemann(B, um, up) == pytest.approx([1.0], abs=1e-10)
+    (f,) = _fronts(B, um, up)
+    assert f.kind == "rarefaction_step"
+    assert f.strength == pytest.approx(1.0, abs=1e-10)
+    # the fan spans lambda from 0 to 1, and its one step moves at lambda(u+)
+    assert _lam(B, f.left_state, 1) == pytest.approx(0.0, abs=1e-10)
+    assert f.speed == pytest.approx(1.0, abs=1e-10)
 
 
 def test_riemann_p_system_recomposition():
     um, up = np.array([1.0, 0.0]), np.array([1.1, 0.05])
-    fan = solve_riemann(P, um, up)
+    s = solve_riemann(P, um, up)
     u = um
-    for w in fan.waves:
-        u = lax_curve(P, w.family, u, w.strength)
+    for i in (1, 2):
+        u = lax_curve(P, i, u, s[i - 1])
     assert u == pytest.approx(up, abs=1e-8)
-    for w in fan.waves:
-        dl = _lam(P, w.right_state, w.family) - _lam(P, w.left_state, w.family)
-        assert dl == pytest.approx(w.strength, abs=1e-8)
-        if w.kind == "shock":
-            rh = P.flux(w.right_state) - P.flux(w.left_state) - w.speed * (
-                w.right_state - w.left_state
+    fronts = _fronts(P, um, up)
+    assert [f.family for f in fronts] == [1, 2]
+    for f in fronts:
+        dl = _lam(P, f.right_state, f.family) - _lam(P, f.left_state, f.family)
+        assert dl == pytest.approx(f.strength, abs=1e-8)
+        if f.kind == "shock":
+            rh = P.flux(f.right_state) - P.flux(f.left_state) - f.speed * (
+                f.right_state - f.left_state
             )
             assert np.linalg.norm(rh) < 1e-8
-            assert_lax_inequalities(P, w)
+            assert_lax_inequalities(P, f)
+
+
+# a state and per-family strengths whose waves stay in the box: for Burgers
+# a jump of at most 4, where the linearised start is the answer; for the
+# p-system states 0.05 inside the box (see P_INNER_STATE)
+B_WAVES = st.tuples(st.just(B), st.floats(-4.0, 4.0).map(lambda v: np.array([v])),
+                    st.tuples(st.floats(-4.0, 4.0)))
+P_WAVES = st.tuples(st.just(P), P_INNER_STATE, st.tuples(STRENGTH, STRENGTH))
+
+
+def _inner(model, u):
+    return model is B or (0.55 <= u[0] <= 1.95 and abs(u[1]) <= 1.95)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(B_WAVES, P_WAVES))
+def test_riemann_fronts_chain_and_are_admissible(waves):
+    model, u_l, strengths = waves
+    u_r = u_l
+    for i, si in enumerate(strengths, start=1):
+        try:
+            u_r = lax_curve(model, i, u_r, si)
+        except OutOfDomain:
+            assume(False)
+        assume(_inner(model, u_r))
+    s = solve_riemann(model, u_l, u_r)
+    assert s == pytest.approx(strengths, abs=1e-7)
+    fronts = _fronts(model, u_l, u_r)
+    # the fronts chain u_l to u_r, each starting where the previous one ends
+    states = [u_l] + [f.right_state for f in fronts]
+    assert all(f.physical for f in fronts)
+    for f, left in zip(fronts, states):
+        assert np.array_equal(f.left_state, left)
+    assert np.array_equal(states[-1], u_r) or (not fronts and np.allclose(u_l, u_r, atol=1e-9))
+    # the last front's right state is glued to u_r, off its wave curve by the
+    # Riemann residual and by the waves dropped below the floor (those that
+    # solve_riemann set to 0 too), whose states move by at most 3 |s|
+    # (|r_i| <= 3 on the p-system box); its wave ends on the curve
+    dropped = WAVE_FLOOR * np.count_nonzero(np.abs(s) < WAVE_FLOOR)
+    sums = np.zeros(model.n)
+    for f in fronts:
+        sums[f.family - 1] += f.strength
+        right = f.right_state
+        if f is fronts[-1]:
+            right = lax_curve(model, f.family, f.left_state, f.strength)
+            assert np.max(np.abs(right - u_r)) <= 1e-12 + 4.0 * dropped
+        lam_l, lam_r = _lam(model, f.left_state, f.family), _lam(model, right, f.family)
+        assert lam_r - lam_l == pytest.approx(f.strength, abs=1e-12)
+        if f.kind == "shock":
+            rh = model.flux(right) - model.flux(f.left_state) - f.speed * (right - f.left_state)
+            assert np.linalg.norm(rh) <= 1e-12 * max(1.0, np.linalg.norm(model.flux(u_l)))
+            # the difference quotient's error, ~1e-16 / |s|, is below |s| / 2
+            if f.strength < -1e-6:
+                assert lam_r < f.speed < lam_l
+        else:
+            # a step moves at lambda_i of its right state
+            assert f.kind == "rarefaction_step" and f.strength > 0
+            assert f.speed == pytest.approx(lam_r, abs=1e-12)
+    # a wave below front tracking's floor is dropped, every other one kept
+    assert np.array_equal(sums, np.where(np.abs(s) < WAVE_FLOOR, 0.0, s))
 
 
 def test_shock_speed_examples():
@@ -214,19 +287,23 @@ def test_round_trip_strengths():
             fam = int(rng.integers(1, model.n + 1))
             s = float(rng.uniform(-0.3, 0.3))
             u1 = lax_curve(model, fam, u0, s)
-            fan = solve_riemann(model, u0, u1)
-            got = fan.strengths(model.n)
             expect = np.zeros(model.n)
             expect[fam - 1] = s
-            assert got == pytest.approx(expect, abs=1e-7)
+            assert solve_riemann(model, u0, u1) == pytest.approx(expect, abs=1e-7)
 
 
 def test_strength_additivity_burgers_merge():
     a, b, c = np.array([2.0]), np.array([1.2]), np.array([0.3])
-    s1 = solve_riemann(B, a, b).waves[0].strength
-    s2 = solve_riemann(B, b, c).waves[0].strength
-    s = solve_riemann(B, a, c).waves[0].strength
+    s1 = solve_riemann(B, a, b)[0]
+    s2 = solve_riemann(B, b, c)[0]
+    s = solve_riemann(B, a, c)[0]
     assert s == pytest.approx(s1 + s2, abs=1e-12)
+
+
+def test_riemann_coinciding_states_have_no_waves():
+    u = np.array([1.0, 0.0])
+    s = solve_riemann(P, u, u)
+    assert s.shape == (2,) and not s.any()
 
 
 # u_t + (u^3/3)_x = 0: lambda = u^2 >= 0, so a target lambda below zero has
@@ -261,27 +338,36 @@ def test_riemann_without_lax_solution_raises_no_solution():
 def test_damped_newton_failure_branches():
     z0 = np.array([1.0])
     with pytest.raises(NoRoot, match="singular Jacobian"):
-        _damped_newton(lambda z: (np.array([1.0]), None), z0, 1e-3, 5, NoRoot)
+        _damped_newton(lambda z: np.array([1.0]), z0, 1e-3, 5, NoRoot)
     # z = 0 minimises 1 + z^2 > 0: no step decreases it
     with pytest.raises(NoSolution, match="line search failed"):
-        _damped_newton(lambda z: (1.0 + z ** 2, None), np.array([0.0]), 1e-3, 5, NoSolution)
+        _damped_newton(lambda z: 1.0 + z ** 2, np.array([0.0]), 1e-3, 5, NoSolution)
     # 1 / (1 + z^2) falls by about 2.25 per step, from 0.5 to 7.5e-3 in five
     with pytest.raises(NoRoot, match="in 5 steps"):
-        _damped_newton(lambda z: (1.0 / (1.0 + z ** 2), None), z0, 1e-3, 5, NoRoot)
-    z, extra = _damped_newton(lambda z: (z ** 2 - 2.0, "kept"), z0, 1e-12, 5, NoRoot)
-    assert z[0] == pytest.approx(np.sqrt(2.0), rel=1e-12) and extra == "kept"
+        _damped_newton(lambda z: 1.0 / (1.0 + z ** 2), z0, 1e-3, 5, NoRoot)
+    z = _damped_newton(lambda z: z ** 2 - 2.0, z0, 1e-12, 5, NoRoot)
+    assert z[0] == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
     # a Jacobian probe that raises ends the solve with the caller's class
     def probe_fails(z):
         if z[0] != 1.0:
             raise OutOfDomain("probe outside the box")
-        return z - 2.0, None
+        return z - 2.0
     with pytest.raises(NoRoot, match="Jacobian probe failed"):
         _damped_newton(probe_fails, z0, 1e-3, 5, NoRoot)
 
 
+def test_riemann_start_leaving_the_box_is_halved():
+    # interior data whose middle state has v = 1.977, but whose linearised
+    # start composes a state at v = 2.0042, outside the box
+    u_l, u_r = np.array([1.59575178, 0.15692097]), np.array([1.76258838, 0.50327455])
+    s = solve_riemann(P, u_l, u_r)
+    u = lax_curve(P, 2, lax_curve(P, 1, u_l, s[0]), s[1])
+    assert np.max(np.abs(u - u_r)) <= 1e-14 * 2.0
+
+
 def test_riemann_probe_past_the_strength_bound_raises_no_solution():
     # both states are in Burgers' box, but the jump of 6.5 is clipped to 4
-    # and Newton's probes reach lax_curve's bound 6.1 on the way up
-    with pytest.raises(NoSolution, match="Jacobian probe failed"):
+    # and Newton's probes reach the slack 6.1 on the way up
+    with pytest.raises(NoSolution, match="Jacobian probe failed: .* Newton slack 6.1"):
         solve_riemann(B, np.array([-3.5]), np.array([3.0]))
