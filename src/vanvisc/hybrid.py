@@ -1,9 +1,12 @@
 """Hybrid approximation: mollified front tracking plus inserted shock layers.
 
-v(t) = u(t) * phi_delta + sum over big shocks of (profile insertion minus
-mollified step).  The correction is supported on J_alpha = (x_alpha - delta,
-x_alpha + delta); inside, the rescaled travelling profile is composed with
-the squeeze map that compresses the line onto a width-2 sqrt(eps) window.
+v(t) is the far-left state, plus the mollified steps of the untracked fronts,
+plus at each big shock its squeezed profile step: the rescaled travelling
+profile, composed with the squeeze map that compresses the line onto
+|x - x_alpha| < sqrt(eps), minus the shock's left state (0 to the left of
+that window, the shock's jump to its right).  By linearity of convolution
+this is u(t) * phi_delta + sum over big shocks of (profile insertion minus
+mollified step): a tracked front's mollified step cancels the one subtracted.
 All x- and t-derivatives are closed forms (the only time dependence inside a
 strip is the linear motion of fronts), so the residual integrand
 |v_t + A(v) v_x - eps v_xx| is evaluated without numerical differentiation.
@@ -273,25 +276,28 @@ class HybridStrip:
         self.x0s = np.array([f.x0 for f in config.fronts])
         self.t0s = np.array([f.t0 for f in config.fronts])
         self.speeds = np.array([f.speed for f in config.fronts])
-        prof = config.profile()
-        self.jumps = prof.jumps() if self.x0s.size else np.zeros((0, model.n))
+        jumps = config.profile().jumps() if self.x0s.size else np.zeros((0, model.n))
         self.tracks = tracks
+        # a tracked front's step comes with its insertion, so the mollified
+        # sum runs over the untracked fronts only
+        tracked = {front for _, front, _ in tracks}
+        self.free = np.array([f not in tracked for f in config.fronts], dtype=bool)
+        self.jumps = jumps[self.free]
 
     def front_positions(self, t):
         """Front.x of every front at time t, elementwise."""
         return self.x0s + (t - self.t0s) * self.speeds
 
     def _mollified(self, t, x):
-        xs = self.front_positions(t)
+        xs = self.front_positions(t)[self.free]
         d = x[:, None] - xs[None, :]
         v = np.tile(self.u_left, (x.size, 1))
         if xs.size:
-            K = self.mol.cdf(d)
-            v = v + K @ self.jumps
+            v = v + self.mol.cdf(d) @ self.jumps
             phi = self.mol.phi(d)
             vx = phi @ self.jumps
             vxx = self.mol.dphi(d) @ self.jumps
-            vt = -(phi * self.speeds[None, :]) @ self.jumps
+            vt = -(phi * self.speeds[self.free][None, :]) @ self.jumps
         else:
             vx = np.zeros_like(v)
             vxx = np.zeros_like(v)
@@ -299,35 +305,24 @@ class HybridStrip:
         return v, vx, vxx, vt
 
     def _insertion(self, front, profile, t, x):
-        """omega-tilde minus rho for one track's front, with derivatives."""
+        """The squeezed profile step omega-tilde minus the front's left state,
+        with derivatives: the rescaled profile composed with the squeeze map
+        inside |xi| < sqrt(eps), 0 to the left and the front's jump to the
+        right.  Its only time dependence is the front's motion."""
         eps = self.epsilon
-        r = np.sqrt(eps)
         xi = x - front.x(t)
-        du = front.right_state - front.left_state
-        n = self.model.n
-        v = np.zeros((x.size, n))
+        v = np.zeros((x.size, self.model.n))
         vx = np.zeros_like(v)
         vxx = np.zeros_like(v)
-
-        # squeezed profile inside |xi| < sqrt(eps), endpoint states beyond
-        inner = np.abs(xi) < r * (1.0 - 1e-12)
+        inner = np.abs(xi) < np.sqrt(eps) * (1.0 - 1e-12)
         if np.any(inner):
             p, p1, p2 = _squeeze_jet(xi[inner], eps)
             w, w1, w2 = profile.jet(p / eps)
-            v[inner] = w
+            v[inner] = w - front.left_state
             vx[inner] = w1 * (p1 / eps)[:, None]
             vxx[inner] = w2 * (p1 ** 2 / eps ** 2)[:, None] + w1 * (p2 / eps)[:, None]
-        v[~inner & (xi <= 0)] = front.left_state
-        v[~inner & (xi > 0)] = front.right_state
-
-        # subtract the mollified single step
-        K = self.mol.cdf(xi)
-        v -= front.left_state[None, :] + K[:, None] * du[None, :]
-        phi = self.mol.phi(xi)
-        vx -= phi[:, None] * du[None, :]
-        vxx -= self.mol.dphi(xi)[:, None] * du[None, :]
-        vt = -front.speed * vx
-        return v, vx, vxx, vt
+        v[~inner & (xi > 0)] = front.right_state - front.left_state
+        return v, vx, vxx, -front.speed * vx
 
     def jet(self, t, x):
         """(v, vx, vxx, vt) at (t, x); x is a 1-D array."""

@@ -157,15 +157,10 @@ def wave_measure(model, u, i):
     u0 + s, that is u_r - u_l).
     """
     atoms = []
-    left = u.values[0]
-    for x, right in zip(u.xs, u.values[1:]):
-        if np.allclose(left, right, atol=1e-15):
-            left = right
-            continue
+    for x, left, right in zip(u.xs, u.values[:-1], u.values[1:]):
         s = solve_riemann(model, left, right)[i - 1]
         if s != 0.0:
             atoms.append((float(x), float(s)))
-        left = right
     return WaveMeasure.from_atoms(atoms)
 
 

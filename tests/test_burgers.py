@@ -27,7 +27,7 @@ LAX_PAIR = st.floats(-3.95, 4.0).flatmap(
     lambda um: st.tuples(st.just(um), st.floats(-4.0, um - 0.05)))
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10)
 @given(LAX_PAIR)
 def test_tanh_jet_matches_shooting_jet(pair):
     u_minus, u_plus = pair

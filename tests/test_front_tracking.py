@@ -291,7 +291,7 @@ def test_interaction_fan_split_at_the_configured_cap():
     assert ev.outgoing[0].strength == pytest.approx(0.2, abs=1e-12)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(st.sampled_from(["burgers", "p_system"]), st.integers(0, 10 ** 6))
 def test_configurations_share_fronts_born_at_their_events(system, seed):
     # a front is made once, at its birth: configurations share the fronts

@@ -298,7 +298,7 @@ _FRONT = st.tuples(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.lists(_FRONT, max_size=14), st.floats(1e-5, 1e-2))
 def test_one_sided_walks_match_two_walks(specs, eps):
     r = np.sqrt(eps)
@@ -342,7 +342,7 @@ _MOVING_FRONT = st.tuples(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.lists(_MOVING_FRONT, max_size=12), st.integers(2, 7))
 # two fronts of size 1e-6 on one point: q_natural ~ 1.3e-7 is linear in the
 # strengths, so its rounding (1.6e-22 in the quotient) is above a bound that

@@ -474,3 +474,95 @@ def test_index_lookups_match_time_and_side_reference():
             cases.add(case)
     assert {"creation", "termination", "merge", "transversal", "absorption",
             "small"} <= cases
+
+
+# ---------------------------------------------------------------------------
+# reference: the hybrid composed term by term, v = u * phi_delta + sum over
+# tracks of (profile insertion minus mollified step), every jump mollified
+
+def _ref_mollified(st, cfg, t, x):
+    mol = Mollifier(st.delta)
+    xs = np.array([f.x(t) for f in cfg.fronts])
+    speeds = np.array([f.speed for f in cfg.fronts])
+    jumps = cfg.profile().jumps() if xs.size else np.zeros((0, st.model.n))
+    d = x[:, None] - xs[None, :]
+    v = np.tile(cfg.left_state, (x.size, 1))
+    if xs.size:
+        K = mol.cdf(d)
+        v = v + K @ jumps
+        phi = mol.phi(d)
+        vx = phi @ jumps
+        vxx = mol.dphi(d) @ jumps
+        vt = -(phi * speeds[None, :]) @ jumps
+    else:
+        vx = np.zeros_like(v)
+        vxx = np.zeros_like(v)
+        vt = np.zeros_like(v)
+    return v, vx, vxx, vt
+
+
+def _ref_insertion(st, front, profile, t, x):
+    mol = Mollifier(st.delta)
+    eps = st.epsilon
+    r = np.sqrt(eps)
+    xi = x - front.x(t)
+    du = front.right_state - front.left_state
+    v = np.zeros((x.size, st.model.n))
+    vx = np.zeros_like(v)
+    vxx = np.zeros_like(v)
+    inner = np.abs(xi) < r * (1.0 - 1e-12)
+    if np.any(inner):
+        p, p1, p2 = _squeeze_jet(xi[inner], eps)
+        w, w1, w2 = profile.jet(p / eps)
+        v[inner] = w
+        vx[inner] = w1 * (p1 / eps)[:, None]
+        vxx[inner] = w2 * (p1 ** 2 / eps ** 2)[:, None] + w1 * (p2 / eps)[:, None]
+    v[~inner & (xi <= 0)] = front.left_state
+    v[~inner & (xi > 0)] = front.right_state
+    K = mol.cdf(xi)
+    v -= front.left_state[None, :] + K[:, None] * du[None, :]
+    phi = mol.phi(xi)
+    vx -= phi[:, None] * du[None, :]
+    vxx -= mol.dphi(xi)[:, None] * du[None, :]
+    vt = -front.speed * vx
+    return v, vx, vxx, vt
+
+
+def _ref_jet(st, cfg, t, x):
+    jet = list(_ref_mollified(st, cfg, t, x))
+    for _, front, profile in st.tracks:
+        for i, part in enumerate(_ref_insertion(st, front, profile, t, x)):
+            jet[i] = jet[i] + part
+    return jet
+
+
+@pytest.mark.parametrize("system, scenario, eps", [
+    ("burgers", "merge_cancellation", 4e-3),
+    ("burgers", "merge_cancellation", 2e-3),
+    ("p_system", "lone_shock", 2e-3),
+])
+def test_hybrid_jet_matches_term_by_term_composition(system, scenario, eps):
+    # the converge row's hybrid: leaving the tracked fronts out of the
+    # mollified sum changes v and its derivatives by rounding only, and a
+    # strip without tracks keeps every bit
+    cfg = ExperimentConfig(system=system, scenario=scenario, epsilon_list=(eps,),
+                           rho_rule="sqrt_eps*abs_ln_eps")
+    model, data = cfg.model_and_data()
+    run = _track(cfg, model, data, eps, min(1e-9, eps ** 3))
+    tracks = select_big_shocks(run, eval_rule(cfg.rho_rule, eps))
+    hyb = build_hybrid(run, tracks, eps)
+    tracked = 0
+    for st, config in zip(hyb.strips, run.configs):
+        for t in st.t0 + np.array([0.1, 0.5, 0.9]) * (st.t1 - st.t0):
+            e = hybrid._strip_grid(st, t, 1)
+            if e is None:
+                continue
+            mid = 0.5 * (e[:-1] + e[1:])
+            got, ref = st.jet(t, mid), _ref_jet(st, config, t, mid)
+            for g, w in zip(got, ref):
+                if st.tracks:
+                    assert np.max(np.abs(g - w)) <= 1e-13 * (1.0 + np.max(np.abs(w)))
+                else:
+                    assert np.array_equal(g, w)
+        tracked += bool(st.tracks)
+    assert tracked > 0

@@ -78,7 +78,7 @@ def _box_gap(model, u):
     return min(min(abs(ui - lo), abs(ui - hi)) for ui, (lo, hi) in zip(u, model.domain_box))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(CURVE_INPUT, STRENGTH)
 # a strength below the rounding of a state on the face w = 2: the closed
 # form lands an ulp outside w = 2, RK4 on u0 itself
@@ -108,7 +108,7 @@ def test_p_system_wave_curve_agrees_with_generic_path(curve_input, s):
     assert np.max(np.abs(u - ref)) <= 1e-9
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(P_STATE, FAMILY, STRENGTH)
 def test_p_system_wave_curve_is_parametrised_by_strength(u0, i, s):
     try:
@@ -131,7 +131,7 @@ def test_p_system_wave_curve_is_parametrised_by_strength(u0, i, s):
 P_INNER_STATE = st.tuples(st.floats(0.55, 1.95), st.floats(-1.95, 1.95)).map(np.array)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(P_INNER_STATE, FAMILY, STRENGTH)
 def test_p_system_riemann_round_trips_on_wave_curve(u0, i, s):
     try:
@@ -213,7 +213,7 @@ def _inner(model, u):
     return model is B or (0.55 <= u[0] <= 1.95 and abs(u[1]) <= 1.95)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.one_of(B_WAVES, P_WAVES))
 def test_riemann_fronts_chain_and_are_admissible(waves):
     model, u_l, strengths = waves

@@ -34,7 +34,7 @@ def _assert_rows_match(stacked, single, model):
         np.testing.assert_array_max_ulp(stacked, single, maxulp=2)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(preset_stacks())
 def test_stack_rows_match_single_state_calls(case):
     model, u = case
@@ -48,7 +48,7 @@ def test_stack_rows_match_single_state_calls(case):
         _assert_rows_match(L[idx], model.lambda_fn(u[idx]), model)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(preset_stacks())
 def test_lambda_fn_matches_eigen_frame(case):
     # row i of eigen_frame is an eigenvector of the jacobian for the i-th
@@ -66,7 +66,7 @@ def test_lambda_fn_matches_eigen_frame(case):
                 np.testing.assert_allclose(J @ R[i], lam[i] * R[i], rtol=1e-13, atol=1e-13)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(preset_stacks())
 def test_eigvals_fallback_matches_closed_form(case):
     model, u = case

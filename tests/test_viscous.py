@@ -59,7 +59,7 @@ def _dop853_solution():
                      atol=1e-12, dense_output=True, events=stop)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(m=st.integers(1, 3), t=st.lists(st.floats(-0.5, 4.8), min_size=1, max_size=60))
 def test_orbit_evaluator_matches_dop853_dense_output(m, t):
     sol = _dop853_solution()
