@@ -1,8 +1,15 @@
 """Viscous solver u_t + A(u) u_x = eps u_xx and travelling shock profiles.
 
-The PDE is advanced with a conservative Roe-type upwind flux plus explicit
-centered diffusion under a combined CFL bound.  Shock profiles solve the
-first integral of omega'' = (A(omega) - lambda) omega', namely
+The PDE is advanced with a conservative local Lax-Friedrichs (Rusanov) flux,
+its dissipation |lambda| at the arithmetic mean of the two neighbours, plus
+explicit centered diffusion under a combined CFL bound.  The flux adds a
+numerical viscosity |lambda| dx/2 to eps: 12.5% of eps for Burgers with
+|u| <= 1 at dx = eps/4, and about 21% on the p-system lone shock
+(|lambda| ~ 1.7).  Each step updates only the cells that the grid's padding
+rule, evaluated at that step's time, says the waves can have reached.
+
+Shock profiles solve the first integral of omega'' = (A(omega) - lambda)
+omega', namely
 
     omega' = f(omega) - f(u-) - lambda (omega - u-),
 
@@ -53,7 +60,10 @@ def solve_viscous(model, epsilon, initial, tau, dx):
     |lambda_i| over the data's states with a margin of 20% plus 0.1.  The
     grid spans the data's breakpoints, or [-1, 1] without any, padded on
     each side by vmax tau, the diffusion width sqrt(4 eps tau ln 1e10) and
-    10 dx.
+    10 dx.  A step ending at time t updates only the cells within the same
+    padding at t of the span; beyond it the grid holds the data's states to
+    the padding's own 1e-10 truncation.  The window's end cells are that
+    step's frozen ghosts.
     """
     if epsilon <= 0:
         raise CFLViolation("epsilon must be positive")
@@ -65,10 +75,14 @@ def solve_viscous(model, epsilon, initial, tau, dx):
     lo, hi = -1.0, 1.0
     if initial.xs.size:
         lo, hi = float(initial.xs[0]), float(initial.xs[-1])
-    need = vmax * tau + np.sqrt(4.0 * epsilon * tau * np.log(1e10))
-    lo, hi = lo - need - 10 * dx, hi + need + 10 * dx
-    N = int(np.ceil((hi - lo) / dx)) + 1
-    x = lo + dx * np.arange(N)
+
+    def reach(t):
+        # how far the waves and the diffusion's 1e-10 tail get by time t
+        return vmax * t + np.sqrt(4.0 * epsilon * t * np.log(1e10))
+
+    x_lo, x_hi = lo - reach(tau) - 10 * dx, hi + reach(tau) + 10 * dx
+    N = int(np.ceil((x_hi - x_lo) / dx)) + 1
+    x = x_lo + dx * np.arange(N)
     if model.viscous_fn is not None:
         return GridSolution(x=x, times=[tau], values=[model.viscous_fn(initial, epsilon, tau, x)],
                             dt=tau)
@@ -82,14 +96,19 @@ def solve_viscous(model, epsilon, initial, tau, dx):
 
     lam_dt_dx = dt / dx
     mu_coef = epsilon * dt / dx ** 2
-    for _ in range(steps):
-        # Roe-type upwind flux with |A| at the arithmetic mean state
-        f = model.flux(u)
-        a = max_abs_eigenvalue(model, 0.5 * (u[:-1] + u[1:]))[:, None]
-        F = 0.5 * (f[:-1] + f[1:]) - 0.5 * a * (u[1:] - u[:-1])
-        lap = u[2:] - 2.0 * u[1:-1] + u[:-2]
-        u[1:-1] -= lam_dt_dx * (F[1:] - F[:-1])
-        u[1:-1] += mu_coef * lap
+    for k in range(1, steps + 1):
+        # the cells within the grid's padding of the span at this step's end
+        pad = reach(k * dt) + 10 * dx
+        i0 = max(math.floor((lo - pad - x_lo) / dx), 0)
+        i1 = min(math.ceil((hi + pad - x_lo) / dx) + 1, N)
+        w = u[i0:i1]      # a view: the update below lands in u
+        # local Lax-Friedrichs flux with max |lambda_i| at the arithmetic mean
+        f = model.flux(w)
+        a = max_abs_eigenvalue(model, 0.5 * (w[:-1] + w[1:]))[:, None]
+        F = 0.5 * (f[:-1] + f[1:]) - 0.5 * a * (w[1:] - w[:-1])
+        lap = w[2:] - 2.0 * w[1:-1] + w[:-2]
+        w[1:-1] -= lam_dt_dx * (F[1:] - F[:-1])
+        w[1:-1] += mu_coef * lap
         u[0] = u[1]
         u[-1] = u[-2]
     return GridSolution(x=x, times=[tau], values=[u], dt=dt)

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from vanvisc.errors import CFLViolation, NotLaxPair
+from vanvisc.harness import scenario_data
 from vanvisc.piecewise import PiecewiseConstant
 from vanvisc.riemann import lax_curve
-from vanvisc.system import SystemModel, preset_model, wave_speeds
-from vanvisc.viscous import (ShockProfile, _orbit_arrays, shock_profile, solve_viscous,
+from vanvisc.system import SystemModel, max_abs_eigenvalue, preset_model, wave_speeds
+from vanvisc.viscous import (CFL, ShockProfile, _orbit_arrays, shock_profile, solve_viscous,
                              tail_bound_check)
 
 B = preset_model("burgers")
@@ -207,3 +208,77 @@ def test_solve_viscous_errors():
         for tau in (0.0, -0.1):
             with pytest.raises(CFLViolation, match="tau"):
                 solve_viscous(model, 0.01, data, tau, 0.0025)
+
+
+def _full_grid_solve(model, epsilon, initial, tau, dx):
+    """The explicit solve stepping every cell of the grid: (x, dt, steps, u).
+
+    solve_viscous steps only a window that grows with the padding rule;
+    this loop, which steps the whole grid each time, is its oracle.
+    """
+    vmax = float(np.max(max_abs_eigenvalue(model, initial.values))) * 1.2 + 0.1
+    lo, hi = -1.0, 1.0
+    if initial.xs.size:
+        lo, hi = float(initial.xs[0]), float(initial.xs[-1])
+    need = vmax * tau + np.sqrt(4.0 * epsilon * tau * np.log(1e10))
+    lo, hi = lo - need - 10 * dx, hi + need + 10 * dx
+    N = int(np.ceil((hi - lo) / dx)) + 1
+    x = lo + dx * np.arange(N)
+    u = initial(x)
+    dt = CFL / (vmax / dx + 2.0 * epsilon / dx ** 2)
+    steps = max(1, int(np.ceil(tau / dt)))
+    dt = tau / steps
+    for _ in range(steps):
+        f = model.flux(u)
+        a = max_abs_eigenvalue(model, 0.5 * (u[:-1] + u[1:]))[:, None]
+        F = 0.5 * (f[:-1] + f[1:]) - 0.5 * a * (u[1:] - u[:-1])
+        lap = u[2:] - 2.0 * u[1:-1] + u[:-2]
+        u[1:-1] -= dt / dx * (F[1:] - F[:-1])
+        u[1:-1] += epsilon * dt / dx ** 2 * lap
+        u[0] = u[1]
+        u[-1] = u[-2]
+    return x, dt, steps, u
+
+
+def _assert_matches_full_grid(model, epsilon, data, tau):
+    dx = epsilon / 4
+    x, dt, steps, u = _full_grid_solve(model, epsilon, data, tau, dx)
+    sol = solve_viscous(model, epsilon, data, tau, dx)
+    assert np.array_equal(sol.x, x)
+    assert sol.dt == dt
+    assert round(sol.times[-1] / sol.dt) == steps
+    assert np.max(np.abs(sol.final() - u)) <= 1e-12
+
+
+@pytest.mark.parametrize("model, scenario, epsilon, tau, kw", [
+    (P, "lone_shock", 1e-2, 1.0, {}),
+    (P, "random_bv", 8e-3, 0.5, dict(seed=100, n_jumps=8)),
+    (P, "random_bv", 8e-3, 0.5, dict(seed=101, n_jumps=8)),
+    (B_GENERIC, "merge_cancellation", 1e-2, 1.0, {}),
+    (B_GENERIC, "random_bv", 1e-2, 1.0, dict(seed=3)),
+])
+def test_windowed_solve_matches_full_grid(model, scenario, epsilon, tau, kw):
+    _assert_matches_full_grid(model, epsilon, scenario_data(model, scenario, **kw), tau)
+
+
+@st.composite
+def small_data(draw):
+    """A hook-less Burgers or p-system PiecewiseConstant with up to 4 jumps,
+    the p-system's states built along the Lax curves from (1, 0)."""
+    n_jumps = draw(st.integers(0, 4))
+    xs = sorted(draw(st.lists(st.floats(-0.5, 0.5), min_size=n_jumps, max_size=n_jumps,
+                              unique=True)))
+    if draw(st.booleans()):
+        vals = [[draw(st.floats(-1.0, 1.0))] for _ in range(n_jumps + 1)]
+        return B_GENERIC, PiecewiseConstant(xs, vals)
+    vals = [np.array([1.0, 0.0])]
+    for _ in range(n_jumps):
+        vals.append(lax_curve(P, draw(st.integers(1, 2)), vals[-1], draw(st.floats(-0.15, 0.15))))
+    return P, PiecewiseConstant(xs, np.array(vals))
+
+
+@settings(max_examples=80)
+@given(small_data(), st.floats(1e-2, 4e-2), st.floats(0.02, 0.3))
+def test_windowed_solve_matches_full_grid_on_random_data(model_data, epsilon, tau):
+    model, data = model_data
+    _assert_matches_full_grid(model, epsilon, data, tau)
