@@ -2,7 +2,8 @@
 
 Prints the per-event deltas of V, Q, the weighted potentials and the
 composite functional, plus the exact inter-event decay rates, and writes the
-per-interval rate rows to demos/out/functionals_rates.csv.
+audit report to demos/out/functionals_audit.json and the per-interval rate
+rows to demos/out/functionals_rates.csv.
 """
 
 import os
@@ -25,6 +26,10 @@ tracks = select_big_shocks(run, rho)
 print(f"{len(run.events)} events, {len(tracks)} big-shock tracks (rho={rho})")
 
 rep = audit_events(run, tracks, eps, rho=rho)
+path = os.path.join(OUT, "functionals_audit.json")
+with open(path, "w") as fh:
+    fh.write(rep.to_json() + "\n")
+print("wrote", path)
 print(f"\n{'t':>8} {'case':>12} {'dUpsilon':>11} {'dq_flat':>10} {'dq_nat':>10} "
       f"{'dq_sharp':>10} {'dq_hat':>12}")
 for ev in rep.events:

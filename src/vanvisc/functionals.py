@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .front_tracking import GLIMM_C0, glimm_functionals
+from .front_tracking import GLIMM_C0
 from .hybrid import classify_event
 
 SQRT = np.sqrt
@@ -30,17 +30,6 @@ class FunctionalConstants:
     c1: float = 1e5
     c2: float = 1e3
     c3: float = 10.0
-
-
-@dataclass(frozen=True)
-class FunctionalSnapshot:
-    V: float
-    Q: float
-    upsilon: float
-    q_flat: float
-    q_natural: float
-    q_sharp: float
-    q_hat: float
 
 
 def _ramp(d, dd, epsilon):
@@ -193,19 +182,13 @@ def big_shock_fronts(tracks, k):
     return {f for f in (tr.front(k) for tr in tracks) if f is not None}
 
 
-def q_hat(config, bs, epsilon, constants=FunctionalConstants()):
-    """Composite functional snapshot at the configuration's time; bs is the
-    set of big-shock fronts."""
-    V, Q = glimm_functionals(config)
-    ups = V + GLIMM_C0 * Q
-    qf, _ = q_flat(config, epsilon)
-    qn, _ = q_natural(config, bs, epsilon)
-    qs, _ = q_sharp(config, epsilon)
+def q_hat(upsilon, flat, natural, sharp, epsilon, constants):
+    """The composite functional of the Glimm pair upsilon = V + C0 Q and the
+    weighted potentials q_flat, q_natural and q_sharp."""
     r = SQRT(epsilon)
     ln = abs(np.log(epsilon))
-    qh = r * ln * (constants.c1 * ups + constants.c2 * qf + constants.c3 * qn) + r * qs
-    return FunctionalSnapshot(V=V, Q=Q, upsilon=ups, q_flat=qf, q_natural=qn,
-                              q_sharp=qs, q_hat=qh)
+    return (r * ln * (constants.c1 * upsilon + constants.c2 * flat + constants.c3 * natural)
+            + r * sharp)
 
 
 # ---------------------------------------------------------------------------
@@ -237,29 +220,39 @@ class AuditReport:
         return json.dumps(payload, sort_keys=True, indent=1, default=float)
 
 
+def _weighted_totals(config, bs, epsilon):
+    """(q_flat, q_natural, q_sharp) of the configuration; bs is the set of
+    big-shock fronts."""
+    return (q_flat(config, epsilon)[0], q_natural(config, bs, epsilon)[0],
+            q_sharp(config, epsilon)[0])
+
+
 def audit_events(run, tracks, epsilon, constants=FunctionalConstants(), rho=None):
     """Classify every interaction and check the composite-functional law:
     decrease (within 1e-10) unless a new big shock is created; at creations,
-    record the increase ratio against sqrt(eps) |ln eps| |sigma_alpha|."""
+    record the increase ratio against sqrt(eps) |ln eps| |sigma_alpha|.
+
+    V, Q and Upsilon on either side of event k are run.glimm_history[k] and
+    [k + 1]."""
     r = SQRT(epsilon)
     ln = abs(np.log(epsilon))
     report = AuditReport(epsilon=epsilon, rho=rho, constants=constants)
+    hist = run.glimm_history
     for ev in run.events:
         k = ev.index
-        before = run.configs[k].at(ev.time)
         after = run.configs[k + 1]
-        bs_b = big_shock_fronts(tracks, k)
         bs_a = big_shock_fronts(tracks, k + 1)
-        sb = q_hat(before, bs_b, epsilon, constants)
-        sa = q_hat(after, bs_a, epsilon, constants)
-        d_qhat = sa.q_hat - sb.q_hat
+        (_, V0, Q0, ups0), (_, V1, Q1, ups1) = hist[k], hist[k + 1]
+        wb = _weighted_totals(run.configs[k].at(ev.time), big_shock_fronts(tracks, k), epsilon)
+        wa = _weighted_totals(after, bs_a, epsilon)
+        d_qhat = q_hat(ups1, *wa, epsilon, constants) - q_hat(ups0, *wb, epsilon, constants)
         case, flags = classify_event(ev, tracks)
         born = [tr for tr in tracks if tr.first == k + 1]
         record = {
             "t": ev.time, "x": ev.x, "case": case, "flags": sorted(flags),
-            "dV": sa.V - sb.V, "dQ": sa.Q - sb.Q, "dUpsilon": sa.upsilon - sb.upsilon,
-            "dq_flat": sa.q_flat - sb.q_flat, "dq_natural": sa.q_natural - sb.q_natural,
-            "dq_sharp": sa.q_sharp - sb.q_sharp, "dq_hat": d_qhat,
+            "dV": V1 - V0, "dQ": Q1 - Q0, "dUpsilon": ups1 - ups0,
+            "dq_flat": wa[0] - wb[0], "dq_natural": wa[1] - wb[1],
+            "dq_sharp": wa[2] - wb[2], "dq_hat": d_qhat,
             "participants": [
                 {"family": f.family, "kind": f.kind, "sigma": f.strength}
                 for f in ev.incoming
@@ -274,7 +267,7 @@ def audit_events(run, tracks, epsilon, constants=FunctionalConstants(), rho=None
             # the shock-rarefaction potential
             born_fronts = {tr.fronts[0] for tr in born}
             qn_without, _ = q_natural(after, bs_a - born_fronts, epsilon)
-            surcharge = r * ln * constants.c3 * (sa.q_natural - qn_without)
+            surcharge = r * ln * constants.c3 * (wa[1] - qn_without)
             report.creation_ratios.append(
                 {"t": ev.time, "sigma": sigma,
                  "ratio": d_qhat / (r * ln * sigma),

@@ -87,9 +87,8 @@ def eval_rule(rule, eps):
 
     Config text is never passed to eval: a rule may hold only numbers, the
     names eps, sqrt_eps and abs_ln_eps, unary minus, + - * / **, and calls
-    of min, max, sqrt and log."""
-    if isinstance(rule, (int, float)):
-        return float(rule)
+    of min, max, sqrt and log.  A number is read from its str, so a float
+    inf or nan is refused like the text "inf"."""
     names = {"eps": eps, "sqrt_eps": math.sqrt(eps), "abs_ln_eps": abs(math.log(eps))}
 
     def ev(node):
@@ -230,10 +229,9 @@ class ConvergenceTable:
                                   else str(row[c]) for c in self.columns) + "\n")
 
     def fit(self):
-        ok = [r for r in self.rows if r.get("l1_error") is not None]
-        self.fit_p, self.fit_c = _loglog_fit([r["rate_var"] for r in ok],
-                                             [r["l1_error"] for r in ok])
-        ratios = [r["l1_error"] / r["rate_var"] for r in ok]
+        self.fit_p, self.fit_c = _loglog_fit([r["rate_var"] for r in self.rows],
+                                             [r["l1_error"] for r in self.rows])
+        ratios = [r["l1_error"] / r["rate_var"] for r in self.rows]
         self.ratio_spread = float(max(ratios) / min(ratios))
         return self.fit_p, self.fit_c
 

@@ -34,28 +34,21 @@ class Mollifier:
         assert delta > 0
         self.delta = float(delta)
 
-    def phi(self, s):
+    def jet(self, s):
+        """(Phi, phi_delta, phi_delta') at s, where Phi(s) is the integral of
+        phi_delta up to s (0 at -inf, 1 at +inf).
+
+        Phi's polynomial is evaluated on the support only; beyond it Phi
+        takes the values the polynomial has at the edges t = -+2/3."""
         t = np.asarray(s, dtype=float) / self.delta
         inside = np.abs(t) < KERNEL_SUPPORT
-        q = np.where(inside, 4.0 / 9.0 - t * t, 0.0)
-        return KERNEL_C * q ** 3 / self.delta
-
-    def dphi(self, s):
-        t = np.asarray(s, dtype=float) / self.delta
-        inside = np.abs(t) < KERNEL_SUPPORT
-        q = np.where(inside, 4.0 / 9.0 - t * t, 0.0)
-        return KERNEL_C * 3.0 * q ** 2 * (-2.0 * t) / self.delta ** 2
-
-    def cdf(self, s):
-        """Phi(s) = integral of phi_delta up to s (0 at -inf, 1 at +inf).
-
-        The polynomial is evaluated on the support only; beyond it Phi takes
-        the values the polynomial has at the edges t = -+2/3."""
-        t = np.asarray(s, dtype=float) / self.delta
-        inside = np.abs(t) < KERNEL_SUPPORT
-        out = np.where(t > 0, _CDF_EDGES[1], _CDF_EDGES[0])
-        out[inside] = _kernel_cdf(t[inside])
-        return out
+        tt = np.where(inside, t, 0.0)   # no squaring of far (or infinite) t
+        q = np.where(inside, 4.0 / 9.0 - tt * tt, 0.0)
+        cdf = np.where(t > 0, _CDF_EDGES[1], _CDF_EDGES[0])
+        cdf[inside] = _kernel_cdf(t[inside])
+        phi = KERNEL_C * q ** 3 / self.delta
+        dphi = KERNEL_C * 3.0 * q ** 2 * (-2.0 * tt) / self.delta ** 2
+        return cdf, phi, dphi
 
 
 def _kernel_cdf(t):
@@ -83,7 +76,7 @@ def mollify(u, delta):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.tile(u0, (x.size, 1))
         if xs.size:
-            out = out + mol.cdf(x[:, None] - xs[None, :]) @ jumps
+            out = out + mol.jet(x[:, None] - xs[None, :])[0] @ jumps
         return out
 
     return value
@@ -106,7 +99,7 @@ def mollification_l1_error(u, delta):
         for s0, s1 in zip(sub[:-1], sub[1:]):
             h = 0.5 * (s1 - s0)
             pts = 0.5 * (s0 + s1) + h * gx
-            diff = mol.cdf(pts[:, None] - xs[None, :]) @ jumps - (u(pts) - u.values[0])
+            diff = mol.jet(pts[:, None] - xs[None, :])[0] @ jumps - (u(pts) - u.values[0])
             total += h * float(gw @ np.linalg.norm(diff, axis=1))
     return total
 
@@ -293,10 +286,10 @@ class HybridStrip:
         d = x[:, None] - xs[None, :]
         v = np.tile(self.u_left, (x.size, 1))
         if xs.size:
-            v = v + self.mol.cdf(d) @ self.jumps
-            phi = self.mol.phi(d)
+            cdf, phi, dphi = self.mol.jet(d)
+            v = v + cdf @ self.jumps
             vx = phi @ self.jumps
-            vxx = self.mol.dphi(d) @ self.jumps
+            vxx = dphi @ self.jumps
             vt = -(phi * self.speeds[self.free][None, :]) @ self.jumps
         else:
             vx = np.zeros_like(v)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vanvisc.front_tracking import (Front, FrontConfiguration, config_index,
-                                    init_front_tracking, run_until)
+from vanvisc.front_tracking import (GLIMM_C0, Front, FrontConfiguration, config_index,
+                                    glimm_functionals, init_front_tracking, run_until)
 from vanvisc.functionals import (FunctionalConstants, _natural_alpha, _sharp_alpha,
                                  audit_events, big_shock_fronts, interaction_decay_rates,
                                  q_flat, q_hat, q_natural, q_sharp, w_flat, w_natural)
@@ -80,16 +80,21 @@ def test_q_sharp_examples():
 
 
 def test_q_hat_snapshot():
-    snap = q_hat(config([]), set(), EPS)
-    assert snap.q_hat == 0.0 and snap.V == 0.0
+    C = FunctionalConstants()
+    e = config([])
+    V, Q = glimm_functionals(e)
+    assert V == 0.0 and Q == 0.0
+    assert q_hat(V + GLIMM_C0 * Q, q_flat(e, EPS)[0], q_natural(e, set(), EPS)[0],
+                 q_sharp(e, EPS)[0], EPS, C) == 0.0
     a = shock(0.0, 1, -0.5)
     cfg = config([a, raref(0.01, 1, 0.1)])
-    snap = q_hat(cfg, {a}, EPS)
+    V, Q = glimm_functionals(cfg)
+    qh = q_hat(V + GLIMM_C0 * Q, q_flat(cfg, EPS)[0], q_natural(cfg, {a}, EPS)[0],
+               q_sharp(cfg, EPS)[0], EPS, C)
     # composite bound shape: q_hat = O(sqrt(eps) |ln eps| TV) with the default
     # constants dominated by C1 Upsilon
-    tv = 0.6
-    bound = np.sqrt(EPS) * abs(np.log(EPS)) * (1e5 * (snap.V + 4 * snap.Q) + 1e3 + 10) + np.sqrt(EPS)
-    assert snap.q_hat <= bound
+    bound = np.sqrt(EPS) * abs(np.log(EPS)) * (1e5 * (V + 4 * Q) + 1e3 + 10) + np.sqrt(EPS)
+    assert 0.0 < qh <= bound
 
 
 def test_audit_merge_strict_decrease():
@@ -318,6 +323,48 @@ def test_one_sided_walks_match_two_walks(specs, eps):
             if a.physical and b.physical:
                 assert (w_flat(b.x0 - a.x0, 0.0, a.family, b.family, eps)[0]
                         == _w_flat_two_branches(a.x0, a.family, b.x0, b.family, eps))
+
+
+# The audit against its functionals recomputed from each event's two
+# configurations, with q_hat as one snapshot of the Glimm pair and the
+# weighted potentials at the configuration's time.
+
+def _snapshot(config, bs, epsilon, constants):
+    """(V, Q, Upsilon, q_flat, q_natural, q_sharp, q_hat) of config."""
+    V, Q = glimm_functionals(config)
+    ups = V + GLIMM_C0 * Q
+    qf, _ = q_flat(config, epsilon)
+    qn, _ = q_natural(config, bs, epsilon)
+    qs, _ = q_sharp(config, epsilon)
+    r = np.sqrt(epsilon)
+    ln = abs(np.log(epsilon))
+    qh = r * ln * (constants.c1 * ups + constants.c2 * qf + constants.c3 * qn) + r * qs
+    return V, Q, ups, qf, qn, qs, qh
+
+
+_AUDIT_KEYS = ("dV", "dQ", "dUpsilon", "dq_flat", "dq_natural", "dq_sharp", "dq_hat")
+
+
+@pytest.mark.parametrize("rho_rule", ["4*sqrt_eps*abs_ln_eps", "0.05"])
+def test_audit_matches_recomputed_functionals(corpus, rho_rule):
+    # at the corpus rho no shock is big; at 0.05 big shocks appear, so
+    # q_natural moves and creations are recorded
+    C = FunctionalConstants()
+    rho = eval_rule(rho_rule, EPS)
+    moved = creations = 0
+    for run in corpus:
+        tracks = select_big_shocks(run, rho)
+        rep = audit_events(run, tracks, EPS, C, rho=rho)
+        assert len(rep.events) == len(run.events)
+        for ev, rec in zip(run.events, rep.events):
+            k = ev.index
+            sb = _snapshot(run.configs[k].at(ev.time), big_shock_fronts(tracks, k), EPS, C)
+            sa = _snapshot(run.configs[k + 1], big_shock_fronts(tracks, k + 1), EPS, C)
+            assert [rec[key] for key in _AUDIT_KEYS] == [a - b for a, b in zip(sa, sb)]
+            moved += rec["dq_natural"] != 0.0
+        creations += len(rep.creation_ratios)
+    if rho_rule == "0.05":
+        assert moved >= 100 and creations >= 2
 
 
 # The exact rates against difference quotients.  Between events the masses,

@@ -20,13 +20,14 @@ def test_eval_rule():
     assert eval_rule("4*sqrt_eps*abs_ln_eps", 1e-4) == pytest.approx(4 * 0.01 * np.log(1e4))
     assert eval_rule("eps/8", 8e-3) == pytest.approx(1e-3)
     assert eval_rule(0.25, 1e-3) == 0.25
+    assert eval_rule(-1e-300, 1e-3) == -1e-300 and eval_rule(3, 1e-3) == 3.0
     assert eval_rule("min(1e-2, eps)", 1e-3) == pytest.approx(1e-3)
     eps = 3e-3
     assert eval_rule("4*sqrt_eps*abs_ln_eps", eps) == 4 * math.sqrt(eps) * abs(math.log(eps))
     assert eval_rule("-eps + 2**3 - max(sqrt(4), log(1)) / 2", eps) == -eps + 8 - 1.0
     for bad in ("(1).__class__", "__import__('os')", "eps.real", "abs(eps)", "x",
                 "[eps][0]", "eps if eps else 1", "True", "+eps", "min(eps, key=eps)",
-                "4*", "9**9**9"):
+                "4*", "9**9**9", "inf", math.inf, math.nan):
         with pytest.raises((ValueError, ArithmeticError)):
             eval_rule(bad, eps)
 

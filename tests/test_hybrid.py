@@ -28,11 +28,11 @@ def pc(xs, vals):
 def test_kernel_properties():
     mol = Mollifier(0.37)
     s = np.linspace(-0.5, 0.5, 20001)
-    phi = mol.phi(s)
-    assert np.max(np.abs(phi - mol.phi(-s))) < 1e-12           # even
+    _, phi, dphi = mol.jet(s)
+    assert np.max(np.abs(phi - mol.jet(-s)[1])) < 1e-12        # even
     assert np.trapezoid(phi, s) == pytest.approx(1.0, abs=1e-10)  # unit mass
     assert np.all(phi[np.abs(s) > 2 * 0.37 / 3] == 0.0)        # support
-    assert np.all(s * mol.dphi(s) <= 1e-12)                    # s phi'(s) <= 0
+    assert np.all(s * dphi <= 1e-12)                           # s phi'(s) <= 0
 
 
 def test_mollifier_cdf_matches_clipped_polynomial():
@@ -51,7 +51,11 @@ def test_mollifier_cdf_matches_clipped_polynomial():
                   np.array([a, -a, np.nextafter(a, 0), np.nextafter(-a, 0)]),
                   np.array([1e3, -1e3, 1e300, -1e300, np.inf, -np.inf]),
                   np.array([0.0, -0.0]), np.zeros(0)):
-            assert np.array_equal(Mollifier(delta).cdf(s), ref(s, delta))
+            with np.errstate(all="raise"):
+                cdf, phi, dphi = Mollifier(delta).jet(s)
+            assert np.array_equal(cdf, ref(s, delta))
+            far = np.abs(np.asarray(s, dtype=float) / delta) >= KERNEL_SUPPORT
+            assert np.all(phi[far] == 0.0) and np.all(dphi[far] == 0.0)
 
 
 def test_mollify_constant_and_step():
@@ -488,11 +492,10 @@ def _ref_mollified(st, cfg, t, x):
     d = x[:, None] - xs[None, :]
     v = np.tile(cfg.left_state, (x.size, 1))
     if xs.size:
-        K = mol.cdf(d)
+        K, phi, dphi = mol.jet(d)
         v = v + K @ jumps
-        phi = mol.phi(d)
         vx = phi @ jumps
-        vxx = mol.dphi(d) @ jumps
+        vxx = dphi @ jumps
         vt = -(phi * speeds[None, :]) @ jumps
     else:
         vx = np.zeros_like(v)
@@ -519,11 +522,10 @@ def _ref_insertion(st, front, profile, t, x):
         vxx[inner] = w2 * (p1 ** 2 / eps ** 2)[:, None] + w1 * (p2 / eps)[:, None]
     v[~inner & (xi <= 0)] = front.left_state
     v[~inner & (xi > 0)] = front.right_state
-    K = mol.cdf(xi)
+    K, phi, dphi = mol.jet(xi)
     v -= front.left_state[None, :] + K[:, None] * du[None, :]
-    phi = mol.phi(xi)
     vx -= phi[:, None] * du[None, :]
-    vxx -= mol.dphi(xi)[:, None] * du[None, :]
+    vxx -= dphi[:, None] * du[None, :]
     vt = -front.speed * vx
     return v, vx, vxx, vt
 

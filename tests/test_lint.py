@@ -115,8 +115,8 @@ def unread_dataclass_fields():
 
     The match is by name only: a field counts as read when any attribute of
     that name is read anywhere.  So it cannot see a field whose name other
-    classes share, such as the echoes of q_hat's arguments that
-    FunctionalSnapshot once carried (t, constants, epsilon, rho)."""
+    classes share, such as a result that echoes its function's arguments
+    (t, constants, epsilon, rho)."""
     read = set()
     for d in READERS:
         for path in (ROOT / d).rglob("*.py"):
