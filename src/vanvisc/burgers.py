@@ -139,7 +139,3 @@ class TanhProfile:
         w = self.u_plus + mag * q
         g = -0.5 * mag * mag * p * q
         return w, g, 0.5 * mag * (q - p) * g
-
-    def value(self, s):
-        """omega at s, shaped as in jet."""
-        return self.jet(s)[0]

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import OverlappingTracks, ResolutionTooCoarse
 from .front_tracking import config_index
+from .piecewise import gauss_l1, gauss_points
 from .viscous import shock_profile
 
 KERNEL_C = 76545.0 / 4096.0   # unit mass for (4/9 - s^2)^3 on |s| <= 2/3
@@ -83,25 +84,17 @@ def mollify(u, delta):
 
 
 def mollification_l1_error(u, delta):
-    """Integral of |u * phi_delta - u|: 10-point Gauss on 8 sub-intervals of
-    each gap between kernel edges."""
-    mol = Mollifier(delta)
-    xs = np.asarray(u.xs, dtype=float)
+    """Integral of |u * phi_delta - u|: 6-point Gauss on 8 equal
+    sub-intervals of each gap between kernel edges."""
+    xs = u.xs
     if xs.size == 0:
         return 0.0
-    jumps = u.jumps()
     edges = np.unique(np.concatenate([
         xs, xs - KERNEL_SUPPORT * delta, xs + KERNEL_SUPPORT * delta]))
-    gx, gw = np.polynomial.legendre.leggauss(10)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        sub = np.linspace(a, b, 9)
-        for s0, s1 in zip(sub[:-1], sub[1:]):
-            h = 0.5 * (s1 - s0)
-            pts = 0.5 * (s0 + s1) + h * gx
-            diff = mol.jet(pts[:, None] - xs[None, :])[0] @ jumps - (u(pts) - u.values[0])
-            total += h * float(gw @ np.linalg.norm(diff, axis=1))
-    return total
+    sub = edges[:-1, None] + np.diff(edges)[:, None] * (np.arange(8) / 8.0)
+    cut = np.append(sub.ravel(), edges[-1])
+    pts = gauss_points(cut)
+    return gauss_l1(cut, mollify(u, delta)(pts), u(pts))
 
 
 def oscillation_weighted_tv(u, delta):

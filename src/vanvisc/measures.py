@@ -96,11 +96,6 @@ class WaveMeasure:
     def total_mass(self):
         return self.atom_mass() + self.density_mass()
 
-    def total_variation(self):
-        xs, _, steps = self._knots
-        tv = float(np.sum(np.abs(self.atoms[:, 1]))) if self.atoms.size else 0.0
-        return tv + float(np.abs(steps[1:-1]) @ np.diff(xs))
-
     def is_nonnegative(self):
         if self.atoms.size and np.any(self.atoms[:, 1] < 0):
             return False
@@ -114,11 +109,6 @@ class WaveMeasure:
         X, cum = self.atoms[:, 0], self._atom_cum
         return float(f_hi - f_lo + cum[np.searchsorted(X, hi, side="right")]
                      - cum[np.searchsorted(X, lo, side="left")])
-
-    def cdf(self, x):
-        """F(x) = mu((-inf, x]), vectorized, right-continuous."""
-        X, cum = self.atoms[:, 0], self._atom_cum
-        return self.density_cdf(x) + cum[np.searchsorted(X, x, side="right")]
 
 
 def pos_neg_parts(m):
@@ -180,9 +170,6 @@ class MonotoneProfile:
     @property
     def singular_mass(self):
         return self.measure.atom_mass()
-
-    def value(self, x):
-        return self.v_left + self.measure.cdf(x)
 
 
 def sup_mass(mu, size):

@@ -83,24 +83,6 @@ class PiecewiseConstant:
                 fh.write(("%.17g," % x) + ",".join("%.17g" % v for v in u) + "\n")
 
 
-def l1_distance_to_grid(profile, x_grid, u_grid):
-    """L1 distance on [x_grid[0], x_grid[-1]] between a PiecewiseConstant
-    and the piecewise-linear interpolant of (x_grid, u_grid), with u_grid
-    of shape (N, n) on the N nodes x_grid.
-
-    The interval is cut at the grid nodes and at the profile's breakpoints
-    inside it, so on each segment the difference is linear, a + b t, and
-    its Euclidean norm is integrated by 6-point Gauss-Legendre.  The rule is
-    exact where |a + b t| is linear in t (n = 1 with no sign change on the
-    segment); it is not exact on a segment where a + b t has a zero inside,
-    at the kink of the norm, nor where the norm is curved (n > 1).
-    """
-    cut = np.union1d(x_grid, profile.xs[(profile.xs >= x_grid[0]) & (profile.xs <= x_grid[-1])])
-    pts = gauss_points(cut)
-    gv = np.stack([np.interp(pts, x_grid, u_grid[:, c]) for c in range(u_grid.shape[1])], axis=1)
-    return gauss_l1(cut, profile(pts), gv)
-
-
 # 6-point Gauss nodes and weights on [0, 1]
 _GX, _GW = np.polynomial.legendre.leggauss(6)
 _GX = 0.5 * (_GX + 1.0)

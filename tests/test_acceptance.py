@@ -80,6 +80,16 @@ def test_sweep_l1_error_is_within_front_tracking_error_of_l1_exact(sweep):
           f"{[round(r['ft_error'], 5) for r in sweep.rows]}")
 
 
+def test_sweep_decomposition_ratio_is_at_most_one(sweep):
+    """The hybrid is built from u_FT and viscous Burgers is an L1
+    contraction, so each row's l1_error = L1(u_FT, u_eps) is at most the
+    budget endpoint_0 + residual + jump_sum + endpoint_tau."""
+    ratios = [r["l1_error"] / (r["endpoint_0"] + r["residual"] + r["jump_sum"]
+                               + r["endpoint_tau"]) for r in sweep.rows]
+    assert all(0.0 < q <= 1.0 for q in ratios)
+    print(f"PASS decomposition ratios {[round(q, 3) for q in ratios]} (<= 1)")
+
+
 def test_criterion_2_hybrid_bounds(sweep):
     """Each scaled quantity must stay within a 3x band across epsilon; the
     t=0 and t=tau endpoint distances are banded as separate series (their

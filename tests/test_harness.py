@@ -6,10 +6,13 @@ import os
 import numpy as np
 import pytest
 
-from vanvisc.harness import (ExperimentConfig, converge_cmd, decay_report_cmd,
-                             eval_rule, functional_report_cmd, main,
+from vanvisc.front_tracking import sample_profile
+from vanvisc.harness import (ExperimentConfig, _track, converge_cmd, converge_row,
+                             decay_report_cmd, eval_rule, functional_report_cmd, main,
                              parse_config_file, scenario_data)
-from vanvisc.system import preset_model
+from vanvisc.piecewise import gauss_l1, gauss_points
+from vanvisc.system import SystemModel, preset_model
+from vanvisc.viscous import solve_viscous
 
 B = preset_model("burgers")
 P = preset_model("p_system")
@@ -85,6 +88,17 @@ def test_scenarios_valid():
     assert rnd.total_variation() == pytest.approx(0.4)
     with pytest.raises(ValueError):
         scenario_data(B, "nope")
+
+
+def test_scenario_data_refuses_a_model_that_is_not_a_preset():
+    # a custom scalar law is neither preset: every scenario names the model,
+    # instead of running it through the p-system's wave curves
+    cubic = SystemModel(n=1, flux=lambda u: u ** 3 / 3.0,
+                        jacobian=lambda u: (np.asarray(u, dtype=float) ** 2)[..., None],
+                        domain_box=((-2.0, 2.0),))
+    for name in ("lone_shock", "merge", "random_bv"):
+        with pytest.raises(ValueError, match="model 'custom'"):
+            scenario_data(cubic, name)
 
 
 FAST = dict(scenario="lone_shock", tau=0.25, epsilon_list=(2e-2,),
@@ -286,3 +300,79 @@ def test_front_tracking_converges_to_hopf_lax_at_first_order_in_the_cap():
         errors.append(converge_cmd(cfg).rows[0]["ft_error"])
         assert 0.3 <= errors[-1] / cap <= 0.6
     assert all(1.9 <= a / b <= 2.1 for a, b in zip(errors[:-1], errors[1:]))
+
+
+def _grid_distance_oracle(profile, x_grid, u_grid):
+    """The grid distance as a function of its own: the cut at the nodes and
+    the profile's breakpoints, with the interpolant at its Gauss points."""
+    cut = np.union1d(x_grid, profile.xs[(profile.xs >= x_grid[0]) & (profile.xs <= x_grid[-1])])
+    pts = gauss_points(cut)
+    gv = np.stack([np.interp(pts, x_grid, u_grid[:, c]) for c in range(u_grid.shape[1])], axis=1)
+    return gauss_l1(cut, profile(pts), gv)
+
+
+def _entropy_distances_oracle(model, data, eps, tau, x, u_ft):
+    """l1_exact and ft_error on their own cut: the first cut plus the shocks
+    of u, located from separate evaluations of u at the segment ends."""
+    def u(pts):
+        return model.entropy_fn(data, tau, pts)[:, 0]
+
+    cut = np.union1d(x, u_ft.xs[(u_ft.xs > x[0]) & (u_ft.xs < x[-1])])
+    lo, hi = cut[:-1], cut[1:]
+    u_lo = u(lo)
+    falls = u_lo - u(hi) > 1e-12
+    lo, hi, u_lo = lo[falls], hi[falls], u_lo[falls]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        u_mid = u(mid)
+        left = u_lo - u_mid > 1e-12
+        hi = np.where(left, mid, hi)
+        lo = np.where(left, lo, mid)
+        u_lo = np.where(left, u_lo, u_mid)
+    cut = np.union1d(cut, 0.5 * (lo + hi))
+    pts = gauss_points(cut)
+    u_exact = model.entropy_fn(data, tau, pts)
+    return {"l1_exact": gauss_l1(cut, model.viscous_fn(data, eps, tau, pts), u_exact),
+            "ft_error": gauss_l1(cut, u_ft(pts), u_exact)}
+
+
+@pytest.mark.parametrize("cfg", [
+    ExperimentConfig(scenario="merge_cancellation", epsilon_list=(4e-3,), **SWEEP_RULES),
+    ExperimentConfig(scenario="random_bv", seed=10, epsilon_list=(2e-3,), **SWEEP_RULES),
+    ExperimentConfig(system="p_system", **FAST),
+    ExperimentConfig(system="p_system", scenario="random_bv", seed=3, n_jumps=4, tau=0.25,
+                     epsilon_list=(2e-2,), rho_rule="0.5", dx_rule="eps/4", cap_rule="0.1"),
+], ids=["burgers_merge_cancellation", "burgers_random_bv", "p_system_lone_shock",
+        "p_system_random_bv"])
+def test_one_cut_matches_the_two_separate_quadratures(cfg):
+    # the row's three distances come from one cut; the two quadratures that
+    # each built their own are the oracle.  The Burgers cut also holds the
+    # shocks of u, so l1_error may move at rounding there and nowhere else
+    eps = cfg.epsilon_list[0]
+    model, data = cfg.model_and_data()
+    u_tau = sample_profile(_track(cfg, model, data, eps, min(1e-9, eps ** 3)), cfg.tau)
+    sol = solve_viscous(model, eps, data, cfg.tau, eval_rule(cfg.dx_rule, eps))
+    row = converge_row(cfg, eps)
+    want = _grid_distance_oracle(u_tau, sol.x, sol.final())
+    if model.entropy_fn is None:
+        assert "l1_exact" not in row and "ft_error" not in row
+        assert row["l1_error"] == want
+        return
+    assert row["l1_error"] == pytest.approx(want, rel=1e-15, abs=0.0)
+    exact = _entropy_distances_oracle(model, data, eps, cfg.tau, sol.x, u_tau)
+    assert row["l1_exact"] == exact["l1_exact"]
+    assert row["ft_error"] == exact["ft_error"]
+
+
+@pytest.mark.parametrize("n_jumps", [6, 12])
+def test_decomposition_ratio_is_at_most_one_on_held_out_seeds(n_jumps):
+    # the hybrid v is built from u_FT and viscous Burgers is an L1
+    # contraction, so l1_error = L1(u_FT, u_eps) is at most the budget
+    # endpoint_0 + residual + jump_sum + endpoint_tau
+    for seed in (11, 12, 13, 14):
+        cfg = ExperimentConfig(scenario="random_bv", seed=seed, n_jumps=n_jumps,
+                               epsilon_list=(4e-3, 2e-3), **SWEEP_RULES)
+        for row in converge_cmd(cfg).rows:
+            budget = (row["endpoint_0"] + row["residual"] + row["jump_sum"]
+                      + row["endpoint_tau"])
+            assert 0.0 < row["l1_error"] / budget <= 1.0

@@ -76,6 +76,19 @@ def test_mollification_l1_bound():
     assert 0 < err <= delta * u.total_variation()
 
 
+def test_mollification_l1_error_of_a_single_jump_is_its_closed_form():
+    # for one jump J, |u * phi_delta - u| is |J| Phi(x / delta) left of it and
+    # |J| (1 - Phi(x / delta)) right of it, so the integral is
+    # |J| delta 2 int_0^{2/3} (1 - Phi), from the kernel polynomial
+    kernel = KERNEL_C * np.polynomial.Polynomial([4.0 / 9.0, 0.0, -1.0]) ** 3
+    tail = 1.0 - kernel.integ(lbnd=-KERNEL_SUPPORT)
+    closed = 2.0 * (tail.integ(lbnd=0.0))(KERNEL_SUPPORT)
+    for jump, delta in ((0.7, 0.08), (-1.3, 0.01)):
+        u = pc([0.25], [0.2, 0.2 + jump])
+        assert mollification_l1_error(u, delta) == pytest.approx(
+            abs(jump) * delta * closed, rel=1e-13)
+
+
 def test_squeeze_map_examples():
     eps = 1e-3
     r = np.sqrt(eps)

@@ -43,8 +43,6 @@ TEST_ONLY_OPTIONS = {
 # public functions and methods that only tests call, each with the reason it
 # stays: a lemma the tests check, or an oracle for what the package computes
 TEST_ONLY_FUNCTIONS = {
-    ("hybrid", "mollify"):
-        "the exact convolution u * phi_delta, the oracle of a hybrid without tracks",
     ("hybrid", "mollification_l1_error"):
         "checks the lemma ||u * phi_delta - u||_L1 <= delta TV(u)",
     ("hybrid", "oscillation_weighted_tv"):

@@ -18,8 +18,8 @@ P = preset_model("p_system")
 
 
 def vhat_value(mp, x):
-    """Evaluate an odd-rearranged profile at x > 0."""
-    return mp.measure.mass_on(0.0, x) - 0.5 * mp.measure.atom_mass()
+    """Evaluate a monotone profile at x: v_left plus the mass of (-inf, x]."""
+    return mp.v_left + mp.measure.mass_on(-np.inf, x)
 
 
 def test_wave_measure_examples():
@@ -353,13 +353,6 @@ def ref_mass_on(mu, lo, hi, atoms=True):
     return out
 
 
-def ref_cdf(mu, x):
-    out = float(np.sum(mu.atoms[mu.atoms[:, 0] <= x, 1])) if mu.atoms.size else 0.0
-    for a, b, v in mu.density_pieces():
-        out += v * min(max(x - a, 0.0), b - a)
-    return out
-
-
 def ref_band_correlation(mu, rho):
     total = 0.0
     if mu.atoms.size:
@@ -438,8 +431,6 @@ def test_cumulative_evaluator_matches_piece_scan(mu, nu, rho, window):
     for a, b in [(lo, hi), *zip(xs, xs), *zip(np.sort(xs)[:-1], np.sort(xs)[1:])]:
         assert mu.mass_on(a, b) == pytest.approx(ref_mass_on(mu, a, b), rel=1e-12,
                                                  abs=1e-12 * scale)
-    assert mu.cdf(xs) == pytest.approx([ref_cdf(mu, x) for x in xs], rel=1e-12,
-                                       abs=1e-12 * scale)
     assert band_correlation(mu, rho) == pytest.approx(ref_band_correlation(mu, rho),
                                                       rel=1e-12, abs=1e-12 * scale ** 2)
     assert order_leq(mu, mu)

@@ -33,7 +33,7 @@ def test_burgers_profile_matches_tanh():
 def test_burgers_profile_centering_by_symmetry():
     pr = shock_profile(B, [1.0], [0.0])
     # omega - 1/2 is odd about the center, so both mass integrals agree at 0
-    assert pr.value(0.0)[0] == pytest.approx(0.5, abs=1e-8)
+    assert pr.jet(0.0)[0][0] == pytest.approx(0.5, abs=1e-8)
 
 
 def test_profile_rescaling():
@@ -41,7 +41,7 @@ def test_profile_rescaling():
     eps = 0.01
     s = np.linspace(-0.4, 0.4, 101)
     exact = 0.5 - 0.5 * np.tanh(s / (4 * eps))
-    assert np.max(np.abs(pr.value(s / eps)[:, 0] - exact)) < 1e-8
+    assert np.max(np.abs(pr.jet(s / eps)[0][:, 0] - exact)) < 1e-8
 
 
 def _dop853_solution():
