@@ -77,8 +77,3 @@ class ShootFailure(VanviscError):
 # hybrid
 class OverlappingTracks(VanviscError):
     pass
-
-
-class ResolutionTooCoarse(VanviscError):
-    pass
-

@@ -79,7 +79,7 @@ class FrontConfiguration:
             x = f.x(self.time)
             if x < prev_x - POS_TOL:
                 raise InvalidConfiguration(f"front {i} at {x} left of its neighbour")
-            if not np.allclose(f.left_state, prev, atol=atol):
+            if not np.allclose(f.left_state, prev, rtol=0.0, atol=atol):
                 raise InvalidConfiguration(f"front {i}: inconsistent adjacent states")
             prev, prev_x = f.right_state, x
         return True

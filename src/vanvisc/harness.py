@@ -22,7 +22,8 @@ import numpy as np
 from .errors import VanviscError
 from .front_tracking import init_front_tracking, run_until, sample_profile
 from .functionals import FunctionalConstants, audit_events, interaction_decay_rates
-from .hybrid import build_hybrid, jump_sum, residual, select_big_shocks
+from .hybrid import (build_hybrid, hybrid_vs_profile_l1, jump_sum, residual,
+                     select_big_shocks)
 from .measures import pair_interaction_integral
 from .piecewise import PiecewiseConstant, gauss_l1, gauss_points
 from .riemann import lax_curve
@@ -219,10 +220,9 @@ class ConvergenceTable:
     fit_p: float = None
     fit_c: float = None
     ratio_spread: float = None
-    columns: tuple = (
-        "epsilon", "rate_var", "l1_error", "residual", "jump_sum",
-        "endpoint_0", "endpoint_tau", "n_events", "n_tracks", "tv0",
-    )
+    # a class attribute, not a field: the CSV's column order is fixed
+    columns = ("epsilon", "rate_var", "l1_error", "residual", "jump_sum",
+               "endpoint_0", "endpoint_tau", "n_events", "n_tracks", "tv0")
 
     def to_csv(self, path):
         with open(path, "w") as fh:
@@ -256,29 +256,6 @@ def _track(cfg, model, data, scale, eps_prime):
     cap = eval_rule(cfg.cap_rule, scale)
     return run_until(model, init_front_tracking(model, data, eps_prime, cap),
                      cfg.tau, epsilon_prime=eps_prime, max_events=cfg.max_events)
-
-
-def hybrid_vs_profile_l1(hyb, run, t):
-    """L1 distance between the hybrid v(t) and the front-tracking u(t),
-    over the fronts padded by delta."""
-    st = hyb.strip_at(t)
-    prof = sample_profile(run, t)
-    delta = hyb.delta
-    eps = hyb.epsilon
-    xs = st.front_positions(t)
-    if xs.size == 0:
-        return 0.0
-    lo, hi = xs.min() - delta, xs.max() + delta
-    edges = [np.arange(lo, hi + delta / 40.0, delta / 40.0), prof.xs]
-    r = np.sqrt(eps)
-    for _, front, _ in st.tracks:
-        xa = front.x(t)
-        edges.append(np.arange(xa - 1.2 * r, xa + 1.2 * r, eps / 8.0))
-    e = np.unique(np.concatenate(edges))
-    e = e[(e >= lo) & (e <= hi)]
-    mid = 0.5 * (e[:-1] + e[1:])
-    dv = st.value(t, mid) - prof(mid)
-    return float(np.sum(np.linalg.norm(dv, axis=1) * np.diff(e)))
 
 
 # a fall of u between two points larger than its rounding marks a shock

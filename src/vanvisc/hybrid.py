@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OverlappingTracks, ResolutionTooCoarse
-from .front_tracking import config_index
+from .errors import OverlappingTracks
+from .front_tracking import config_index, sample_profile
 from .piecewise import gauss_l1, gauss_points
 from .viscous import shock_profile
 
@@ -379,79 +379,72 @@ def build_hybrid(run, tracks, epsilon):
 
 
 # ---------------------------------------------------------------------------
-# residual and jump diagnostics
+# the error budget: residual, endpoint distances and jump sum
 
-def _strip_grid(strip, t, refine):
-    """Cell edges at time t: delta/6 apart over the fronts plus a pad of
-    delta, eps/8 apart within 1.1 sqrt(eps) of each track, both divided by
-    refine."""
-    delta = strip.delta
-    eps = strip.epsilon
-    dx_far = delta / 6.0 / refine
-    dx_near = eps / 8.0 / refine
+def _cells(strip, t, dx_far, near, extra=()):
+    """Cell edges at time t over the fronts padded by delta: dx_far apart,
+    eps/8 apart within near of each track, and the extra breakpoints; None
+    when the strip has no fronts."""
     xs = strip.front_positions(t)
     if xs.size == 0:
         return None
-    lo, hi = xs.min() - delta, xs.max() + delta
-    edges = [np.arange(lo, hi + dx_far, dx_far)]
-    r = np.sqrt(eps)
+    lo, hi = xs.min() - strip.delta, xs.max() + strip.delta
+    dx_near = strip.epsilon / 8.0
+    edges = [np.arange(lo, hi + dx_far, dx_far), np.asarray(extra, dtype=float)]
     for _, front, _ in strip.tracks:
         xa = front.x(t)
-        edges.append(np.arange(xa - 1.1 * r, xa + 1.1 * r + dx_near, dx_near))
+        edges.append(np.arange(xa - near, xa + near + dx_near, dx_near))
     e = np.unique(np.concatenate(edges))
-    e = e[(e >= lo) & (e <= hi)]
-    return e
+    return e[(e >= lo) & (e <= hi)]
 
 
-def residual(hyb, check=False):
+def residual(hyb):
     """Space-time integral of |v_t + A(v)v_x - eps v_xx| plus per-track parts.
 
     Returns a dict with the strip-summed total, the per-track window
     integrals E_alpha (window |x - x_alpha| <= sqrt(eps)), and the far-field
     remainder.  Each strip is sampled at max(2, ceil(L / (sqrt(eps)/6)))
-    midpoint times.  With check=True the x-steps are halved once and
-    ResolutionTooCoarse is raised if the total moves by more than 2%.
+    midpoint times, each by the midpoint rule on cells delta/6 wide, eps/8
+    within 1.1 sqrt(eps) of each track.
     """
-    epsilon = hyb.epsilon
+    r_eps = np.sqrt(hyb.epsilon)
+    total = 0.0
+    per_track = {}
+    far = 0.0
+    for st in hyb.strips:
+        L = st.t1 - st.t0
+        nt = max(2, int(np.ceil(L / (r_eps / 6.0))))
+        tmids = st.t0 + (np.arange(nt) + 0.5) * (L / nt)
+        wt = L / nt
+        for t in tmids:
+            e = _cells(st, t, hyb.delta / 6.0, 1.1 * r_eps)
+            if e is None:
+                continue
+            mid = 0.5 * (e[:-1] + e[1:])
+            h = np.diff(e)
+            r = st.residual_pointwise(t, mid)
+            total += wt * float(r @ h)
+            near_any = np.zeros(mid.size, dtype=bool)
+            for tid, front, _ in st.tracks:
+                near = np.abs(mid - front.x(t)) <= r_eps
+                near_any |= near
+                per_track[tid] = per_track.get(tid, 0.0) + wt * float(r[near] @ h[near])
+            far += wt * float(r[~near_any] @ h[~near_any])
+    return {"total": total, "per_track": per_track, "far_field": far}
 
-    def run_once(refine):
-        total = 0.0
-        per_track = {}
-        far = 0.0
-        t_step = np.sqrt(epsilon) / 6.0
-        for st in hyb.strips:
-            L = st.t1 - st.t0
-            nt = max(2, int(np.ceil(L / t_step)))
-            tmids = st.t0 + (np.arange(nt) + 0.5) * (L / nt)
-            wt = L / nt
-            for t in tmids:
-                e = _strip_grid(st, t, refine)
-                if e is None:
-                    continue
-                mid = 0.5 * (e[:-1] + e[1:])
-                h = np.diff(e)
-                r = st.residual_pointwise(t, mid)
-                total += wt * float(r @ h)
-                near_any = np.zeros(mid.size, dtype=bool)
-                for tid, front, _ in st.tracks:
-                    near = np.abs(mid - front.x(t)) <= np.sqrt(epsilon)
-                    near_any |= near
-                    per_track[tid] = per_track.get(tid, 0.0) + wt * float(
-                        r[near] @ h[near]
-                    )
-                far += wt * float(r[~near_any] @ h[~near_any])
-        return {"total": total, "per_track": per_track, "far_field": far}
 
-    out = run_once(1)
-    if check:
-        out2 = run_once(2)
-        denom = max(abs(out2["total"]), 1e-300)
-        if abs(out2["total"] - out["total"]) / denom > 0.02:
-            raise ResolutionTooCoarse(
-                f"residual moved {out['total']:.6g} -> {out2['total']:.6g} on refinement"
-            )
-        out = out2
-    return out
+def hybrid_vs_profile_l1(hyb, run, t):
+    """L1 distance between the hybrid v(t) and the front-tracking u(t) of
+    run, by the midpoint rule on cells delta/40 wide, eps/8 within
+    1.2 sqrt(eps) of each track, cut at u(t)'s breakpoints."""
+    st = hyb.strip_at(t)
+    prof = sample_profile(run, t)
+    e = _cells(st, t, hyb.delta / 40.0, 1.2 * np.sqrt(hyb.epsilon), prof.xs)
+    if e is None:
+        return 0.0
+    mid = 0.5 * (e[:-1] + e[1:])
+    dv = st.value(t, mid) - prof(mid)
+    return float(np.sum(np.linalg.norm(dv, axis=1) * np.diff(e)))
 
 
 _CASE_ORDER = ["merge", "creation", "termination", "transversal", "absorption", "small"]

@@ -431,8 +431,7 @@ def pair_interaction_integral(run, delta):
     Exact per strip: indicators of linearly moving gaps switch at computable
     times.  The integral runs from 0 to run.tau.
     """
-    tau = run.tau
-    t_edges = [0.0] + [t for t in run.times if t < tau] + [tau]
+    t_edges = run.t_edges
     total = 0.0
     for k in range(len(t_edges) - 1):
         t0, t1 = t_edges[k], t_edges[k + 1]

@@ -64,6 +64,16 @@ def test_validate_raises_on_broken_configuration():
         crossed.validate()
 
 
+def test_validate_tolerance_is_absolute():
+    # states of size 1 that differ by 4e-6 are 4000 atol apart: no relative
+    # slack may pass them
+    a = Front(0.0, 0.0, 1, "shock", 1.0, 0.5, np.array([1.0]), np.array([1.0]))
+    b = Front(0.5, 0.0, 1, "shock", 1.0, 0.5, np.array([1.0 + 4e-6]), np.array([0.0]))
+    cfg = FrontConfiguration(0.0, [a, b], np.array([1.0]), 0.25)
+    with pytest.raises(InvalidConfiguration, match="front 1: inconsistent adjacent states"):
+        cfg.validate()
+
+
 def test_front_is_its_own_identity():
     # fronts compare and hash by object: equal fields make another front,
     # and a replaced front is a new one

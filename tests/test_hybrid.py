@@ -10,9 +10,9 @@ from vanvisc.front_tracking import init_front_tracking, run_until
 from vanvisc.functionals import big_shock_fronts
 from vanvisc.harness import ExperimentConfig, _track, eval_rule, scenario_data
 from vanvisc.hybrid import (KERNEL_C, KERNEL_SUPPORT, Mollifier, build_hybrid,
-                            classify_event, jump_sum, mollification_l1_error, mollify,
-                            oscillation_weighted_tv, residual, select_big_shocks,
-                            _shock_chains, _squeeze_jet)
+                            classify_event, hybrid_vs_profile_l1, jump_sum,
+                            mollification_l1_error, mollify, oscillation_weighted_tv,
+                            residual, select_big_shocks, _shock_chains, _squeeze_jet)
 from vanvisc.piecewise import PiecewiseConstant
 from vanvisc.riemann import lax_curve
 from vanvisc.system import preset_model
@@ -208,8 +208,6 @@ def test_hybrid_standing_shock_structure():
 
 
 def test_hybrid_initial_distance_scales_with_sqrt_eps():
-    from vanvisc.harness import hybrid_vs_profile_l1
-
     data = pc([-0.3, 0.2, 0.5], [1.0, 0.2, 0.6, 0.0])
     ratios = []
     for eps in (4e-3, 1e-3, 2.5e-4):
@@ -253,14 +251,76 @@ def test_residual_far_field_matches_oscillation_diagnostic():
     assert res["per_track"] == {}
 
 
-def test_residual_refinement_check_passes():
-    eps = 1e-3
+def _residual_cells(st, t):
+    return hybrid._cells(st, t, st.delta / 6.0, 1.1 * np.sqrt(st.epsilon))
+
+
+def _halved_residual(hyb):
+    """The residual's total at its own midpoint times, with every cell of
+    its x-grid halved."""
+    total = 0.0
+    for st in hyb.strips:
+        L = st.t1 - st.t0
+        nt = max(2, int(np.ceil(L / (np.sqrt(hyb.epsilon) / 6.0))))
+        for t in st.t0 + (np.arange(nt) + 0.5) * (L / nt):
+            e = _residual_cells(st, t)
+            if e is None:
+                continue
+            e = np.sort(np.concatenate([e, 0.5 * (e[:-1] + e[1:])]))
+            mid = 0.5 * (e[:-1] + e[1:])
+            total += L / nt * float(st.residual_pointwise(t, mid) @ np.diff(e))
+    return total
+
+
+def _sweep_hybrid(system, scenario, eps, seed=0):
+    """The hybrid of a converge row at tau = 1 with the default rules."""
+    cfg = ExperimentConfig(system=system, scenario=scenario, seed=seed, epsilon_list=(eps,))
+    model, data = cfg.model_and_data()
+    run = _track(cfg, model, data, eps, min(1e-9, eps ** 3))
+    return build_hybrid(run, select_big_shocks(run, eval_rule(cfg.rho_rule, eps)), eps)
+
+
+def test_residual_agrees_with_halved_cells():
+    # measured gaps: 7.0e-5 relative on the lone shock, 4.3e-4 on the sweep row
     cfg = init_front_tracking(B, pc([0.0], [0.5, -0.5]), 1e-9, 0.25)
     run = run_until(B, cfg, 0.1)
-    tracks = select_big_shocks(run, 0.5)
-    hyb = build_hybrid(run, tracks, eps)
-    res = residual(hyb, check=True)
-    assert res["total"] > 0
+    lone = build_hybrid(run, select_big_shocks(run, 0.5), 1e-3)
+    for hyb in (lone, _sweep_hybrid("burgers", "merge_cancellation", 4e-3)):
+        total = residual(hyb)["total"]
+        assert total > 0
+        assert _halved_residual(hyb) == pytest.approx(total, rel=0.02)
+
+
+def _strip_grid_before(strip, t):
+    """The residual's cells as built before the endpoints shared the
+    builder: delta/6 apart over the fronts plus a pad of delta, eps/8 apart
+    within 1.1 sqrt(eps) of each track."""
+    delta, eps = strip.delta, strip.epsilon
+    xs = strip.front_positions(t)
+    if xs.size == 0:
+        return None
+    lo, hi = xs.min() - delta, xs.max() + delta
+    edges = [np.arange(lo, hi + delta / 6.0, delta / 6.0)]
+    r = np.sqrt(eps)
+    for _, front, _ in strip.tracks:
+        xa = front.x(t)
+        edges.append(np.arange(xa - 1.1 * r, xa + 1.1 * r + eps / 8.0, eps / 8.0))
+    e = np.unique(np.concatenate(edges))
+    return e[(e >= lo) & (e <= hi)]
+
+
+@pytest.mark.parametrize("system, scenario, eps, seed", [
+    *[("burgers", "merge_cancellation", eps, 0) for eps in (4e-3, 2e-3, 1e-3, 5e-4, 2.5e-4)],
+    ("p_system", "lone_shock", 4e-3, 0),
+    ("p_system", "lone_shock", 2e-3, 0),
+    ("burgers", "random_bv", 4e-3, 7),
+])
+def test_residual_cells_match_the_strip_grid_bit_for_bit(system, scenario, eps, seed):
+    hyb = _sweep_hybrid(system, scenario, eps, seed)
+    for st in hyb.strips:
+        for t in st.t0 + np.array([0.0, 0.5, 0.9]) * (st.t1 - st.t0):
+            got, want = _residual_cells(st, t), _strip_grid_before(st, t)
+            assert (got is None and want is None) or np.array_equal(got, want)
 
 
 def test_jump_sum_no_events():
@@ -569,7 +629,7 @@ def test_hybrid_jet_matches_term_by_term_composition(system, scenario, eps):
     tracked = 0
     for st, config in zip(hyb.strips, run.configs):
         for t in st.t0 + np.array([0.1, 0.5, 0.9]) * (st.t1 - st.t0):
-            e = hybrid._strip_grid(st, t, 1)
+            e = _residual_cells(st, t)
             if e is None:
                 continue
             mid = 0.5 * (e[:-1] + e[1:])

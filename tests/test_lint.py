@@ -1,8 +1,9 @@
 """Static checks on the package source: every imported name is used, every
 function parameter is read, every dataclass field is read somewhere, every
 optional parameter is set by some caller outside the tests, every public
-function and method has a caller outside the tests, and README's config-key
-table lists exactly the ExperimentConfig fields.
+function and method has a caller outside the tests, every exception class of
+errors.py is named in another module, and README's config-key table lists
+exactly the ExperimentConfig fields.
 
 Lambdas and parameters whose names start with "_" are exempt from the
 parameter check.  UNREAD_PARAMETERS and TEST_ONLY_OPTIONS list the known
@@ -30,8 +31,6 @@ UNREAD_PARAMETERS = {("front_tracking", "init_front_tracking", "epsilon_prime")}
 
 # optional parameters that only tests set, each with the reason it stays
 TEST_ONLY_OPTIONS = {
-    ("hybrid", "residual", "check"):
-        "the residual's own resolution check, which a test turns on",
     ("viscous", "ShockProfile.ode_residual", "samples"):
         "a check of the shooting orbit; tests run it on a coarser base grid",
     ("system", "check_genuine_nonlinearity", "samples"):
@@ -229,6 +228,18 @@ def uncalled_functions():
     return found
 
 
+def orphan_exceptions():
+    """The classes of errors.py that no other module in src/ names, by a
+    name or an attribute."""
+    errors = ast.parse((SRC / "errors.py").read_text())
+    named = set()
+    for mod, tree in _modules():
+        if mod != "errors":
+            named |= {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(tree)
+                      if isinstance(n, (ast.Name, ast.Attribute))}
+    return {n.name for n in errors.body if isinstance(n, ast.ClassDef)} - named
+
+
 def test_every_import_is_used():
     assert unused_imports() == []
 
@@ -247,6 +258,10 @@ def test_every_option_is_set_outside_the_tests():
 
 def test_every_public_function_is_called_outside_the_tests():
     assert uncalled_functions() == set(TEST_ONLY_FUNCTIONS)
+
+
+def test_every_exception_is_named_outside_errors():
+    assert orphan_exceptions() == set()
 
 
 def config_fields():
