@@ -28,6 +28,9 @@ class SystemModel:
     states of shape (..., n): flux returns (n,) or (..., n), jacobian (n, n)
     or (..., n, n), lambda_fn the eigenvalues in ascending order, (n,) or
     (..., n).  Grid solvers and the hybrid call them once on whole arrays.
+    A stack may be a non-contiguous view (the viscous grid passes windows of
+    its component-major state), so these callables must not rely on memory
+    layout.
     """
     n: int
     flux: Callable

@@ -6,7 +6,11 @@ explicit centered diffusion under a combined CFL bound.  The flux adds a
 numerical viscosity |lambda| dx/2 to eps: 12.5% of eps for Burgers with
 |u| <= 1 at dx = eps/4, and about 21% on the p-system lone shock
 (|lambda| ~ 1.7).  Each step updates only the cells that the grid's padding
-rule, evaluated at that step's time, says the waves can have reached.
+rule, evaluated at that step's time, says the waves can have reached.  The
+grid state is stored component-major (each component one contiguous row of
+an (n, N) array, seen as its (N, n) transpose), and the steps write into
+scratch rows allocated once per solve; the returned state is a C-ordered
+(N, n) array.  The grid spacing must satisfy 0 < dx <= eps/4.
 
 Shock profiles solve the first integral of omega'' = (A(omega) - lambda)
 omega', namely
@@ -63,22 +67,24 @@ def solve_viscous(model, epsilon, initial, tau, dx):
     10 dx.  A step ending at time t updates only the cells within the same
     padding at t of the span; beyond it the grid holds the data's states to
     the padding's own 1e-10 truncation.  The window's end cells are that
-    step's frozen ghosts.
+    step's frozen ghosts.  It raises CFLViolation unless eps > 0, tau > 0
+    and 0 < dx <= eps/4, before it lays out the grid.
     """
     if epsilon <= 0:
         raise CFLViolation("epsilon must be positive")
     if not tau > 0:
         raise CFLViolation("tau must be positive")
-    if dx > epsilon / 4.0 + 1e-15:
-        raise CFLViolation(f"dx={dx} must satisfy dx <= eps/4 = {epsilon/4.0}")
+    if not 0 < dx <= epsilon / 4.0 + 1e-15:
+        raise CFLViolation(f"dx={dx} must satisfy 0 < dx <= eps/4 = {epsilon/4.0}")
     vmax = float(np.max(max_abs_eigenvalue(model, initial.values))) * 1.2 + 0.1
     lo, hi = -1.0, 1.0
     if initial.xs.size:
         lo, hi = float(initial.xs[0]), float(initial.xs[-1])
+    log_tail = float(np.log(1e10))
 
     def reach(t):
         # how far the waves and the diffusion's 1e-10 tail get by time t
-        return vmax * t + np.sqrt(4.0 * epsilon * t * np.log(1e10))
+        return vmax * t + math.sqrt(4.0 * epsilon * t * log_tail)
 
     x_lo, x_hi = lo - reach(tau) - 10 * dx, hi + reach(tau) + 10 * dx
     N = int(np.ceil((x_hi - x_lo) / dx)) + 1
@@ -86,7 +92,9 @@ def solve_viscous(model, epsilon, initial, tau, dx):
     if model.viscous_fn is not None:
         return GridSolution(x=x, times=[tau], values=[model.viscous_fn(initial, epsilon, tau, x)],
                             dt=tau)
-    u = initial(x)        # a fresh (N, n) array, updated in place below
+    # the (N, n) state, stored component-major: a window u[i0:i1] hands the
+    # model contiguous component rows
+    u = np.ascontiguousarray(initial(x).T).T
 
     dt = CFL / (vmax / dx + 2.0 * epsilon / dx ** 2)
     steps = max(1, int(np.ceil(tau / dt)))
@@ -96,22 +104,44 @@ def solve_viscous(model, epsilon, initial, tau, dx):
 
     lam_dt_dx = dt / dx
     mu_coef = epsilon * dt / dx ** 2
+    # scratch stacks laid out like u, whose prefixes each step overwrites
+    mid_s, flux_s, tmp_s, lap_s = (np.empty((model.n, N)).T for _ in range(4))
     for k in range(1, steps + 1):
         # the cells within the grid's padding of the span at this step's end
         pad = reach(k * dt) + 10 * dx
         i0 = max(math.floor((lo - pad - x_lo) / dx), 0)
         i1 = min(math.ceil((hi + pad - x_lo) / dx) + 1, N)
         w = u[i0:i1]      # a view: the update below lands in u
-        # local Lax-Friedrichs flux with max |lambda_i| at the arithmetic mean
+        m = i1 - i0
+        # local Lax-Friedrichs flux with max |lambda_i| at the arithmetic
+        # mean, in the operation order of
+        #   F = 0.5 (f[:-1] + f[1:]) - (0.5 a) (w[1:] - w[:-1])
         f = model.flux(w)
-        a = max_abs_eigenvalue(model, 0.5 * (w[:-1] + w[1:]))[:, None]
-        F = 0.5 * (f[:-1] + f[1:]) - 0.5 * a * (w[1:] - w[:-1])
-        lap = w[2:] - 2.0 * w[1:-1] + w[:-2]
-        w[1:-1] -= lam_dt_dx * (F[1:] - F[:-1])
-        w[1:-1] += mu_coef * lap
+        mid = mid_s[:m - 1]
+        np.add(w[:-1], w[1:], out=mid)
+        np.multiply(mid, 0.5, out=mid)
+        a = max_abs_eigenvalue(model, mid)[:, None]
+        F = flux_s[:m - 1]
+        np.add(f[:-1], f[1:], out=F)
+        np.multiply(F, 0.5, out=F)
+        d = tmp_s[:m - 1]
+        np.subtract(w[1:], w[:-1], out=d)
+        np.multiply(0.5 * a, d, out=d)
+        np.subtract(F, d, out=F)
+        # lap = (w[2:] - 2 w[1:-1]) + w[:-2]
+        lap = lap_s[:m - 2]
+        np.multiply(w[1:-1], 2.0, out=lap)
+        np.subtract(w[2:], lap, out=lap)
+        np.add(lap, w[:-2], out=lap)
+        d = tmp_s[:m - 2]
+        np.subtract(F[1:], F[:-1], out=d)
+        np.multiply(d, lam_dt_dx, out=d)
+        w[1:-1] -= d
+        np.multiply(lap, mu_coef, out=lap)
+        w[1:-1] += lap
         u[0] = u[1]
         u[-1] = u[-2]
-    return GridSolution(x=x, times=[tau], values=[u], dt=dt)
+    return GridSolution(x=x, times=[tau], values=[np.ascontiguousarray(u)], dt=dt)
 
 
 # ---------------------------------------------------------------------------

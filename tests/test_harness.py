@@ -225,6 +225,21 @@ def test_cli_exit_codes(tmp_path, capsys):
             assert not (tmp_path / cmd).exists()
 
 
+def test_cli_nonpositive_dx_is_one_line(tmp_path, capsys):
+    # a grid spacing of zero or below is a CFLViolation before the grid is
+    # laid out: exit 3, one stderr line, no traceback, on either preset
+    cfgf = tmp_path / "dx.cfg"
+    for system, scenario in (("p_system", "lone_shock"), ("burgers", "merge_cancellation")):
+        for rule in ("-eps/4", "0"):
+            _write_fast_cfg(cfgf, system=system, scenario=scenario, dx_rule=rule)
+            out = tmp_path / "dx"
+            assert main(["converge", "--config", str(cfgf), "--out", str(out)]) == 3
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "Traceback" not in err
+            assert err.startswith("vanvisc: converge failed: CFLViolation")
+            assert not out.exists()
+
+
 def test_cli_numeric_failure_is_one_line(tmp_path, capsys):
     # a numeric failure inside a command is one stderr line naming the
     # exception class, not a traceback, and the command writes no output

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -203,6 +204,11 @@ def test_solve_viscous_errors():
         solve_viscous(B, 0.01, data, 0.1, 0.01)
     with pytest.raises(CFLViolation, match="epsilon"):
         solve_viscous(B, 0.0, data, 0.1, 0.01)
+    # a grid needs a positive spacing, and NaN is not one
+    for model in (B, B_GENERIC):
+        for dx in (0.0, -0.0025, float("nan")):
+            with pytest.raises(CFLViolation, match="dx"):
+                solve_viscous(model, 0.01, data, 0.1, dx)
     # Cole-Hopf has no t = 0, and the explicit loop would step backwards
     for model in (B, B_GENERIC):
         for tau in (0.0, -0.1):
@@ -240,6 +246,46 @@ def _full_grid_solve(model, epsilon, initial, tau, dx):
     return x, dt, steps, u
 
 
+def _row_major_window_solve(model, epsilon, initial, tau, dx):
+    """The windowed explicit solve on row-major (N, n) states, allocating
+    every intermediate: the final state.
+
+    solve_viscous runs the same steps on component-major states and
+    preallocated buffers, with every operation in the same order; this
+    loop is its bit-for-bit oracle.
+    """
+    vmax = float(np.max(max_abs_eigenvalue(model, initial.values))) * 1.2 + 0.1
+    lo, hi = -1.0, 1.0
+    if initial.xs.size:
+        lo, hi = float(initial.xs[0]), float(initial.xs[-1])
+
+    def reach(t):
+        return vmax * t + np.sqrt(4.0 * epsilon * t * np.log(1e10))
+
+    x_lo, x_hi = lo - reach(tau) - 10 * dx, hi + reach(tau) + 10 * dx
+    N = int(np.ceil((x_hi - x_lo) / dx)) + 1
+    u = initial(x_lo + dx * np.arange(N))
+    dt = CFL / (vmax / dx + 2.0 * epsilon / dx ** 2)
+    steps = max(1, int(np.ceil(tau / dt)))
+    dt = tau / steps
+    lam_dt_dx = dt / dx
+    mu_coef = epsilon * dt / dx ** 2
+    for k in range(1, steps + 1):
+        pad = reach(k * dt) + 10 * dx
+        i0 = max(math.floor((lo - pad - x_lo) / dx), 0)
+        i1 = min(math.ceil((hi + pad - x_lo) / dx) + 1, N)
+        w = u[i0:i1]
+        f = model.flux(w)
+        a = max_abs_eigenvalue(model, 0.5 * (w[:-1] + w[1:]))[:, None]
+        F = 0.5 * (f[:-1] + f[1:]) - 0.5 * a * (w[1:] - w[:-1])
+        lap = w[2:] - 2.0 * w[1:-1] + w[:-2]
+        w[1:-1] -= lam_dt_dx * (F[1:] - F[:-1])
+        w[1:-1] += mu_coef * lap
+        u[0] = u[1]
+        u[-1] = u[-2]
+    return u
+
+
 def _assert_matches_full_grid(model, epsilon, data, tau):
     dx = epsilon / 4
     x, dt, steps, u = _full_grid_solve(model, epsilon, data, tau, dx)
@@ -248,6 +294,10 @@ def _assert_matches_full_grid(model, epsilon, data, tau):
     assert sol.dt == dt
     assert round(sol.times[-1] / sol.dt) == steps
     assert np.max(np.abs(sol.final() - u)) <= 1e-12
+    final = sol.final()
+    assert final.shape == (x.size, model.n) and final.dtype == np.float64
+    assert final.flags.c_contiguous
+    assert np.array_equal(final, _row_major_window_solve(model, epsilon, data, tau, dx))
 
 
 @pytest.mark.parametrize("model, scenario, epsilon, tau, kw", [
