@@ -242,29 +242,80 @@ def order_leq(mu, mu_prime, tol=1e-12):
 
 def band_correlation(mu, rho):
     """(mu x mu)({(x, y): |x - y| <= rho}) for a non-negative measure."""
-    if not mu.is_nonnegative():
+    return float(_band_correlations([mu], rho)[0])
+
+
+def _band_correlations(mus, rho):
+    """band_correlation of each measure of mus, in one array pass.
+
+    Row b holds measure b padded to the batch's knot and atom counts: its
+    last knot repeated (zero-width pieces of density 0) and zero-mass atoms,
+    so the padding adds nothing.  With F the density mass of (-inf, x], the
+    atoms give sum M_i M_j over close pairs plus 2 M_i (F(X_i + rho) -
+    F(X_i - rho)), and the density part is the integral of
+    d(x) [F(x + rho) - F(x - rho)] dx: between consecutive breaks of
+    {xs, xs - rho, xs + rho} the density d is constant and the bracket is
+    linear, so the trapezoid rule is exact.
+    """
+    xs_l = [mu.density_xs if mu.density_xs.size else _ORIGIN for mu in mus]
+    n, n_atoms = np.array([(xs.size, mu.atoms.shape[0]) for xs, mu in zip(xs_l, mus)]).T
+    B, K = n.size, n.max()
+    rows = np.arange(B)[:, None]
+    # column c of x_lo, steps, F_lo and slope is the cell [knot c-1, knot c):
+    # its left knot, density, F there and F's slope, with cells 0 and K
+    # outside the knots; each row's last knot repeats past its own
+    x_lo = np.full((B, K + 1), -np.inf)
+    x_lo[:, 0] = 0.0
+    xs = x_lo[:, 1:]
+    xs[np.arange(K) < n[:, None]] = np.concatenate(xs_l)
+    np.maximum.accumulate(xs, axis=1, out=xs)
+    steps = np.zeros((B, K + 1))
+    steps[:, 1:K][np.arange(K - 1) < n[:, None] - 1] = np.concatenate(
+        [mu.density_vals[1:x.size] for mu, x in zip(mus, xs_l)])
+    atoms = np.zeros((B, n_atoms.max(), 2))
+    atoms[np.arange(atoms.shape[1]) < n_atoms[:, None]] = np.concatenate(
+        [mu.atoms for mu in mus]).reshape(-1, 2)
+    X, M = atoms[..., 0], atoms[..., 1]
+    if (M < 0).any() or (steps < 0).any():
         raise NegativeMass("band_correlation needs a non-negative measure")
-    total = 0.0
-    A = mu.atoms
-    if A.size:
-        X, M = A[:, 0], A[:, 1]
-        close = np.abs(X[:, None] - X[None, :]) <= rho + 1e-15
-        total += float(M @ (close @ M))
-        window = mu.density_cdf(X + rho) - mu.density_cdf(X - rho)
-        total += 2.0 * float(M @ window)
-    total += _density_band(mu, rho)
+    dxs = xs[:, 1:] - xs[:, :-1]
+    F_lo = np.zeros((B, K + 1))
+    np.cumsum(steps[:, 1:K] * dxs, axis=1, out=F_lo[:, 2:])
+    slope = np.zeros((B, K + 1))
+    np.divide(F_lo[:, 2:] - F_lo[:, 1:-1], dxs, out=slope[:, 1:K], where=dxs > 0)
+    # the breaks, each with the number of knots at or below it (a knot sorts
+    # before an equal shifted knot), which is the cell right of it
+    br = np.concatenate([xs, xs - rho, xs + rho], axis=1)
+    order = br.argsort(axis=1, kind="stable")
+    br = br[rows, order]
+    d = steps[rows, (order < K).cumsum(axis=1)[:, :-1]]
+    # F with np.interp's arithmetic: F(knot c-1) + slope (q - knot c-1) in
+    # cell c, 0 left of the knots and F's last value right of them
+    q = np.concatenate([br + rho, br - rho, X + rho, X - rho], axis=1)
+    c = _knots_at_or_below(xs, q)
+    cdf = slope[rows, c] * (q - x_lo[rows, c]) + F_lo[rows, c]
+    nb, na = br.shape[1], X.shape[1]
+    g = cdf[:, :nb] - cdf[:, nb:2 * nb]
+    window = cdf[:, 2 * nb:2 * nb + na] - cdf[:, 2 * nb + na:]
+    close = np.abs(X[:, :, None] - X[:, None, :]) <= rho + 1e-15
+    total = (M * (close * M[:, None, :]).sum(axis=2)).sum(axis=1)
+    total += 2.0 * (M * window).sum(axis=1)
+    total += (d * (br[:, 1:] - br[:, :-1]) * 0.5 * (g[:, :-1] + g[:, 1:])).sum(axis=1)
     return total
 
 
-def _density_band(mu, rho):
-    """Integral of d(x) [F(x+rho) - F(x-rho)] dx for the density part d with
-    cumulative mass F.  Between consecutive breaks d is constant and the
-    bracket is linear, so the trapezoid rule is exact."""
-    xs, _, steps = mu._knots
-    br = np.unique(np.concatenate([xs, xs - rho, xs + rho]))
-    g = mu.density_cdf(br + rho) - mu.density_cdf(br - rho)
-    d = steps[np.searchsorted(xs, 0.5 * (br[:-1] + br[1:]), side="right")]
-    return float(np.sum(d * np.diff(br) * 0.5 * (g[:-1] + g[1:])))
+_ORIGIN = np.zeros(1)
+
+
+def _knots_at_or_below(xs, q):
+    """Per row b, the number of knots xs[b] <= q[b, p] (np.searchsorted with
+    side="right"), from one stable sort of each row's knots and points, in
+    which a knot sorts before an equal point."""
+    K = xs.shape[1]
+    order = np.concatenate([xs, q], axis=1).argsort(axis=1, kind="stable")
+    cnt = np.empty_like(order)
+    cnt[np.arange(xs.shape[0])[:, None], order] = (order < K).cumsum(axis=1)
+    return cnt[:, K:]
 
 
 # ---------------------------------------------------------------------------
@@ -275,13 +326,17 @@ class OddProfile:
 
     kinks is the list of (x, w) with x, w non-decreasing; the profile is
     linear between kinks, constant beyond the last one, and odd.  A pair of
-    kinks with equal x encodes a jump.
+    kinks with equal x encodes a jump.  A kink whose x or w falls raises
+    NotMonotone.
     """
 
     def __init__(self, kinks):
         self.kinks = [(float(x), float(w)) for x, w in kinks]
         if not self.kinks or self.kinks[0] != (0.0, 0.0):
             self.kinks = [(0.0, 0.0)] + self.kinks
+        for (x0, w0), (x1, w1) in zip(self.kinks[:-1], self.kinks[1:]):
+            if x1 < x0 or w1 < w0:
+                raise NotMonotone(f"kink ({x1}, {w1}) falls below ({x0}, {w0})")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -293,9 +348,14 @@ class OddProfile:
         return np.sign(x) * vals
 
     def dx_measure(self):
-        """D_x of the odd extension as a WaveMeasure on the whole line."""
+        """D_x of the odd extension as a WaveMeasure on the whole line.
+
+        The sloped pieces on x >= 0 follow each other and are disjoint, and
+        so are their mirror images, so each cell between breaks holds one
+        slope or 0.
+        """
         atoms = []
-        pieces = []
+        breaks, cells = [], []      # breaks on x >= 0, the slope between each two
         for (x0, w0), (x1, w1) in zip(self.kinks[:-1], self.kinks[1:]):
             if x1 - x0 <= 0.0:
                 if w1 > w0:
@@ -307,9 +367,20 @@ class OddProfile:
                 continue
             slope = (w1 - w0) / (x1 - x0)
             if slope != 0.0:
-                pieces.append((x0, x1, slope))
-                pieces.append((-x1, -x0, slope))
-        return _with_step_density(WaveMeasure.from_atoms(atoms), pieces)
+                if not breaks or breaks[-1] != x0:
+                    if breaks:
+                        cells.append(0.0)
+                    breaks.append(x0)
+                breaks.append(x1)
+                cells.append(slope)
+        mu = WaveMeasure.from_atoms(atoms)
+        if not breaks:
+            return mu
+        # mirror the breaks through 0, sharing a break at 0
+        at_zero = breaks[0] == 0.0
+        xs = [-x for x in reversed(breaks[1:] if at_zero else breaks)] + breaks
+        vals = [0.0] + cells[::-1] + ([] if at_zero else [0.0]) + cells + [0.0]
+        return mu.with_density(xs, vals)
 
 
 def single_rarefaction_reference(sigma_bar, t):
@@ -430,6 +501,13 @@ def pair_interaction_integral(run, delta):
     rarefaction fronts of the same family with |x_alpha - x_beta| <= delta.
     Exact per strip: indicators of linearly moving gaps switch at computable
     times.  The integral runs from 0 to run.tau.
+
+    A strip of length L visits only the pairs that can come within delta in
+    it: with the fronts sorted by position, the partners of front a are the
+    fronts b after it with x_b - x_a <= delta + L max(0, v_a - min v_b),
+    found by one searchsorted.  The pairs go through in chunks of about
+    _PAIR_CHUNK, small enough to stay in cache (one front's partners are
+    never split).
     """
     t_edges = run.t_edges
     total = 0.0
@@ -442,20 +520,33 @@ def pair_interaction_integral(run, delta):
         if not fronts:
             continue
         x = np.array([f.x(t0) for f in fronts])
-        v = np.array([f.speed for f in fronts])
-        s = np.array([abs(f.strength) for f in fronts])
-        fam = np.array([f.family for f in fronts])
+        order = np.argsort(x, kind="stable")
+        x = x[order]
+        v = np.array([f.speed for f in fronts])[order]
+        s = np.array([abs(f.strength) for f in fronts])[order]
+        fam = np.array([f.family for f in fronts])[order]
         L = t1 - t0
         # diagonal pairs: indicator always on
         total += float(np.sum(s * s)) * L
-        n = len(fronts)
-        for a in range(n):
-            g0 = x[a + 1 :] - x[a]
-            dv = v[a + 1 :] - v[a]
-            w = np.where(fam[a + 1 :] == fam[a], s[a] * s[a + 1 :], 0.0)
-            dur = _window_duration(g0, dv, delta, L)
+        n = x.size
+        v_after = np.append(np.minimum.accumulate(v[::-1])[::-1][1:], np.inf)
+        reach = delta + np.maximum(v - v_after, 0.0) * L
+        partners = np.searchsorted(x, x + reach, side="right") - np.arange(1, n + 1)
+        first = np.concatenate([[0], np.cumsum(partners)])
+        a0 = 0
+        while a0 < n:
+            a1 = max(a0 + 1, int(np.searchsorted(first, first[a0] + _PAIR_CHUNK,
+                                                 side="right")) - 1)
+            a = np.repeat(np.arange(a0, a1), partners[a0:a1])
+            b = a + 1 + np.arange(a.size) - (first[a] - first[a0])
+            w = np.where(fam[a] == fam[b], s[a] * s[b], 0.0)
+            dur = _window_duration(x[b] - x[a], v[b] - v[a], delta, L)
             total += 2.0 * float(w @ dur)
+            a0 = a1
     return total
+
+
+_PAIR_CHUNK = 1 << 13
 
 
 def _window_duration(g0, dv, delta, L):
@@ -476,7 +567,7 @@ def time_integrated_band_correlation(profile_fn, t0, t1, rho, nodes=33):
     """Simpson integral over t of band_correlation(D_x profile_fn(t), rho)."""
     nodes = nodes if nodes % 2 == 1 else nodes + 1
     ts = np.linspace(t0, t1, nodes)
-    vals = np.array([band_correlation(profile_fn(t).dx_measure(), rho) for t in ts])
+    vals = _band_correlations([profile_fn(t).dx_measure() for t in ts], rho)
     weights = np.ones(nodes)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0

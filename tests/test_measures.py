@@ -3,12 +3,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from vanvisc import measures
 from vanvisc.errors import NegativeMass, NonMonotoneHistory, NotMonotone
 from vanvisc.front_tracking import init_front_tracking, run_until
-from vanvisc.measures import (ComparisonSolution, MonotoneProfile, WaveMeasure,
+from vanvisc.measures import (ComparisonSolution, MonotoneProfile, OddProfile, WaveMeasure,
                               band_correlation, burgers_comparison, odd_rearrangement,
                               order_leq, pair_interaction_integral, pos_neg_parts,
-                              single_rarefaction_reference, sup_mass,
+                              single_rarefaction_reference, spread_positive_waves, sup_mass,
                               time_integrated_band_correlation, wave_measure)
 from vanvisc.piecewise import PiecewiseConstant
 from vanvisc.system import preset_model
@@ -116,6 +117,20 @@ def test_order_examples():
 def test_not_monotone_error():
     with pytest.raises(NotMonotone):
         MonotoneProfile(0.0, WaveMeasure.from_atoms([(0.0, -0.5)]))
+
+
+def test_odd_profile_rejects_falling_kinks():
+    # a downward jump: its D_x would lose the negative atom and report mass 2.4
+    with pytest.raises(NotMonotone):
+        OddProfile([(0.0, 0.0), (1.0, 1.0), (1.0, 0.5), (2.0, 0.7)])
+    # x running backwards, and a first kink below the origin's w = 0
+    with pytest.raises(NotMonotone):
+        OddProfile([(0.0, 0.0), (1.0, 0.5), (0.5, 0.7)])
+    with pytest.raises(NotMonotone):
+        OddProfile([(1.0, -0.5)])
+    # flat stretches and upward jumps stay valid
+    w = OddProfile([(0.0, 0.0), (0.0, 0.2), (1.0, 0.2), (1.0, 0.5), (2.0, 0.7)])
+    assert w.dx_measure().total_mass() == pytest.approx(1.4)
 
 
 def test_comparison_rarefaction_from_unit_atom():
@@ -438,3 +453,188 @@ def test_cumulative_evaluator_matches_piece_scan(mu, nu, rho, window):
     tol = 1e-12
     assume(abs(margin - tol) > 1e-12 * max(scale, nu.total_mass()))
     assert order_leq(mu, nu, tol=tol) == (margin <= tol)
+
+
+@settings(max_examples=150)
+@given(st.lists(monotone_measures(), min_size=1, max_size=6), st.floats(0.01, 1.5))
+def test_band_kernel_batch_matches_piece_scan(mus, rho):
+    # every measure of a batch is padded to the batch's knot and atom counts;
+    # the padding must add nothing to any of them
+    got = measures._band_correlations(mus, rho)
+    assert got.shape == (len(mus),)
+    for mu, value in zip(mus, got):
+        scale = max(mu.total_mass(), 1.0)
+        assert value == pytest.approx(ref_band_correlation(mu, rho), rel=1e-12,
+                                      abs=1e-12 * scale ** 2)
+
+
+def test_band_kernel_batch_examples():
+    rho = 0.3
+    # two atoms exactly rho apart (0.4 - 0.1 rounds above 0.3): the closed
+    # band's 1e-15 slack keeps the pair
+    pair = WaveMeasure.from_atoms([(0.1, 0.5), (0.4, 0.25)])
+    empty = WaveMeasure.from_atoms([])
+    # a 2-knot measure beside a 20-knot one, with and without atoms
+    short = WaveMeasure.from_density([-0.2, 0.1], [0.0, 1.5, 0.0])
+    xs = np.linspace(-1.0, 1.0, 20)
+    vals = np.concatenate([[0.0], np.linspace(0.1, 1.0, 19), [0.0]])
+    long = WaveMeasure.from_atoms([(0.05, 0.3)]).with_density(xs, vals)
+    batch = [pair, short, long, empty, short]
+    got = measures._band_correlations(batch, rho)
+    assert got[0] == pytest.approx(0.75 ** 2, rel=1e-15)
+    assert got[3] == 0.0
+    for mu, value in zip(batch, got):
+        assert value == pytest.approx(ref_band_correlation(mu, rho), rel=1e-12, abs=1e-15)
+        assert value == pytest.approx(band_correlation(mu, rho), rel=1e-15)
+    # one negative atom or piece anywhere in a batch raises
+    neg_atom = WaveMeasure.from_atoms([(0.0, 0.2), (0.5, -0.1)])
+    neg_piece = WaveMeasure.from_density([0.0, 0.5, 1.0], [0.0, 0.4, -0.2, 0.0])
+    for bad in (neg_atom, neg_piece):
+        with pytest.raises(NegativeMass):
+            measures._band_correlations([short, long, bad, pair], rho)
+        with pytest.raises(NegativeMass):
+            band_correlation(bad, rho)
+
+
+# ---------------------------------------------------------------------------
+# oracle: D_x of an odd profile by the overlap sum that the direct pieces replaced
+
+def ref_dx_measure(profile):
+    atoms, pieces = [], []
+    for (x0, w0), (x1, w1) in zip(profile.kinks[:-1], profile.kinks[1:]):
+        if x1 - x0 <= 0.0:
+            if w1 > w0:
+                if x0 == 0.0:
+                    atoms.append((0.0, 2.0 * (w1 - w0)))
+                else:
+                    atoms.append((x0, w1 - w0))
+                    atoms.append((-x0, w1 - w0))
+            continue
+        slope = (w1 - w0) / (x1 - x0)
+        if slope != 0.0:
+            pieces.append((x0, x1, slope))
+            pieces.append((-x1, -x0, slope))
+    mu = WaveMeasure.from_atoms(atoms)
+    if not pieces:
+        return mu
+    xs = np.array(sorted({a for a, _, _ in pieces} | {b for _, b, _ in pieces}))
+    a, b, v = np.array(pieces, dtype=float).T
+    mid = 0.5 * (xs[:-1] + xs[1:])
+    inside = (a[:, None] < mid) & (mid < b[:, None])
+    vals = np.zeros(xs.size + 1)
+    vals[1:-1] = np.cumsum(np.where(inside, v[:, None], 0.0), axis=0)[-1]
+    return mu.with_density(xs, vals)
+
+
+def _comparison(data):
+    run = run_until(B, init_front_tracking(B, data, 1e-9, 0.02), 2.0)
+    mu0p, _ = pos_neg_parts(wave_measure(B, run.configs[0].profile(), 1))
+    return run, mu0p, [(t, Q) for (t, V, Q, U) in run.glimm_history]
+
+
+def _assert_same_measure(mu, nu):
+    for f in ("atoms", "density_xs", "density_vals"):
+        assert np.array_equal(getattr(mu, f), getattr(nu, f)), f
+
+
+def test_dx_measure_matches_overlap_sum_on_criteria_5_6():
+    # flat stretches between sloped pieces, jumps at 0 and beyond, a first
+    # piece starting at 0 or away from it
+    for kinks in ([(0.0, 0.0), (1.0, 0.5), (2.0, 0.5), (3.0, 1.0)],
+                  [(0.0, 0.0), (0.0, 0.2), (1.0, 0.4), (1.0, 0.6), (2.0, 0.8)],
+                  [(0.5, 0.0), (1.0, 0.3), (1.0, 0.4), (1.5, 0.4), (2.5, 0.9)],
+                  [(0.0, 0.0), (0.0, 0.3)], [(0.0, 0.0), (1.0, 0.0)]):
+        w = OddProfile(kinks)
+        _assert_same_measure(w.dx_measure(), ref_dx_measure(w))
+    # criterion 5's comparison profiles and references at all 101 Simpson nodes
+    nodes = np.linspace(1e-6, 2.0, 101)
+    for inst in range(20):
+        r2 = np.random.default_rng(300 + inst)
+        xs = np.sort(r2.uniform(-1, 1, 6))
+        jumps = r2.normal(size=6)
+        jumps *= 0.3 / np.sum(np.abs(jumps))
+        vals = np.concatenate([[0.0], np.cumsum(jumps)])
+        _, mu0p, qh = _comparison(PiecewiseConstant(xs, vals[:, None]))
+        cs = burgers_comparison(mu0p, qh, kappa=10.0)
+        sbar = cs.sigma_bar(2.0)
+        for t in nodes:
+            for w in (cs.profile_at(t), single_rarefaction_reference(sbar, t)):
+                _assert_same_measure(w.dx_measure(), ref_dx_measure(w))
+    # criterion 6's order outcomes on its 20 runs, at every kappa of its grid
+    from vanvisc.harness import scenario_data
+
+    times = np.linspace(0.2, 2.0, 10)
+    outcomes = {}
+    for seed in range(500, 520):
+        run, mu0p, qh = _comparison(scenario_data(B, "random_bv", seed=seed, n_jumps=10,
+                                                  tv=0.3))
+        mus = [spread_positive_waves(run, t, 1) for t in times]
+        for kappa in (0.5, 1.0, 2.0, 4.0, 10.0):
+            cs = burgers_comparison(mu0p, qh, kappa=kappa)
+            for t, mu in zip(times, mus):
+                w = cs.profile_at(t)
+                _assert_same_measure(w.dx_measure(), ref_dx_measure(w))
+                ok = order_leq(mu, w.dx_measure(), tol=1e-9)
+                assert ok == order_leq(mu, ref_dx_measure(w), tol=1e-9)
+                outcomes.setdefault(kappa, []).append(ok)
+    print({kappa: sum(oks) for kappa, oks in outcomes.items()})
+    assert all(outcomes[10.0])
+
+
+# ---------------------------------------------------------------------------
+# oracle: the per-front loop that the one pass per strip replaced
+
+def ref_pair_interaction_integral(run, delta):
+    total = 0.0
+    t_edges = run.t_edges
+    for k in range(len(t_edges) - 1):
+        t0, t1 = t_edges[k], t_edges[k + 1]
+        if t1 - t0 <= 0:
+            continue
+        fronts = [f for f in run.configs[k].fronts
+                  if f.physical and f.kind == "rarefaction_step"]
+        if not fronts:
+            continue
+        x = np.array([f.x(t0) for f in fronts])
+        v = np.array([f.speed for f in fronts])
+        s = np.array([abs(f.strength) for f in fronts])
+        fam = np.array([f.family for f in fronts])
+        L = t1 - t0
+        total += float(np.sum(s * s)) * L
+        for a in range(len(fronts)):
+            g0, dv = x[a + 1:] - x[a], v[a + 1:] - v[a]
+            w = np.where(fam[a + 1:] == fam[a], s[a] * s[a + 1:], 0.0)
+            dur = np.empty_like(g0)
+            still = dv == 0.0
+            dur[still] = np.where(np.abs(g0[still]) <= delta, L, 0.0)
+            lo = (-delta - g0[~still]) / dv[~still]
+            hi = (delta - g0[~still]) / dv[~still]
+            dur[~still] = np.clip(np.minimum(np.maximum(lo, hi), L)
+                                  - np.maximum(np.minimum(lo, hi), 0.0), 0.0, L)
+            total += 2.0 * float(w @ dur)
+    return total
+
+
+@pytest.mark.parametrize("chunk", [None, 5])
+def test_pair_interaction_integral_matches_per_front_loop(monkeypatch, chunk):
+    # chunk 5 splits every strip's pairs into many chunks
+    if chunk is not None:
+        monkeypatch.setattr(measures, "_PAIR_CHUNK", chunk)
+    fan = PiecewiseConstant([0.0], [[0.0], [0.5]])
+    rng = np.random.default_rng(11)
+    xs = np.sort(rng.uniform(-1, 1, 10))
+    jumps = np.abs(rng.normal(size=10)) * np.where(rng.random(10) < 0.7, 1.0, -1.0)
+    jumps *= 0.3 / np.sum(np.abs(jumps))
+    mixed = PiecewiseConstant(xs, np.concatenate([[0.0], np.cumsum(jumps)])[:, None])
+    p_data = PiecewiseConstant([-0.3, 0.2, 0.5], [[1.0, 0.0], [1.1, 0.05], [1.0, 0.1],
+                                                  [1.05, 0.02]])
+    # two rarefaction steps 0.6 apart close in on each other across a shock,
+    # coming within 0.5 of each other before either meets it
+    closing = PiecewiseConstant([-0.3, 0.0, 0.3], [[0.0], [0.1], [-0.5], [-0.4]])
+    for model, data, cap, tau in ((B, fan, 5e-3, 2.0), (B, mixed, 2e-3, 2.0),
+                                  (P, p_data, 5e-3, 1.0), (B, closing, 0.2, 2.0)):
+        run = run_until(model, init_front_tracking(model, data, 1e-9, cap), tau)
+        for delta in (0.5, 0.1, 0.02, 0.003):
+            E = pair_interaction_integral(run, delta)
+            assert E > 0.0
+            assert E == pytest.approx(ref_pair_interaction_integral(run, delta), rel=1e-12)
