@@ -325,9 +325,9 @@ def converge_row(cfg, eps):
     tracks = select_big_shocks(run, rho)
     hyb = build_hybrid(run, tracks, eps)
     res = residual(hyb)
-    js = jump_sum(run, tracks, hyb)
-    e0 = hybrid_vs_profile_l1(hyb, run, 0.0)
-    etau = hybrid_vs_profile_l1(hyb, run, cfg.tau)
+    js = jump_sum(hyb)
+    e0 = hybrid_vs_profile_l1(hyb, 0.0)
+    etau = hybrid_vs_profile_l1(hyb, cfg.tau)
     row = {
         "epsilon": eps, "rate_var": rate_var, "l1_error": distances["l1_error"],
         "residual": res["total"], "jump_sum": js["total"],

@@ -70,15 +70,12 @@ def mollify(u, delta):
     """Mollified evaluator for a PiecewiseConstant u (exact convolution)."""
     mol = Mollifier(delta)
     xs = np.asarray(u.xs, dtype=float)
-    jumps = u.jumps() if xs.size else np.zeros((0, u.n))
+    jumps = u.jumps()
     u0 = u.values[0]
 
     def value(x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.tile(u0, (x.size, 1))
-        if xs.size:
-            out = out + mol.jet(x[:, None] - xs[None, :])[0] @ jumps
-        return out
+        return np.tile(u0, (x.size, 1)) + mol.jet(x[:, None] - xs[None, :])[0] @ jumps
 
     return value
 
@@ -137,14 +134,12 @@ class BigShockTrack:
     Configurations are indexed as in FTRun: configs[0] holds the fronts at
     t = 0 and configs[k] the fronts just after event k - 1, so event k sees
     configs[k] before it and configs[k + 1] after it.  fronts[j] is the
-    track's Front in configs[first + j]; the track lives on
-    [t_minus, t_plus), from event first - 1 (or t = 0) to the event that
-    ends it (or tau).
+    track's Front in configs[first + j]; the track lives from t_minus, the
+    time of event first - 1 (or t = 0), to the event that ends it (or tau).
+    A track is known by its index in select_big_shocks' list.
     """
-    id: int
     family: int
     t_minus: float
-    t_plus: float
     first: int
     fronts: list
 
@@ -231,15 +226,11 @@ def select_big_shocks(run, rho):
                 open_idx = max((m for m in range(j, first_rho + 1) if links[m][2]), default=j)
                 first = links[open_idx][0]
                 fronts = [f for link in links[open_idx : k + 1] for f in link[1]]
-                tracks.append(BigShockTrack(
-                    id=len(tracks), family=fronts[0].family,
-                    t_minus=t_edges[first], t_plus=t_edges[first + len(fronts)],
-                    first=first, fronts=fronts,
-                ))
+                tracks.append(BigShockTrack(family=fronts[0].family,
+                                            t_minus=t_edges[first], first=first,
+                                            fronts=fronts))
             j = k + 1
     tracks.sort(key=lambda tr: (tr.first, tr.fronts[0].x(tr.t_minus)))
-    for i, tr in enumerate(tracks):
-        tr.id = i
     return tracks
 
 
@@ -249,8 +240,8 @@ def select_big_shocks(run, rho):
 class HybridStrip:
     """The approximation v on one strip [t0, t1) between interaction times.
 
-    tracks holds one (track id, front, profile) per big shock alive in the
-    strip's configuration."""
+    tracks holds one (track index, front, profile) per big shock alive in
+    the strip's configuration."""
 
     def __init__(self, model, config, t0, t1, tracks, epsilon, delta):
         self.model = model
@@ -262,13 +253,12 @@ class HybridStrip:
         self.x0s = np.array([f.x0 for f in config.fronts])
         self.t0s = np.array([f.t0 for f in config.fronts])
         self.speeds = np.array([f.speed for f in config.fronts])
-        jumps = config.profile().jumps() if self.x0s.size else np.zeros((0, model.n))
         self.tracks = tracks
         # a tracked front's step comes with its insertion, so the mollified
         # sum runs over the untracked fronts only
         tracked = {front for _, front, _ in tracks}
         self.free = np.array([f not in tracked for f in config.fronts], dtype=bool)
-        self.jumps = jumps[self.free]
+        self.jumps = config.profile().jumps()[self.free]
 
     def front_positions(self, t):
         """Front.x of every front at time t, elementwise."""
@@ -276,18 +266,11 @@ class HybridStrip:
 
     def _mollified(self, t, x):
         xs = self.front_positions(t)[self.free]
-        d = x[:, None] - xs[None, :]
-        v = np.tile(self.u_left, (x.size, 1))
-        if xs.size:
-            cdf, phi, dphi = self.mol.jet(d)
-            v = v + cdf @ self.jumps
-            vx = phi @ self.jumps
-            vxx = dphi @ self.jumps
-            vt = -(phi * self.speeds[self.free][None, :]) @ self.jumps
-        else:
-            vx = np.zeros_like(v)
-            vxx = np.zeros_like(v)
-            vt = np.zeros_like(v)
+        cdf, phi, dphi = self.mol.jet(x[:, None] - xs[None, :])
+        v = np.tile(self.u_left, (x.size, 1)) + cdf @ self.jumps
+        vx = phi @ self.jumps
+        vxx = dphi @ self.jumps
+        vt = -(phi * self.speeds[self.free][None, :]) @ self.jumps
         return v, vx, vxx, vt
 
     def _insertion(self, front, profile, t, x):
@@ -332,18 +315,19 @@ class HybridStrip:
 
 
 class HybridApprox:
-    """All strips of the construction over [0, tau]; strips[k] belongs to
-    the run's configs[k] and times are the run's event times."""
+    """All strips of the construction over [0, tau], with the run and the
+    big-shock tracks they were built from; strips[k] belongs to the run's
+    configs[k]."""
 
-    def __init__(self, strips, times, tau, epsilon, delta):
+    def __init__(self, strips, run, tracks, epsilon, delta):
         self.strips = strips
-        self.times = times
-        self.tau = tau
+        self.run = run
+        self.tracks = tracks
         self.epsilon = epsilon
         self.delta = delta
 
     def strip_at(self, t):
-        return self.strips[config_index(self.times, self.tau, t)]
+        return self.strips[config_index(self.run.times, self.run.tau, t)]
 
     def value(self, t, x):
         return self.strip_at(t).value(t, np.atleast_1d(x))
@@ -359,12 +343,12 @@ def build_hybrid(run, tracks, epsilon):
     for k, cfg in enumerate(run.configs):
         t0, t1 = t_edges[k], t_edges[k + 1]
         slices = []
-        for tr in tracks:
+        for index, tr in enumerate(tracks):
             f = tr.front(k)
             if f is not None:
                 if f not in profiles:
                     profiles[f] = shock_profile(run.model, f.left_state, f.right_state)
-                slices.append((tr.id, f, profiles[f]))
+                slices.append((index, f, profiles[f]))
         st = HybridStrip(run.model, cfg, t0, t1, slices, epsilon, delta)
         for i, (ia, a, _) in enumerate(slices):
             for ib, b, _ in slices[i + 1 :]:
@@ -375,7 +359,7 @@ def build_hybrid(run, tracks, epsilon):
                         f"tracks {ia}, {ib} of different families overlap"
                     )
         strips.append(st)
-    return HybridApprox(strips, run.times, run.tau, epsilon, delta)
+    return HybridApprox(strips, run, tracks, epsilon, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -433,12 +417,12 @@ def residual(hyb):
     return {"total": total, "per_track": per_track, "far_field": far}
 
 
-def hybrid_vs_profile_l1(hyb, run, t):
+def hybrid_vs_profile_l1(hyb, t):
     """L1 distance between the hybrid v(t) and the front-tracking u(t) of
-    run, by the midpoint rule on cells delta/40 wide, eps/8 within
+    its run, by the midpoint rule on cells delta/40 wide, eps/8 within
     1.2 sqrt(eps) of each track, cut at u(t)'s breakpoints."""
     st = hyb.strip_at(t)
-    prof = sample_profile(run, t)
+    prof = sample_profile(hyb.run, t)
     e = _cells(st, t, hyb.delta / 40.0, 1.2 * np.sqrt(hyb.epsilon), prof.xs)
     if e is None:
         return 0.0
@@ -480,30 +464,29 @@ def classify_event(ev, tracks):
     return next(c for c in _CASE_ORDER if c in flags), flags
 
 
-def jump_sum(run, tracks, hyb):
-    """Sum over interaction times of the L1 jump of the hybrid hyb of run,
-    with per-case totals, on a grid of step min(eps/8, delta/40)."""
+def jump_sum(hyb):
+    """Sum over interaction times of the L1 jump of the hybrid hyb, with
+    per-case totals.  Each event's jump is integrated over
+    [ev.x - 2 delta, ev.x + 2 delta] on a grid of step min(eps/8, delta/40).
+
+    That window holds the whole jump: both strips share every other Front
+    and its profile, and a track opens or closes only at a front that meets
+    the event.  So beyond the kernel's 2 delta/3 and the insertion's
+    sqrt(eps) = delta of ev.x, the two v differ by rounding only."""
     delta = hyb.delta
     dx = min(hyb.epsilon / 8.0, delta / 40.0)
     per_case = {c: 0.0 for c in _CASE_ORDER}
     per_event = []
     total = 0.0
-    for ev in run.events:
+    for ev in hyb.run.events:
         k = ev.index
         before, after = hyb.strips[k], hyb.strips[k + 1]
-        # the jump is supported near the event and near any touched track
-        centers = [ev.x]
-        for tr in tracks:
-            for front in (tr.front(k), tr.front(k + 1)):
-                if front is not None:
-                    centers.append(front.x(ev.time))
-        lo = min(centers) - 2.0 * delta
-        hi = max(centers) + 2.0 * delta
-        grid = np.arange(lo, hi + dx, dx)
+        lo, hi = ev.x - 2.0 * delta, ev.x + 2.0 * delta
+        grid = np.append(np.arange(lo, hi, dx), hi)
         mid = 0.5 * (grid[:-1] + grid[1:])
         dv = after.value(ev.time, mid) - before.value(ev.time, mid)
         contrib = float(np.sum(np.linalg.norm(dv, axis=1) * np.diff(grid)))
-        case, flags = classify_event(ev, tracks)
+        case, flags = classify_event(ev, hyb.tracks)
         per_case[case] += contrib
         per_event.append({"t": ev.time, "x": ev.x, "case": case,
                           "flags": sorted(flags), "l1": contrib})

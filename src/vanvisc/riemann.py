@@ -20,13 +20,11 @@ ZERO_WAVE = 1e-12
 # residual bound of the Hugoniot point, relative to the scale of f(u0) in
 # the Rankine-Hugoniot rows and of lambda(u0) in the speed row
 _HUGONIOT_TOL = 1e-11
-# Riemann iteration: residual bound relative to the data scale, clip on each
-# starting strength, Newton step budget, and the largest strength a Newton
-# probe may compose (probes may step past the data size)
+# Riemann iteration: residual bound relative to the data scale, the least
+# clip on each starting strength, and Newton step budget
 _RIEMANN_TOL = 1e-14
 _MAX_STRENGTH = 4.0
 _MAX_ITER = 100
-_NEWTON_SLACK = 1.5 * _MAX_STRENGTH + 0.1
 
 
 def _rk4_curve(model, i, u0, s):
@@ -157,11 +155,11 @@ def shock_speed(model, u_minus, u_plus):
     return speed
 
 
-def _compose(model, u_minus, s):
+def _compose(model, u_minus, s, slack):
     """End state of the strengths s composed from u_minus through lax_curve;
-    NoSolution for a Newton probe past _NEWTON_SLACK."""
-    if np.max(np.abs(s)) > _NEWTON_SLACK:
-        raise NoSolution(f"|s|={np.max(np.abs(s))} exceeds the Newton slack {_NEWTON_SLACK}")
+    NoSolution for a Newton probe past slack."""
+    if np.max(np.abs(s)) > slack:
+        raise NoSolution(f"|s|={np.max(np.abs(s))} exceeds the Newton slack {slack}")
     u = u_minus
     for i in range(1, model.n + 1):
         u = lax_curve(model, i, u, float(s[i - 1]))
@@ -186,10 +184,14 @@ def solve_riemann(model, u_minus, u_plus):
 
     # the left eigenvectors, dual to the rows of R, give the linearised strengths
     L = np.linalg.inv(eigen_frame(model, 0.5 * (um + up)).T)
-    s = np.clip(L @ (up - um), -_MAX_STRENGTH, _MAX_STRENGTH)
+    # the most lambda_i can change between two states of the box; probes
+    # may step past it by half again
+    bound = max(_MAX_STRENGTH, 2.0 * model.max_speed)
+    s = np.clip(L @ (up - um), -bound, bound)
+    slack = 1.5 * bound + 0.1
     while True:
         try:
-            s = _damped_newton(lambda s: _compose(model, um, s) - up, s,
+            s = _damped_newton(lambda s: _compose(model, um, s, slack) - up, s,
                                _RIEMANN_TOL * scale, _MAX_ITER, NoSolution)
             return np.where(np.abs(s) <= ZERO_WAVE, 0.0, s)
         except OutOfDomain:

@@ -366,8 +366,12 @@ def test_riemann_start_leaving_the_box_is_halved():
     assert np.max(np.abs(u - u_r)) <= 1e-14 * 2.0
 
 
-def test_riemann_probe_past_the_strength_bound_raises_no_solution():
-    # both states are in Burgers' box, but the jump of 6.5 is clipped to 4
-    # and Newton's probes reach the slack 6.1 on the way up
-    with pytest.raises(NoSolution, match="Jacobian probe failed: .* Newton slack 6.1"):
-        solve_riemann(B, np.array([-3.5]), np.array([3.0]))
+def test_riemann_burgers_strength_is_the_jump_across_the_box():
+    # jumps up to the box's width 8: the start's clip and the Newton slack
+    # follow the box, so a jump above 4 is no longer cut short
+    states = np.concatenate([np.linspace(-4.0, 4.0, 9), [-3.5, 3.0, 3.9, -2.5]])
+    for u_l in states:
+        for u_r in states:
+            s = solve_riemann(B, np.array([u_l]), np.array([u_r]))
+            scale = max(1.0, abs(u_l), abs(u_r))
+            assert abs(s[0] - (u_r - u_l)) <= 1e-14 * scale, (u_l, u_r, s)
