@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import combinations, product
 
 import numpy as np
 
@@ -64,18 +65,20 @@ def w_natural(d, dd, epsilon):
 
 def q_flat(config, epsilon):
     """Sum over ordered pairs of different families of W_flat |sigma sigma'|,
-    and its right t-derivative."""
-    fronts = [(f, f.x(config.time)) for f in config.fronts if f.physical]
+    and its right t-derivative.  Both orders of a pair carry the same weight
+    and rate, so each unordered pair is visited once and counted twice."""
+    by_family = {}
+    for f in config.fronts:
+        if f.physical:
+            by_family.setdefault(f.family, []).append((f, f.x(config.time)))
     total = rate = 0.0
-    for a, xa in fronts:
-        for b, xb in fronts:
-            if a is b or a.family == b.family:
-                continue
+    for group_a, group_b in combinations(by_family.values(), 2):
+        for (a, xa), (b, xb) in product(group_a, group_b):
             w, dw = w_flat(xb - xa, b.speed - a.speed, a.family, b.family, epsilon)
             m = abs(a.strength * b.strength)
             total += w * m
             rate += dw * m
-    return total, rate
+    return 2.0 * total, 2.0 * rate
 
 
 def _natural_alpha(fronts, ai, epsilon, t):

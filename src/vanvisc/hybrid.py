@@ -335,30 +335,35 @@ class HybridApprox:
 
 def build_hybrid(run, tracks, epsilon):
     """Assemble the per-strip hybrid approximation of a front-tracking run,
-    mollified at width sqrt(eps)."""
+    mollified at width sqrt(eps).  Tracks of different families that come
+    within 2 sqrt(eps) of each other in a strip raise OverlappingTracks,
+    before any profile is shot."""
     delta = np.sqrt(epsilon)
-    profiles = {}      # track front -> its shock profile, shot once
     t_edges = run.t_edges
-    strips = []
-    for k, cfg in enumerate(run.configs):
+    live = []          # per strip: (track index, front) of each live track
+    for k in range(len(run.configs)):
         t0, t1 = t_edges[k], t_edges[k + 1]
-        slices = []
-        for index, tr in enumerate(tracks):
-            f = tr.front(k)
-            if f is not None:
-                if f not in profiles:
-                    profiles[f] = shock_profile(run.model, f.left_state, f.right_state)
-                slices.append((index, f, profiles[f]))
-        st = HybridStrip(run.model, cfg, t0, t1, slices, epsilon, delta)
-        for i, (ia, a, _) in enumerate(slices):
-            for ib, b, _ in slices[i + 1 :]:
+        fronts = [(index, f) for index, f in enumerate(tr.front(k) for tr in tracks)
+                  if f is not None]
+        for i, (ia, a) in enumerate(fronts):
+            for ib, b in fronts[i + 1 :]:
                 gap0 = abs(a.x(t0) - b.x(t0))
                 gap1 = abs(a.x(t1) - b.x(t1))
                 if min(gap0, gap1) < 2 * delta and a.family != b.family:
                     raise OverlappingTracks(
                         f"tracks {ia}, {ib} of different families overlap"
                     )
-        strips.append(st)
+        live.append(fronts)
+    profiles = {}      # track front -> its shock profile, shot once
+    strips = []
+    for k, (cfg, fronts) in enumerate(zip(run.configs, live)):
+        slices = []
+        for index, f in fronts:
+            if f not in profiles:
+                profiles[f] = shock_profile(run.model, f.left_state, f.right_state)
+            slices.append((index, f, profiles[f]))
+        strips.append(HybridStrip(run.model, cfg, t_edges[k], t_edges[k + 1], slices,
+                                  epsilon, delta))
     return HybridApprox(strips, run, tracks, epsilon, delta)
 
 

@@ -155,15 +155,16 @@ def shock_speed(model, u_minus, u_plus):
     return speed
 
 
-def _compose(model, u_minus, s, slack):
-    """End state of the strengths s composed from u_minus through lax_curve;
-    NoSolution for a Newton probe past slack."""
-    if np.max(np.abs(s)) > slack:
-        raise NoSolution(f"|s|={np.max(np.abs(s))} exceeds the Newton slack {slack}")
+def _compose(model, u_minus, s):
+    """End state of the strengths s composed from u_minus through lax_curve."""
     u = u_minus
     for i in range(1, model.n + 1):
         u = lax_curve(model, i, u, float(s[i - 1]))
     return u
+
+
+def _snap(s):
+    return np.where(np.abs(s) <= ZERO_WAVE, 0.0, s)
 
 
 def solve_riemann(model, u_minus, u_plus):
@@ -171,7 +172,10 @@ def solve_riemann(model, u_minus, u_plus):
 
     Returns the (n,) per-family signed strengths, one of at most ZERO_WAVE
     set to 0; composed through lax_curve, they map u_minus to u_plus with
-    residual below 1e-14 times the data scale.
+    residual below 1e-14 times the data scale before that snap.
+    model.riemann_fn gives the strengths, composed once as the check
+    (NoSolution if the composition leaves the box or misses u_plus); a
+    model without it takes a damped Newton iteration.
     """
     um = np.asarray(u_minus, dtype=float)
     up = np.asarray(u_plus, dtype=float)
@@ -181,6 +185,17 @@ def solve_riemann(model, u_minus, u_plus):
 
     if np.max(np.abs(up - um)) < ZERO_WAVE * scale:
         return np.zeros(model.n)
+    tol = _RIEMANN_TOL * scale
+
+    if model.riemann_fn is not None:
+        s = model.riemann_fn(um, up)
+        try:
+            miss = float(np.max(np.abs(_compose(model, um, s) - up)))
+        except OutOfDomain as exc:
+            raise NoSolution(f"riemann_fn's waves leave the domain box: {exc}") from exc
+        if not miss < tol:
+            raise NoSolution(f"riemann_fn's waves miss u_plus by {miss:.3e}")
+        return _snap(s)
 
     # the left eigenvectors, dual to the rows of R, give the linearised strengths
     L = np.linalg.inv(eigen_frame(model, 0.5 * (um + up)).T)
@@ -189,11 +204,15 @@ def solve_riemann(model, u_minus, u_plus):
     bound = max(_MAX_STRENGTH, 2.0 * model.max_speed)
     s = np.clip(L @ (up - um), -bound, bound)
     slack = 1.5 * bound + 0.1
+
+    def res(s):
+        if np.max(np.abs(s)) > slack:
+            raise NoSolution(f"|s|={np.max(np.abs(s))} exceeds the Newton slack {slack}")
+        return _compose(model, um, s) - up
+
     while True:
         try:
-            s = _damped_newton(lambda s: _compose(model, um, s, slack) - up, s,
-                               _RIEMANN_TOL * scale, _MAX_ITER, NoSolution)
-            return np.where(np.abs(s) <= ZERO_WAVE, 0.0, s)
+            return _snap(_damped_newton(res, s, tol, _MAX_ITER, NoSolution))
         except OutOfDomain:
             # only the start's residual is unguarded: halve a start whose
             # composition leaves the box toward 0, which composes to u_minus

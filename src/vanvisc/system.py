@@ -7,17 +7,21 @@ Right eigenvectors are scaled so that grad(lambda_i) . r_i = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
+from scipy import optimize
 
 from .burgers import TanhProfile, cole_hopf, hopf_lax
-from .errors import BadParameter, GNLViolation, NonHyperbolic, OutOfDomain
+from .errors import BadParameter, GNLViolation, NoSolution, NonHyperbolic, OutOfDomain
 
 _EIG_TOL = 1e-12
 _FD_STEP = 1e-6
+# brentq's least relative tolerance, 4 machine epsilons
+_BRENT_RTOL = 4 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -50,6 +54,12 @@ class SystemModel:
     # integrates r_i by RK4 and solves the Hugoniot locus by Newton, which
     # remain the oracle
     wave_curve: Callable = None
+    # optional exact Riemann solver: riemann_fn(u_l, u_r) returns the (n,)
+    # per-family strengths of the Lax solution, raising NoSolution where it
+    # finds none; riemann.solve_riemann composes them once through lax_curve
+    # as its check.  Without it solve_riemann runs a damped Newton over
+    # lax_curve, which remains the oracle
+    riemann_fn: Callable = None
     # optional closed-form viscous solution: viscous_fn(data, eps, t, x) is
     # u_eps(t, x) of shape (len(x), n) for PiecewiseConstant data; with it
     # viscous.solve_viscous evaluates it on its grid instead of stepping
@@ -201,7 +211,7 @@ def preset_model(name, gamma=None, k=None):
             out[..., 1, 0] = (-gamma * k * v ** (-gamma - 1.0)).T
             return out
 
-        root_gk = np.sqrt(gamma * k)
+        root_gk = math.sqrt(gamma * k)
 
         def lam(u):
             # lambda_{1,2} = -/+ sqrt(gamma k) v^(-(gamma+1)/2)
@@ -214,40 +224,90 @@ def preset_model(name, gamma=None, k=None):
             d = root_gk * 0.5 * (gamma + 1.0) * v ** (-(gamma + 3.0) / 2.0)
             return np.array([[d, 0.0], [-d, 0.0]])
 
-        def wave_curve(i, u0, s):
-            # lambda_i = -/+ c(v), so c(v) = c(v0) -/+ s gives v.  On a
-            # rarefaction, w -/+ 2 c(v) v / (gamma - 1) is the Riemann
-            # invariant; on a shock, (w - w0)^2 = -(p(v) - p(v0))(v - v0)
+        def sound_speed(v):
+            # c(v) = lambda_2 = -lambda_1 at one Python float v
+            return root_gk * v ** (-(gamma + 1.0) / 2.0)
+
+        def increment(i, v0, s):
+            # (v - v0, w - w0) at lambda_i - lambda_i(u0) = s on the i-th
+            # wave curve through u0, in Python floats: the curves do not
+            # depend on w0.  lambda_i = -/+ c(v), so c(v) = c(v0) -/+ s
+            # gives v.  On a rarefaction, w -/+ 2 c(v) v / (gamma - 1) is the
+            # Riemann invariant; on a shock, (w - w0)^2 = -(p(v) - p(v0))(v - v0)
             # with sign(w - w0) = +/- sign(v - v0) (Smoller, ch. 17).  The
             # increments go through log1p/expm1 of ln(c / c0), so a small s
             # moves u0 by a small, accurate amount.
-            v0, w0 = u0
             sign = 1.0 if i == 1 else -1.0
-            c0 = root_gk * v0 ** (-(gamma + 1.0) / 2.0)
+            c0 = sound_speed(v0)
             dc = -sign * s / c0             # c / c0 - 1
             if not dc > -1.0:
-                raise OutOfDomain(f"{i}-wave curve through {u0} leaves v > 0 at s = {s}")
-            log_c = np.log1p(dc)            # ln(c / c0); v / v0 = (c / c0)^(-2 / (gamma + 1))
-            dv = v0 * np.expm1(-2.0 * log_c / (gamma + 1.0))
-            if s > 0:
-                # w - w0 = 2 (c0 v0 - c v) / (gamma - 1) up to the sign
-                cv_ratio_m1 = np.expm1((gamma - 1.0) * log_c / (gamma + 1.0))
-                dw = -2.0 * c0 * v0 / (gamma - 1.0) * cv_ratio_m1
-            else:
-                # p(v) - p(v0) = p(v0) ((v / v0)^(-gamma) - 1)
-                dp = k * v0 ** (-gamma) * np.expm1(2.0 * gamma * log_c / (gamma + 1.0))
-                dw = np.copysign(np.sqrt(abs(dp * dv)), dv)
-            return np.array([v0 + dv, w0 + sign * dw])
+                raise OutOfDomain(f"{i}-wave curve through v = {v0} leaves v > 0 at s = {s}")
+            try:
+                log_c = math.log1p(dc)      # ln(c / c0); v / v0 = (c / c0)^(-2 / (gamma + 1))
+                dv = v0 * math.expm1(-2.0 * log_c / (gamma + 1.0))
+                if s > 0:
+                    # w - w0 = 2 (c0 v0 - c v) / (gamma - 1) up to the sign
+                    cv_ratio_m1 = math.expm1((gamma - 1.0) * log_c / (gamma + 1.0))
+                    dw = -2.0 * c0 * v0 / (gamma - 1.0) * cv_ratio_m1
+                else:
+                    # p(v) - p(v0) = p(v0) ((v / v0)^(-gamma) - 1)
+                    dp = k * v0 ** (-gamma) * math.expm1(2.0 * gamma * log_c / (gamma + 1.0))
+                    dw = math.copysign(math.sqrt(abs(dp * dv)), dv)
+            except OverflowError:
+                raise OutOfDomain(f"{i}-wave curve through v = {v0} overflows at s = {s}")
+            return dv, sign * dw
+
+        def wave_curve(i, u0, s):
+            v0, w0 = u0
+            dv, dw = increment(i, float(v0), float(s))
+            return np.array([v0 + dv, w0 + dw])
+
+        box = ((0.5, 2.0), (-2.0, 2.0))
+        # the sound speeds of the box's v range
+        c_min, c_max = sound_speed(box[0][1]), sound_speed(box[0][0])
+
+        def riemann_fn(u_l, u_r):
+            # The system is invariant under w -> w + const, so the middle
+            # state's sound speed c_m fixes both strengths, s_1 = c_l - c_m
+            # and s_2 = c_r - c_m, and c_m is the root of g, the miss in w of
+            # the two waves composed from u_l: the p-system form of the
+            # pressure-function solver (Toro, ch. 4).  g is monotone, so the
+            # box's sound speeds bracket its root.
+            v_l, w_l = map(float, u_l)
+            v_r, w_r = map(float, u_r)
+            c_l = sound_speed(v_l)
+            # the last wave ends where c = c_r, up to a few ulps of rounding
+            # in v; aimed 2^-48 (relative) inside the box's sound speeds, it
+            # does not end past a face of the box's v range
+            c_r = min(max(sound_speed(v_r), c_min * (1 + 2.0 ** -48)), c_max * (1 - 2.0 ** -48))
+
+            def g(c_m):
+                dv1, dw1 = increment(1, v_l, c_l - c_m)
+                return w_l + dw1 + increment(2, v_l + dv1, c_r - c_m)[1] - w_r
+
+            # a 1-wave whose absence misses u_r by less than solve_riemann's
+            # composition bound is exactly 0, so that the middle state is u_l
+            # itself, also on a face of the box
+            tol = 1e-14 * max(1.0, abs(v_l), abs(w_l), abs(v_r), abs(w_r))
+            if abs(g(c_l)) < tol:
+                return np.array([0.0, c_r - c_l])
+            try:
+                c_m = optimize.brentq(g, c_min, c_max, xtol=1e-300, rtol=_BRENT_RTOL)
+            except ValueError:
+                # brentq's refusal of a bracket on which g keeps its sign
+                raise NoSolution(f"no middle state in the box joins {u_l} to {u_r}") from None
+            return np.array([c_l - c_m, c_r - c_m])
 
         return SystemModel(
             n=2,
             flux=flux,
             jacobian=jac,
-            domain_box=((0.5, 2.0), (-2.0, 2.0)),
+            domain_box=box,
             name="p_system",
             grad_lambda_fn=grad_lam,
             lambda_fn=lam,
             wave_curve=wave_curve,
+            riemann_fn=riemann_fn,
         )
     raise BadParameter(f"unknown preset {name!r}")
 

@@ -389,6 +389,53 @@ _MOVING_FRONT = st.tuples(
 )
 
 
+def _moving_fronts(specs, r):
+    """The fronts of _MOVING_FRONT specs on the lattice of step r/2."""
+    fronts = []
+    for k, fam, is_shock, size, speed in sorted(specs, key=lambda t: t[0]):
+        if fam == 3:
+            kind, strength = "non_physical", size
+        else:
+            kind, strength = ("shock", -size) if is_shock else ("rarefaction_step", size)
+        fronts.append(Front(0.5 * k * r, 0.0, fam, kind, strength, speed,
+                            np.zeros(2), np.zeros(2)))
+    return fronts
+
+
+def _q_flat_ordered_pairs(cfg, eps):
+    """q_flat and its rate as the double loop over ordered pairs of
+    different families, with the sum of the rate's absolute terms."""
+    fronts = [(f, f.x(cfg.time)) for f in cfg.fronts if f.physical]
+    total = rate = rate_scale = 0.0
+    for a, xa in fronts:
+        for b, xb in fronts:
+            if a is b or a.family == b.family:
+                continue
+            w, dw = w_flat(xb - xa, b.speed - a.speed, a.family, b.family, eps)
+            m = abs(a.strength * b.strength)
+            total += w * m
+            rate += dw * m
+            rate_scale += abs(dw * m)
+    return total, rate, rate_scale
+
+
+def _assert_q_flat_matches_ordered_pairs(cfg, eps):
+    # every term of the value is >= 0, so its scale is the value itself
+    total, rate = q_flat(cfg, eps)
+    ref_total, ref_rate, rate_scale = _q_flat_ordered_pairs(cfg, eps)
+    assert abs(total - ref_total) <= 1e-14 * ref_total
+    assert abs(rate - ref_rate) <= 1e-14 * rate_scale
+
+
+@settings(max_examples=300)
+@given(st.lists(_MOVING_FRONT, max_size=12), st.integers(2, 7))
+def test_q_flat_matches_ordered_pairs(specs, j):
+    eps, r = 4.0 ** -j, 2.0 ** -j
+    cfg = config(_moving_fronts(specs, r))
+    _assert_q_flat_matches_ordered_pairs(cfg, eps)
+    _assert_q_flat_matches_ordered_pairs(cfg.at(r / 8), eps)
+
+
 @settings(max_examples=300)
 @given(st.lists(_MOVING_FRONT, max_size=12), st.integers(2, 7))
 # two fronts of size 1e-6 on one point: q_natural ~ 1.3e-7 is linear in the
@@ -400,14 +447,7 @@ def test_rates_are_right_derivatives(specs, j):
     # their distances and the window edges +-2 sqrt(eps) are exact: ties and
     # pairs on a window edge occur, and the rate there is the one-sided one
     eps, r = 4.0 ** -j, 2.0 ** -j
-    fronts = []
-    for k, fam, is_shock, size, speed in sorted(specs, key=lambda t: t[0]):
-        if fam == 3:
-            kind, strength = "non_physical", size
-        else:
-            kind, strength = ("shock", -size) if is_shock else ("rarefaction_step", size)
-        fronts.append(Front(0.5 * k * r, 0.0, fam, kind, strength, speed,
-                            np.zeros(2), np.zeros(2)))
+    fronts = _moving_fronts(specs, r)
     cfg = config(fronts)
     bs = {f for f in fronts if f.kind == "shock"}
     # a lattice distance off a kink (-2 sqrt(eps), 0, 2 sqrt(eps)) is at
@@ -462,6 +502,19 @@ def test_corpus_rates_match_centred_differences(corpus):
                   for run in corpus)
     # no shock is big at this rho, so q_natural is 0 throughout
     assert checked[0] >= 300 and checked[1] == 0 and checked[2] >= 50
+
+
+def test_corpus_q_flat_matches_ordered_pairs(corpus):
+    # every configuration at its interval's midpoint and at its event
+    checked = 0
+    for run in corpus:
+        for k, cfg in enumerate(run.configs):
+            t0, t1 = run.t_edges[k], run.t_edges[k + 1]
+            for t in (0.5 * (t0 + t1), t1):
+                c = cfg.at(t)
+                _assert_q_flat_matches_ordered_pairs(c, EPS)
+                checked += q_flat(c, EPS)[0] > 0
+    assert checked >= 500
 
 
 def test_flat_rate_where_a_pair_leaves_the_window(corpus):

@@ -502,6 +502,22 @@ def test_different_family_overlap_raises():
         build_hybrid(run, tracks, eps)
 
 
+@pytest.mark.parametrize("seed", [201, 204])
+def test_overlap_raises_before_any_profile_is_shot(monkeypatch, seed):
+    # p-system random_bv runs whose two big-shock tracks overlap in a later
+    # strip: checked strip by strip after that strip's shots, each would
+    # pay for 3 profiles before raising
+    data = scenario_data(P, "random_bv", seed=seed, n_jumps=8, tv=0.3)
+    run = run_until(P, init_front_tracking(P, data, 1e-6, 0.02), 1.5,
+                    epsilon_prime=1e-6, simplified_threshold=1e-8)
+    tracks = select_big_shocks(run, 0.04)
+    calls = []
+    monkeypatch.setattr(hybrid, "shock_profile", lambda *args: calls.append(args))
+    with pytest.raises(OverlappingTracks):
+        build_hybrid(run, tracks, 1e-3)
+    assert len(tracks) == 2 and calls == []
+
+
 # ---------------------------------------------------------------------------
 # reference: big-shock tracks looked up by time and side, the way they were
 # before tracks held one front per configuration index

@@ -17,6 +17,9 @@ P = preset_model("p_system", gamma=2, k=1)
 # on the Hugoniot locus, the oracle of the closed forms
 P_GENERIC = dataclasses.replace(P, wave_curve=None)
 B_GENERIC = dataclasses.replace(B, wave_curve=None)
+# the p-system without its exact Riemann solver: the damped Newton over
+# lax_curve, the oracle of riemann_fn
+P_NEWTON = dataclasses.replace(P, riemann_fn=None)
 
 # a state in the p-system box, a family and a wave strength
 P_STATE = st.tuples(st.floats(0.5, 2.0), st.floats(-2.0, 2.0)).map(np.array)
@@ -125,23 +128,61 @@ def test_p_system_wave_curve_is_parametrised_by_strength(u0, i, s):
             assert lam < speed < lam0
 
 
-# solve_riemann's Newton probes may leave the box when the data lie on or
-# next to its edge, at either wave-curve path; the round trip keeps both
-# states 0.05 inside it
-P_INNER_STATE = st.tuples(st.floats(0.55, 1.95), st.floats(-1.95, 1.95)).map(np.array)
-
-
 @settings(max_examples=100)
-@given(P_INNER_STATE, FAMILY, STRENGTH)
+@given(P_STATE, FAMILY, STRENGTH)
+# one wave from each face of the box: from v = 0.5 and v = 2 a 2-wave's
+# middle state is u0 itself, a root at an end of riemann_fn's bracket
+@example(np.array([0.5, 0.3]), 2, -0.25)
+@example(np.array([0.5, -1.0]), 1, 0.25)
+@example(np.array([2.0, 0.3]), 2, 0.2)
+@example(np.array([2.0, 1.0]), 1, -0.2)
+@example(np.array([1.2, 2.0]), 2, -0.2)
+@example(np.array([1.2, 2.0]), 1, -0.2)
+@example(np.array([0.8, -2.0]), 1, 0.2)
+@example(np.array([0.8, -2.0]), 2, 0.2)
 def test_p_system_riemann_round_trips_on_wave_curve(u0, i, s):
     try:
         u = lax_curve(P, i, u0, s)
     except OutOfDomain:
         return
-    assume(0.55 <= u[0] <= 1.95 and abs(u[1]) <= 1.95)
     expect = np.zeros(2)
     expect[i - 1] = s
     assert solve_riemann(P, u0, u) == pytest.approx(expect, abs=1e-7)
+
+
+# states 0.05 inside the p-system box, where the Newton path's Jacobian
+# probes stay inside it
+P_INNER_STATE = st.tuples(st.floats(0.55, 1.95), st.floats(-1.95, 1.95)).map(np.array)
+
+
+@settings(max_examples=200)
+@given(P_INNER_STATE, st.tuples(STRENGTH, STRENGTH))
+def test_riemann_fn_agrees_with_newton(u_l, strengths):
+    # a strength next to ZERO_WAVE may be snapped to 0 by one solver only
+    assume(not any(0.5e-12 < abs(si) < 2e-12 for si in strengths))
+    u_r = u_l
+    for i, si in enumerate(strengths, start=1):
+        try:
+            u_r = lax_curve(P, i, u_r, si)
+        except OutOfDomain:
+            assume(False)
+    assume(0.55 <= u_r[0] <= 1.95 and abs(u_r[1]) <= 1.95)
+    scale = max(1.0, np.max(np.abs(u_l)), np.max(np.abs(u_r)))
+    s = solve_riemann(P, u_l, u_r)
+    assert np.max(np.abs(s - solve_riemann(P_NEWTON, u_l, u_r))) <= 1e-13 * scale
+
+
+def test_riemann_fn_without_a_middle_state_in_the_box_raises_no_solution():
+    # the middle state's v would lie above 2, outside the bracket
+    with pytest.raises(NoSolution, match="no middle state"):
+        solve_riemann(P, np.array([1.0, 0.0]), np.array([1.8, 1.1]))
+    # v_m = 0.88 is in the box, but the middle state's w = 2.44 is not
+    with pytest.raises(NoSolution, match="leave the domain box"):
+        solve_riemann(P, np.array([0.6, 1.8]), np.array([1.4, 1.8]))
+    # a hook whose waves miss u_plus fails the composition check
+    half = dataclasses.replace(B, riemann_fn=lambda u_l, u_r: 0.5 * (u_r - u_l))
+    with pytest.raises(NoSolution, match="miss u_plus"):
+        solve_riemann(half, np.array([1.0]), np.array([0.0]))
 
 
 def test_lax_curve_p_system_strength_parametrization():
@@ -202,19 +243,24 @@ def test_riemann_p_system_recomposition():
 
 
 # a state and per-family strengths whose waves stay in the box: for Burgers
-# a jump of at most 4, where the linearised start is the answer; for the
-# p-system states 0.05 inside the box (see P_INNER_STATE)
+# a jump of at most 4, where the linearised start is the answer
 B_WAVES = st.tuples(st.just(B), st.floats(-4.0, 4.0).map(lambda v: np.array([v])),
                     st.tuples(st.floats(-4.0, 4.0)))
-P_WAVES = st.tuples(st.just(P), P_INNER_STATE, st.tuples(STRENGTH, STRENGTH))
-
-
-def _inner(model, u):
-    return model is B or (0.55 <= u[0] <= 1.95 and abs(u[1]) <= 1.95)
+P_WAVES = st.tuples(st.just(P), P_STATE, st.tuples(STRENGTH, STRENGTH))
 
 
 @settings(max_examples=200)
 @given(st.one_of(B_WAVES, P_WAVES))
+# a middle state on each face of the p-system box
+@example((P, np.array([0.5, 0.3]), (0.0, -0.25)))
+@example((P, np.array([2.0, 0.3]), (0.0, 0.2)))
+@example((P, np.array([1.2, 2.0]), (0.0, -0.2)))
+@example((P, np.array([0.8, -2.0]), (0.0, 0.2)))
+# u_r on the face of u_l, where the last wave ends
+@example((P, np.array([0.5, -1.09]), (0.133, 0.133)))
+@example((P, np.array([2.0, 0.64]), (-0.2, -0.2)))
+# a wave below ZERO_WAVE that moves u_r by more than the composition bound
+@example((P, np.array([1.0, 0.0]), (0.25, 1e-13)))
 def test_riemann_fronts_chain_and_are_admissible(waves):
     model, u_l, strengths = waves
     u_r = u_l
@@ -223,7 +269,6 @@ def test_riemann_fronts_chain_and_are_admissible(waves):
             u_r = lax_curve(model, i, u_r, si)
         except OutOfDomain:
             assume(False)
-        assume(_inner(model, u_r))
     s = solve_riemann(model, u_l, u_r)
     assert s == pytest.approx(strengths, abs=1e-7)
     fronts = _fronts(model, u_l, u_r)
@@ -361,9 +406,13 @@ def test_riemann_start_leaving_the_box_is_halved():
     # interior data whose middle state has v = 1.977, but whose linearised
     # start composes a state at v = 2.0042, outside the box
     u_l, u_r = np.array([1.59575178, 0.15692097]), np.array([1.76258838, 0.50327455])
-    s = solve_riemann(P, u_l, u_r)
+    s = solve_riemann(P_NEWTON, u_l, u_r)
     u = lax_curve(P, 2, lax_curve(P, 1, u_l, s[0]), s[1])
     assert np.max(np.abs(u - u_r)) <= 1e-14 * 2.0
+    # the Newton path's linearised start, which it halves
+    s0 = np.linalg.inv(eigen_frame(P, 0.5 * (u_l + u_r)).T) @ (u_r - u_l)
+    with pytest.raises(OutOfDomain):
+        lax_curve(P, 2, lax_curve(P, 1, u_l, s0[0]), s0[1])
 
 
 def test_riemann_burgers_strength_is_the_jump_across_the_box():
