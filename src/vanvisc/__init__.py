@@ -14,8 +14,8 @@ from .measures import (WaveMeasure, MonotoneProfile, ComparisonSolution, wave_me
 from .viscous import GridSolution, ShockProfile, solve_viscous, shock_profile, tail_bound_check
 from .hybrid import (Mollifier, BigShockTrack, HybridApprox, mollify, select_big_shocks,
                      build_hybrid, residual, jump_sum)
-from .functionals import (FunctionalConstants, q_flat, q_natural, q_sharp, q_hat,
-                          audit_events, interaction_decay_rates)
+from .functionals import (FunctionalConstants, weighted_potentials, q_hat, audit_events,
+                          interaction_decay_rates)
 from .harness import (ExperimentConfig, ConvergenceTable, converge_cmd,
                       functional_report_cmd, decay_report_cmd, scenario_data, main)
 

@@ -8,7 +8,8 @@ Three weighted potentials supplement the Glimm pair (V, Q):
   * q_sharp: all shocks against same-family shocks, weighted by the
     reciprocal of the enveloped shock content between them (rarefactions
     count negatively with a factor 3).
-The composite functional combines them so that it decreases at every
+weighted_potentials evaluates all three, their rates and their pair sums in
+one pass over the fronts grouped by family.  The composite functional combines them so that it decreases at every
 interaction except when a new big shock appears.
 """
 
@@ -63,121 +64,89 @@ def w_natural(d, dd, epsilon):
     return _ramp(d, dd, epsilon)
 
 
-def q_flat(config, epsilon):
-    """Sum over ordered pairs of different families of W_flat |sigma sigma'|,
-    and its right t-derivative.  Both orders of a pair carry the same weight
-    and rate, so each unordered pair is visited once and counted twice."""
-    by_family = {}
+def weighted_potentials(config, bs, epsilon):
+    """(q_flat, q_natural, q_sharp) of the configuration, their exact right
+    t-derivatives and their pair sums, as three triples; bs is the set of
+    big-shock fronts.
+
+    The physical fronts are grouped by family once, with their positions at
+    config.time; ties in position are resolved by list order.  q_flat walks
+    each pair of fronts from different families once and counts it twice,
+    since both orders carry the same weight and rate.  Each shock alpha, in
+    list order, walks its own family's list once to the right and once to
+    the left:
+      * q_natural (big shocks only) integrates W_natural against the
+        rarefaction accumulator cut off at |sigma_alpha|/4;
+      * q_sharp is |sigma_alpha| int W_nat W_sharp dz-tilde: z accumulates
+        |sigma| for shocks and -3 sigma for rarefactions moving away from
+        x_alpha, and the monotone envelope keeps its running extremum, so a
+        partner shock screened by rarefactions contributes nothing.  W_sharp
+        at a surviving atom uses the envelope value on the alpha side of the
+        jump; the envelope's own jump at x_alpha is not counted.
+    On the left both accumulators carry their negation, which is exact, so
+    one walk serves both sides.  The pair sums add |sigma sigma'| over the
+    pairs within 2 sqrt(eps): of different families (both orders), of a big
+    shock and a rarefaction of its family, and of two shocks of one family
+    (once, from the right-hand walk of the left one).
+    """
+    near = 2 * SQRT(epsilon)
+    groups = {}
+    shocks = []
     for f in config.fronts:
         if f.physical:
-            by_family.setdefault(f.family, []).append((f, f.x(config.time)))
-    total = rate = 0.0
-    for group_a, group_b in combinations(by_family.values(), 2):
+            group = groups.setdefault(f.family, [])
+            if f.kind == "shock":
+                shocks.append((f, group, len(group)))
+            group.append((f, f.x(config.time)))
+    flat = d_flat = cross = 0.0
+    for group_a, group_b in combinations(groups.values(), 2):
         for (a, xa), (b, xb) in product(group_a, group_b):
             w, dw = w_flat(xb - xa, b.speed - a.speed, a.family, b.family, epsilon)
             m = abs(a.strength * b.strength)
-            total += w * m
-            rate += dw * m
-    return 2.0 * total, 2.0 * rate
-
-
-def _natural_alpha(fronts, ai, epsilon, t):
-    """Integral of W_natural against the cut-off rarefaction accumulator of
-    the shock fronts[ai] at time t, and its right t-derivative; ties in
-    position are resolved by list order.
-
-    The accumulator grows away from x_alpha on the right and shrinks on the
-    left; the left walk carries its negation, which is exact, so one walk
-    serves both sides."""
-    alpha = fronts[ai]
-    total, rate = _natural_side(alpha, fronts[ai + 1 :], epsilon, t, 0.0, 0.0)
-    return _natural_side(alpha, reversed(fronts[:ai]), epsilon, t, total, rate)
-
-
-def _natural_side(alpha, side, epsilon, t, total, rate):
-    """Add to total the rarefaction mass of side (fronts ordered away from
-    alpha) below the cut-off |sigma_alpha|/4, weighted by W_natural, and to
-    rate its t-derivative; the masses are frozen between events."""
-    cap = abs(alpha.strength) / 4.0
-    x_alpha = alpha.x(t)
-    cum = 0.0
-    for b in side:
-        if not b.physical or b.family != alpha.family or b.kind != "rarefaction_step":
-            continue
-        new = cum + b.strength
-        mass = min(new, cap) - min(cum, cap)
-        if mass > 0:
-            w, dw = w_natural(b.x(t) - x_alpha, b.speed - alpha.speed, epsilon)
-            total += w * mass
-            rate += dw * mass
-        cum = new
-    return total, rate
-
-
-def q_natural(config, bs, epsilon):
-    """Sum of the cut-off rarefaction potentials over the big shocks, the
-    fronts in the set bs, and its right t-derivative."""
-    fronts = list(config.fronts)
-    total = rate = 0.0
-    for i, f in enumerate(fronts):
-        if f.kind == "shock" and f in bs:
-            v, dv = _natural_alpha(fronts, i, epsilon, config.time)
-            total, rate = total + v, rate + dv
-    return total, rate
-
-
-def _sharp_alpha(fronts, ai, epsilon, t):
-    """|sigma_alpha| int W_nat W_sharp dz-tilde for the shock fronts[ai] at
-    time t, and its right t-derivative.
-
-    z accumulates |sigma| for same-family shocks and -3 sigma for
-    same-family rarefactions moving away from x_alpha; the monotone envelope
-    keeps running extrema, so a partner shock screened by rarefactions
-    contributes nothing.  W_sharp at a surviving atom uses the envelope
-    value on the alpha side of the jump; the envelope's own jump at x_alpha
-    is not counted.
-    """
-    alpha = fronts[ai]
-    total, rate = _sharp_side(alpha, fronts[ai + 1 :], epsilon, t, 0.0, 0.0)
-    total, rate = _sharp_side(alpha, reversed(fronts[:ai]), epsilon, t, total, rate)
-    return abs(alpha.strength) * total, abs(alpha.strength) * rate
-
-
-def _sharp_side(alpha, side, epsilon, t, total, rate):
-    """Add to total the W_sharp-weighted shock content of side (fronts
-    ordered away from alpha), and to rate its t-derivative.  z starts at
-    |sigma_alpha|/2 and the envelope is its running max; on the left this is
-    the negation of z, which starts at -|sigma_alpha|/2 under the running
-    min."""
-    z = runmax = abs(alpha.strength) / 2.0
-    x_alpha = alpha.x(t)
-    for b in side:
-        if not b.physical or b.family != alpha.family:
-            continue
-        if b.kind == "shock":
-            z_new = z + abs(b.strength)
-            mass = max(0.0, z_new - runmax)
-            if mass > 0:
-                w, dw = w_natural(b.x(t) - x_alpha, b.speed - alpha.speed, epsilon)
-                total += w * mass / (epsilon + runmax)
-                rate += dw * mass / (epsilon + runmax)
-            z = z_new
-            runmax = max(runmax, z_new)
-        else:
-            z = z - 3.0 * b.strength
-    return total, rate
-
-
-def q_sharp(config, epsilon):
-    """Same-family shock interaction potential (all shocks, big or small),
-    and its right t-derivative."""
-    fronts = list(config.fronts)
-    total = rate = 0.0
-    for i, f in enumerate(fronts):
-        if f.kind == "shock":
-            v, dv = _sharp_alpha(fronts, i, epsilon, config.time)
-            total, rate = total + v, rate + dv
-    return total, rate
+            flat += w * m
+            d_flat += dw * m
+            if abs(xb - xa) <= near:
+                cross += m
+    natural = d_natural = natural_pairs = sharp = d_sharp = sharp_pairs = 0.0
+    for alpha, group, j in shocks:
+        size = abs(alpha.strength)
+        x_alpha = group[j][1]
+        big = alpha in bs
+        cap = size / 4.0
+        nat = d_nat = sh = d_sh = 0.0
+        for side, right in ((group[j + 1 :], True), (reversed(group[:j]), False)):
+            cum = 0.0
+            z = runmax = size / 2.0
+            for b, x in side:
+                d = x - x_alpha
+                if b.kind == "shock":
+                    z_new = z + abs(b.strength)
+                    mass = max(0.0, z_new - runmax)
+                    if mass > 0:
+                        w, dw = w_natural(d, b.speed - alpha.speed, epsilon)
+                        sh += w * mass / (epsilon + runmax)
+                        d_sh += dw * mass / (epsilon + runmax)
+                    z = z_new
+                    runmax = max(runmax, z_new)
+                    if right and abs(d) <= near:
+                        sharp_pairs += abs(alpha.strength * b.strength)
+                    continue
+                z = z - 3.0 * b.strength
+                if not big:
+                    continue
+                new = cum + b.strength
+                mass = min(new, cap) - min(cum, cap)
+                if mass > 0:
+                    w, dw = w_natural(d, b.speed - alpha.speed, epsilon)
+                    nat += w * mass
+                    d_nat += dw * mass
+                cum = new
+                if abs(d) <= near:
+                    natural_pairs += abs(alpha.strength * b.strength)
+        natural, d_natural = natural + nat, d_natural + d_nat
+        sharp, d_sharp = sharp + size * sh, d_sharp + size * d_sh
+    return ((2.0 * flat, natural, sharp), (2.0 * d_flat, d_natural, d_sharp),
+            (2.0 * cross, natural_pairs, sharp_pairs))
 
 
 def big_shock_fronts(tracks, k):
@@ -223,13 +192,6 @@ class AuditReport:
         return json.dumps(payload, sort_keys=True, indent=1, default=float)
 
 
-def _weighted_totals(config, bs, epsilon):
-    """(q_flat, q_natural, q_sharp) of the configuration; bs is the set of
-    big-shock fronts."""
-    return (q_flat(config, epsilon)[0], q_natural(config, bs, epsilon)[0],
-            q_sharp(config, epsilon)[0])
-
-
 def audit_events(run, tracks, epsilon, constants=FunctionalConstants(), rho=None):
     """Classify every interaction and check the composite-functional law:
     decrease (within 1e-10) unless a new big shock is created; at creations,
@@ -244,10 +206,10 @@ def audit_events(run, tracks, epsilon, constants=FunctionalConstants(), rho=None
     for ev in run.events:
         k = ev.index
         after = run.configs[k + 1]
-        bs_a = big_shock_fronts(tracks, k + 1)
+        bs_b, bs_a = big_shock_fronts(tracks, k), big_shock_fronts(tracks, k + 1)
         (_, V0, Q0, ups0), (_, V1, Q1, ups1) = hist[k], hist[k + 1]
-        wb = _weighted_totals(run.configs[k].at(ev.time), big_shock_fronts(tracks, k), epsilon)
-        wa = _weighted_totals(after, bs_a, epsilon)
+        wb = weighted_potentials(run.configs[k].at(ev.time), bs_b, epsilon)[0]
+        wa = weighted_potentials(after, bs_a, epsilon)[0]
         d_qhat = q_hat(ups1, *wa, epsilon, constants) - q_hat(ups0, *wb, epsilon, constants)
         case, flags = classify_event(ev, tracks)
         born = [tr for tr in tracks if tr.first == k + 1]
@@ -269,7 +231,7 @@ def audit_events(run, tracks, epsilon, constants=FunctionalConstants(), rho=None
             # the composite functional that depends on the big-shock set is
             # the shock-rarefaction potential
             born_fronts = {tr.fronts[0] for tr in born}
-            qn_without, _ = q_natural(after, bs_a - born_fronts, epsilon)
+            qn_without = weighted_potentials(after, bs_a - born_fronts, epsilon)[0][1]
             surcharge = r * ln * constants.c3 * (wa[1] - qn_without)
             report.creation_ratios.append(
                 {"t": ev.time, "sigma": sigma,
@@ -302,40 +264,23 @@ def interaction_decay_rates(run, tracks, epsilon):
     front moves linearly, so q_flat, q_natural and q_sharp are piecewise
     linear in t; each rate is the exact right t-derivative at the interval's
     midpoint.  The pair sums entering the right-hand sides of the decay
-    estimates are itemized per interval: ordered pairs within 2 sqrt(eps) of
-    different families (cross), of a big shock and a same-family rarefaction
-    (natural), and unordered pairs of same-family shocks (sharp).
+    estimates are those of weighted_potentials at the midpoint: pairs within
+    2 sqrt(eps) of different families counted in both orders (cross), of a
+    big shock and a same-family rarefaction (natural), and of same-family
+    shocks (sharp).
     """
     t_edges = run.t_edges
     rows = []
-    r = SQRT(epsilon)
     for k, cfg in enumerate(run.configs):
         t0, t1 = t_edges[k], t_edges[k + 1]
         if t1 - t0 <= 1e-14:
             continue
         tm = 0.5 * (t0 + t1)
-        bs = big_shock_fronts(tracks, k)
-        c_m = cfg.at(tm)
-        _, rate_flat = q_flat(c_m, epsilon)
-        _, rate_nat = q_natural(c_m, bs, epsilon)
-        _, rate_sharp = q_sharp(c_m, epsilon)
-        nat_pairs = sharp_pairs = cross_pairs = 0.0
-        fronts = [(f, f.x(tm)) for f in c_m.fronts if f.physical]
-        for i, (a, xa) in enumerate(fronts):
-            for j, (b, xb) in enumerate(fronts):
-                if i == j or abs(xb - xa) > 2 * r:
-                    continue
-                if a.family != b.family:
-                    cross_pairs += abs(a.strength * b.strength)
-                    continue
-                if a.kind == "shock" and a in bs and b.kind == "rarefaction_step":
-                    nat_pairs += abs(a.strength * b.strength)
-                if a.kind == "shock" and b.kind == "shock" and i < j:
-                    sharp_pairs += abs(a.strength * b.strength)
+        _, rates, pairs = weighted_potentials(cfg.at(tm), big_shock_fronts(tracks, k), epsilon)
         rows.append({
             "t0": t0, "t1": t1, "t_mid": tm,
-            "rate_flat": rate_flat, "rate_natural": rate_nat, "rate_sharp": rate_sharp,
-            "natural_pair_sum": nat_pairs, "sharp_pair_sum": sharp_pairs,
-            "cross_pair_sum": cross_pairs,
+            "rate_flat": rates[0], "rate_natural": rates[1], "rate_sharp": rates[2],
+            "natural_pair_sum": pairs[1], "sharp_pair_sum": pairs[2],
+            "cross_pair_sum": pairs[0],
         })
     return rows

@@ -55,10 +55,15 @@ class ExperimentConfig:
 
     def __post_init__(self):
         eps = list(self.epsilon_list)
-        if any(e <= 0 for e in eps):
-            raise ValueError("epsilon values must be positive")
-        if eps != sorted(eps, reverse=True):
-            raise ValueError("epsilon_list must be decreasing")
+        if not eps or not all(0 < e < math.inf for e in eps):
+            raise ValueError("epsilon_list must hold finite positive values")
+        if not all(a > b for a, b in zip(eps, eps[1:])):
+            raise ValueError("epsilon_list must be strictly decreasing")
+        deltas = self.delta_list
+        if not deltas or not all(0 < d < math.inf for d in deltas):
+            raise ValueError("delta_list must hold finite positive values")
+        if len(set(deltas)) < len(deltas):
+            raise ValueError("delta_list must hold distinct values")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
         for e in eps:

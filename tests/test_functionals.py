@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from vanvisc.front_tracking import (GLIMM_C0, Front, FrontConfiguration, config_index,
                                     glimm_functionals, init_front_tracking, run_until)
-from vanvisc.functionals import (FunctionalConstants, _natural_alpha, _sharp_alpha,
-                                 audit_events, big_shock_fronts, interaction_decay_rates,
-                                 q_flat, q_hat, q_natural, q_sharp, w_flat, w_natural)
+from vanvisc.functionals import (FunctionalConstants, audit_events, big_shock_fronts,
+                                 interaction_decay_rates, q_hat, w_flat, w_natural,
+                                 weighted_potentials)
 from vanvisc.harness import eval_rule, scenario_data
 from vanvisc.hybrid import select_big_shocks
 from vanvisc.piecewise import PiecewiseConstant
@@ -33,8 +33,15 @@ def config(fronts):
                               rarefaction_cap=0.25)
 
 
+def potentials(cfg, bs=frozenset(), eps=EPS):
+    """(q_flat, q_natural, q_sharp) of cfg; bs is the set of big shocks."""
+    return weighted_potentials(cfg, bs, eps)[0]
+
+
 def test_q_flat_examples():
-    assert q_flat(config([shock(0.0, 1, -0.5), shock(1.0, 1, -0.3)]), EPS) == (0.0, 0.0)
+    values, rates, pairs = weighted_potentials(
+        config([shock(0.0, 1, -0.5), shock(1.0, 1, -0.3)]), set(), EPS)
+    assert (values[0], rates[0], pairs[0]) == (0.0, 0.0, 0.0)
     # single ordered pair weight at coincident positions is 1/2
     assert w_flat(0.0, 0.0, 2, 1, EPS)[0] == pytest.approx(0.5)
     assert w_flat(-2.1 * R, 0.0, 2, 1, EPS)[0] == 0.0
@@ -49,13 +56,13 @@ def test_q_flat_examples():
 
 def test_q_natural_examples():
     a = shock(0.0, 1, -1.0)
-    assert q_natural(config([a]), {a}, EPS)[0] == 0.0
+    assert potentials(config([a]), {a})[1] == 0.0
     cfg = config([a, raref(0.0, 1, 0.1)])
-    assert q_natural(cfg, {a}, EPS)[0] == pytest.approx(0.05)
+    assert potentials(cfg, {a})[1] == pytest.approx(0.05)
     # a shock of equal fields is another front: not big
-    assert q_natural(cfg, {shock(0.0, 1, -1.0)}, EPS)[0] == 0.0
+    assert potentials(cfg, {shock(0.0, 1, -1.0)})[1] == 0.0
     cfg = config([a] + [raref(0.0, 1, 0.125) for _ in range(4)])
-    assert q_natural(cfg, {a}, EPS)[0] == pytest.approx(0.125)  # cut off at 1/4 * 1/2
+    assert potentials(cfg, {a})[1] == pytest.approx(0.125)  # cut off at 1/4 * 1/2
 
 
 def test_q_natural_weight_range():
@@ -65,18 +72,18 @@ def test_q_natural_weight_range():
 
 
 def test_q_sharp_examples():
-    assert q_sharp(config([shock(0.0, 1, -0.4)]), EPS)[0] == 0.0
+    assert potentials(config([shock(0.0, 1, -0.4)]))[2] == 0.0
     s, d = 0.2, 0.5 * R
     cfg = config([shock(0.0, 1, -s), shock(d, 1, -s)])
     expect = 2 * s * (0.5 + d / (4 * R)) * s / (EPS + s / 2)
-    assert q_sharp(cfg, EPS)[0] == pytest.approx(expect, rel=1e-12)
+    assert potentials(cfg)[2] == pytest.approx(expect, rel=1e-12)
     # partner atom erased by interleaved rarefactions (3x rule)
     Rmass = (2.0 / 3.0) * (s + s / 2) * 1.05
     fronts = [shock(0.0, 1, -s)]
     for j in range(4):
         fronts.append(raref(d * (j + 1) / 6.0, 1, Rmass / 4))
     fronts.append(shock(d, 1, -s))
-    assert q_sharp(config(fronts), EPS)[0] == 0.0
+    assert potentials(config(fronts))[2] == 0.0
 
 
 def test_q_hat_snapshot():
@@ -84,13 +91,11 @@ def test_q_hat_snapshot():
     e = config([])
     V, Q = glimm_functionals(e)
     assert V == 0.0 and Q == 0.0
-    assert q_hat(V + GLIMM_C0 * Q, q_flat(e, EPS)[0], q_natural(e, set(), EPS)[0],
-                 q_sharp(e, EPS)[0], EPS, C) == 0.0
+    assert q_hat(V + GLIMM_C0 * Q, *potentials(e), EPS, C) == 0.0
     a = shock(0.0, 1, -0.5)
     cfg = config([a, raref(0.01, 1, 0.1)])
     V, Q = glimm_functionals(cfg)
-    qh = q_hat(V + GLIMM_C0 * Q, q_flat(cfg, EPS)[0], q_natural(cfg, {a}, EPS)[0],
-               q_sharp(cfg, EPS)[0], EPS, C)
+    qh = q_hat(V + GLIMM_C0 * Q, *potentials(cfg, {a}), EPS, C)
     # composite bound shape: q_hat = O(sqrt(eps) |ln eps| TV) with the default
     # constants dominated by C1 Upsilon
     bound = np.sqrt(EPS) * abs(np.log(EPS)) * (1e5 * (V + 4 * Q) + 1e3 + 10) + np.sqrt(EPS)
@@ -209,7 +214,7 @@ def test_q_flat_nonincreasing_between_events():
         if t1 - t0 < 1e-9:
             continue
         ts = np.linspace(t0 + 1e-9, t1 - 1e-9, 5)
-        vals_q = [q_flat(c.at(t), EPS)[0] for t in ts]
+        vals_q = [potentials(c.at(t))[0] for t in ts]
         assert all(b <= a + 1e-12 for a, b in zip(vals_q[:-1], vals_q[1:]))
 
 
@@ -315,14 +320,19 @@ def test_one_sided_walks_match_two_walks(specs, eps):
             kind, strength = ("shock", -size) if is_shock else ("rarefaction_step", size)
         fronts.append(Front(pos * r, 0.0, fam, kind, strength, 0.0,
                             np.zeros(2), np.zeros(2)))
+    # the natural potential of one shock is q_natural with it as the only
+    # big shock; q_sharp adds the shocks' potentials in list order
+    cfg = config(fronts)
+    sharp = 0.0
     for i, a in enumerate(fronts):
         if a.kind == "shock":
-            assert _natural_alpha(fronts, i, eps, 0.0)[0] == _natural_alpha_two_walks(fronts, i, eps)
-            assert _sharp_alpha(fronts, i, eps, 0.0)[0] == _sharp_alpha_two_walks(fronts, i, eps)
+            assert potentials(cfg, {a}, eps)[1] == _natural_alpha_two_walks(fronts, i, eps)
+            sharp += _sharp_alpha_two_walks(fronts, i, eps)
         for b in fronts:
             if a.physical and b.physical:
                 assert (w_flat(b.x0 - a.x0, 0.0, a.family, b.family, eps)[0]
                         == _w_flat_two_branches(a.x0, a.family, b.x0, b.family, eps))
+    assert potentials(cfg, set(), eps)[2] == sharp
 
 
 # The audit against its functionals recomputed from each event's two
@@ -333,9 +343,7 @@ def _snapshot(config, bs, epsilon, constants):
     """(V, Q, Upsilon, q_flat, q_natural, q_sharp, q_hat) of config."""
     V, Q = glimm_functionals(config)
     ups = V + GLIMM_C0 * Q
-    qf, _ = q_flat(config, epsilon)
-    qn, _ = q_natural(config, bs, epsilon)
-    qs, _ = q_sharp(config, epsilon)
+    qf, qn, qs = potentials(config, bs, epsilon)
     r = np.sqrt(epsilon)
     ln = abs(np.log(epsilon))
     qh = r * ln * (constants.c1 * ups + constants.c2 * qf + constants.c3 * qn) + r * qs
@@ -374,7 +382,7 @@ def test_audit_matches_recomputed_functionals(corpus, rho_rule):
 
 def _values_and_rates(cfg, bs, eps):
     """(q_flat, q_natural, q_sharp) of cfg and their rates, as two arrays."""
-    values, rates = zip(q_flat(cfg, eps), q_natural(cfg, bs, eps), q_sharp(cfg, eps))
+    values, rates, _ = weighted_potentials(cfg, bs, eps)
     return np.array(values), np.array(rates)
 
 
@@ -421,7 +429,7 @@ def _q_flat_ordered_pairs(cfg, eps):
 
 def _assert_q_flat_matches_ordered_pairs(cfg, eps):
     # every term of the value is >= 0, so its scale is the value itself
-    total, rate = q_flat(cfg, eps)
+    (total, _, _), (rate, _, _), _ = weighted_potentials(cfg, set(), eps)
     ref_total, ref_rate, rate_scale = _q_flat_ordered_pairs(cfg, eps)
     assert abs(total - ref_total) <= 1e-14 * ref_total
     assert abs(rate - ref_rate) <= 1e-14 * rate_scale
@@ -434,6 +442,47 @@ def test_q_flat_matches_ordered_pairs(specs, j):
     cfg = config(_moving_fronts(specs, r))
     _assert_q_flat_matches_ordered_pairs(cfg, eps)
     _assert_q_flat_matches_ordered_pairs(cfg.at(r / 8), eps)
+
+
+def _pair_sums_ordered_pairs(cfg, bs, eps):
+    """(cross, natural, sharp) pair sums as the double loop over ordered
+    pairs of physical fronts within 2 sqrt(eps) of each other: of different
+    families, of a big shock and a rarefaction of its family, and of two
+    shocks of one family in list order."""
+    r = np.sqrt(eps)
+    cross = natural = sharp = 0.0
+    fronts = [(f, f.x(cfg.time)) for f in cfg.fronts if f.physical]
+    for i, (a, xa) in enumerate(fronts):
+        for j, (b, xb) in enumerate(fronts):
+            if i == j or abs(xb - xa) > 2 * r:
+                continue
+            if a.family != b.family:
+                cross += abs(a.strength * b.strength)
+                continue
+            if a.kind == "shock" and a in bs and b.kind == "rarefaction_step":
+                natural += abs(a.strength * b.strength)
+            if a.kind == "shock" and b.kind == "shock" and i < j:
+                sharp += abs(a.strength * b.strength)
+    return cross, natural, sharp
+
+
+def _assert_pair_sums_match_ordered_pairs(pairs, cfg, bs, eps):
+    # every term is >= 0, so the scale of a sum is the sum itself; the sharp
+    # walk adds the same terms in the same order
+    cross, natural, sharp = _pair_sums_ordered_pairs(cfg, bs, eps)
+    assert abs(pairs[0] - cross) <= 1e-14 * cross
+    assert abs(pairs[1] - natural) <= 1e-14 * natural
+    assert pairs[2] == sharp
+
+
+@settings(max_examples=300)
+@given(st.lists(_MOVING_FRONT, max_size=12), st.integers(2, 7))
+def test_pair_sums_match_ordered_pairs(specs, j):
+    eps, r = 4.0 ** -j, 2.0 ** -j
+    fronts = _moving_fronts(specs, r)
+    bs = {f for f in fronts if f.kind == "shock"}
+    for cfg in (config(fronts), config(fronts).at(r / 8)):
+        _assert_pair_sums_match_ordered_pairs(weighted_potentials(cfg, bs, eps)[2], cfg, bs, eps)
 
 
 @settings(max_examples=300)
@@ -513,8 +562,22 @@ def test_corpus_q_flat_matches_ordered_pairs(corpus):
             for t in (0.5 * (t0 + t1), t1):
                 c = cfg.at(t)
                 _assert_q_flat_matches_ordered_pairs(c, EPS)
-                checked += q_flat(c, EPS)[0] > 0
+                checked += potentials(c)[0] > 0
     assert checked >= 500
+
+
+def test_corpus_pair_sums_match_ordered_pairs(corpus):
+    # every interval's midpoint; at rho = 0.05 big shocks meet rarefactions
+    checked = np.zeros(3, dtype=int)
+    for run in corpus:
+        tracks = select_big_shocks(run, 0.05)
+        for row in interaction_decay_rates(run, tracks, EPS):
+            tm = row["t_mid"]
+            bs = big_shock_fronts(tracks, config_index(run.times, run.tau, tm))
+            pairs = [row[key] for key in ("cross_pair_sum", "natural_pair_sum", "sharp_pair_sum")]
+            _assert_pair_sums_match_ordered_pairs(pairs, run.config_at(tm), bs, EPS)
+            checked += np.array(pairs) > 0
+    assert checked[0] >= 400 and checked[1] >= 100 and checked[2] >= 100
 
 
 def test_flat_rate_where_a_pair_leaves_the_window(corpus):
@@ -524,7 +587,7 @@ def test_flat_rate_where_a_pair_leaves_the_window(corpus):
     run = corpus[25]
     (row,) = [r for r in interaction_decay_rates(run, [], EPS) if r["t0"] < 0.07 < r["t1"]]
     tm, h = row["t_mid"], (row["t1"] - row["t0"]) / 64
-    q = {t: q_flat(run.config_at(t), EPS)[0] for t in (tm - h, tm, tm + 1e-7, tm + h)}
+    q = {t: potentials(run.config_at(t))[0] for t in (tm - h, tm, tm + 1e-7, tm + h)}
     assert row["rate_flat"] == pytest.approx((q[tm + 1e-7] - q[tm]) / 1e-7, rel=1e-6)
     assert row["rate_flat"] == pytest.approx(-0.16064, abs=1e-5)
     assert (q[tm + h] - q[tm - h]) / (2 * h) == pytest.approx(-0.14602, abs=1e-5)

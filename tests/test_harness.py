@@ -195,6 +195,18 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert main(["converge", "--config", str(bad), "--out", str(tmp_path / "x")]) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"{key} = " in err
+    # an epsilon_list that is empty, not strictly decreasing or holds inf,
+    # and a delta_list that is empty, repeats a value or holds a value <= 0
+    # or inf, are bad configs of every command, naming the key
+    for key, val in (("epsilon_list", ()), ("epsilon_list", (2e-2, 2e-2)),
+                     ("epsilon_list", (math.inf,)), ("delta_list", ()),
+                     ("delta_list", (0.1, 0.1)), ("delta_list", (0.1, 0.0)),
+                     ("delta_list", (0.1, -0.05)), ("delta_list", (math.inf,))):
+        _write_fast_cfg(bad, **{key: val})
+        for cmd in ("converge", "functionals", "decay"):
+            assert main([cmd, "--config", str(bad), "--out", str(tmp_path / "x")]) == 3
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and key in err
     assert main(["decay", "--config", str(tmp_path / "none.cfg"), "--out", str(tmp_path / "x")]) == 3
     assert capsys.readouterr().err.count("\n") == 1
     assert not (tmp_path / "x").exists()
