@@ -290,19 +290,26 @@ def glimm_functionals(config):
     left, or a same-family (genuinely nonlinear) pair containing at least
     one shock.  Same-position ties keep list order.  Non-physical fronts
     count as a fastest, linearly degenerate family.
+
+    One pass from left to right: each front meets the fronts to its left
+    through running per-family sums of |sigma| and of shock |sigma|, so the
+    cost is O(fronts x families).
     """
     fronts = config.fronts
-    V = sum(abs(f.strength) for f in fronts)
-    Q = 0.0
-    for i in range(len(fronts)):
-        fi = fronts[i]
-        for j in range(i + 1, len(fronts)):
-            fj = fronts[j]
-            if fi.family != fj.family:
-                if fi.family > fj.family:
-                    Q += abs(fi.strength * fj.strength)
-            elif fi.physical and (fi.kind == "shock" or fj.kind == "shock"):
-                Q += abs(fi.strength * fj.strength)
+    families = 1 + max((f.family for f in fronts), default=0)
+    seen = [0.0] * families        # per family, sum of |sigma| so far
+    shocks = [0.0] * families      # the same over shocks only
+    V = Q = 0.0
+    for f in fronts:
+        s = abs(f.strength)
+        V += s
+        left = sum(seen[f.family + 1:])        # faster families on the left
+        if f.physical:
+            left += seen[f.family] if f.kind == "shock" else shocks[f.family]
+        Q += s * left
+        seen[f.family] += s
+        if f.kind == "shock":
+            shocks[f.family] += s
     return V, Q
 
 

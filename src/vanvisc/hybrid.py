@@ -265,45 +265,69 @@ class HybridStrip:
         return self.x0s + (t - self.t0s) * self.speeds
 
     def _mollified(self, t, x):
-        xs = self.front_positions(t)[self.free]
-        cdf, phi, dphi = self.mol.jet(x[:, None] - xs[None, :])
-        v = np.tile(self.u_left, (x.size, 1)) + cdf @ self.jumps
-        vx = phi @ self.jumps
-        vxx = dphi @ self.jumps
-        vt = -(phi * self.speeds[self.free][None, :]) @ self.jumps
-        return v, vx, vxx, vt
+        """u(t) * phi_delta over the free fronts, with its derivatives.
 
-    def _insertion(self, front, profile, t, x):
-        """The squeezed profile step omega-tilde minus the front's left state,
-        with derivatives: the rescaled profile composed with the squeeze map
-        inside |xi| < sqrt(eps), 0 to the left and the front's jump to the
-        right.  Its only time dependence is the front's motion."""
+        A point sums the kernels of the free fronts within the kernel's
+        reach of it, found by searchsorted on their ordered positions (ties
+        allowed), plus the cumulative jump of the fronts wholly to its left
+        times Phi beyond the support (the polynomial's edge value, as in
+        Mollifier.jet); the reach is padded by 1e-12 relative, so that every
+        front left out is beyond the support in floating point too."""
+        n = self.u_left.size
+        xs = self.front_positions(t)[self.free]
+        order = np.argsort(xs, kind="stable")
+        xs, jumps = xs[order], self.jumps[order]
+        speeds = self.speeds[self.free][order]
+        reach = KERNEL_SUPPORT * self.delta * (1.0 + 1e-12)
+        lo = np.searchsorted(xs, x - reach, side="left")
+        count = np.searchsorted(xs, x + reach, side="right") - lo
+        # (point, front) pairs within reach, point by point
+        point = np.repeat(np.arange(x.size), count)
+        front = np.arange(point.size) + np.repeat(lo - (np.cumsum(count) - count), count)
+        cdf, phi, dphi = self.mol.jet(x[point] - xs[front])
+
+        def summed(w):
+            """sum over each point's pairs of w times the front's jump"""
+            # (bincount gives integer zeros when there are no pairs)
+            return np.stack([np.bincount(point, w * jumps[front, c], minlength=x.size)
+                             for c in range(n)], axis=1, dtype=float)
+
+        left = _CDF_EDGES[1] * np.concatenate([np.zeros((1, n)), np.cumsum(jumps, axis=0)])[lo]
+        v = self.u_left + left + summed(cdf)
+        return v, summed(phi), summed(dphi), summed(-phi * speeds[front])
+
+    def _insert(self, front, profile, t, x, jet):
+        """Add to jet = (v, vx, vxx, vt) the squeezed profile step
+        omega-tilde minus the front's left state, with derivatives: the
+        rescaled profile composed with the squeeze map inside
+        |xi| < sqrt(eps), 0 to the left and the front's jump to the right.
+        Its only time dependence is the front's motion.  x is increasing,
+        so the window and the right of it are slices."""
+        v, vx, vxx, vt = jet
         eps = self.epsilon
         xi = x - front.x(t)
-        v = np.zeros((x.size, self.model.n))
-        vx = np.zeros_like(v)
-        vxx = np.zeros_like(v)
-        inner = np.abs(xi) < np.sqrt(eps) * (1.0 - 1e-12)
-        if np.any(inner):
-            p, p1, p2 = _squeeze_jet(xi[inner], eps)
+        r = np.sqrt(eps) * (1.0 - 1e-12)
+        i0 = np.searchsorted(xi, -r, side="right")     # the first xi > -r
+        i1 = np.searchsorted(xi, r)                     # the first xi >= r
+        v[i1:] += front.right_state - front.left_state
+        if i1 > i0:
+            p, p1, p2 = _squeeze_jet(xi[i0:i1], eps)
             w, w1, w2 = profile.jet(p / eps)
-            v[inner] = w - front.left_state
-            vx[inner] = w1 * (p1 / eps)[:, None]
-            vxx[inner] = w2 * (p1 ** 2 / eps ** 2)[:, None] + w1 * (p2 / eps)[:, None]
-        v[~inner & (xi > 0)] = front.right_state - front.left_state
-        return v, vx, vxx, -front.speed * vx
+            dvx = w1 * (p1 / eps)[:, None]
+            v[i0:i1] += w - front.left_state
+            vx[i0:i1] += dvx
+            vxx[i0:i1] += w2 * (p1 ** 2 / eps ** 2)[:, None] + w1 * (p2 / eps)[:, None]
+            vt[i0:i1] += -front.speed * dvx
 
     def jet(self, t, x):
-        """(v, vx, vxx, vt) at (t, x); x is a 1-D array."""
+        """(v, vx, vxx, vt) at (t, x); x is an increasing 1-D array."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        v, vx, vxx, vt = self._mollified(t, x)
+        if np.any(x[1:] < x[:-1]):
+            raise ValueError("the hybrid is evaluated at increasing points")
+        jet = self._mollified(t, x)
         for _, front, profile in self.tracks:
-            dv, dvx, dvxx, dvt = self._insertion(front, profile, t, x)
-            v = v + dv
-            vx = vx + dvx
-            vxx = vxx + dvxx
-            vt = vt + dvt
-        return v, vx, vxx, vt
+            self._insert(front, profile, t, x, jet)
+        return jet
 
     def value(self, t, x):
         return self.jet(t, x)[0]

@@ -13,7 +13,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
 
 from .burgers import TanhProfile, cole_hopf, hopf_lax
 from .errors import BadParameter, GNLViolation, NoSolution, NonHyperbolic, OutOfDomain
@@ -70,7 +69,8 @@ class SystemModel:
     profile_fn: Callable = None
     # optional closed-form entropy solution: entropy_fn(data, t, x) is u(t, x)
     # of shape (len(x), n); with viscous_fn it gives the convergence rows
-    # their distances to the exact solution
+    # their distances to the exact solution, whose far field is read from
+    # the Burgers closed forms' settled points (burgers.settled_pieces)
     entropy_fn: Callable = None
 
     def in_domain(self, u):
@@ -291,6 +291,8 @@ def preset_model(name, gamma=None, k=None):
             tol = 1e-14 * max(1.0, abs(v_l), abs(w_l), abs(v_r), abs(w_r))
             if abs(g(c_l)) < tol:
                 return np.array([0.0, c_r - c_l])
+            from scipy import optimize    # imported here: only this solver needs it
+
             try:
                 c_m = optimize.brentq(g, c_min, c_max, xtol=1e-300, rtol=_BRENT_RTOL)
             except ValueError:

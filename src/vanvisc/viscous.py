@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import CFLViolation, NotLaxPair, ShootFailure
 from .riemann import shock_speed
@@ -361,6 +360,8 @@ def shock_profile(model, u_minus, u_plus):
     s_max = 400.0 / abs(sigma) + 100.0
     # cap the step near the layer scale so the dense interpolant stays well
     # below the 1e-8 profile accuracy everywhere, not just at solver nodes
+    from scipy.integrate import solve_ivp    # imported here: only the shooting needs it
+
     sol = solve_ivp(rhs, (0.0, s_max), np.concatenate([w0, [0.0, 0.0]]),
                     method="DOP853", rtol=1e-12, atol=1e-14 * scale,
                     max_step=0.1 / abs(sigma),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -602,3 +604,63 @@ def test_natural_rates_on_merge_cancellation(eps, n_moving):
     run = run_until(B, init_front_tracking(B, data, 1e-9, cap), 1.0, epsilon_prime=1e-9)
     tracks = select_big_shocks(run, eval_rule("4*sqrt_eps*abs_ln_eps", eps))
     assert _check_against_centred_differences(run, tracks, eps)[1] == n_moving
+
+
+# ---------------------------------------------------------------------------
+# Glimm's V and Q against the double loop over pairs
+
+def _glimm_double_loop(config):
+    """V and Q as the O(n^2) loop over ordered pairs i < j: different
+    families with the faster one on the left, or a physical same-family pair
+    holding a shock.  Q is the correctly rounded sum of the pairs'
+    products."""
+    fronts = config.fronts
+    V = sum(abs(f.strength) for f in fronts)
+    terms = []
+    for i in range(len(fronts)):
+        fi = fronts[i]
+        for j in range(i + 1, len(fronts)):
+            fj = fronts[j]
+            if fi.family != fj.family:
+                if fi.family > fj.family:
+                    terms.append(abs(fi.strength * fj.strength))
+            elif fi.physical and (fi.kind == "shock" or fj.kind == "shock"):
+                terms.append(abs(fi.strength * fj.strength))
+    return V, math.fsum(terms)
+
+
+def _assert_glimm_matches_the_double_loop(cfg):
+    # V adds in the same order.  Q groups the same non-negative products by
+    # the right front of each pair, two roundings per front (a product
+    # rounds once more than the oracle's), so it is within 2n ulps of their
+    # exact sum
+    V, Q = glimm_functionals(cfg)
+    V_ref, Q_ref = _glimm_double_loop(cfg)
+    assert V == V_ref
+    assert abs(Q - Q_ref) <= 2 * len(cfg.fronts) * np.finfo(float).eps * Q_ref
+
+
+@settings(max_examples=300)
+@given(st.lists(_FRONT, max_size=40))
+def test_glimm_functionals_match_the_double_loop(specs):
+    fronts = []
+    for pos, fam, is_shock, size in sorted(specs, key=lambda t: t[0]):
+        if fam == 3:
+            kind, strength = "non_physical", size
+        else:
+            kind, strength = ("shock", -size) if is_shock else ("rarefaction_step", size)
+        fronts.append(Front(pos, 0.0, fam, kind, strength, 0.0, np.zeros(2), np.zeros(2)))
+    _assert_glimm_matches_the_double_loop(config(fronts))
+
+
+def test_glimm_history_matches_the_double_loop(corpus):
+    # every configuration of the corpus and of a run of up to 277 fronts
+    data = scenario_data(B, "merge_cancellation")
+    long_run = run_until(B, init_front_tracking(B, data, 1e-9, 0.004), 1.0, epsilon_prime=1e-9)
+    assert max(len(c.fronts) for c in long_run.configs) == 277
+    for run in [*corpus, long_run]:
+        for cfg, (t, V, Q, ups) in zip(run.configs, run.glimm_history):
+            _assert_glimm_matches_the_double_loop(cfg)
+            V_ref, Q_ref = _glimm_double_loop(cfg)
+            ups_ref = V_ref + GLIMM_C0 * Q_ref
+            assert abs(ups - ups_ref) <= 2 * len(cfg.fronts) * np.finfo(float).eps * ups_ref

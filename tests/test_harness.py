@@ -2,17 +2,22 @@ import filecmp
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import vanvisc
 from vanvisc.front_tracking import sample_profile
-from vanvisc.harness import (ExperimentConfig, _track, converge_cmd, converge_row,
+from vanvisc.harness import (ExperimentConfig, _row_distances, _track, converge_cmd, converge_row,
                              decay_report_cmd, eval_rule, functional_report_cmd, main,
                              parse_config_file, scenario_data)
 from vanvisc.piecewise import gauss_l1, gauss_points
 from vanvisc.system import SystemModel, preset_model
 from vanvisc.viscous import solve_viscous
+
+from test_burgers import cole_hopf_unwindowed, hopf_lax_unwindowed
 
 B = preset_model("burgers")
 P = preset_model("p_system")
@@ -340,9 +345,10 @@ def _grid_distance_oracle(profile, x_grid, u_grid):
 
 def _entropy_distances_oracle(model, data, eps, tau, x, u_ft):
     """l1_exact and ft_error on their own cut: the first cut plus the shocks
-    of u, located from separate evaluations of u at the segment ends."""
+    of u, located from separate evaluations of u at the segment ends, with
+    the closed forms summed over every piece at every Gauss point."""
     def u(pts):
-        return model.entropy_fn(data, tau, pts)[:, 0]
+        return hopf_lax_unwindowed(data, tau, pts)[:, 0]
 
     cut = np.union1d(x, u_ft.xs[(u_ft.xs > x[0]) & (u_ft.xs < x[-1])])
     lo, hi = cut[:-1], cut[1:]
@@ -358,9 +364,17 @@ def _entropy_distances_oracle(model, data, eps, tau, x, u_ft):
         u_lo = np.where(left, u_lo, u_mid)
     cut = np.union1d(cut, 0.5 * (lo + hi))
     pts = gauss_points(cut)
-    u_exact = model.entropy_fn(data, tau, pts)
-    return {"l1_exact": gauss_l1(cut, model.viscous_fn(data, eps, tau, pts), u_exact),
+    u_exact = hopf_lax_unwindowed(data, tau, pts)
+    return {"l1_exact": gauss_l1(cut, cole_hopf_unwindowed(data, eps, tau, pts), u_exact),
             "ft_error": gauss_l1(cut, u_ft(pts), u_exact)}
+
+
+def _far_field_allowance(x):
+    """The oracle's far-field rounding over the grid's span: where the
+    point windows take a piece's value, the closed forms summed over every
+    piece differ from it by at most the far-field bound (1.9e-16 at eps
+    2e-3) plus their ulps, under 1e-15 per unit length."""
+    return 1e-15 * (x[-1] - x[0])
 
 
 @pytest.mark.parametrize("cfg", [
@@ -386,9 +400,11 @@ def test_one_cut_matches_the_two_separate_quadratures(cfg):
         assert row["l1_error"] == want
         return
     assert row["l1_error"] == pytest.approx(want, rel=1e-15, abs=0.0)
+    # the point windows take the far field's state where the oracle adds
+    # its rounding
     exact = _entropy_distances_oracle(model, data, eps, cfg.tau, sol.x, u_tau)
-    assert row["l1_exact"] == exact["l1_exact"]
-    assert row["ft_error"] == exact["ft_error"]
+    for key in ("l1_exact", "ft_error"):
+        assert row[key] == pytest.approx(exact[key], rel=1e-14, abs=_far_field_allowance(sol.x))
 
 
 @pytest.mark.parametrize("n_jumps", [6, 12])
@@ -403,3 +419,87 @@ def test_decomposition_ratio_is_at_most_one_on_held_out_seeds(n_jumps):
             budget = (row["endpoint_0"] + row["residual"] + row["jump_sum"]
                       + row["endpoint_tau"])
             assert 0.0 < row["l1_error"] / budget <= 1.0
+
+
+def test_a_burgers_row_imports_neither_scipy_integrate_nor_optimize():
+    # in a fresh interpreter: the profile shooting imports scipy.integrate
+    # and the p-system's exact Riemann solver scipy.optimize where they are
+    # used, so a Burgers row, with its closed forms, loads neither
+    code = (
+        "import sys\n"
+        "import vanvisc\n"
+        "from vanvisc.harness import ExperimentConfig, converge_row\n"
+        "converge_row(ExperimentConfig(epsilon_list=(2e-2,), tau=0.25), 2e-2)\n"
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))\n"
+        "converge_row(ExperimentConfig(system='p_system', scenario='lone_shock', tau=0.25,\n"
+        "                              epsilon_list=(2e-2,), rho_rule='0.1'), 2e-2)\n"
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(vanvisc.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout.splitlines()
+    assert out == ["[]", "['scipy.integrate', 'scipy.optimize']"]
+
+
+def _row_distances_unwindowed(model, data, eps, tau, sol, u_ft):
+    """The row's distances with every Gauss point evaluated, the closed
+    forms summed over every piece."""
+    x = sol.x
+    cut = np.union1d(x, u_ft.xs[(u_ft.xs > x[0]) & (u_ft.xs < x[-1])])
+    exact = model.viscous_fn is not None and model.entropy_fn is not None
+    if exact:
+        def u(pts):
+            return hopf_lax_unwindowed(data, tau, pts)[:, 0]
+
+        u_cut = u(cut)
+        falls = u_cut[:-1] - u_cut[1:] > 1e-12
+        lo, hi, u_lo = cut[:-1][falls], cut[1:][falls], u_cut[:-1][falls]
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            u_mid = u(mid)
+            left = u_lo - u_mid > 1e-12
+            hi = np.where(left, mid, hi)
+            lo = np.where(left, lo, mid)
+            u_lo = np.where(left, u_lo, u_mid)
+        cut = np.union1d(cut, 0.5 * (lo + hi))
+    pts = gauss_points(cut)
+    ft = u_ft(pts)
+    grid = sol.final()
+    out = {"l1_error": gauss_l1(cut, ft, np.stack(
+        [np.interp(pts, x, grid[:, c]) for c in range(grid.shape[1])], axis=1))}
+    if exact:
+        u_exact = hopf_lax_unwindowed(data, tau, pts)
+        out["l1_exact"] = gauss_l1(cut, cole_hopf_unwindowed(data, eps, tau, pts), u_exact)
+        out["ft_error"] = gauss_l1(cut, ft, u_exact)
+    return out
+
+
+@pytest.mark.parametrize("cfg", [
+    ExperimentConfig(scenario="merge_cancellation", epsilon_list=(4e-3,), **SWEEP_RULES),
+    ExperimentConfig(scenario="merge_cancellation", epsilon_list=(2e-3,), **SWEEP_RULES),
+    ExperimentConfig(scenario="random_bv", seed=7, n_jumps=640, epsilon_list=(4e-3,),
+                     **SWEEP_RULES),
+    ExperimentConfig(scenario="random_bv", seed=11, n_jumps=12, epsilon_list=(2e-3,),
+                     **SWEEP_RULES),
+    ExperimentConfig(scenario="random_bv", seed=13, n_jumps=6, epsilon_list=(4e-3,),
+                     **SWEEP_RULES),
+    ExperimentConfig(system="p_system", **FAST),
+    ExperimentConfig(system="p_system", scenario="random_bv", seed=3, n_jumps=4, tau=0.25,
+                     epsilon_list=(2e-2,), rho_rule="0.5", dx_rule="eps/4", cap_rule="0.1"),
+], ids=["merge_cancellation_4e-3", "merge_cancellation_2e-3", "random_bv_640",
+        "random_bv_11", "random_bv_13", "p_system_lone_shock", "p_system_random_bv"])
+def test_point_windows_match_the_unwindowed_distances(cfg):
+    # a far segment's terms are 0 in both, so l1_error keeps every bit; the
+    # closed-form distances move by the oracle's far-field rounding and the
+    # piece windows' rounding
+    eps = cfg.epsilon_list[0]
+    model, data = cfg.model_and_data()
+    u_tau = sample_profile(_track(cfg, model, data, eps, min(1e-9, eps ** 3)), cfg.tau)
+    sol = solve_viscous(model, eps, data, cfg.tau, eval_rule(cfg.dx_rule, eps))
+    got = _row_distances(model, data, eps, cfg.tau, sol, u_tau)
+    want = _row_distances_unwindowed(model, data, eps, cfg.tau, sol, u_tau)
+    assert got.keys() == want.keys()
+    assert got["l1_error"] == want["l1_error"]
+    for key in set(got) - {"l1_error"}:
+        assert got[key] == pytest.approx(want[key], rel=1e-14, abs=_far_field_allowance(sol.x))

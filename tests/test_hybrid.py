@@ -2,11 +2,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_acceptance import SWEEP_EPS, _creation_chain_data
 
 from vanvisc import hybrid
 from vanvisc.errors import OverlappingTracks
-from vanvisc.front_tracking import POS_TOL, init_front_tracking, run_until
+from vanvisc.front_tracking import (POS_TOL, Front, FrontConfiguration, init_front_tracking,
+                                    run_until)
 from vanvisc.functionals import big_shock_fronts
 from vanvisc.harness import ExperimentConfig, _track, eval_rule, scenario_data
 from vanvisc.hybrid import (KERNEL_C, KERNEL_SUPPORT, Mollifier, build_hybrid,
@@ -759,3 +762,137 @@ def test_hybrid_jet_matches_term_by_term_composition(system, scenario, eps):
                     assert np.array_equal(g, w)
         tracked += bool(st.tracks)
     assert tracked > 0
+
+
+# ---------------------------------------------------------------------------
+# the dense sums: every free front's kernel at every point, and each track's
+# insertion over the whole array; the oracle of the front-local jet
+
+def _dense_insertion(st, front, profile, t, x):
+    eps = st.epsilon
+    xi = x - front.x(t)
+    v = np.zeros((x.size, st.model.n))
+    vx = np.zeros_like(v)
+    vxx = np.zeros_like(v)
+    inner = np.abs(xi) < np.sqrt(eps) * (1.0 - 1e-12)
+    if np.any(inner):
+        p, p1, p2 = _squeeze_jet(xi[inner], eps)
+        w, w1, w2 = profile.jet(p / eps)
+        v[inner] = w - front.left_state
+        vx[inner] = w1 * (p1 / eps)[:, None]
+        vxx[inner] = w2 * (p1 ** 2 / eps ** 2)[:, None] + w1 * (p2 / eps)[:, None]
+    v[~inner & (xi > 0)] = front.right_state - front.left_state
+    return v, vx, vxx, -front.speed * vx
+
+
+def _dense_jet(st, t, x):
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    xs = st.front_positions(t)[st.free]
+    cdf, phi, dphi = st.mol.jet(x[:, None] - xs[None, :])
+    v = np.tile(st.u_left, (x.size, 1)) + cdf @ st.jumps
+    vx = phi @ st.jumps
+    vxx = dphi @ st.jumps
+    vt = -(phi * st.speeds[st.free][None, :]) @ st.jumps
+    for _, front, profile in st.tracks:
+        dv, dvx, dvxx, dvt = _dense_insertion(st, front, profile, t, x)
+        v, vx, vxx, vt = v + dv, vx + dvx, vxx + dvxx, vt + dvt
+    return v, vx, vxx, vt
+
+
+def _assert_jets_agree(got, want):
+    # each part to 1e-14 of its largest magnitude
+    for g, w in zip(got, want):
+        assert np.all(np.abs(g - w) <= 1e-14 * np.max(np.abs(w), initial=0.0))
+
+
+def _oracle_hybrids():
+    """Converge-row hybrids: the acceptance scenario, 640 random pieces
+    with three tracks, held-out seeds with big shocks, and a p-system row
+    with free fronts."""
+    yield _sweep_hybrid("burgers", "merge_cancellation", 4e-3, rho_rule="sqrt_eps*abs_ln_eps")
+    yield _sweep_hybrid("burgers", "merge_cancellation", 2e-3, rho_rule="sqrt_eps*abs_ln_eps")
+    cfg = ExperimentConfig(scenario="random_bv", seed=7, n_jumps=640, tau=0.2,
+                           epsilon_list=(1e-2,))
+    model, data = cfg.model_and_data()
+    run = _track(cfg, model, data, 1e-2, 1e-9)
+    yield build_hybrid(run, select_big_shocks(run, 0.0015), 1e-2)
+    for seed in (11, 12):
+        yield _sweep_hybrid("burgers", "random_bv", 4e-3, seed=seed, rho_rule="0.05")
+    yield _sweep_hybrid("p_system", "random_bv", 4e-3, seed=3, rho_rule="0.05")
+
+
+@pytest.fixture(scope="module")
+def oracle_hybrids():
+    return list(_oracle_hybrids())
+
+
+def test_front_local_jet_matches_the_dense_sums(oracle_hybrids):
+    checked = 0
+    for hyb in oracle_hybrids:
+        # at most 12 strips of each, spread over the run
+        picks = np.unique(np.linspace(0, len(hyb.strips) - 1, 12).astype(int))
+        for st in (hyb.strips[k] for k in picks):
+            for t in st.t0 + np.array([0.1, 0.5, 0.9]) * (st.t1 - st.t0):
+                e = _residual_cells(st, t)
+                if e is None:
+                    continue
+                mid = 0.5 * (e[:-1] + e[1:])
+                _assert_jets_agree(st.jet(t, mid), _dense_jet(st, t, mid))
+                checked += 1
+    assert checked >= 100
+
+
+def test_budget_matches_the_dense_sums(oracle_hybrids, monkeypatch):
+    # the residual, the jump sum and the endpoints move by rounding only:
+    # 1e-14 relative, or, for a jump sum of rounding alone (no track opens
+    # or closes), 1e-16 (1 + max|u|) per unit length of the events' windows
+    got = [(residual(h), jump_sum(h), hybrid_vs_profile_l1(h, 0.0),
+            hybrid_vs_profile_l1(h, h.run.tau)) for h in oracle_hybrids]
+    monkeypatch.setattr(hybrid.HybridStrip, "jet", _dense_jet)
+    for hyb, (res, js, e0, etau) in zip(oracle_hybrids, got):
+        want = residual(hyb)
+        assert res["total"] == pytest.approx(want["total"], rel=1e-14)
+        assert res["far_field"] == pytest.approx(want["far_field"], rel=1e-14)
+        assert res["per_track"].keys() == want["per_track"].keys()
+        for tid, part in want["per_track"].items():
+            assert res["per_track"][tid] == pytest.approx(part, rel=1e-14)
+        want = jump_sum(hyb)
+        scale = 1.0 + max(float(np.max(np.abs(c.profile().values))) for c in hyb.run.configs)
+        allowance = 1e-16 * scale * 4.0 * hyb.delta
+        for g, w in zip(js["events"], want["events"]):
+            assert g["l1"] == pytest.approx(w["l1"], rel=1e-14, abs=allowance)
+        assert js["total"] == pytest.approx(want["total"], rel=1e-14,
+                                            abs=allowance * len(want["events"]))
+        assert e0 == pytest.approx(hybrid_vs_profile_l1(hyb, 0.0), rel=1e-14)
+        assert etau == pytest.approx(hybrid_vs_profile_l1(hyb, hyb.run.tau), rel=1e-14)
+
+
+# a free front: position in units of delta / 8 (a coarse lattice makes ties
+# and fronts at the kernel's edge), jump and speed
+_FREE_FRONT = st.tuples(st.integers(-40, 40), st.floats(-1.0, 1.0), st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_FREE_FRONT, max_size=30), st.floats(1e-4, 1e-1), st.floats(0.0, 1.0),
+       st.lists(st.integers(-400, 400), min_size=1, max_size=300))
+def test_front_local_sums_match_the_dense_sums(specs, eps, t, at):
+    # fronts in position order at t0 = 0 with increasing speeds, so that
+    # they keep their order (ties included) up to t; the points sit on a
+    # lattice of delta / 48, so some fall on a front or on its kernel's edge
+    delta = np.sqrt(eps)
+    state = 0.0
+    fronts = []
+    speeds = sorted(s[2] for s in specs)
+    for (k, jump, _), speed in zip(sorted(specs), speeds):
+        fronts.append(Front(k * delta / 8, 0.0, 1, "shock", jump, speed,
+                            np.array([state]), np.array([state + jump])))
+        state += jump
+    cfg = FrontConfiguration(time=0.0, fronts=fronts, left_state=np.array([0.0]),
+                             rarefaction_cap=0.25)
+    strip = hybrid.HybridStrip(B, cfg, 0.0, 1.0, [], eps, delta)
+    x = np.sort(np.array(at, dtype=float)) * delta / 48
+    _assert_jets_agree(strip.jet(t, x), _dense_jet(strip, t, x))
+    if np.any(x[1:] > x[:-1]):
+        # the sums read slices of sorted points
+        with pytest.raises(ValueError, match="increasing"):
+            strip.jet(t, x[::-1])
