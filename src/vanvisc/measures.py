@@ -172,26 +172,6 @@ class MonotoneProfile:
         return self.measure.atom_mass()
 
 
-def sup_mass(mu, size):
-    """sup { mu(A) : meas(A) <= size } for a non-negative measure.
-
-    Atoms count in full (they sit on null sets); the density contributes its
-    largest values first.
-    """
-    if not mu.is_nonnegative():
-        raise NegativeMass("sup_mass needs a non-negative measure")
-    total = mu.atom_mass()
-    pieces = sorted(mu.density_pieces(), key=lambda p: -p[2])
-    left = size
-    for a, b, v in pieces:
-        if left <= 0:
-            break
-        w = min(b - a, left)
-        total += v * w
-        left -= w
-    return total
-
-
 def odd_rearrangement(v):
     """Odd rearrangement v-hat of a MonotoneProfile.
 

@@ -1,4 +1,5 @@
-"""Piecewise-constant profiles on the line and exact L1 arithmetic on them.
+"""Piecewise-constant profiles on the line, and the 6-point Gauss quadrature
+of L1 distances.
 
 A profile with breakpoints x_1 < ... < x_k and values u_0, ..., u_k is the
 right-continuous function equal to u_j on (x_j, x_{j+1}).  All states are
@@ -41,27 +42,6 @@ class PiecewiseConstant:
         if self.xs.size == 0:
             return 0.0
         return float(np.sum(np.linalg.norm(self.jumps(), axis=1)))
-
-    def l1_distance(self, other):
-        """Exact integral of the Euclidean pointwise distance.
-
-        Both profiles must agree far left and far right, otherwise the
-        distance is infinite and a ValueError is raised.
-        """
-        a, b = self, other
-        if not np.allclose(a.values[0], b.values[0], atol=1e-13) or not np.allclose(
-            a.values[-1], b.values[-1], atol=1e-13
-        ):
-            raise ValueError("profiles differ at infinity; L1 distance diverges")
-        xs = np.union1d(a.xs, b.xs)
-        if xs.size == 0:
-            return 0.0
-        mids = 0.5 * (xs[:-1] + xs[1:])
-        total = 0.0
-        if mids.size:
-            da = a(mids) - b(mids)
-            total += float(np.sum(np.linalg.norm(da, axis=1) * np.diff(xs)))
-        return total
 
     def oscillation(self, lo, hi):
         """Euclidean diameter of the value set on the closed window [lo, hi]."""

@@ -244,37 +244,6 @@ class ShockProfile:
     def centering_residual(self):
         return self.mass_balance(self.center_shift)
 
-    def ode_residual(self, samples=2000):
-        """Max defect of a fine RK4 re-step against the stored orbit.
-
-        The base grid is refined wherever the profile moves, so the check
-        resolves the steep layer even when the tails are long.
-        """
-        base = np.linspace(self.s_lo, self.s_hi, samples) - self.center_shift
-        w0 = self.value(base)
-        grid = [base[0]]
-        sigma = abs(self.strength)
-        for j in range(samples - 1):
-            h = base[j + 1] - base[j]
-            dw = np.linalg.norm(w0[j + 1] - w0[j])
-            # resolve both the layer (value change) and the exponential
-            # tails (step against the decay scale 1/sigma)
-            n_sub = 1 + int(dw / (0.002 * sigma + 1e-300)) + int(h * sigma / 0.1)
-            n_sub = min(n_sub, 128)
-            grid.extend(np.linspace(base[j], base[j + 1], n_sub + 1)[1:])
-        ss = np.array(grid)
-        w = self.value(ss)
-        worst = 0.0
-        for j in range(ss.size - 1):
-            h = ss[j + 1] - ss[j]
-            k1 = self.rhs(w[j])[0]
-            k2 = self.rhs(w[j] + 0.5 * h * k1)[0]
-            k3 = self.rhs(w[j] + 0.5 * h * k2)[0]
-            k4 = self.rhs(w[j] + h * k3)[0]
-            pred = w[j] + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-            worst = max(worst, float(np.linalg.norm(pred - w[j + 1])))
-        return worst
-
 
 def _lax_family(lam_l, lam_r, speed):
     for i in range(len(lam_l)):

@@ -5,23 +5,22 @@ Each test prints one PASS line with the measured quantities (run pytest with
 and shared.
 """
 
-import dataclasses
 import math
 import time
 
 import numpy as np
 import pytest
+from conftest import (B_NO_VISCOUS_FN_PROFILE_FN, SWEEP_EPS, clip_rearranged,
+                      comparison_instance, creation_chain_data, random_monotone, random_steps)
 
 from vanvisc.front_tracking import init_front_tracking, run_until
 from vanvisc.functionals import audit_events
-from vanvisc.harness import (ExperimentConfig, converge_cmd, decay_report_cmd,
-                             eval_rule, main, scenario_data)
+from vanvisc.harness import ExperimentConfig, converge_cmd, eval_rule, main, scenario_data
 from vanvisc.hybrid import build_hybrid, residual, select_big_shocks
-from vanvisc.measures import (MonotoneProfile, band_correlation, burgers_comparison,
-                              odd_rearrangement, order_leq, pair_interaction_integral,
-                              pos_neg_parts, single_rarefaction_reference,
-                              spread_positive_waves, time_integrated_band_correlation,
-                              wave_measure)
+from vanvisc.measures import (MonotoneProfile, band_correlation,
+                              burgers_comparison, odd_rearrangement, order_leq,
+                              pair_interaction_integral, single_rarefaction_reference,
+                              spread_positive_waves, time_integrated_band_correlation)
 from vanvisc.piecewise import PiecewiseConstant
 from vanvisc.riemann import lax_curve
 from vanvisc.system import preset_model
@@ -29,11 +28,6 @@ from vanvisc.viscous import shock_profile, tail_bound_check
 
 B = preset_model("burgers")
 P = preset_model("p_system")
-# the preset without its closed-form viscous references: the shooting and
-# the grid solve, which criterion 8 checks against the tanh profile
-B_GENERIC = dataclasses.replace(B, viscous_fn=None, profile_fn=None)
-
-SWEEP_EPS = (4e-3, 2e-3, 1e-3, 5e-4, 2.5e-4)
 
 
 @pytest.fixture(scope="module")
@@ -113,33 +107,10 @@ def test_criterion_2_hybrid_bounds(sweep):
           f"jump band {_spread(j_ratios):.2f}x (all <3x)")
 
 
-def _random_corpus():
-    """50 random small-BV initial data sets (25 Burgers, 25 p-system)."""
-    runs = []
-    for seed in range(25):
-        runs.append((B, scenario_data(B, "random_bv", seed=seed, n_jumps=10, tv=0.3)))
-    for seed in range(25):
-        runs.append((P, scenario_data(P, "random_bv", seed=100 + seed, n_jumps=8, tv=0.3)))
-    return runs
-
-
-@pytest.fixture(scope="module")
-def corpus_runs():
-    """Corpus runs use the exactly-conservative pass-through solver for
-    products below 1e-8: sub-noise interactions would otherwise feed
-    C1-amplified Riemann-iteration roundoff into the audit."""
-    out = []
-    for model, data in _random_corpus():
-        cfg = init_front_tracking(model, data, 1e-6, 0.02)
-        out.append(run_until(model, cfg, 1.5, epsilon_prime=1e-6,
-                             simplified_threshold=1e-8))
-    return out
-
-
-def test_criterion_3_glimm_monotonicity(corpus_runs):
+def test_criterion_3_glimm_monotonicity(corpus):
     worst = 0.0
     n_events = 0
-    for run in corpus_runs:
+    for run in corpus:
         hist = run.glimm_history
         n_events += len(run.events)
         for (_, _, _, u0), (_, _, _, u1) in zip(hist[:-1], hist[1:]):
@@ -149,35 +120,7 @@ def test_criterion_3_glimm_monotonicity(corpus_runs):
           f"interactions; worst increase {worst:.2e} (<=1e-10)")
 
 
-def _creation_chain_data(eps):
-    """A creation scenario that scales with eps: a 0.49 rho shock crosses
-    rho/2 by swallowing a 0.02 rho trigger, grows past rho through five
-    0.16 rho feeders, and carries nearby same-family rarefaction content
-    (0.26 rho within the weight window) that the new track switches on.
-    Everything scales with rho and sqrt(eps), so the creation surcharge
-    ratio is comparable across eps."""
-    rho = eval_rule("4*sqrt_eps*abs_ln_eps", eps)
-    r = math.sqrt(eps)
-    cap = 0.05 * rho
-    xs, levels = [], [0.0]
-    x_feeders = [-14 * r, -11 * r, -8.5 * r, -6.5 * r, -5 * r]
-    for x in x_feeders:
-        xs.append(x)
-        levels.append(levels[-1] - 0.16 * rho)
-    xs.append(-0.2 * r)
-    levels.append(levels[-1] - 0.02 * rho)       # trigger
-    xs.append(0.0)
-    levels.append(levels[-1] - 0.49 * rho)       # main shock
-    n_steps = 6
-    for j in range(n_steps):
-        xs.append(1.0 * r + j * 0.05 * r)
-        levels.append(levels[-1] + 0.26 * rho / n_steps)   # rarefaction fan
-    data = PiecewiseConstant(xs, np.array(levels)[:, None])
-    tau = 20.0 * r / rho
-    return data, rho, cap, tau
-
-
-def test_criterion_4_composite_functional_audit(corpus_runs):
+def test_criterion_4_composite_functional_audit(corpus):
     # part A: the random corpus at eps = 1e-3 with the literal rho rule has
     # no creations (rho/2 > TV); every interaction must not increase q_hat
     eps = 1e-3
@@ -185,7 +128,7 @@ def test_criterion_4_composite_functional_audit(corpus_runs):
     violations = 0
     worst = -np.inf
     n_events = 0
-    for run in corpus_runs:
+    for run in corpus:
         tracks = select_big_shocks(run, rho)
         rep = audit_events(run, tracks, eps, rho=rho)
         assert rep.creation_ratios == []
@@ -202,7 +145,7 @@ def test_criterion_4_composite_functional_audit(corpus_runs):
     # by O(1) sqrt(eps)|ln eps||sigma|.
     per_eps_K = {}
     for eps_i in (1e-2, 1e-3, 1e-4):
-        data, rho_i, cap, tau = _creation_chain_data(eps_i)
+        data, rho_i, cap, tau = creation_chain_data(eps_i)
         run = run_until(B, init_front_tracking(B, data, 1e-9, cap), tau,
                         epsilon_prime=1e-6, simplified_threshold=1e-8)
         tracks = select_big_shocks(run, rho_i)
@@ -220,45 +163,29 @@ def test_criterion_4_composite_functional_audit(corpus_runs):
           f"{max(Ks)/min(Ks):.2f}x (<=3x)")
 
 
-def _random_monotone(rng):
-    from vanvisc.measures import WaveMeasure
-
-    atoms = [(rng.uniform(-2, 2), rng.uniform(0.02, 0.4))
-             for _ in range(rng.integers(0, 4))]
-    k = int(rng.integers(1, 4))
-    xs = np.sort(rng.uniform(-2, 2, k + 1))
-    vals = np.concatenate([[0.0], rng.uniform(0.0, 1.5, k), [0.0]])
-    return WaveMeasure.from_atoms(atoms).with_density(xs, vals[: k + 2])
-
-
 def test_criterion_5_rearrangement_inequalities():
+    # Lemma 1 (the window inequality), Lemma 2 (the clipped profile lies
+    # below hat_w in order and in band correlation) and the comparison
+    # inequality
     rng = np.random.default_rng(42)
     viol1 = viol2 = viol3 = 0
     for _ in range(100):
-        mu = _random_monotone(rng)
+        mu = random_monotone(rng)
         rho = rng.uniform(0.05, 1.0)
         mu_hat = odd_rearrangement(MonotoneProfile(0.0, mu)).measure
         if band_correlation(mu, rho) > 3.0 * band_correlation(mu_hat, rho) + 1e-12:
             viol1 += 1
-    from test_measures import _clip_rearranged
-
     for _ in range(100):
-        hat_w = odd_rearrangement(MonotoneProfile(0.0, _random_monotone(rng)))
-        hat_g = odd_rearrangement(MonotoneProfile(0.0, _random_monotone(rng)))
-        mu_v = _clip_rearranged(hat_g, hat_w)
+        hat_w = odd_rearrangement(MonotoneProfile(0.0, random_monotone(rng)))
+        hat_g = odd_rearrangement(MonotoneProfile(0.0, random_monotone(rng)))
+        mu_v = clip_rearranged(hat_g, hat_w)
         rho = rng.uniform(0.05, 1.0)
-        if band_correlation(mu_v, rho) > band_correlation(hat_w.measure, rho) + 1e-11:
+        if (not order_leq(mu_v, hat_w.measure)
+                or band_correlation(mu_v, rho) > band_correlation(hat_w.measure, rho) + 1e-11):
             viol2 += 1
     for inst in range(20):
         r2 = np.random.default_rng(300 + inst)
-        xs = np.sort(r2.uniform(-1, 1, 6))
-        jumps = r2.normal(size=6)
-        jumps *= 0.3 / np.sum(np.abs(jumps))
-        vals = np.concatenate([[0.0], np.cumsum(jumps)])
-        cfg = init_front_tracking(B, PiecewiseConstant(xs, vals[:, None]), 1e-9, 0.02)
-        run = run_until(B, cfg, 2.0)
-        mu0p, _ = pos_neg_parts(wave_measure(B, run.configs[0].profile(), 1))
-        qh = [(t, Q) for (t, V, Q, U) in run.glimm_history]
+        _, mu0p, qh = comparison_instance(random_steps(r2, 6, 0.3))
         cs = burgers_comparison(mu0p, qh, kappa=10.0)
         sbar = cs.sigma_bar(2.0)
         for rho in r2.uniform(0.02, 0.5, 5):
@@ -274,21 +201,16 @@ def test_criterion_5_rearrangement_inequalities():
 
 def test_criterion_6_comparison_order():
     kappa_grid = (0.5, 1.0, 2.0, 4.0, 10.0)
-    failures_at_10 = 0
     min_kappa = None
     prepared = []
+    times = np.linspace(0.2, 2.0, 10)
     for seed in range(20):
-        data = scenario_data(B, "random_bv", seed=500 + seed, n_jumps=10, tv=0.3)
-        cfg = init_front_tracking(B, data, 1e-9, 0.02)
-        run = run_until(B, cfg, 2.0)
-        mu0p, _ = pos_neg_parts(wave_measure(B, run.configs[0].profile(), 1))
-        qh = [(t, Q) for (t, V, Q, U) in run.glimm_history]
-        times = np.linspace(0.2, 2.0, 10)
-        mus = [spread_positive_waves(run, t, 1) for t in times]
-        prepared.append((mu0p, qh, times, mus))
+        run, mu0p, qh = comparison_instance(
+            scenario_data(B, "random_bv", seed=500 + seed, n_jumps=10, tv=0.3))
+        prepared.append((mu0p, qh, [spread_positive_waves(run, t, 1) for t in times]))
 
     def works(kappa):
-        for mu0p, qh, times, mus in prepared:
+        for mu0p, qh, mus in prepared:
             cs = burgers_comparison(mu0p, qh, kappa=kappa)
             for t, mu in zip(times, mus):
                 if not order_leq(mu, cs.profile_at(t).dx_measure(), tol=1e-9):
@@ -320,13 +242,7 @@ def test_criterion_7_decay_scaling():
 
     # mixed random data, rarefaction-rich so the fans are wide relative to
     # the delta window while the step granularity (cap tau) stays below it
-    rng = np.random.default_rng(11)
-    n = 10
-    xs = np.sort(rng.uniform(-1, 1, n))
-    jumps = np.abs(rng.normal(size=n)) * np.where(rng.random(n) < 0.7, 1.0, -1.0)
-    jumps *= 0.3 / np.sum(np.abs(jumps))
-    vals = np.concatenate([[0.0], np.cumsum(jumps)])
-    mixed = PiecewiseConstant(xs, vals[:, None])
+    mixed = random_steps(np.random.default_rng(11), 10, 0.3, rising=0.7)
     run_mixed = run_until(B, init_front_tracking(B, mixed, 1e-9, 2e-4), tau)
     tv = mixed.total_variation()
     deltas = (0.025, 0.0125, 0.00625, 0.003125, 0.0015625)
@@ -342,7 +258,7 @@ def test_criterion_7_decay_scaling():
 
 
 def test_criterion_8_viscous_profiles():
-    pr = shock_profile(B_GENERIC, [1.0], [0.0])
+    pr = shock_profile(B_NO_VISCOUS_FN_PROFILE_FN, [1.0], [0.0])
     s = np.linspace(-40, 40, 4001)
     tanh_err = float(np.max(np.abs(pr.value(s)[:, 0] - (0.5 - 0.5 * np.tanh(s / 4)))))
     assert tanh_err <= 1e-8

@@ -4,14 +4,14 @@ shock layer and a rarefaction fan, the chunked evaluation against one
 chunk, the piece windows against the sums over every piece, and the settled
 points against their far-field bound."""
 
-import dataclasses
 import math
 
 import numpy as np
 import pytest
+from conftest import B_NO_VISCOUS_FN_PROFILE_FN
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special
+from oracles import cole_hopf_unwindowed, hopf_lax_unwindowed
 
 from vanvisc import burgers
 from vanvisc.burgers import TanhProfile, cole_hopf, hopf_lax, settled_pieces
@@ -21,9 +21,6 @@ from vanvisc.system import preset_model
 from vanvisc.viscous import shock_profile, solve_viscous
 
 B = preset_model("burgers")
-# the preset without its closed-form viscous references: the explicit grid
-# solve and the shooting, their oracles
-B_GENERIC = dataclasses.replace(B, viscous_fn=None, profile_fn=None)
 
 
 # a Lax pair in the box [-4, 4]: u_plus at least 0.05 below u_minus
@@ -37,7 +34,7 @@ def test_tanh_jet_matches_shooting_jet(pair):
     u_minus, u_plus = pair
     sigma = u_minus - u_plus
     closed = shock_profile(B, [u_minus], [u_plus])
-    shot = shock_profile(B_GENERIC, [u_minus], [u_plus])
+    shot = shock_profile(B_NO_VISCOUS_FN_PROFILE_FN, [u_minus], [u_plus])
     assert isinstance(closed, TanhProfile)
     # the profile is a rescaled copy of the unit one: s scales like
     # 1/|sigma| and the k-th jet entry like |sigma|^(k+1)
@@ -53,7 +50,7 @@ def test_grid_converges_to_cole_hopf_at_first_order_in_dx():
     data = PiecewiseConstant([-0.3, 0.0, 0.3], [[0.8], [0.1], [0.6], [-0.2]])
     errors = []
     for dx in (eps / 4, eps / 8):
-        sol = solve_viscous(B_GENERIC, eps, data, tau, dx)
+        sol = solve_viscous(B_NO_VISCOUS_FN_PROFILE_FN, eps, data, tau, dx)
         hooked = solve_viscous(B, eps, data, tau, dx)
         assert np.array_equal(hooked.x, sol.x)
         assert np.array_equal(hooked.final(), cole_hopf(data, eps, tau, sol.x))
@@ -99,55 +96,6 @@ def test_chunked_evaluation_equals_one_chunk(monkeypatch):
     for a, b in zip(chunked, whole):
         assert np.array_equal(a, b)
     assert np.all(np.isfinite(chunked[0]))
-
-
-# ---------------------------------------------------------------------------
-# the closed forms summed over every piece: the oracles of the piece windows
-
-def _over_every_piece(rows_fn, data, x):
-    """rows_fn(pieces, x_chunk) over chunks of x, every piece in each."""
-    pieces = burgers._pieces(data)[:5]
-    x = np.asarray(x, dtype=float)
-    out = np.empty((x.size, 1))
-    step = max(1, burgers._CHUNK_CELLS // pieces[0].size)
-    for i in range(0, x.size, step):
-        out[i : i + step, 0] = rows_fn(pieces, x[i : i + step])
-    return out
-
-
-def cole_hopf_unwindowed(data, eps, t, x):
-    sig = math.sqrt(2.0 * eps * t)
-
-    def rows(pieces, xc):
-        a, b, v, p, U = pieces
-        c = xc[:, None] - v * t
-        A = (a - c) / sig
-        B = (b - c) / sig
-        flip = A > 0
-        lo = np.where(flip, -B, A)
-        hi = np.where(flip, -A, B)
-        l_hi = special.log_ndtr(hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_mass = l_hi + special.log1p(-burgers._exp(special.log_ndtr(lo) - l_hi))
-            log_w = log_mass + (0.5 * v * v * t - U - v * (xc[:, None] - p)) / (2.0 * eps)
-            drift = (burgers._exp(-0.5 * A * A - burgers._HALF_LOG_2PI - log_mass)
-                     - burgers._exp(-0.5 * B * B - burgers._HALF_LOG_2PI - log_mass))
-            w = burgers._exp(log_w - np.max(log_w, axis=1, keepdims=True))
-            terms = np.where(w > 0.0, w * (v - (sig / t) * drift), 0.0)
-        return np.sum(terms, axis=1) / np.sum(w, axis=1)
-
-    return _over_every_piece(rows, data, x)
-
-
-def hopf_lax_unwindowed(data, t, x):
-    def rows(pieces, xc):
-        a, b, v, p, U = pieces
-        y = np.clip(xc[:, None] - v * t, a, b)
-        cost = U + v * (y - p) + (xc[:, None] - y) ** 2 / (2.0 * t)
-        y_star = np.take_along_axis(y, np.argmin(cost, axis=1)[:, None], axis=1)[:, 0]
-        return (xc - y_star) / t
-
-    return _over_every_piece(rows, data, x)
 
 
 def far_field_bound(eps, t, du):

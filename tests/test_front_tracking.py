@@ -3,23 +3,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from conftest import corpus_run, ft_run, pc, random_steps
 from hypothesis import strategies as st
+from oracles import l1_distance
 
 from vanvisc.errors import EventBudgetExceeded, InvalidConfiguration, OutOfRange
 from vanvisc.front_tracking import (POS_TOL, Event, Front, FrontConfiguration,
                                     glimm_functionals, init_front_tracking,
                                     merge_cancelling_pairs, next_interaction,
                                     resolve_interaction, run_until, sample_profile)
-from vanvisc.harness import scenario_data
 from vanvisc.piecewise import PiecewiseConstant
 from vanvisc.system import preset_model
 
 B = preset_model("burgers")
 P = preset_model("p_system")
-
-
-def pc(xs, vals):
-    return PiecewiseConstant(xs, np.asarray(vals, dtype=float).reshape(len(xs) + 1, -1))
 
 
 def test_init_single_shock():
@@ -126,8 +123,7 @@ def test_resolve_merge_drops_q():
 
 def test_resolve_cancellation():
     # rarefaction step (0 -> 0.25) catches shock (0.25 -> -0.25)
-    cfg = init_front_tracking(B, pc([0.0, 1.0], [0.0, 0.25, -0.25]), 1e-9, 0.25)
-    run = run_until(B, cfg, 20.0)
+    run = ft_run(B, pc([0.0, 1.0], [0.0, 0.25, -0.25]), 20.0, 0.25)
     assert len(run.events) == 1
     final = run.configs[-1].fronts
     assert len(final) == 1
@@ -177,25 +173,17 @@ def test_pass_through_sums_strengths_per_family():
 
 
 def test_run_until_examples():
-    cfg = init_front_tracking(B, pc([0.0], [1.0, 0.0]), 1e-9, 0.25)
-    run = run_until(B, cfg, 1.0)
+    run = ft_run(B, pc([0.0], [1.0, 0.0]), 1.0, 0.25)
     assert len(run.events) == 0
     assert run.glimm_history[0][1] == pytest.approx(1.0)
 
-    cfg = init_front_tracking(B, pc([0.0, 1.0], [2.0, 1.0, 0.0]), 1e-9, 0.25)
-    run = run_until(B, cfg, 2.0)
+    run = ft_run(B, pc([0.0, 1.0], [2.0, 1.0, 0.0]), 2.0, 0.25)
     assert len(run.events) == 1
     assert run.glimm_history[0][2] - run.glimm_history[1][2] == pytest.approx(1.0)
 
 
 def test_random_run_glimm_monotonicity():
-    rng = np.random.default_rng(3)
-    xs = np.sort(rng.uniform(-1, 1, 10))
-    jumps = rng.normal(size=10)
-    jumps *= 0.5 / np.sum(np.abs(jumps))
-    vals = np.concatenate([[0.0], np.cumsum(jumps)])
-    cfg = init_front_tracking(B, PiecewiseConstant(xs, vals[:, None]), 1e-9, 0.02)
-    run = run_until(B, cfg, 2.0)
+    run = ft_run(B, random_steps(np.random.default_rng(3), 10, 0.5), 2.0, 0.02)
     hist = run.glimm_history
     assert len(run.events) > 3
     for (_, V0, Q0, U0), (_, V1, Q1, U1) in zip(hist[:-1], hist[1:]):
@@ -205,19 +193,16 @@ def test_random_run_glimm_monotonicity():
 
 
 def test_sample_profile_conventions():
-    cfg = init_front_tracking(B, pc([0.0], [1.0, 0.0]), 1e-9, 0.25)
-    run = run_until(B, cfg, 2.0)
+    run = ft_run(B, pc([0.0], [1.0, 0.0]), 2.0, 0.25)
     prof = sample_profile(run, 2.0)
     assert prof.xs[0] == pytest.approx(1.0)
 
-    cfg = init_front_tracking(B, pc([0.0, 1.0], [2.0, 1.0, 0.0]), 1e-9, 0.25)
-    run = run_until(B, cfg, 2.0)
+    run = ft_run(B, pc([0.0, 1.0], [2.0, 1.0, 0.0]), 2.0, 0.25)
     t1 = run.times[0]
     prof_at = sample_profile(run, t1)       # right-continuous: post-interaction
     assert np.count_nonzero(np.linalg.norm(prof_at.jumps(), axis=1) > 1e-12) == 1
 
-    cfg = init_front_tracking(B, pc([0.0], [0.0, 1.0]), 1e-9, 0.25)
-    run = run_until(B, cfg, 1.0)
+    run = ft_run(B, pc([0.0], [0.0, 1.0]), 1.0, 0.25)
     prof = sample_profile(run, 1.0)
     assert prof.xs == pytest.approx([0.25, 0.5, 0.75, 1.0], abs=1e-10)
 
@@ -246,22 +231,16 @@ def test_glimm_functional_examples():
 
 
 def test_finite_speed_l1_bound():
-    cfg = init_front_tracking(B, pc([0.0, 1.0], [1.0, 0.2, -0.4]), 1e-9, 0.1)
-    run = run_until(B, cfg, 2.0)
+    run = ft_run(B, pc([0.0, 1.0], [1.0, 0.2, -0.4]), 2.0, 0.1)
     d0 = 1.4
     vmax = 1.0
     for t0, t1 in ((0.0, 0.5), (0.3, 1.7), (1.0, 2.0)):
-        d = sample_profile(run, t0).l1_distance(sample_profile(run, t1))
+        d = l1_distance(sample_profile(run, t0), sample_profile(run, t1))
         assert d <= 2.0 * vmax * d0 * (t1 - t0) + 1e-12
 
 
 def test_event_budget():
-    rng = np.random.default_rng(5)
-    xs = np.sort(rng.uniform(-1, 1, 8))
-    jumps = rng.normal(size=8)
-    jumps *= 0.5 / np.sum(np.abs(jumps))
-    vals = np.concatenate([[0.0], np.cumsum(jumps)])
-    cfg = init_front_tracking(B, PiecewiseConstant(xs, vals[:, None]), 1e-9, 0.02)
+    cfg = init_front_tracking(B, random_steps(np.random.default_rng(5), 8, 0.5), 1e-9, 0.02)
     with pytest.raises(EventBudgetExceeded):
         run_until(B, cfg, 10.0, max_events=2)
 
@@ -279,9 +258,7 @@ def test_merge_cancelling_pairs():
 def test_rarefaction_cap_bounds_every_step_of_a_corpus_run():
     # a p-system corpus run whose interactions emit rarefactions: the cap
     # given at initialisation bounds the steps born at interactions too
-    data = scenario_data(P, "random_bv", seed=106, n_jumps=8, tv=0.3)
-    run = run_until(P, init_front_tracking(P, data, 1e-6, 0.02), 1.5,
-                    epsilon_prime=1e-6, simplified_threshold=1e-8)
+    run = corpus_run(P, 106, 8)
     steps = [f.strength for c in run.configs for f in c.fronts
              if f.kind == "rarefaction_step"]
     assert max(steps) <= 0.02 * (1 + 1e-12)
@@ -291,8 +268,7 @@ def test_rarefaction_cap_bounds_every_step_of_a_corpus_run():
 def test_interaction_fan_split_at_the_configured_cap():
     # a 0.25 step catches a -0.05 shock at t = 2; the outgoing 0.2
     # rarefaction is within the cap of 0.25, so it stays one step
-    cfg = init_front_tracking(B, pc([0.0, 0.05], [0.0, 0.25, 0.2]), 1e-9, 0.25)
-    run = run_until(B, cfg, 2.5)
+    run = ft_run(B, pc([0.0, 0.05], [0.0, 0.25, 0.2]), 2.5, 0.25)
     assert len(run.events) == 1
     ev = run.events[0]
     assert ev.time == pytest.approx(2.0)
@@ -308,10 +284,7 @@ def test_configurations_share_fronts_born_at_their_events(system, seed):
     # an event leaves untouched, each outgoing front is born at the event,
     # and each incoming front reaches the event along Front.x
     model = B if system == "burgers" else P
-    data = scenario_data(model, "random_bv", seed=seed, n_jumps=10 if model is B else 8,
-                         tv=0.3)
-    run = run_until(model, init_front_tracking(model, data, 1e-6, 0.05), 1.5,
-                    epsilon_prime=1e-6, simplified_threshold=1e-8)
+    run = corpus_run(model, seed, 10 if model is B else 8, cap=0.05)
     for c in run.configs:
         assert c.validate()
     distinct = {id(f) for c in run.configs for f in c.fronts}

@@ -1,9 +1,10 @@
-import math
-
 import numpy as np
 import pytest
+from conftest import corpus_run, ft_run
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import (audit_snapshot, glimm_double_loop, ordered_pairs, two_walks,
+                     w_flat_two_branches)
 
 from vanvisc.front_tracking import (GLIMM_C0, Front, FrontConfiguration, config_index,
                                     glimm_functionals, init_front_tracking, run_until)
@@ -33,6 +34,22 @@ def raref(pos, fam, s, speed=0.0):
 def config(fronts):
     return FrontConfiguration(time=0.0, fronts=fronts, left_state=np.zeros(1),
                               rarefaction_cap=0.25)
+
+
+def fronts_from(specs, unit):
+    """The fronts of (position, family, is_shock, size[, speed]) specs in
+    position order: the position in units of unit, family 3 a
+    non-physical front of strength size, a shock of strength -size and a
+    rarefaction step of strength size, at speed 0 unless given."""
+    fronts = []
+    for pos, fam, is_shock, size, *speed in sorted(specs, key=lambda t: t[0]):
+        if fam == 3:
+            kind, strength = "non_physical", size
+        else:
+            kind, strength = ("shock", -size) if is_shock else ("rarefaction_step", size)
+        fronts.append(Front(pos * unit, 0.0, fam, kind, strength, speed[0] if speed else 0.0,
+                            np.zeros(2), np.zeros(2)))
+    return fronts
 
 
 def potentials(cfg, bs=frozenset(), eps=EPS):
@@ -105,8 +122,7 @@ def test_q_hat_snapshot():
 
 
 def test_audit_merge_strict_decrease():
-    cfg = init_front_tracking(B, PiecewiseConstant([0.0, 1.0], [[2.0], [1.0], [0.0]]), 1e-9, 0.25)
-    run = run_until(B, cfg, 2.0)
+    run = ft_run(B, PiecewiseConstant([0.0, 1.0], [[2.0], [1.0], [0.0]]), 2.0, 0.25)
     tracks = select_big_shocks(run, 0.8)
     rep = audit_events(run, tracks, EPS)
     assert rep.ok()
@@ -121,8 +137,7 @@ def test_audit_transversal_no_creation_monotone():
     u1 = lax_curve(P, 2, u0, -0.05)
     u2 = lax_curve(P, 1, u1, -0.4)
     data = PiecewiseConstant([0.0, 0.1], [u0, u1, u2])
-    cfg = init_front_tracking(P, data, 1e-9, 0.1)
-    run = run_until(P, cfg, 1.0)
+    run = ft_run(P, data, 1.0, 0.1)
     tracks = select_big_shocks(run, 0.3)
     rep = audit_events(run, tracks, EPS)
     assert rep.ok()
@@ -133,8 +148,7 @@ def test_audit_transversal_no_creation_monotone():
 
 def test_audit_creation_ratio_recorded():
     # two shocks below rho merging above rho: a track is created at the merge
-    cfg = init_front_tracking(B, PiecewiseConstant([0.0, 0.3], [[1.2], [0.6], [0.0]]), 1e-9, 0.25)
-    run = run_until(B, cfg, 2.0)
+    run = ft_run(B, PiecewiseConstant([0.0, 0.3], [[1.2], [0.6], [0.0]]), 2.0, 0.25)
     tracks = select_big_shocks(run, 1.0)
     assert len(tracks) == 1 and tracks[0].t_minus > 0
     rep = audit_events(run, tracks, EPS)
@@ -153,9 +167,7 @@ def test_audit_p_system_riemann_landing_seeds(seed):
     # later pass-through re-landed a 1e-10 shock and put the defect into a
     # non-physical front, so Upsilon rose by 6.6e-12 and 6.9e-12 and the audit
     # found one q_hat rise each.  At 1e-14 times the data scale neither happens
-    data = scenario_data(P, "random_bv", seed=seed, n_jumps=8, tv=0.3)
-    run = run_until(P, init_front_tracking(P, data, 1e-6, 0.02), 1.5,
-                    epsilon_prime=1e-6, simplified_threshold=1e-8)
+    run = corpus_run(P, seed, 8)
     hist = run.glimm_history
     assert max(b[3] - a[3] for a, b in zip(hist[:-1], hist[1:])) <= 1e-13
     rho = eval_rule("4*sqrt_eps*abs_ln_eps", EPS)
@@ -163,27 +175,25 @@ def test_audit_p_system_riemann_landing_seeds(seed):
     assert rep.violations == []
 
 
-def test_flat_decay_rate_closed_form():
+def _approaching_shocks(gap):
+    """A p-system 1-shock and a 2-shock gap to its right, approaching it,
+    tracked to t = 1e-5."""
     u0 = np.array([1.0, 0.0])
-    u1 = lax_curve(P, 1, u0, -0.2)           # 1-shock
-    u2 = lax_curve(P, 2, u1, -0.15)          # 2-shock to its right: approaching
-    data = PiecewiseConstant([0.0, 0.5 * R], [u0, u1, u2])
-    cfg = init_front_tracking(P, data, 1e-9, 0.1)
-    run = run_until(P, cfg, 1e-5)
-    rows = interaction_decay_rates(run, [], EPS)
-    row = rows[0]
+    u1 = lax_curve(P, 1, u0, -0.2)
+    u2 = lax_curve(P, 2, u1, -0.15)
+    return ft_run(P, PiecewiseConstant([0.0, gap], [u0, u1, u2]), 1e-5, 0.1)
+
+
+def test_flat_decay_rate_closed_form():
+    run = _approaching_shocks(0.5 * R)
+    row = interaction_decay_rates(run, [], EPS)[0]
     a, b = run.configs[0].fronts
     expect = -2 * abs(a.strength * b.strength) * abs(a.speed - b.speed) / (4 * R)
     assert row["rate_flat"] == pytest.approx(expect, rel=1e-12)
 
 
 def test_flat_decay_rate_empty_window():
-    u0 = np.array([1.0, 0.0])
-    u1 = lax_curve(P, 1, u0, -0.2)
-    u2 = lax_curve(P, 2, u1, -0.15)
-    data = PiecewiseConstant([0.0, 10 * R], [u0, u1, u2])
-    cfg = init_front_tracking(P, data, 1e-9, 0.1)
-    (row,) = interaction_decay_rates(run_until(P, cfg, 1e-5), [], EPS)
+    (row,) = interaction_decay_rates(_approaching_shocks(10 * R), [], EPS)
     assert row["rate_flat"] == 0.0 and row["cross_pair_sum"] == 0.0
 
 
@@ -191,8 +201,7 @@ def test_natural_decay_rate_clean_case():
     # big Burgers shock with a same-family rarefaction step approaching from
     # the right inside the weight window
     data = PiecewiseConstant([0.0, 1.2 * R], [[0.5], [-0.5], [-0.4]])
-    cfg = init_front_tracking(B, data, 1e-9, 0.25)
-    run = run_until(B, cfg, 1e-5)
+    run = ft_run(B, data, 1e-5, 0.25)
     tracks = select_big_shocks(run, 0.8)
     rows = interaction_decay_rates(run, tracks, EPS)
     row = rows[0]
@@ -208,8 +217,7 @@ def test_q_flat_nonincreasing_between_events():
         fam = int(rng.integers(1, 3))
         vals.append(lax_curve(P, fam, vals[-1], float(rng.uniform(-0.06, 0.06))))
     xs = np.sort(rng.uniform(-0.5, 0.5, 6))
-    cfg = init_front_tracking(P, PiecewiseConstant(xs, np.array(vals)), 1e-9, 0.05)
-    run = run_until(P, cfg, 1.0)
+    run = ft_run(P, PiecewiseConstant(xs, np.array(vals)), 1.0, 0.05)
     t_edges = run.t_edges
     for k, c in enumerate(run.configs):
         t0, t1 = t_edges[k], t_edges[k + 1]
@@ -218,85 +226,6 @@ def test_q_flat_nonincreasing_between_events():
         ts = np.linspace(t0 + 1e-9, t1 - 1e-9, 5)
         vals_q = [potentials(c.at(t))[0] for t in ts]
         assert all(b <= a + 1e-12 for a, b in zip(vals_q[:-1], vals_q[1:]))
-
-
-# The two-sided walks as they were written before one one-sided walk served
-# both sides; the rewrite must reproduce them bit for bit.
-
-def _w_flat_two_branches(x_alpha, fam_alpha, x_beta, fam_beta, epsilon):
-    r = np.sqrt(epsilon)
-    d = x_beta - x_alpha
-    if fam_beta < fam_alpha:
-        if d < -2 * r:
-            return 0.0
-        if d > 2 * r:
-            return 1.0
-        return 0.5 + d / (4 * r)
-    if d < -2 * r:
-        return 1.0
-    if d > 2 * r:
-        return 0.0
-    return 0.5 - d / (4 * r)
-
-
-def _natural_alpha_two_walks(fronts, ai, epsilon):
-    alpha = fronts[ai]
-    cap = abs(alpha.strength) / 4.0
-    total = 0.0
-    cum = 0.0
-    for b in fronts[ai + 1 :]:
-        if not b.physical or b.family != alpha.family or b.kind != "rarefaction_step":
-            continue
-        new = cum + b.strength
-        mass = min(new, cap) - min(cum, cap)
-        if mass > 0:
-            total += w_natural(b.x0 - alpha.x0, 0.0, epsilon)[0] * mass
-        cum = new
-    cum = 0.0
-    for b in reversed(fronts[:ai]):
-        if not b.physical or b.family != alpha.family or b.kind != "rarefaction_step":
-            continue
-        new = cum - b.strength
-        mass = max(cum, -cap) - max(new, -cap)
-        if mass > 0:
-            total += w_natural(b.x0 - alpha.x0, 0.0, epsilon)[0] * mass
-        cum = new
-    return total
-
-
-def _sharp_alpha_two_walks(fronts, ai, epsilon):
-    alpha = fronts[ai]
-    base = abs(alpha.strength) / 2.0
-    total = 0.0
-    z = base
-    runmax = base
-    for b in fronts[ai + 1 :]:
-        if not b.physical or b.family != alpha.family:
-            continue
-        if b.kind == "shock":
-            z_new = z + abs(b.strength)
-            mass = max(0.0, z_new - runmax)
-            if mass > 0:
-                total += w_natural(b.x0 - alpha.x0, 0.0, epsilon)[0] * mass / (epsilon + runmax)
-            z = z_new
-            runmax = max(runmax, z_new)
-        else:
-            z = z - 3.0 * b.strength
-    z = -base
-    runmin = -base
-    for b in reversed(fronts[:ai]):
-        if not b.physical or b.family != alpha.family:
-            continue
-        if b.kind == "shock":
-            z_new = z - abs(b.strength)
-            mass = max(0.0, runmin - z_new)
-            if mass > 0:
-                total += w_natural(b.x0 - alpha.x0, 0.0, epsilon)[0] * mass / (epsilon - runmin)
-            z = z_new
-            runmin = min(runmin, z_new)
-        else:
-            z = z + 3.0 * b.strength
-    return abs(alpha.strength) * total
 
 
 # one front: position in units of sqrt(eps) (a coarse lattice makes ties),
@@ -313,44 +242,27 @@ _FRONT = st.tuples(
 @settings(max_examples=300)
 @given(st.lists(_FRONT, max_size=14), st.floats(1e-5, 1e-2))
 def test_one_sided_walks_match_two_walks(specs, eps):
-    r = np.sqrt(eps)
-    fronts = []
-    for pos, fam, is_shock, size in sorted(specs, key=lambda t: t[0]):
-        if fam == 3:
-            kind, strength = "non_physical", size
-        else:
-            kind, strength = ("shock", -size) if is_shock else ("rarefaction_step", size)
-        fronts.append(Front(pos * r, 0.0, fam, kind, strength, 0.0,
-                            np.zeros(2), np.zeros(2)))
+    # the two-sided walks as they were written before one one-sided walk
+    # served both sides, reproduced bit for bit
+    fronts = fronts_from(specs, np.sqrt(eps))
     # the natural potential of one shock is q_natural with it as the only
     # big shock; q_sharp adds the shocks' potentials in list order
     cfg = config(fronts)
     sharp = 0.0
     for i, a in enumerate(fronts):
         if a.kind == "shock":
-            assert potentials(cfg, {a}, eps)[1] == _natural_alpha_two_walks(fronts, i, eps)
-            sharp += _sharp_alpha_two_walks(fronts, i, eps)
+            natural, sharp_a = two_walks(fronts, i, eps)
+            assert potentials(cfg, {a}, eps)[1] == natural
+            sharp += sharp_a
         for b in fronts:
             if a.physical and b.physical:
                 assert (w_flat(b.x0 - a.x0, 0.0, a.family, b.family, eps)[0]
-                        == _w_flat_two_branches(a.x0, a.family, b.x0, b.family, eps))
+                        == w_flat_two_branches(a.x0, a.family, b.x0, b.family, eps))
     assert potentials(cfg, set(), eps)[2] == sharp
 
 
 # The audit against its functionals recomputed from each event's two
-# configurations, with q_hat as one snapshot of the Glimm pair and the
-# weighted potentials at the configuration's time.
-
-def _snapshot(config, bs, epsilon, constants):
-    """(V, Q, Upsilon, q_flat, q_natural, q_sharp, q_hat) of config."""
-    V, Q = glimm_functionals(config)
-    ups = V + GLIMM_C0 * Q
-    qf, qn, qs = potentials(config, bs, epsilon)
-    r = np.sqrt(epsilon)
-    ln = abs(np.log(epsilon))
-    qh = r * ln * (constants.c1 * ups + constants.c2 * qf + constants.c3 * qn) + r * qs
-    return V, Q, ups, qf, qn, qs, qh
-
+# configurations.
 
 _AUDIT_KEYS = ("dV", "dQ", "dUpsilon", "dq_flat", "dq_natural", "dq_sharp", "dq_hat")
 
@@ -368,8 +280,8 @@ def test_audit_matches_recomputed_functionals(corpus, rho_rule):
         assert len(rep.events) == len(run.events)
         for ev, rec in zip(run.events, rep.events):
             k = ev.index
-            sb = _snapshot(run.configs[k].at(ev.time), big_shock_fronts(tracks, k), EPS, C)
-            sa = _snapshot(run.configs[k + 1], big_shock_fronts(tracks, k + 1), EPS, C)
+            sb = audit_snapshot(run.configs[k].at(ev.time), big_shock_fronts(tracks, k), EPS, C)
+            sa = audit_snapshot(run.configs[k + 1], big_shock_fronts(tracks, k + 1), EPS, C)
             assert [rec[key] for key in _AUDIT_KEYS] == [a - b for a, b in zip(sa, sb)]
             moved += rec["dq_natural"] != 0.0
         creations += len(rep.creation_ratios)
@@ -399,79 +311,15 @@ _MOVING_FRONT = st.tuples(
 )
 
 
-def _moving_fronts(specs, r):
-    """The fronts of _MOVING_FRONT specs on the lattice of step r/2."""
-    fronts = []
-    for k, fam, is_shock, size, speed in sorted(specs, key=lambda t: t[0]):
-        if fam == 3:
-            kind, strength = "non_physical", size
-        else:
-            kind, strength = ("shock", -size) if is_shock else ("rarefaction_step", size)
-        fronts.append(Front(0.5 * k * r, 0.0, fam, kind, strength, speed,
-                            np.zeros(2), np.zeros(2)))
-    return fronts
-
-
-def _q_flat_ordered_pairs(cfg, eps):
-    """q_flat and its rate as the double loop over ordered pairs of
-    different families, with the sum of the rate's absolute terms."""
-    fronts = [(f, f.x(cfg.time)) for f in cfg.fronts if f.physical]
-    total = rate = rate_scale = 0.0
-    for a, xa in fronts:
-        for b, xb in fronts:
-            if a is b or a.family == b.family:
-                continue
-            w, dw = w_flat(xb - xa, b.speed - a.speed, a.family, b.family, eps)
-            m = abs(a.strength * b.strength)
-            total += w * m
-            rate += dw * m
-            rate_scale += abs(dw * m)
-    return total, rate, rate_scale
-
-
-def _assert_q_flat_matches_ordered_pairs(cfg, eps):
-    # every term of the value is >= 0, so its scale is the value itself
-    (total, _, _), (rate, _, _), _ = weighted_potentials(cfg, set(), eps)
-    ref_total, ref_rate, rate_scale = _q_flat_ordered_pairs(cfg, eps)
+def _assert_matches_ordered_pairs(cfg, bs, eps, pairs=None):
+    # q_flat, its rate and the pair sums (those given, or the evaluator's):
+    # every term is >= 0, so the scale of a value or a pair sum is itself,
+    # and the sharp walk adds the same terms in the same order
+    (total, _, _), (rate, _, _), own = weighted_potentials(cfg, bs, eps)
+    ref_total, ref_rate, rate_scale, (cross, natural, sharp) = ordered_pairs(cfg, bs, eps)
+    pairs = own if pairs is None else pairs
     assert abs(total - ref_total) <= 1e-14 * ref_total
     assert abs(rate - ref_rate) <= 1e-14 * rate_scale
-
-
-@settings(max_examples=300)
-@given(st.lists(_MOVING_FRONT, max_size=12), st.integers(2, 7))
-def test_q_flat_matches_ordered_pairs(specs, j):
-    eps, r = 4.0 ** -j, 2.0 ** -j
-    cfg = config(_moving_fronts(specs, r))
-    _assert_q_flat_matches_ordered_pairs(cfg, eps)
-    _assert_q_flat_matches_ordered_pairs(cfg.at(r / 8), eps)
-
-
-def _pair_sums_ordered_pairs(cfg, bs, eps):
-    """(cross, natural, sharp) pair sums as the double loop over ordered
-    pairs of physical fronts within 2 sqrt(eps) of each other: of different
-    families, of a big shock and a rarefaction of its family, and of two
-    shocks of one family in list order."""
-    r = np.sqrt(eps)
-    cross = natural = sharp = 0.0
-    fronts = [(f, f.x(cfg.time)) for f in cfg.fronts if f.physical]
-    for i, (a, xa) in enumerate(fronts):
-        for j, (b, xb) in enumerate(fronts):
-            if i == j or abs(xb - xa) > 2 * r:
-                continue
-            if a.family != b.family:
-                cross += abs(a.strength * b.strength)
-                continue
-            if a.kind == "shock" and a in bs and b.kind == "rarefaction_step":
-                natural += abs(a.strength * b.strength)
-            if a.kind == "shock" and b.kind == "shock" and i < j:
-                sharp += abs(a.strength * b.strength)
-    return cross, natural, sharp
-
-
-def _assert_pair_sums_match_ordered_pairs(pairs, cfg, bs, eps):
-    # every term is >= 0, so the scale of a sum is the sum itself; the sharp
-    # walk adds the same terms in the same order
-    cross, natural, sharp = _pair_sums_ordered_pairs(cfg, bs, eps)
     assert abs(pairs[0] - cross) <= 1e-14 * cross
     assert abs(pairs[1] - natural) <= 1e-14 * natural
     assert pairs[2] == sharp
@@ -479,12 +327,21 @@ def _assert_pair_sums_match_ordered_pairs(pairs, cfg, bs, eps):
 
 @settings(max_examples=300)
 @given(st.lists(_MOVING_FRONT, max_size=12), st.integers(2, 7))
+def test_q_flat_matches_ordered_pairs(specs, j):
+    eps, r = 4.0 ** -j, 2.0 ** -j
+    cfg = config(fronts_from(specs, r / 2))
+    _assert_matches_ordered_pairs(cfg, set(), eps)
+    _assert_matches_ordered_pairs(cfg.at(r / 8), set(), eps)
+
+
+@settings(max_examples=300)
+@given(st.lists(_MOVING_FRONT, max_size=12), st.integers(2, 7))
 def test_pair_sums_match_ordered_pairs(specs, j):
     eps, r = 4.0 ** -j, 2.0 ** -j
-    fronts = _moving_fronts(specs, r)
+    fronts = fronts_from(specs, r / 2)
     bs = {f for f in fronts if f.kind == "shock"}
     for cfg in (config(fronts), config(fronts).at(r / 8)):
-        _assert_pair_sums_match_ordered_pairs(weighted_potentials(cfg, bs, eps)[2], cfg, bs, eps)
+        _assert_matches_ordered_pairs(cfg, bs, eps)
 
 
 @settings(max_examples=300)
@@ -498,7 +355,7 @@ def test_rates_are_right_derivatives(specs, j):
     # their distances and the window edges +-2 sqrt(eps) are exact: ties and
     # pairs on a window edge occur, and the rate there is the one-sided one
     eps, r = 4.0 ** -j, 2.0 ** -j
-    fronts = _moving_fronts(specs, r)
+    fronts = fronts_from(specs, r / 2)
     cfg = config(fronts)
     bs = {f for f in fronts if f.kind == "shock"}
     # a lattice distance off a kink (-2 sqrt(eps), 0, 2 sqrt(eps)) is at
@@ -534,19 +391,6 @@ def _check_against_centred_differences(run, tracks, eps):
     return checked
 
 
-@pytest.fixture(scope="module")
-def corpus():
-    """The random corpus of criteria 3-4: 25 Burgers runs, then the 25
-    p-system runs of random_bv seeds 100-124."""
-    runs = []
-    for model, seeds, n_jumps in ((B, range(25), 10), (P, range(100, 125), 8)):
-        for seed in seeds:
-            data = scenario_data(model, "random_bv", seed=seed, n_jumps=n_jumps, tv=0.3)
-            runs.append(run_until(model, init_front_tracking(model, data, 1e-6, 0.02), 1.5,
-                                  epsilon_prime=1e-6, simplified_threshold=1e-8))
-    return runs
-
-
 def test_corpus_rates_match_centred_differences(corpus):
     rho = eval_rule("4*sqrt_eps*abs_ln_eps", EPS)
     checked = sum(_check_against_centred_differences(run, select_big_shocks(run, rho), EPS)
@@ -563,7 +407,7 @@ def test_corpus_q_flat_matches_ordered_pairs(corpus):
             t0, t1 = run.t_edges[k], run.t_edges[k + 1]
             for t in (0.5 * (t0 + t1), t1):
                 c = cfg.at(t)
-                _assert_q_flat_matches_ordered_pairs(c, EPS)
+                _assert_matches_ordered_pairs(c, set(), EPS)
                 checked += potentials(c)[0] > 0
     assert checked >= 500
 
@@ -577,7 +421,7 @@ def test_corpus_pair_sums_match_ordered_pairs(corpus):
             tm = row["t_mid"]
             bs = big_shock_fronts(tracks, config_index(run.times, run.tau, tm))
             pairs = [row[key] for key in ("cross_pair_sum", "natural_pair_sum", "sharp_pair_sum")]
-            _assert_pair_sums_match_ordered_pairs(pairs, run.config_at(tm), bs, EPS)
+            _assert_matches_ordered_pairs(run.config_at(tm), bs, EPS, pairs)
             checked += np.array(pairs) > 0
     assert checked[0] >= 400 and checked[1] >= 100 and checked[2] >= 100
 
@@ -609,48 +453,22 @@ def test_natural_rates_on_merge_cancellation(eps, n_moving):
 # ---------------------------------------------------------------------------
 # Glimm's V and Q against the double loop over pairs
 
-def _glimm_double_loop(config):
-    """V and Q as the O(n^2) loop over ordered pairs i < j: different
-    families with the faster one on the left, or a physical same-family pair
-    holding a shock.  Q is the correctly rounded sum of the pairs'
-    products."""
-    fronts = config.fronts
-    V = sum(abs(f.strength) for f in fronts)
-    terms = []
-    for i in range(len(fronts)):
-        fi = fronts[i]
-        for j in range(i + 1, len(fronts)):
-            fj = fronts[j]
-            if fi.family != fj.family:
-                if fi.family > fj.family:
-                    terms.append(abs(fi.strength * fj.strength))
-            elif fi.physical and (fi.kind == "shock" or fj.kind == "shock"):
-                terms.append(abs(fi.strength * fj.strength))
-    return V, math.fsum(terms)
-
-
 def _assert_glimm_matches_the_double_loop(cfg):
     # V adds in the same order.  Q groups the same non-negative products by
     # the right front of each pair, two roundings per front (a product
     # rounds once more than the oracle's), so it is within 2n ulps of their
-    # exact sum
+    # exact sum.  Returns the oracle's pair
     V, Q = glimm_functionals(cfg)
-    V_ref, Q_ref = _glimm_double_loop(cfg)
+    V_ref, Q_ref = glimm_double_loop(cfg)
     assert V == V_ref
     assert abs(Q - Q_ref) <= 2 * len(cfg.fronts) * np.finfo(float).eps * Q_ref
+    return V_ref, Q_ref
 
 
 @settings(max_examples=300)
 @given(st.lists(_FRONT, max_size=40))
 def test_glimm_functionals_match_the_double_loop(specs):
-    fronts = []
-    for pos, fam, is_shock, size in sorted(specs, key=lambda t: t[0]):
-        if fam == 3:
-            kind, strength = "non_physical", size
-        else:
-            kind, strength = ("shock", -size) if is_shock else ("rarefaction_step", size)
-        fronts.append(Front(pos, 0.0, fam, kind, strength, 0.0, np.zeros(2), np.zeros(2)))
-    _assert_glimm_matches_the_double_loop(config(fronts))
+    _assert_glimm_matches_the_double_loop(config(fronts_from(specs, 1.0)))
 
 
 def test_glimm_history_matches_the_double_loop(corpus):
@@ -660,7 +478,6 @@ def test_glimm_history_matches_the_double_loop(corpus):
     assert max(len(c.fronts) for c in long_run.configs) == 277
     for run in [*corpus, long_run]:
         for cfg, (t, V, Q, ups) in zip(run.configs, run.glimm_history):
-            _assert_glimm_matches_the_double_loop(cfg)
-            V_ref, Q_ref = _glimm_double_loop(cfg)
+            V_ref, Q_ref = _assert_glimm_matches_the_double_loop(cfg)
             ups_ref = V_ref + GLIMM_C0 * Q_ref
             assert abs(ups - ups_ref) <= 2 * len(cfg.fronts) * np.finfo(float).eps * ups_ref

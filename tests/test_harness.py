@@ -1,4 +1,3 @@
-import filecmp
 import json
 import math
 import os
@@ -7,17 +6,16 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import CUBIC
+from oracles import entropy_distances_own_cut, grid_distance_own_cut, row_distances_unwindowed
 
 import vanvisc
 from vanvisc.front_tracking import sample_profile
-from vanvisc.harness import (ExperimentConfig, _row_distances, _track, converge_cmd, converge_row,
-                             decay_report_cmd, eval_rule, functional_report_cmd, main,
-                             parse_config_file, scenario_data)
-from vanvisc.piecewise import gauss_l1, gauss_points
-from vanvisc.system import SystemModel, preset_model
+from vanvisc.harness import (ExperimentConfig, _row_distances, _track, converge_cmd,
+                             converge_row, decay_report_cmd, eval_rule, functional_report_cmd,
+                             main, parse_config_file, scenario_data)
+from vanvisc.system import preset_model
 from vanvisc.viscous import solve_viscous
-
-from test_burgers import cole_hopf_unwindowed, hopf_lax_unwindowed
 
 B = preset_model("burgers")
 P = preset_model("p_system")
@@ -98,12 +96,9 @@ def test_scenarios_valid():
 def test_scenario_data_refuses_a_model_that_is_not_a_preset():
     # a custom scalar law is neither preset: every scenario names the model,
     # instead of running it through the p-system's wave curves
-    cubic = SystemModel(n=1, flux=lambda u: u ** 3 / 3.0,
-                        jacobian=lambda u: (np.asarray(u, dtype=float) ** 2)[..., None],
-                        domain_box=((-2.0, 2.0),))
     for name in ("lone_shock", "merge", "random_bv"):
         with pytest.raises(ValueError, match="model 'custom'"):
-            scenario_data(cubic, name)
+            scenario_data(CUBIC, name)
 
 
 FAST = dict(scenario="lone_shock", tau=0.25, epsilon_list=(2e-2,),
@@ -334,79 +329,6 @@ def test_front_tracking_converges_to_hopf_lax_at_first_order_in_the_cap():
     assert all(1.9 <= a / b <= 2.1 for a, b in zip(errors[:-1], errors[1:]))
 
 
-def _grid_distance_oracle(profile, x_grid, u_grid):
-    """The grid distance as a function of its own: the cut at the nodes and
-    the profile's breakpoints, with the interpolant at its Gauss points."""
-    cut = np.union1d(x_grid, profile.xs[(profile.xs >= x_grid[0]) & (profile.xs <= x_grid[-1])])
-    pts = gauss_points(cut)
-    gv = np.stack([np.interp(pts, x_grid, u_grid[:, c]) for c in range(u_grid.shape[1])], axis=1)
-    return gauss_l1(cut, profile(pts), gv)
-
-
-def _entropy_distances_oracle(model, data, eps, tau, x, u_ft):
-    """l1_exact and ft_error on their own cut: the first cut plus the shocks
-    of u, located from separate evaluations of u at the segment ends, with
-    the closed forms summed over every piece at every Gauss point."""
-    def u(pts):
-        return hopf_lax_unwindowed(data, tau, pts)[:, 0]
-
-    cut = np.union1d(x, u_ft.xs[(u_ft.xs > x[0]) & (u_ft.xs < x[-1])])
-    lo, hi = cut[:-1], cut[1:]
-    u_lo = u(lo)
-    falls = u_lo - u(hi) > 1e-12
-    lo, hi, u_lo = lo[falls], hi[falls], u_lo[falls]
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        u_mid = u(mid)
-        left = u_lo - u_mid > 1e-12
-        hi = np.where(left, mid, hi)
-        lo = np.where(left, lo, mid)
-        u_lo = np.where(left, u_lo, u_mid)
-    cut = np.union1d(cut, 0.5 * (lo + hi))
-    pts = gauss_points(cut)
-    u_exact = hopf_lax_unwindowed(data, tau, pts)
-    return {"l1_exact": gauss_l1(cut, cole_hopf_unwindowed(data, eps, tau, pts), u_exact),
-            "ft_error": gauss_l1(cut, u_ft(pts), u_exact)}
-
-
-def _far_field_allowance(x):
-    """The oracle's far-field rounding over the grid's span: where the
-    point windows take a piece's value, the closed forms summed over every
-    piece differ from it by at most the far-field bound (1.9e-16 at eps
-    2e-3) plus their ulps, under 1e-15 per unit length."""
-    return 1e-15 * (x[-1] - x[0])
-
-
-@pytest.mark.parametrize("cfg", [
-    ExperimentConfig(scenario="merge_cancellation", epsilon_list=(4e-3,), **SWEEP_RULES),
-    ExperimentConfig(scenario="random_bv", seed=10, epsilon_list=(2e-3,), **SWEEP_RULES),
-    ExperimentConfig(system="p_system", **FAST),
-    ExperimentConfig(system="p_system", scenario="random_bv", seed=3, n_jumps=4, tau=0.25,
-                     epsilon_list=(2e-2,), rho_rule="0.5", dx_rule="eps/4", cap_rule="0.1"),
-], ids=["burgers_merge_cancellation", "burgers_random_bv", "p_system_lone_shock",
-        "p_system_random_bv"])
-def test_one_cut_matches_the_two_separate_quadratures(cfg):
-    # the row's three distances come from one cut; the two quadratures that
-    # each built their own are the oracle.  The Burgers cut also holds the
-    # shocks of u, so l1_error may move at rounding there and nowhere else
-    eps = cfg.epsilon_list[0]
-    model, data = cfg.model_and_data()
-    u_tau = sample_profile(_track(cfg, model, data, eps, min(1e-9, eps ** 3)), cfg.tau)
-    sol = solve_viscous(model, eps, data, cfg.tau, eval_rule(cfg.dx_rule, eps))
-    row = converge_row(cfg, eps)
-    want = _grid_distance_oracle(u_tau, sol.x, sol.final())
-    if model.entropy_fn is None:
-        assert "l1_exact" not in row and "ft_error" not in row
-        assert row["l1_error"] == want
-        return
-    assert row["l1_error"] == pytest.approx(want, rel=1e-15, abs=0.0)
-    # the point windows take the far field's state where the oracle adds
-    # its rounding
-    exact = _entropy_distances_oracle(model, data, eps, cfg.tau, sol.x, u_tau)
-    for key in ("l1_exact", "ft_error"):
-        assert row[key] == pytest.approx(exact[key], rel=1e-14, abs=_far_field_allowance(sol.x))
-
-
 @pytest.mark.parametrize("n_jumps", [6, 12])
 def test_decomposition_ratio_is_at_most_one_on_held_out_seeds(n_jumps):
     # the hybrid v is built from u_FT and viscous Burgers is an L1
@@ -442,37 +364,42 @@ def test_a_burgers_row_imports_neither_scipy_integrate_nor_optimize():
     assert out == ["[]", "['scipy.integrate', 'scipy.optimize']"]
 
 
-def _row_distances_unwindowed(model, data, eps, tau, sol, u_ft):
-    """The row's distances with every Gauss point evaluated, the closed
-    forms summed over every piece."""
-    x = sol.x
-    cut = np.union1d(x, u_ft.xs[(u_ft.xs > x[0]) & (u_ft.xs < x[-1])])
-    exact = model.viscous_fn is not None and model.entropy_fn is not None
-    if exact:
-        def u(pts):
-            return hopf_lax_unwindowed(data, tau, pts)[:, 0]
+def _far_field_allowance(x):
+    """The oracle's far-field rounding over the grid's span: where the
+    point windows take a piece's value, the closed forms summed over every
+    piece differ from it by at most the far-field bound (1.9e-16 at eps
+    2e-3) plus their ulps, under 1e-15 per unit length."""
+    return 1e-15 * (x[-1] - x[0])
 
-        u_cut = u(cut)
-        falls = u_cut[:-1] - u_cut[1:] > 1e-12
-        lo, hi, u_lo = cut[:-1][falls], cut[1:][falls], u_cut[:-1][falls]
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            u_mid = u(mid)
-            left = u_lo - u_mid > 1e-12
-            hi = np.where(left, mid, hi)
-            lo = np.where(left, lo, mid)
-            u_lo = np.where(left, u_lo, u_mid)
-        cut = np.union1d(cut, 0.5 * (lo + hi))
-    pts = gauss_points(cut)
-    ft = u_ft(pts)
-    grid = sol.final()
-    out = {"l1_error": gauss_l1(cut, ft, np.stack(
-        [np.interp(pts, x, grid[:, c]) for c in range(grid.shape[1])], axis=1))}
-    if exact:
-        u_exact = hopf_lax_unwindowed(data, tau, pts)
-        out["l1_exact"] = gauss_l1(cut, cole_hopf_unwindowed(data, eps, tau, pts), u_exact)
-        out["ft_error"] = gauss_l1(cut, ft, u_exact)
-    return out
+
+@pytest.mark.parametrize("cfg", [
+    ExperimentConfig(scenario="merge_cancellation", epsilon_list=(4e-3,), **SWEEP_RULES),
+    ExperimentConfig(scenario="random_bv", seed=10, epsilon_list=(2e-3,), **SWEEP_RULES),
+    ExperimentConfig(system="p_system", **FAST),
+    ExperimentConfig(system="p_system", scenario="random_bv", seed=3, n_jumps=4, tau=0.25,
+                     epsilon_list=(2e-2,), rho_rule="0.5", dx_rule="eps/4", cap_rule="0.1"),
+], ids=["burgers_merge_cancellation", "burgers_random_bv", "p_system_lone_shock",
+        "p_system_random_bv"])
+def test_one_cut_matches_the_two_separate_quadratures(cfg):
+    # the row's three distances come from one cut; the two quadratures that
+    # each built their own are the oracle.  The Burgers cut also holds the
+    # shocks of u, so l1_error may move at rounding there and nowhere else
+    eps = cfg.epsilon_list[0]
+    model, data = cfg.model_and_data()
+    u_tau = sample_profile(_track(cfg, model, data, eps, min(1e-9, eps ** 3)), cfg.tau)
+    sol = solve_viscous(model, eps, data, cfg.tau, eval_rule(cfg.dx_rule, eps))
+    row = converge_row(cfg, eps)
+    want = grid_distance_own_cut(u_tau, sol.x, sol.final())
+    if model.entropy_fn is None:
+        assert "l1_exact" not in row and "ft_error" not in row
+        assert row["l1_error"] == want
+        return
+    assert row["l1_error"] == pytest.approx(want, rel=1e-15, abs=0.0)
+    # the point windows take the far field's state where the oracle adds
+    # its rounding
+    exact = entropy_distances_own_cut(data, eps, cfg.tau, sol.x, u_tau)
+    for key in ("l1_exact", "ft_error"):
+        assert row[key] == pytest.approx(exact[key], rel=1e-14, abs=_far_field_allowance(sol.x))
 
 
 @pytest.mark.parametrize("cfg", [
@@ -480,25 +407,25 @@ def _row_distances_unwindowed(model, data, eps, tau, sol, u_ft):
     ExperimentConfig(scenario="merge_cancellation", epsilon_list=(2e-3,), **SWEEP_RULES),
     ExperimentConfig(scenario="random_bv", seed=7, n_jumps=640, epsilon_list=(4e-3,),
                      **SWEEP_RULES),
+    ExperimentConfig(scenario="random_bv", seed=10, epsilon_list=(2e-3,), **SWEEP_RULES),
     ExperimentConfig(scenario="random_bv", seed=11, n_jumps=12, epsilon_list=(2e-3,),
                      **SWEEP_RULES),
     ExperimentConfig(scenario="random_bv", seed=13, n_jumps=6, epsilon_list=(4e-3,),
                      **SWEEP_RULES),
     ExperimentConfig(system="p_system", **FAST),
-    ExperimentConfig(system="p_system", scenario="random_bv", seed=3, n_jumps=4, tau=0.25,
-                     epsilon_list=(2e-2,), rho_rule="0.5", dx_rule="eps/4", cap_rule="0.1"),
-], ids=["merge_cancellation_4e-3", "merge_cancellation_2e-3", "random_bv_640",
+    ExperimentConfig(system="p_system", **dict(FAST, scenario="random_bv", seed=3, n_jumps=4)),
+], ids=["merge_cancellation_4e-3", "merge_cancellation_2e-3", "random_bv_640", "random_bv_10",
         "random_bv_11", "random_bv_13", "p_system_lone_shock", "p_system_random_bv"])
 def test_point_windows_match_the_unwindowed_distances(cfg):
     # a far segment's terms are 0 in both, so l1_error keeps every bit; the
     # closed-form distances move by the oracle's far-field rounding and the
-    # piece windows' rounding
+    # piece windows' rounding, and a model without them has neither
     eps = cfg.epsilon_list[0]
     model, data = cfg.model_and_data()
     u_tau = sample_profile(_track(cfg, model, data, eps, min(1e-9, eps ** 3)), cfg.tau)
     sol = solve_viscous(model, eps, data, cfg.tau, eval_rule(cfg.dx_rule, eps))
     got = _row_distances(model, data, eps, cfg.tau, sol, u_tau)
-    want = _row_distances_unwindowed(model, data, eps, cfg.tau, sol, u_tau)
+    want = row_distances_unwindowed(model, data, eps, cfg.tau, sol, u_tau)
     assert got.keys() == want.keys()
     assert got["l1_error"] == want["l1_error"]
     for key in set(got) - {"l1_error"}:

@@ -3,7 +3,9 @@ function parameter is read, every dataclass field is read somewhere and
 outside the tests, every optional parameter is set by some caller outside
 the tests, every public function and method has a caller outside the tests,
 every exception class of errors.py is named in another module, and README's
-config-key table lists exactly the ExperimentConfig fields.
+config-key table lists exactly the ExperimentConfig fields.  On the tests:
+the oracle registry of tests/oracles.py is exact, and no test module imports
+another.
 
 Lambdas and parameters whose names start with "_" are exempt from the
 parameter check.  UNREAD_PARAMETERS and TEST_ONLY_OPTIONS list the known
@@ -13,9 +15,12 @@ no longer applies fails too, so the lists stay exact.
 """
 
 import ast
+import importlib
 import math
 import pathlib
 import re
+
+import oracles
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "vanvisc"
@@ -31,8 +36,6 @@ UNREAD_PARAMETERS = {("front_tracking", "init_front_tracking", "epsilon_prime")}
 
 # optional parameters that only tests set, each with the reason it stays
 TEST_ONLY_OPTIONS = {
-    ("viscous", "ShockProfile.ode_residual", "samples"):
-        "a check of the shooting orbit; tests run it on a coarser base grid",
     ("system", "check_genuine_nonlinearity", "samples"):
         "a check of a model; tests choose how many states it samples",
     ("harness", "main", "argv"):
@@ -47,20 +50,15 @@ TEST_ONLY_FIELDS = {
 }
 
 # public functions and methods that only tests call, each with the reason it
-# stays: a lemma the tests check, or an oracle for what the package computes
+# stays: a lemma or a property the tests check (oracles live in
+# tests/oracles.py)
 TEST_ONLY_FUNCTIONS = {
     ("hybrid", "mollification_l1_error"):
         "checks the lemma ||u * phi_delta - u||_L1 <= delta TV(u)",
     ("hybrid", "oscillation_weighted_tv"):
         "checks that the far-field residual is bounded by the oscillation-weighted TV",
-    ("measures", "sup_mass"):
-        "the oracle of odd_rearrangement: v-hat(x) = sup_{meas(A) <= 2x} mu(A) / 2",
-    ("piecewise", "PiecewiseConstant.l1_distance"):
-        "the exact L1 distance of two profiles, which checks front tracking's finite speed",
     ("system", "check_genuine_nonlinearity"):
         "checks that a model is genuinely nonlinear; tests run it on the presets",
-    ("viscous", "ShockProfile.ode_residual"):
-        "re-steps a shooting orbit by RK4, the oracle of a profile's accuracy",
 }
 
 
@@ -296,3 +294,40 @@ def readme_config_keys():
 
 def test_readme_config_table_lists_every_config_key():
     assert readme_config_keys() == config_fields()
+
+
+def system_model_hooks():
+    """The optional Callable fields of SystemModel: those with a default."""
+    tree = ast.parse((SRC / "system.py").read_text())
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "SystemModel")
+    return {st.target.id for st in cls.body if isinstance(st, ast.AnnAssign)
+            and getattr(st.annotation, "id", None) == "Callable" and st.value is not None}
+
+
+def test_the_oracle_registry_is_exact():
+    # every hook has an entry, every public function of oracles.py is an
+    # entry's oracle, every fallback an entry names in src/ exists, and so
+    # does every test it names
+    assert {f"SystemModel.{h}" for h in system_model_hooks()} - set(oracles.ORACLES) == set()
+    defined = {n.name for n in ast.parse(pathlib.Path(oracles.__file__).read_text()).body
+               if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")}
+    named = [o for o, _, *_ in oracles.ORACLES.values()]
+    assert {o.__name__ for o in named if callable(o)} == defined
+    for module, name in (o.split(".") for o in named if isinstance(o, str)):
+        assert hasattr(importlib.import_module(f"vanvisc.{module}"), name), name
+    named_tests = {t for _, _, *tests in oracles.ORACLES.values() for t in tests}
+    for module in {t.split("::")[0] for t in named_tests}:
+        body = ast.parse((ROOT / "tests" / f"{module}.py").read_text()).body
+        functions = {f"{module}::{n.name}" for n in body if isinstance(n, ast.FunctionDef)}
+        assert {t for t in named_tests if t.startswith(f"{module}::")} - functions == set()
+
+
+def test_no_test_module_imports_another():
+    # shared oracles live in oracles.py and shared inputs in conftest.py
+    found = []
+    for path in sorted((ROOT / "tests").glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            found += [(path.name, m) for m in names if m.startswith("test_")]
+    assert found == []

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import (B_NO_WAVE_CURVE, CUBIC, P_NO_RIEMANN_FN, P_NO_WAVE_CURVE, WIDE,
+                      no_hooks)
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -9,17 +11,10 @@ from vanvisc.errors import NoRoot, NoSolution, NotOnLocus, OutOfDomain
 from vanvisc.front_tracking import WAVE_FLOOR, init_front_tracking
 from vanvisc.piecewise import PiecewiseConstant
 from vanvisc.riemann import _damped_newton, lax_curve, shock_speed, solve_riemann
-from vanvisc.system import SystemModel, eigen_frame, preset_model, wave_speeds
+from vanvisc.system import eigen_frame, preset_model, wave_speeds
 
 B = preset_model("burgers")
 P = preset_model("p_system", gamma=2, k=1)
-# the presets without their closed-form wave curves: RK4 on r_i and Newton
-# on the Hugoniot locus, the oracle of the closed forms
-P_GENERIC = dataclasses.replace(P, wave_curve=None)
-B_GENERIC = dataclasses.replace(B, wave_curve=None)
-# the p-system without its exact Riemann solver: the damped Newton over
-# lax_curve, the oracle of riemann_fn
-P_NEWTON = dataclasses.replace(P, riemann_fn=None)
 
 # a state in the p-system box, a family and a wave strength
 P_STATE = st.tuples(st.floats(0.5, 2.0), st.floats(-2.0, 2.0)).map(np.array)
@@ -27,16 +22,16 @@ FAMILY = st.sampled_from([1, 2])
 STRENGTH = st.floats(-0.3, 0.3)
 # a preset with its generic twin, a state in its box and a family
 CURVE_INPUT = st.one_of(
-    st.tuples(st.just((P, P_GENERIC)), P_STATE, FAMILY),
-    st.tuples(st.just((B, B_GENERIC)), st.floats(-4.0, 4.0).map(lambda v: np.array([v])),
+    st.tuples(st.just((P, P_NO_WAVE_CURVE)), P_STATE, FAMILY),
+    st.tuples(st.just((B, B_NO_WAVE_CURVE)), st.floats(-4.0, 4.0).map(lambda v: np.array([v])),
               st.just(1)),
 )
 
 
 def _lam(model, u, i):
-    """lambda_i (1-based) from the jacobian's eigenvalues: an oracle that
-    does not go through the model's lambda_fn."""
-    return np.sort(np.linalg.eigvals(model.jacobian(np.asarray(u, dtype=float))).real)[i - 1]
+    """lambda_i (1-based) from the jacobian's eigenvalues, not through the
+    model's lambda_fn."""
+    return wave_speeds(no_hooks(model), u)[i - 1]
 
 
 def assert_lax_inequalities(model, f):
@@ -85,8 +80,8 @@ def _box_gap(model, u):
 @given(CURVE_INPUT, STRENGTH)
 # a strength below the rounding of a state on the face w = 2: the closed
 # form lands an ulp outside w = 2, RK4 on u0 itself
-@example(((P, P_GENERIC), np.array([1.0, 2.0]), 1), 1e-15)
-@example(((P, P_GENERIC), np.array([1.0, 2.0]), 2), 1e-15)
+@example(((P, P_NO_WAVE_CURVE), np.array([1.0, 2.0]), 1), 1e-15)
+@example(((P, P_NO_WAVE_CURVE), np.array([1.0, 2.0]), 2), 1e-15)
 def test_p_system_wave_curve_agrees_with_generic_path(curve_input, s):
     (model, generic), u0, i = curve_input
     try:
@@ -169,7 +164,7 @@ def test_riemann_fn_agrees_with_newton(u_l, strengths):
     assume(0.55 <= u_r[0] <= 1.95 and abs(u_r[1]) <= 1.95)
     scale = max(1.0, np.max(np.abs(u_l)), np.max(np.abs(u_r)))
     s = solve_riemann(P, u_l, u_r)
-    assert np.max(np.abs(s - solve_riemann(P_NEWTON, u_l, u_r))) <= 1e-13 * scale
+    assert np.max(np.abs(s - solve_riemann(P_NO_RIEMANN_FN, u_l, u_r))) <= 1e-13 * scale
 
 
 def test_riemann_fn_without_a_middle_state_in_the_box_raises_no_solution():
@@ -351,17 +346,6 @@ def test_riemann_coinciding_states_have_no_waves():
     assert s.shape == (2,) and not s.any()
 
 
-# u_t + (u^3/3)_x = 0: lambda = u^2 >= 0, so a target lambda below zero has
-# no Hugoniot point, and states of opposite sign have no Lax solution
-CUBIC = SystemModel(n=1, flux=lambda u: u ** 3 / 3.0,
-                    jacobian=lambda u: (np.asarray(u, dtype=float) ** 2)[..., None],
-                    domain_box=((-2.0, 2.0),))
-# Burgers without its preset closed forms, on a box where f is up to 5e21
-WIDE = SystemModel(n=1, flux=lambda u: 0.5 * u * u,
-                   jacobian=lambda u: np.array(u, dtype=float)[..., None],
-                   domain_box=((-1e11, 1e11),))
-
-
 def test_lax_curve_without_hugoniot_point_raises_no_root():
     with pytest.raises(NoRoot, match="line search failed"):
         lax_curve(CUBIC, 1, np.array([0.5]), -0.5)
@@ -406,7 +390,7 @@ def test_riemann_start_leaving_the_box_is_halved():
     # interior data whose middle state has v = 1.977, but whose linearised
     # start composes a state at v = 2.0042, outside the box
     u_l, u_r = np.array([1.59575178, 0.15692097]), np.array([1.76258838, 0.50327455])
-    s = solve_riemann(P_NEWTON, u_l, u_r)
+    s = solve_riemann(P_NO_RIEMANN_FN, u_l, u_r)
     u = lax_curve(P, 2, lax_curve(P, 1, u_l, s[0]), s[1])
     assert np.max(np.abs(u - u_r)) <= 1e-14 * 2.0
     # the Newton path's linearised start, which it halves

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import WIDE, no_hooks
 from hypothesis.extra.numpy import arrays
 
 from vanvisc.errors import BadParameter, GNLViolation, NonHyperbolic, OutOfDomain
@@ -54,11 +55,9 @@ def test_lambda_fn_matches_eigen_frame(case):
     # row i of eigen_frame is an eigenvector of the jacobian for the i-th
     # wave speed: lambda_fn's, and the eigvals of a model without lambda_fn
     model, u = case
-    bare = SystemModel(n=model.n, flux=model.flux, jacobian=model.jacobian,
-                       domain_box=model.domain_box)
     for idx in np.ndindex(u.shape[:-1]):
         J = model.jacobian(u[idx])
-        for m in (model, bare):
+        for m in (model, no_hooks(model)):
             R = eigen_frame(m, u[idx])
             lam = wave_speeds(m, u[idx])
             assert R.shape == (model.n, model.n)
@@ -70,8 +69,7 @@ def test_lambda_fn_matches_eigen_frame(case):
 @given(preset_stacks())
 def test_eigvals_fallback_matches_closed_form(case):
     model, u = case
-    bare = SystemModel(n=model.n, flux=model.flux, jacobian=model.jacobian,
-                       domain_box=model.domain_box)
+    bare = no_hooks(model)
     got = max_abs_eigenvalue(bare, u)
     assert got.shape == u.shape[:-1]
     np.testing.assert_allclose(got, max_abs_eigenvalue(model, u), rtol=1e-12, atol=1e-12)
@@ -230,11 +228,9 @@ def test_three_component_frame_takes_null_vectors():
 def test_grad_lambda_fd_is_central_difference_of_wave_speeds():
     rng = np.random.default_rng(2)
     for model in PRESETS.values():
-        bare = SystemModel(n=model.n, flux=model.flux, jacobian=model.jacobian,
-                           domain_box=model.domain_box)
         lo = np.array([b[0] for b in model.domain_box])
         hi = np.array([b[1] for b in model.domain_box])
-        for m in (model, bare):
+        for m in (model, no_hooks(model)):
             for _ in range(5):
                 u = lo + (hi - lo) * rng.uniform(0.1, 0.9, model.n)
                 for k in range(model.n):
@@ -248,9 +244,6 @@ def test_grad_lambda_fd_step_scales_with_the_state():
     # an absolute step of 1e-6 fell below the rounding of u = 1e9 and up:
     # the gradient read 0.954 at 1e9, 1.907 at 1e10 and 0 at 3e10, where
     # eigen_frame raised GNLViolation
-    wide = SystemModel(n=1, flux=lambda u: 0.5 * u * u,
-                       jacobian=lambda u: np.array(u, dtype=float)[..., None],
-                       domain_box=((-1e11, 1e11),), name="wide_burgers")
     for u in (1e9, 1e10, 3e10, -3e10):
-        assert grad_lambda_fd(wide, np.array([u]))[0, 0] == pytest.approx(1.0, rel=1e-12)
-    assert eigen_frame(wide, np.array([3e10]))[0, 0] == pytest.approx(1.0, rel=1e-12)
+        assert grad_lambda_fd(WIDE, np.array([u]))[0, 0] == pytest.approx(1.0, rel=1e-12)
+    assert eigen_frame(WIDE, np.array([3e10]))[0, 0] == pytest.approx(1.0, rel=1e-12)

@@ -1,34 +1,29 @@
-import dataclasses
-import math
-
 import numpy as np
 import pytest
+from conftest import B_NO_VISCOUS_FN_PROFILE_FN, no_hooks
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import ode_residual, rusanov_solve
 from scipy.integrate import solve_ivp
 
 from vanvisc.errors import CFLViolation, NotLaxPair
 from vanvisc.harness import scenario_data
 from vanvisc.piecewise import PiecewiseConstant
 from vanvisc.riemann import lax_curve
-from vanvisc.system import SystemModel, max_abs_eigenvalue, preset_model, wave_speeds
-from vanvisc.viscous import (CFL, ShockProfile, _orbit_arrays, shock_profile, solve_viscous,
-                             tail_bound_check)
+from vanvisc.system import preset_model, wave_speeds
+from vanvisc.viscous import ShockProfile, _orbit_arrays, shock_profile, solve_viscous, tail_bound_check
 
 B = preset_model("burgers")
 P = preset_model("p_system")
-# the preset without its closed-form viscous references (Cole-Hopf and the
-# tanh profile): the explicit grid solve and the shooting, their oracles
-B_GENERIC = dataclasses.replace(B, viscous_fn=None, profile_fn=None)
 
 
 def test_burgers_profile_matches_tanh():
-    pr = shock_profile(B_GENERIC, [1.0], [0.0])
+    pr = shock_profile(B_NO_VISCOUS_FN_PROFILE_FN, [1.0], [0.0])
     s = np.linspace(-40, 40, 2001)
     exact = 0.5 - 0.5 * np.tanh(s / 4.0)
     assert np.max(np.abs(pr.value(s)[:, 0] - exact)) < 1e-8
     assert abs(pr.centering_residual()) < 1e-6
-    assert pr.ode_residual(800) < 1e-8
+    assert ode_residual(pr, 800) < 1e-8
 
 
 def test_burgers_profile_centering_by_symmetry():
@@ -93,7 +88,7 @@ def test_p_system_profiles_both_families():
         assert np.linalg.norm(lo - um) < 1e-8
         assert np.linalg.norm(hi - up) < 1e-8
         assert abs(pr.centering_residual()) < 1e-6
-        assert pr.ode_residual(500) < 1e-8
+        assert ode_residual(pr, 500) < 1e-8
 
 
 def test_profile_lambda_monotone_along_family():
@@ -106,7 +101,7 @@ def test_profile_lambda_monotone_along_family():
 
 
 def test_tail_bounds():
-    pr = shock_profile(B_GENERIC, [1.0], [0.0])
+    pr = shock_profile(B_NO_VISCOUS_FN_PROFILE_FN, [1.0], [0.0])
     rep = tail_bound_check(pr)
     assert rep["c1"] <= 1.0
     assert rep["c2"] <= 1.0
@@ -133,7 +128,7 @@ def test_not_lax_pair_errors():
 
 def test_solve_viscous_constant_data():
     # data without breakpoints: the grid spans [-1, 1] plus the padding
-    for model in (B, B_GENERIC):
+    for model in (B, B_NO_VISCOUS_FN_PROFILE_FN):
         sol = solve_viscous(model, 0.02, PiecewiseConstant([], [[0.7]]), 0.5, 0.005)
         assert sol.final().shape == (sol.x.size, 1)
         assert sol.x[0] < -1.0 and sol.x[-1] > 1.0
@@ -144,7 +139,7 @@ def test_solve_viscous_travelling_wave():
     # the Riemann step 1 -> 0 relaxes to the travelling profile of speed 1/2
     eps, dx = 0.01, 0.01 / 8
     exact = lambda x: 0.5 - 0.5 * np.tanh(np.asarray(x) / (4 * eps))
-    for model in (B, B_GENERIC):
+    for model in (B, B_NO_VISCOUS_FN_PROFILE_FN):
         sol = solve_viscous(model, eps, PiecewiseConstant([0.0], [[1.0], [0.0]]), 1.0, dx)
         err = np.sum(np.abs(sol.final()[:, 0] - exact(sol.x - 0.5))) * dx
         assert err <= 5 * dx
@@ -155,7 +150,7 @@ def test_solve_viscous_rarefaction_near_exact():
     dx = eps / 4
     data = PiecewiseConstant([0.0], [[0.0], [1.0]])
     tau = 1.0
-    for model in (B, B_GENERIC):
+    for model in (B, B_NO_VISCOUS_FN_PROFILE_FN):
         sol = solve_viscous(model, eps, data, tau, dx)
         xr = np.clip(sol.x / tau, 0.0, 1.0)
         err = np.sum(np.abs(sol.final()[:, 0] - xr)) * dx
@@ -164,7 +159,7 @@ def test_solve_viscous_rarefaction_near_exact():
 
 def test_solve_viscous_conservation():
     data = PiecewiseConstant([-0.3, 0.2], [[0.0], [0.3], [0.0]])
-    for model in (B, B_GENERIC):
+    for model in (B, B_NO_VISCOUS_FN_PROFILE_FN):
         sol = solve_viscous(model, 0.02, data, 0.5, 0.005)
         assert sol.times == [0.5]
         assert abs(np.sum(sol.final()[:, 0]) - np.sum(data(sol.x)[:, 0])) * 0.005 < 1e-10
@@ -174,7 +169,7 @@ def test_solve_viscous_tv_bound_and_refinement():
     data = PiecewiseConstant([-0.3, 0.2], [[0.8], [0.1], [0.5]])
     eps = 0.02
     tv0 = data.total_variation()
-    for model in (B, B_GENERIC):
+    for model in (B, B_NO_VISCOUS_FN_PROFILE_FN):
         sol1 = solve_viscous(model, eps, data, 0.5, eps / 4)
         assert np.sum(np.abs(np.diff(sol1.final()[:, 0]))) <= 1.5 * tv0
         sol2 = solve_viscous(model, eps, data, 0.5, eps / 8)
@@ -188,13 +183,11 @@ def test_solve_viscous_eigvals_fallback_matches_preset():
     # a model without lambda_fn takes the interface speeds from batched
     # eigenvalues of the jacobian instead of the preset's closed form
     um = np.array([1.0, 0.0])
-    cases = ((B_GENERIC, PiecewiseConstant([0.0], [[1.0], [0.0]])),
+    cases = ((B_NO_VISCOUS_FN_PROFILE_FN, PiecewiseConstant([0.0], [[1.0], [0.0]])),
              (P, PiecewiseConstant([0.0], [um, lax_curve(P, 1, um, -0.3)])))
     for model, data in cases:
-        bare = SystemModel(n=model.n, flux=model.flux, jacobian=model.jacobian,
-                           domain_box=model.domain_box)
         ref = solve_viscous(model, 0.04, data, 0.2, 0.01)
-        got = solve_viscous(bare, 0.04, data, 0.2, 0.01)
+        got = solve_viscous(no_hooks(model), 0.04, data, 0.2, 0.01)
         assert np.max(np.abs(got.final() - ref.final())) < 1e-12
 
 
@@ -205,90 +198,22 @@ def test_solve_viscous_errors():
     with pytest.raises(CFLViolation, match="epsilon"):
         solve_viscous(B, 0.0, data, 0.1, 0.01)
     # a grid needs a positive spacing, and NaN is not one
-    for model in (B, B_GENERIC):
+    for model in (B, B_NO_VISCOUS_FN_PROFILE_FN):
         for dx in (0.0, -0.0025, float("nan")):
             with pytest.raises(CFLViolation, match="dx"):
                 solve_viscous(model, 0.01, data, 0.1, dx)
     # Cole-Hopf has no t = 0, and the explicit loop would step backwards
-    for model in (B, B_GENERIC):
+    for model in (B, B_NO_VISCOUS_FN_PROFILE_FN):
         for tau in (0.0, -0.1):
             with pytest.raises(CFLViolation, match="tau"):
                 solve_viscous(model, 0.01, data, tau, 0.0025)
 
 
-def _full_grid_solve(model, epsilon, initial, tau, dx):
-    """The explicit solve stepping every cell of the grid: (x, dt, steps, u).
-
-    solve_viscous steps only a window that grows with the padding rule;
-    this loop, which steps the whole grid each time, is its oracle.
-    """
-    vmax = float(np.max(max_abs_eigenvalue(model, initial.values))) * 1.2 + 0.1
-    lo, hi = -1.0, 1.0
-    if initial.xs.size:
-        lo, hi = float(initial.xs[0]), float(initial.xs[-1])
-    need = vmax * tau + np.sqrt(4.0 * epsilon * tau * np.log(1e10))
-    lo, hi = lo - need - 10 * dx, hi + need + 10 * dx
-    N = int(np.ceil((hi - lo) / dx)) + 1
-    x = lo + dx * np.arange(N)
-    u = initial(x)
-    dt = CFL / (vmax / dx + 2.0 * epsilon / dx ** 2)
-    steps = max(1, int(np.ceil(tau / dt)))
-    dt = tau / steps
-    for _ in range(steps):
-        f = model.flux(u)
-        a = max_abs_eigenvalue(model, 0.5 * (u[:-1] + u[1:]))[:, None]
-        F = 0.5 * (f[:-1] + f[1:]) - 0.5 * a * (u[1:] - u[:-1])
-        lap = u[2:] - 2.0 * u[1:-1] + u[:-2]
-        u[1:-1] -= dt / dx * (F[1:] - F[:-1])
-        u[1:-1] += epsilon * dt / dx ** 2 * lap
-        u[0] = u[1]
-        u[-1] = u[-2]
-    return x, dt, steps, u
-
-
-def _row_major_window_solve(model, epsilon, initial, tau, dx):
-    """The windowed explicit solve on row-major (N, n) states, allocating
-    every intermediate: the final state.
-
-    solve_viscous runs the same steps on component-major states and
-    preallocated buffers, with every operation in the same order; this
-    loop is its bit-for-bit oracle.
-    """
-    vmax = float(np.max(max_abs_eigenvalue(model, initial.values))) * 1.2 + 0.1
-    lo, hi = -1.0, 1.0
-    if initial.xs.size:
-        lo, hi = float(initial.xs[0]), float(initial.xs[-1])
-
-    def reach(t):
-        return vmax * t + np.sqrt(4.0 * epsilon * t * np.log(1e10))
-
-    x_lo, x_hi = lo - reach(tau) - 10 * dx, hi + reach(tau) + 10 * dx
-    N = int(np.ceil((x_hi - x_lo) / dx)) + 1
-    u = initial(x_lo + dx * np.arange(N))
-    dt = CFL / (vmax / dx + 2.0 * epsilon / dx ** 2)
-    steps = max(1, int(np.ceil(tau / dt)))
-    dt = tau / steps
-    lam_dt_dx = dt / dx
-    mu_coef = epsilon * dt / dx ** 2
-    for k in range(1, steps + 1):
-        pad = reach(k * dt) + 10 * dx
-        i0 = max(math.floor((lo - pad - x_lo) / dx), 0)
-        i1 = min(math.ceil((hi + pad - x_lo) / dx) + 1, N)
-        w = u[i0:i1]
-        f = model.flux(w)
-        a = max_abs_eigenvalue(model, 0.5 * (w[:-1] + w[1:]))[:, None]
-        F = 0.5 * (f[:-1] + f[1:]) - 0.5 * a * (w[1:] - w[:-1])
-        lap = w[2:] - 2.0 * w[1:-1] + w[:-2]
-        w[1:-1] -= lam_dt_dx * (F[1:] - F[:-1])
-        w[1:-1] += mu_coef * lap
-        u[0] = u[1]
-        u[-1] = u[-2]
-    return u
-
-
 def _assert_matches_full_grid(model, epsilon, data, tau):
+    # to rounding against every cell stepped, and bit for bit against the
+    # same window on row-major states
     dx = epsilon / 4
-    x, dt, steps, u = _full_grid_solve(model, epsilon, data, tau, dx)
+    x, dt, steps, u = rusanov_solve(model, epsilon, data, tau, dx, windowed=False)
     sol = solve_viscous(model, epsilon, data, tau, dx)
     assert np.array_equal(sol.x, x)
     assert sol.dt == dt
@@ -297,15 +222,15 @@ def _assert_matches_full_grid(model, epsilon, data, tau):
     final = sol.final()
     assert final.shape == (x.size, model.n) and final.dtype == np.float64
     assert final.flags.c_contiguous
-    assert np.array_equal(final, _row_major_window_solve(model, epsilon, data, tau, dx))
+    assert np.array_equal(final, rusanov_solve(model, epsilon, data, tau, dx)[3])
 
 
 @pytest.mark.parametrize("model, scenario, epsilon, tau, kw", [
     (P, "lone_shock", 1e-2, 1.0, {}),
     (P, "random_bv", 8e-3, 0.5, dict(seed=100, n_jumps=8)),
     (P, "random_bv", 8e-3, 0.5, dict(seed=101, n_jumps=8)),
-    (B_GENERIC, "merge_cancellation", 1e-2, 1.0, {}),
-    (B_GENERIC, "random_bv", 1e-2, 1.0, dict(seed=3)),
+    (B_NO_VISCOUS_FN_PROFILE_FN, "merge_cancellation", 1e-2, 1.0, {}),
+    (B_NO_VISCOUS_FN_PROFILE_FN, "random_bv", 1e-2, 1.0, dict(seed=3)),
 ])
 def test_windowed_solve_matches_full_grid(model, scenario, epsilon, tau, kw):
     _assert_matches_full_grid(model, epsilon, scenario_data(model, scenario, **kw), tau)
@@ -320,7 +245,7 @@ def small_data(draw):
                               unique=True)))
     if draw(st.booleans()):
         vals = [[draw(st.floats(-1.0, 1.0))] for _ in range(n_jumps + 1)]
-        return B_GENERIC, PiecewiseConstant(xs, vals)
+        return B_NO_VISCOUS_FN_PROFILE_FN, PiecewiseConstant(xs, vals)
     vals = [np.array([1.0, 0.0])]
     for _ in range(n_jumps):
         vals.append(lax_curve(P, draw(st.integers(1, 2)), vals[-1], draw(st.floats(-0.15, 0.15))))
