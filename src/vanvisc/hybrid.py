@@ -32,7 +32,8 @@ class Mollifier:
     phi_delta(s) = phi(s/delta)/delta.  Even, unit mass, s phi'(s) <= 0."""
 
     def __init__(self, delta):
-        assert delta > 0
+        if not delta > 0:
+            raise ValueError("need delta > 0")
         self.delta = float(delta)
 
     def jet(self, s):

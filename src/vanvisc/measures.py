@@ -49,7 +49,8 @@ class WaveMeasure:
     def from_density(xs, vals):
         xs = np.asarray(xs, dtype=float)
         vals = np.asarray(vals, dtype=float)
-        assert vals[0] == 0.0 and vals[-1] == 0.0, "density must have compact support"
+        if vals[0] != 0.0 or vals[-1] != 0.0:
+            raise ValueError("density must have compact support")
         return WaveMeasure(atoms=np.zeros((0, 2)), density_xs=xs, density_vals=vals)
 
     def with_density(self, xs, vals):
@@ -172,6 +173,22 @@ class MonotoneProfile:
         return self.measure.atom_mass()
 
 
+def _odd_kinks(mu):
+    """The kinks on x >= 0 of v-hat, the odd rearrangement of a non-negative
+    measure mu, as OddProfile takes them: half the atom mass as a jump at 0,
+    then the density's pieces by decreasing value, each over half its width.
+    The one place that knows the rearrangement."""
+    x = 0.0
+    w = 0.5 * mu.atom_mass()
+    kinks = [(0.0, 0.0)] + ([(0.0, w)] if w > 0 else [])
+    for a, b, val in sorted(mu.density_pieces(), key=lambda p: -p[2]):
+        x_next = x + 0.5 * (b - a)
+        w += val * (x_next - x)
+        x = x_next
+        kinks.append((x, w))
+    return kinks
+
+
 def odd_rearrangement(v):
     """Odd rearrangement v-hat of a MonotoneProfile.
 
@@ -179,42 +196,23 @@ def odd_rearrangement(v):
     symmetric non-increasing rearrangement of the density; it satisfies
     v-hat(x) = sgn(x) sup_{meas(A) <= 2|x|} mu(A)/2.
     """
-    mu = v.measure
-    S = mu.atom_mass()
-    pieces = sorted(mu.density_pieces(), key=lambda p: -p[2])
-    xs, vals = [0.0], [0.0]
-    half = 0.0
-    for a, b, val in pieces:
-        half += 0.5 * (b - a)
-        xs.append(half)
-        vals.append(val)
-    vals.append(0.0)
-    # symmetric density on [-half, half]
-    if half > 0.0:
-        dx = np.concatenate([-np.array(xs[::-1][:-1]), np.array(xs)])
-        dv = np.concatenate([[0.0], vals[1:-1][::-1], vals[1:]])
-        dens_xs, dens_vals = dx, dv
-    else:
-        dens_xs, dens_vals = np.array([]), np.array([0.0])
-    atoms = np.array([[0.0, S]]) if S > 0 else np.zeros((0, 2))
-    mu_hat = WaveMeasure(atoms=atoms, density_xs=dens_xs, density_vals=dens_vals)
-    return MonotoneProfile(v_left=-0.5 * mu_hat.total_mass(), measure=mu_hat)
+    kinks = _odd_kinks(v.measure)
+    return MonotoneProfile(-kinks[-1][1], OddProfile(kinks).dx_measure())
 
 
 def order_leq(mu, mu_prime, tol=1e-12):
-    """Partial order: mu <= mu' iff the odd rearrangements compare on x > 0."""
+    """Partial order: mu <= mu' iff the odd rearrangements compare on x > 0.
+
+    Both v-hats are linear between their kinks and constant past the last
+    one, so they compare at 0+ and at every kink of either."""
     for m in (mu, mu_prime):
         if not m.is_nonnegative():
             raise NegativeMass("order_leq is defined for positive measures")
-    a = odd_rearrangement(MonotoneProfile(0.0, mu)).measure
-    b = odd_rearrangement(MonotoneProfile(0.0, mu_prime)).measure
-    pts = np.unique(np.concatenate([[0.0], a.density_xs[a.density_xs > 0],
-                                    b.density_xs[b.density_xs > 0]]))
-    pts = np.append(pts, pts[-1] + 1.0)
-    # v-hat(x) = S/2 + density((0, x]) for x > 0, S the atom mass at 0
-    va = a.density_cdf(pts) - a.density_cdf(0.0) + 0.5 * a.atom_mass()
-    vb = b.density_cdf(pts) - b.density_cdf(0.0) + 0.5 * b.atom_mass()
-    return not np.any(va > vb + tol)
+    a, b = OddProfile(_odd_kinks(mu)), OddProfile(_odd_kinks(mu_prime))
+    # odd profiles read 0 at x = 0; v-hat(0+) is the top of the jump there
+    at_0 = [max(w for x, w in p.kinks if x == 0.0) for p in (a, b)]
+    pts = np.array([x for x, _ in a.kinks + b.kinks if x > 0.0])
+    return at_0[0] <= at_0[1] + tol and not np.any(a(pts) > b(pts) + tol)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +363,8 @@ class OddProfile:
 
 def single_rarefaction_reference(sigma_bar, t):
     """One centered rarefaction of strength 2 sigma_bar: x/t inside the fan."""
-    assert sigma_bar > 0 and t > 0
+    if not (sigma_bar > 0 and t > 0):
+        raise ValueError("need sigma_bar > 0 and t > 0")
     return OddProfile([(0.0, 0.0), (sigma_bar * t, sigma_bar)])
 
 
@@ -397,20 +396,7 @@ class ComparisonSolution:
             for (t0, q0), (t1, q1) in zip(qh[:-1], qh[1:])
             if q0 - q1 > 0.0 and t1 > 0.0
         ]
-        vhat = odd_rearrangement(MonotoneProfile(0.0, mu0_plus))
-        mu = vhat.measure
-        kinks = [(0.0, 0.0)]
-        w = 0.5 * mu.atom_mass()
-        if w > 0:
-            kinks.append((0.0, w))
-        for a, b, v in sorted(mu.density_pieces()):
-            if a < 0:
-                continue
-            if not kinks or kinks[-1][0] < a:
-                kinks.append((a, w))
-            w += v * (b - a)
-            kinks.append((b, w))
-        self._kinks0 = kinks
+        self._kinks0 = _odd_kinks(mu0_plus)
         self.mu0_total = mu0_plus.total_mass()
 
     def q_drop(self, tau):

@@ -880,8 +880,8 @@ ORACLES = {
         two_walks, "bit for bit", "test_functionals::test_one_sided_walks_match_two_walks"),
     "functionals.audit_events": (audit_snapshot, "bit for bit",
                                  "test_functionals::test_audit_matches_recomputed_functionals"),
-    "measures.odd_rearrangement": (sup_mass, "1e-12",
-                                   "test_measures::test_rearrangement_sup_identity_random"),
+    "measures._odd_kinks: odd_rearrangement and the comparison solution's start": (
+        sup_mass, "1e-12", "test_measures::test_rearrangement_sup_identity_random"),
     "measures.WaveMeasure.mass_on": (
         ref_mass_on, "1e-12 of the total mass",
         "test_measures::test_cumulative_evaluator_matches_piece_scan"),
@@ -890,8 +890,9 @@ ORACLES = {
         "test_measures::test_cumulative_evaluator_matches_piece_scan",
         "test_measures::test_band_kernel_batch_matches_piece_scan",
         "test_measures::test_band_kernel_batch_examples"),
-    "measures.order_leq": (ref_order_margin, "the same outcome",
-                           "test_measures::test_cumulative_evaluator_matches_piece_scan"),
+    "measures.order_leq": (
+        ref_order_margin, "the same outcome (the oracle reads odd_rearrangement's measures)",
+        "test_measures::test_cumulative_evaluator_matches_piece_scan"),
     "measures.OddProfile.dx_measure": (
         ref_dx_measure, "bit for bit",
         "test_measures::test_dx_measure_matches_overlap_sum_on_criteria_5_6"),

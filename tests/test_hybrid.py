@@ -32,6 +32,8 @@ def test_kernel_properties():
     assert np.trapezoid(phi, s) == pytest.approx(1.0, abs=1e-10)  # unit mass
     assert np.all(phi[np.abs(s) > 2 * 0.37 / 3] == 0.0)        # support
     assert np.all(s * dphi <= 1e-12)                           # s phi'(s) <= 0
+    with pytest.raises(ValueError):
+        Mollifier(0.0)
 
 
 def test_mollifier_cdf_matches_clipped_polynomial():

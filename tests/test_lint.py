@@ -2,8 +2,9 @@
 function parameter is read, every dataclass field is read somewhere and
 outside the tests, every optional parameter is set by some caller outside
 the tests, every public function and method has a caller outside the tests,
-every exception class of errors.py is named in another module, and README's
-config-key table lists exactly the ExperimentConfig fields.  On the tests:
+every exception class of errors.py is named in another module, no assert
+statement stands in the package, and README's config-key table lists
+exactly the ExperimentConfig fields.  On the tests:
 the oracle registry of tests/oracles.py is exact, and no test module imports
 another.
 
@@ -274,6 +275,18 @@ def test_every_public_function_is_called_outside_the_tests():
 
 def test_every_exception_is_named_outside_errors():
     assert orphan_exceptions() == set()
+
+
+def assert_statements():
+    found = []
+    for mod, tree in _modules():
+        found += [(mod, n.lineno) for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+    return found
+
+
+def test_no_assert_statement_in_the_package():
+    # python -O strips assert statements, so an input check raises instead
+    assert assert_statements() == []
 
 
 def config_fields():

@@ -96,12 +96,16 @@ def test_odd_rearrangement_atom_plus_density():
 
 
 def test_rearrangement_sup_identity_random():
+    # v-hat as a measure, and as the comparison solution's start
     rng = np.random.default_rng(11)
     for _ in range(30):
         mu = random_monotone(rng, atom_mass=(0.05, 0.5), density=2.0)
         vh = odd_rearrangement(MonotoneProfile(0.0, mu))
+        w0 = burgers_comparison(mu, [(0.0, 0.0)], kappa=1.0).profile_at(0.0)
         for x in rng.uniform(0.01, 3.0, 5):
-            assert vhat_value(vh, x) == pytest.approx(0.5 * sup_mass(mu, 2 * x), abs=1e-12)
+            expect = 0.5 * sup_mass(mu, 2 * x)
+            assert vhat_value(vh, x) == pytest.approx(expect, abs=1e-12)
+            assert w0(x) == pytest.approx(expect, abs=1e-12)
 
 
 def test_order_examples():
@@ -174,6 +178,13 @@ def test_single_rarefaction_reference_examples():
     assert v(2.0) == pytest.approx(1.0)
     v = single_rarefaction_reference(0.3, 2.0)
     assert v(-1.0) == pytest.approx(-0.3)
+    with pytest.raises(ValueError):
+        single_rarefaction_reference(0.5, 0.0)
+
+
+def test_density_without_compact_support_raises():
+    with pytest.raises(ValueError):
+        WaveMeasure.from_density([0.0, 1.0], [1.0, 1.0, 1.0])
 
 
 def test_pair_interaction_integral_examples():
