@@ -73,15 +73,19 @@ class FrontConfiguration:
         return PiecewiseConstant(xs, np.array(vals))
 
     def validate(self, atol=1e-9):
-        prev = self.left_state
+        # np.allclose(left, prev, rtol=0, atol=atol) on Python floats: each
+        # component equal (infinities too) or at most atol apart, so a NaN
+        # component disagrees
+        prev = self.left_state.tolist()
         prev_x = -np.inf
         for i, f in enumerate(self.fronts):
             x = f.x(self.time)
             if x < prev_x - POS_TOL:
                 raise InvalidConfiguration(f"front {i} at {x} left of its neighbour")
-            if not np.allclose(f.left_state, prev, rtol=0.0, atol=atol):
+            left = f.left_state.tolist()
+            if not all(a == b or abs(a - b) <= atol for a, b in zip(left, prev)):
                 raise InvalidConfiguration(f"front {i}: inconsistent adjacent states")
-            prev, prev_x = f.right_state, x
+            prev, prev_x = f.right_state.tolist(), x
         return True
 
 

@@ -16,6 +16,7 @@ interaction except when a new big shock appears.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
@@ -24,7 +25,9 @@ import numpy as np
 from .front_tracking import GLIMM_C0
 from .hybrid import classify_event
 
-SQRT = np.sqrt
+# math.sqrt, not np.sqrt: the same correctly rounded root, but a Python
+# float, so the pair walks below do no numpy-scalar arithmetic
+SQRT = math.sqrt
 
 
 @dataclass(frozen=True)
@@ -38,12 +41,12 @@ def _ramp(d, dd, epsilon):
     """clip(1/2 + d/(4 sqrt(eps)), 0, 1) for a distance d moving at rate dd,
     with its right t-derivative: dd/(4 sqrt(eps)) inside the window and 0
     outside.  On a window edge the branch is the one d enters just after t."""
-    r = SQRT(epsilon)
-    if d < -2 * r or (d == -2 * r and dd <= 0):
+    h = 2 * SQRT(epsilon)
+    if d < -h or (d == -h and dd <= 0):
         return 0.0, 0.0
-    if d > 2 * r or (d == 2 * r and dd >= 0):
+    if d > h or (d == h and dd >= 0):
         return 1.0, 0.0
-    return 0.5 + d / (4 * r), dd / (4 * r)
+    return 0.5 + d / (2 * h), dd / (2 * h)
 
 
 def w_flat(d, dd, fam_alpha, fam_beta, epsilon):
@@ -95,54 +98,57 @@ def weighted_potentials(config, bs, epsilon):
     for f in config.fronts:
         if f.physical:
             group = groups.setdefault(f.family, [])
-            if f.kind == "shock":
+            shock = f.kind == "shock"
+            if shock:
                 shocks.append((f, group, len(group)))
-            group.append((f, f.x(config.time)))
+            # |sigma sigma'| is |sigma| |sigma'| exactly, so each front's
+            # fields are read once here, not once per pair
+            group.append((f.x(config.time), f.speed, abs(f.strength), f.strength, shock))
     flat = d_flat = cross = 0.0
-    for group_a, group_b in combinations(groups.values(), 2):
-        for (a, xa), (b, xb) in product(group_a, group_b):
-            w, dw = w_flat(xb - xa, b.speed - a.speed, a.family, b.family, epsilon)
-            m = abs(a.strength * b.strength)
+    for (fam_a, group_a), (fam_b, group_b) in combinations(groups.items(), 2):
+        for (xa, va, ma, _, _), (xb, vb, mb, _, _) in product(group_a, group_b):
+            d = xb - xa
+            w, dw = w_flat(d, vb - va, fam_a, fam_b, epsilon)
+            m = ma * mb
             flat += w * m
             d_flat += dw * m
-            if abs(xb - xa) <= near:
+            if abs(d) <= near:
                 cross += m
     natural = d_natural = natural_pairs = sharp = d_sharp = sharp_pairs = 0.0
     for alpha, group, j in shocks:
-        size = abs(alpha.strength)
-        x_alpha = group[j][1]
+        x_alpha, v_alpha, size, _, _ = group[j]
         big = alpha in bs
         cap = size / 4.0
         nat = d_nat = sh = d_sh = 0.0
         for side, right in ((group[j + 1 :], True), (reversed(group[:j]), False)):
             cum = 0.0
             z = runmax = size / 2.0
-            for b, x in side:
+            for x, v, m, sigma, shock in side:
                 d = x - x_alpha
-                if b.kind == "shock":
-                    z_new = z + abs(b.strength)
-                    mass = max(0.0, z_new - runmax)
+                if shock:
+                    z_new = z + m
+                    mass = z_new - runmax
                     if mass > 0:
-                        w, dw = w_natural(d, b.speed - alpha.speed, epsilon)
+                        w, dw = w_natural(d, v - v_alpha, epsilon)
                         sh += w * mass / (epsilon + runmax)
                         d_sh += dw * mass / (epsilon + runmax)
+                        runmax = z_new
                     z = z_new
-                    runmax = max(runmax, z_new)
                     if right and abs(d) <= near:
-                        sharp_pairs += abs(alpha.strength * b.strength)
+                        sharp_pairs += size * m
                     continue
-                z = z - 3.0 * b.strength
+                z = z - 3.0 * sigma
                 if not big:
                     continue
-                new = cum + b.strength
+                new = cum + sigma
                 mass = min(new, cap) - min(cum, cap)
                 if mass > 0:
-                    w, dw = w_natural(d, b.speed - alpha.speed, epsilon)
+                    w, dw = w_natural(d, v - v_alpha, epsilon)
                     nat += w * mass
                     d_nat += dw * mass
                 cum = new
                 if abs(d) <= near:
-                    natural_pairs += abs(alpha.strength * b.strength)
+                    natural_pairs += size * m
         natural, d_natural = natural + nat, d_natural + d_nat
         sharp, d_sharp = sharp + size * sh, d_sharp + size * d_sh
     return ((2.0 * flat, natural, sharp), (2.0 * d_flat, d_natural, d_sharp),

@@ -181,16 +181,21 @@ def solve_riemann(model, u_minus, u_plus):
     up = np.asarray(u_plus, dtype=float)
     model.check_domain(um)
     model.check_domain(up)
-    scale = max(1.0, float(np.max(np.abs(up))), float(np.max(np.abs(um))))
+    # the scale, zero-wave and miss checks run on the states' Python floats,
+    # which give the same maxima without numpy-scalar overhead; no state in
+    # the box holds a NaN, which Python's max would not propagate
+    ul, ur = um.tolist(), up.tolist()
+    scale = max(1.0, max(map(abs, ur)), max(map(abs, ul)))
 
-    if np.max(np.abs(up - um)) < ZERO_WAVE * scale:
+    if max(abs(b - a) for a, b in zip(ul, ur)) < ZERO_WAVE * scale:
         return np.zeros(model.n)
     tol = _RIEMANN_TOL * scale
 
     if model.riemann_fn is not None:
         s = model.riemann_fn(um, up)
         try:
-            miss = float(np.max(np.abs(_compose(model, um, s) - up)))
+            u = _compose(model, um, s).tolist()
+            miss = max(abs(a - b) for a, b in zip(u, ur))
         except OutOfDomain as exc:
             raise NoSolution(f"riemann_fn's waves leave the domain box: {exc}") from exc
         if not miss < tol:

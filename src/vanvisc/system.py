@@ -74,8 +74,8 @@ class SystemModel:
     entropy_fn: Callable = None
 
     def in_domain(self, u):
-        u = np.asarray(u, dtype=float)
-        for ui, (lo, hi) in zip(u, self.domain_box):
+        # on Python floats, which compare without numpy-scalar overhead
+        for ui, (lo, hi) in zip(np.asarray(u, dtype=float).tolist(), self.domain_box):
             # written so that NaN is outside
             if not lo <= ui <= hi:
                 return False
@@ -83,7 +83,10 @@ class SystemModel:
 
     def check_domain(self, u):
         if not self.in_domain(u):
-            raise OutOfDomain(f"state {np.asarray(u)} outside domain_box {self.domain_box}")
+            # printed from a list, not by numpy's array printer: the Newton
+            # line searches raise and drop thousands of these
+            raise OutOfDomain(f"state {np.asarray(u, dtype=float).tolist()} "
+                              f"outside domain_box {self.domain_box}")
 
     @cached_property
     def max_speed(self):

@@ -69,6 +69,17 @@ def test_validate_tolerance_is_absolute():
     cfg = FrontConfiguration(0.0, [a, b], np.array([1.0]), 0.25)
     with pytest.raises(InvalidConfiguration, match="front 1: inconsistent adjacent states"):
         cfg.validate()
+    # a difference of exactly atol passes, the next float above it and a NaN
+    # component do not
+    atol = 1e-9
+    for left, ok in ((atol, True), (np.nextafter(atol, 1), False), (np.nan, False)):
+        a = Front(0.0, 0.0, 1, "shock", 1.0, 0.5, np.array([0.0, left]), np.array([0.0, 0.0]))
+        cfg = FrontConfiguration(0.0, [a], np.array([0.0, 0.0]), 0.25)
+        if ok:
+            assert cfg.validate(atol)
+        else:
+            with pytest.raises(InvalidConfiguration, match="front 0: inconsistent"):
+                cfg.validate(atol)
 
 
 def test_front_is_its_own_identity():

@@ -426,6 +426,19 @@ def test_corpus_pair_sums_match_ordered_pairs(corpus):
     assert checked[0] >= 400 and checked[1] >= 100 and checked[2] >= 100
 
 
+@pytest.mark.parametrize("run_index, k", [(5, 0), (44, 1)])
+def test_weighted_potentials_return_python_floats(corpus, run_index, k):
+    # Burgers random_bv seed 5 and p-system seed 119 at rho = 0.05: every
+    # potential that the model's families allow moves inside a ramp window,
+    # where a numpy-scalar square root of eps would leak into the sums
+    run = corpus[run_index]
+    bs = big_shock_fronts(select_big_shocks(run, 0.05), k)
+    values = [v for triple in weighted_potentials(run.configs[k], bs, EPS) for v in triple]
+    assert all(type(v) is float for v in values)
+    moving = values[3:6] if run.model.n == 2 else values[4:6]
+    assert all(rate != 0.0 for rate in moving)
+
+
 def test_flat_rate_where_a_pair_leaves_the_window(corpus):
     # p-system random_bv seed 100: on [0.0528, 0.0944) a pair crosses the
     # window edge within (t1 - t0)/64 of t_mid, so the centred difference

@@ -344,6 +344,13 @@ def test_riemann_coinciding_states_have_no_waves():
     u = np.array([1.0, 0.0])
     s = solve_riemann(P, u, u)
     assert s.shape == (2,) and not s.any()
+    # states closer than ZERO_WAVE times the data scale max(1, |u|) have no
+    # waves either: at scale 3 a Burgers jump of 2.5e-12 has none, and one
+    # of 3.5e-12 is its own strength
+    s = solve_riemann(P, u, u + [0.0, 0.9e-12])
+    assert s.shape == (2,) and not s.any()
+    assert not solve_riemann(B, np.array([3.0]), np.array([3.0 + 2.5e-12])).any()
+    assert solve_riemann(B, np.array([3.0]), np.array([3.0 + 3.5e-12]))[0] > 3e-12
 
 
 def test_lax_curve_without_hugoniot_point_raises_no_root():

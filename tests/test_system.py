@@ -201,6 +201,22 @@ def test_eigen_frame_errors():
         eigen_frame(rotation, np.array([0.0, 0.0]))
 
 
+def test_in_domain_takes_the_box_faces_and_rejects_nan_and_inf():
+    p = PRESETS["p_system"]
+    for u in ([0.5, -2.0], [2.0, 2.0], [0.5, 2.0], [2.0, -2.0]):
+        assert p.in_domain(np.array(u)) and p.in_domain(u)
+    for bad in (np.nan, np.inf, -np.inf):
+        assert not p.in_domain(np.array([bad, 0.0]))
+        assert not p.in_domain(np.array([1.0, bad]))
+    assert not PRESETS["burgers"].in_domain(np.array([np.nan]))
+
+
+def test_out_of_domain_message_lists_the_state():
+    # the state prints as a list of floats, not through numpy's array printer
+    with pytest.raises(OutOfDomain, match=r"^state \[2\.5, 0\.0\] outside domain_box"):
+        PRESETS["p_system"].check_domain(np.array([2.5, 0.0]))
+
+
 def _decoupled_burgers(n):
     # u_j,t + (j u_j^2 / 2)_x = 0: a diagonal jacobian diag(j u_j) and no
     # lambda_fn, so the speeds are the jacobian's eigvals
