@@ -12,8 +12,8 @@ from .measures import (WaveMeasure, MonotoneProfile, ComparisonSolution, wave_me
                        pos_neg_parts, odd_rearrangement, order_leq, burgers_comparison,
                        single_rarefaction_reference, pair_interaction_integral)
 from .viscous import GridSolution, ShockProfile, solve_viscous, shock_profile, tail_bound_check
-from .hybrid import (Mollifier, BigShockTrack, HybridApprox, mollify, select_big_shocks,
-                     build_hybrid, residual, jump_sum)
+from .hybrid import (Mollifier, BigShockTrack, HybridApprox, select_big_shocks, build_hybrid,
+                     residual, jump_sum)
 from .functionals import (FunctionalConstants, weighted_potentials, q_hat, audit_events,
                           interaction_decay_rates)
 from .harness import (ExperimentConfig, ConvergenceTable, converge_cmd,

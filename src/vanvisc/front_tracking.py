@@ -381,7 +381,7 @@ def merge_cancelling_pairs(config):
                 # and age, never its speed
                 merged = replace(a, kind=kind, strength=s, right_state=b.right_state)
                 fronts[i : i + 2] = [] if abs(s) < 1e-14 and np.allclose(
-                    a.left_state, b.right_state, atol=1e-12
+                    a.left_state, b.right_state, rtol=0.0, atol=1e-12
                 ) else [merged]
                 changed = True
                 break

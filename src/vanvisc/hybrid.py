@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import OverlappingTracks
 from .front_tracking import config_index, sample_profile
-from .piecewise import gauss_l1, gauss_points
 from .viscous import shock_profile
 
 KERNEL_C = 76545.0 / 4096.0   # unit mass for (4/9 - s^2)^3 on |s| <= 2/3
@@ -65,42 +64,6 @@ def _kernel_cdf(t):
 # the edge values from the same array expression, so that points at or
 # beyond the edges get the bits the polynomial gives there
 _CDF_EDGES = _kernel_cdf(np.array([-KERNEL_SUPPORT, KERNEL_SUPPORT]))
-
-
-def mollify(u, delta):
-    """Mollified evaluator for a PiecewiseConstant u (exact convolution)."""
-    mol = Mollifier(delta)
-    xs = np.asarray(u.xs, dtype=float)
-    jumps = u.jumps()
-    u0 = u.values[0]
-
-    def value(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.tile(u0, (x.size, 1)) + mol.jet(x[:, None] - xs[None, :])[0] @ jumps
-
-    return value
-
-
-def mollification_l1_error(u, delta):
-    """Integral of |u * phi_delta - u|: 6-point Gauss on 8 equal
-    sub-intervals of each gap between kernel edges."""
-    xs = u.xs
-    if xs.size == 0:
-        return 0.0
-    edges = np.unique(np.concatenate([
-        xs, xs - KERNEL_SUPPORT * delta, xs + KERNEL_SUPPORT * delta]))
-    sub = edges[:-1, None] + np.diff(edges)[:, None] * (np.arange(8) / 8.0)
-    cut = np.append(sub.ravel(), edges[-1])
-    pts = gauss_points(cut)
-    return gauss_l1(cut, mollify(u, delta)(pts), u(pts))
-
-
-def oscillation_weighted_tv(u, delta):
-    """Sum over jumps of Osc{u; [x_j - delta, x_j + delta]} |jump_j|."""
-    total = 0.0
-    for x, du in zip(u.xs, u.jumps()):
-        total += u.oscillation(x - delta, x + delta) * float(np.linalg.norm(du))
-    return total
 
 
 # ---------------------------------------------------------------------------

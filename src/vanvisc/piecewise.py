@@ -43,16 +43,6 @@ class PiecewiseConstant:
             return 0.0
         return float(np.sum(np.linalg.norm(self.jumps(), axis=1)))
 
-    def oscillation(self, lo, hi):
-        """Euclidean diameter of the value set on the closed window [lo, hi]."""
-        i0 = np.searchsorted(self.xs, lo, side="left")
-        i1 = np.searchsorted(self.xs, hi, side="right")
-        vals = self.values[i0 : i1 + 1]
-        if vals.shape[0] <= 1:
-            return 0.0
-        d = vals[:, None, :] - vals[None, :, :]
-        return float(np.max(np.linalg.norm(d, axis=2)))
-
     def to_csv(self, path):
         """Breakpoint/value table: x, u_1..u_n (leftmost state uses x=-inf)."""
         with open(path, "w") as fh:

@@ -847,8 +847,10 @@ ORACLES = {
     "hybrid._squeeze_jet": (squeeze_jet_masked, "bit for bit",
                             "test_hybrid::test_squeeze_jet_matches_separate_formulas"),
     "hybrid.HybridStrip.jet front-local sums": (
-        dense_jet, "1e-14 of each part's largest magnitude; the budget 1e-14 relative",
+        dense_jet, "1e-14 of each part's largest magnitude (of v, 1e-14 absolute without "
+        "tracks); the budget 1e-14 relative",
         "test_hybrid::test_hybrid_jet_matches_term_by_term_composition",
+        "test_hybrid::test_hybrid_reduces_to_mollification_without_tracks",
         "test_hybrid::test_budget_matches_the_dense_sums",
         "test_hybrid::test_front_local_sums_match_the_dense_sums"),
     "hybrid.residual": (halved_residual, "2% relative",

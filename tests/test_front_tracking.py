@@ -13,7 +13,8 @@ from vanvisc.front_tracking import (POS_TOL, Event, Front, FrontConfiguration,
                                     merge_cancelling_pairs, next_interaction,
                                     resolve_interaction, run_until, sample_profile)
 from vanvisc.piecewise import PiecewiseConstant
-from vanvisc.system import preset_model
+from vanvisc.riemann import lax_curve, shock_speed
+from vanvisc.system import preset_model, wave_speeds
 
 B = preset_model("burgers")
 P = preset_model("p_system")
@@ -264,6 +265,23 @@ def test_merge_cancelling_pairs():
     merged = merge_cancelling_pairs(cfg)
     assert len(merged.fronts) == 1 and merged.rarefaction_cap == 0.25
     assert merged.fronts[0].strength == pytest.approx(-0.2)
+
+
+def test_merge_cancelling_pairs_keeps_a_pair_whose_outer_states_differ():
+    # a p-system 1-shock of -0.05 and the 1-rarefaction of +0.05 from its
+    # right state: the strengths cancel, but the rarefaction curve does not
+    # lead back to the shock's left state, so the pair is merged into one
+    # front of strength 0 that keeps the jump, not deleted
+    u_l = np.array([1.0, 1.0])
+    u_m = lax_curve(P, 1, u_l, -0.05)
+    u_r = lax_curve(P, 1, u_m, 0.05)
+    assert 1e-7 < np.max(np.abs(u_r - u_l)) < 1e-5
+    a = Front(0.0, 0.0, 1, "shock", -0.05, shock_speed(P, u_l, u_m), u_l, u_m)
+    b = Front(0.0, 0.0, 1, "rarefaction_step", 0.05, float(wave_speeds(P, u_r)[0]), u_m, u_r)
+    cfg = FrontConfiguration(time=0.0, fronts=[a, b], left_state=u_l, rarefaction_cap=0.25)
+    merged = merge_cancelling_pairs(cfg)
+    assert len(merged.fronts) == 1 and merged.fronts[0].strength == 0.0
+    assert np.array_equal(merged.profile().values[-1], u_r)
 
 
 def test_rarefaction_cap_bounds_every_step_of_a_corpus_run():

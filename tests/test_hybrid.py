@@ -11,12 +11,11 @@ from vanvisc.errors import OverlappingTracks
 from vanvisc.front_tracking import (POS_TOL, Front, FrontConfiguration, init_front_tracking,
                                     run_until)
 from vanvisc.functionals import big_shock_fronts
-from vanvisc.harness import ExperimentConfig, _track, eval_rule
-from vanvisc.hybrid import (KERNEL_C, KERNEL_SUPPORT, Mollifier, build_hybrid,
-                            classify_event, hybrid_vs_profile_l1, jump_sum,
-                            mollification_l1_error, mollify, oscillation_weighted_tv,
-                            residual, select_big_shocks, _squeeze_jet)
-from vanvisc.piecewise import PiecewiseConstant
+from vanvisc.harness import ExperimentConfig, _track, eval_rule, scenario_data
+from vanvisc.hybrid import (KERNEL_C, KERNEL_SUPPORT, HybridStrip, Mollifier, build_hybrid,
+                            classify_event, hybrid_vs_profile_l1, jump_sum, residual,
+                            select_big_shocks, _squeeze_jet)
+from vanvisc.piecewise import PiecewiseConstant, gauss_l1, gauss_points
 from vanvisc.riemann import lax_curve
 from vanvisc.system import preset_model
 
@@ -51,21 +50,50 @@ def test_mollifier_cdf_matches_clipped_polynomial():
             assert np.all(phi[far] == 0.0) and np.all(dphi[far] == 0.0)
 
 
-def test_mollify_constant_and_step():
-    u = pc([], [0.7])
-    v = mollify(u, 0.1)
-    assert np.max(np.abs(v(np.linspace(-1, 1, 11)) - 0.7)) == 0.0
+def _mollified_at_zero(model, u, delta):
+    """u * phi_delta as the production sum evaluates it: the trackless strip
+    of u's front tracking, read at t = 0 (the cap keeps every rarefaction of
+    these data one step)."""
+    cfg = init_front_tracking(model, u, 1e-9, 2.0)
+    return HybridStrip(model, cfg, 0.0, 1.0, [], delta ** 2, delta)
 
-    u = pc([0.0], [0.0, 1.0])
-    v = mollify(u, 0.1)
-    assert v(np.array([0.0]))[0, 0] == pytest.approx(0.5, abs=1e-12)
-    assert v(np.array([0.07]))[0, 0] + v(np.array([-0.07]))[0, 0] == pytest.approx(1.0, abs=1e-12)
+
+def _mollification_l1_error(model, u, delta):
+    """Integral of |u * phi_delta - u| over the strip at t = 0: 6-point
+    Gauss on 8 equal sub-intervals of each gap between kernel edges."""
+    xs = u.xs
+    edges = np.unique(np.concatenate([
+        xs, xs - KERNEL_SUPPORT * delta, xs + KERNEL_SUPPORT * delta]))
+    sub = edges[:-1, None] + np.diff(edges)[:, None] * (np.arange(8) / 8.0)
+    cut = np.append(sub.ravel(), edges[-1])
+    pts = gauss_points(cut)
+    return gauss_l1(cut, _mollified_at_zero(model, u, delta).value(0.0, pts), u(pts))
+
+
+def test_mollify_constant_and_step():
+    st = _mollified_at_zero(B, pc([], [0.7]), 0.1)
+    assert np.max(np.abs(st.value(0.0, np.linspace(-1, 1, 11)) - 0.7)) == 0.0
+
+    st = _mollified_at_zero(B, pc([0.0], [0.0, 1.0]), 0.1)
+    assert st.value(0.0, np.array([0.0]))[0, 0] == pytest.approx(0.5, abs=1e-12)
+    assert (st.value(0.0, np.array([0.07]))[0, 0] + st.value(0.0, np.array([-0.07]))[0, 0]
+            == pytest.approx(1.0, abs=1e-12))
 
 
 def test_mollification_l1_bound():
     u = pc([-0.4, 0.1, 0.5], [0.0, 0.6, 0.2, 0.9])
     delta = 0.08
-    err = mollification_l1_error(u, delta)
+    err = _mollification_l1_error(B, u, delta)
+    assert 0 < err <= delta * u.total_variation()
+
+
+@pytest.mark.parametrize("delta", [0.08, 0.02])
+@pytest.mark.parametrize("seed", [3, 5])
+@pytest.mark.parametrize("model", [B, P], ids=["burgers", "p_system"])
+def test_mollification_l1_bound_on_random_data(model, seed, delta):
+    # the lemma in the Euclidean norm, on scalar and 2x2 data
+    u = scenario_data(model, "random_bv", seed=seed, n_jumps=8, tv=0.3)
+    err = _mollification_l1_error(model, u, delta)
     assert 0 < err <= delta * u.total_variation()
 
 
@@ -78,7 +106,7 @@ def test_mollification_l1_error_of_a_single_jump_is_its_closed_form():
     closed = 2.0 * (tail.integ(lbnd=0.0))(KERNEL_SUPPORT)
     for jump, delta in ((0.7, 0.08), (-1.3, 0.01)):
         u = pc([0.25], [0.2, 0.2 + jump])
-        assert mollification_l1_error(u, delta) == pytest.approx(
+        assert _mollification_l1_error(B, u, delta) == pytest.approx(
             abs(jump) * delta * closed, rel=1e-13)
 
 
@@ -165,7 +193,7 @@ def test_hybrid_reduces_to_mollification_without_tracks():
     hyb = _hybrid(B, pc([0.0], [0.3, 0.0]), 0.5, 0.25, np.inf, 1e-3)
     xs = np.linspace(-0.5, 0.8, 301)
     v = hyb.value(0.2, xs)
-    vd = mollify(hyb.run.config_at(0.2).profile(), np.sqrt(1e-3))(xs)
+    vd = dense_jet(hyb.strip_at(0.2), hyb.run.config_at(0.2), 0.2, xs)[0]
     assert np.max(np.abs(v - vd)) < 1e-14
 
 
@@ -206,6 +234,20 @@ def test_residual_vanishes_where_squeeze_is_identity():
     assert np.max(r) < 1e-9
 
 
+def _oscillation_weighted_tv(u, delta):
+    """Sum over jumps of Osc{u; [x_j - delta, x_j + delta]} |jump_j|, the
+    oscillation being the Euclidean diameter of u's values on the closed
+    window (which holds the jump, so at least two values)."""
+    total = 0.0
+    for x, du in zip(u.xs, u.jumps()):
+        i0 = np.searchsorted(u.xs, x - delta, side="left")
+        i1 = np.searchsorted(u.xs, x + delta, side="right")
+        vals = u.values[i0 : i1 + 1]
+        osc = float(np.max(np.linalg.norm(vals[:, None, :] - vals[None, :, :], axis=2)))
+        total += osc * float(np.linalg.norm(du))
+    return total
+
+
 def test_residual_far_field_matches_oscillation_diagnostic():
     # pure rarefaction data: residual away from tracks obeys the
     # oscillation-weighted total variation bound up to a moderate constant
@@ -219,7 +261,7 @@ def test_residual_far_field_matches_oscillation_diagnostic():
     for k, cfgk in enumerate(run.configs):
         tm = 0.5 * (t_edges[k] + t_edges[k + 1])
         prof = run.config_at(tm).profile()
-        osc += oscillation_weighted_tv(prof, delta) * (t_edges[k + 1] - t_edges[k])
+        osc += _oscillation_weighted_tv(prof, delta) * (t_edges[k + 1] - t_edges[k])
     assert res["total"] <= 10.0 * osc
     assert res["per_track"] == {}
 

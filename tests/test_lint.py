@@ -54,10 +54,6 @@ TEST_ONLY_FIELDS = {
 # stays: a lemma or a property the tests check (oracles live in
 # tests/oracles.py)
 TEST_ONLY_FUNCTIONS = {
-    ("hybrid", "mollification_l1_error"):
-        "checks the lemma ||u * phi_delta - u||_L1 <= delta TV(u)",
-    ("hybrid", "oscillation_weighted_tv"):
-        "checks that the far-field residual is bounded by the oscillation-weighted TV",
     ("system", "check_genuine_nonlinearity"):
         "checks that a model is genuinely nonlinear; tests run it on the presets",
 }
@@ -208,8 +204,7 @@ def uncalled_functions():
     which are read like fields.  The match is by name only, like the other
     checks: a method counts as called when any function or attribute of its
     name is.  So it cannot see a test-only method whose name a called one
-    shares, such as GridSolution.total_variation, which only a test called
-    while PiecewiseConstant.total_variation has callers."""
+    shares."""
     loaded = set()
     for d in CALLERS:
         for path in (ROOT / d).rglob("*.py"):
