@@ -8,6 +8,8 @@ lemmas can be checked without quadrature noise.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -57,7 +59,7 @@ class WaveMeasure:
         return WaveMeasure(self.atoms, np.asarray(xs, float), np.asarray(vals, float))
 
     def atom_mass(self):
-        return float(np.sum(self.atoms[:, 1])) if self.atoms.size else 0.0
+        return self._view[4]
 
     def density_pieces(self):
         """List of (a, b, value) with value != 0."""
@@ -69,30 +71,23 @@ class WaveMeasure:
         return out
 
     @cached_property
-    def _knots(self):
-        """(xs, F, steps): the breakpoints, the density mass F of (-inf, x]
-        at each of them (linear in between), and the density on the
-        xs.size + 1 intervals they cut the line into, 0 on the outer two.
-        Piece j = [xs[j], xs[j+1]) has value density_vals[j + 1], so
-        density_vals may or may not carry the trailing 0."""
+    def _view(self):
+        """The measure as Python floats, for the scalar queries: (xs, F, X,
+        cum, total).  F is the density mass of (-inf, x] at each breakpoint
+        of xs (linear in between; xs is [0.0] without a density), X the atom
+        positions, cum[k] the mass of the first k atoms and total np.sum's
+        atom mass, which pairs the terms up and so is not cum[-1] at 9+
+        atoms.  Piece j = [xs[j], xs[j+1]) has value density_vals[j + 1],
+        so density_vals may or may not carry the trailing 0."""
         xs = self.density_xs if self.density_xs.size else np.zeros(1)
-        steps = np.zeros(xs.size + 1)
-        steps[1:-1] = self.density_vals[1:xs.size]
-        F = np.concatenate([[0.0], np.cumsum(steps[1:-1] * np.diff(xs))])
-        return xs, F, steps
-
-    @cached_property
-    def _atom_cum(self):
-        """Entry k is the mass of the first k atoms."""
-        return np.concatenate([[0.0], np.cumsum(self.atoms[:, 1])])
-
-    def density_cdf(self, x):
-        """Density mass of (-inf, x], vectorized."""
-        xs, F, _ = self._knots
-        return np.interp(x, xs, F)
+        F = np.concatenate([[0.0], np.cumsum(self.density_vals[1:xs.size] * np.diff(xs))])
+        M = self.atoms[:, 1]
+        total = float(np.sum(M)) if M.size else 0.0
+        return (xs.tolist(), F.tolist(), self.atoms[:, 0].tolist(),
+                [0.0, *np.cumsum(M).tolist()], total)
 
     def density_mass(self):
-        return float(self._knots[1][-1])
+        return self._view[1][-1]
 
     def total_mass(self):
         return self.atom_mass() + self.density_mass()
@@ -100,16 +95,30 @@ class WaveMeasure:
     def is_nonnegative(self):
         if self.atoms.size and np.any(self.atoms[:, 1] < 0):
             return False
-        return not np.any(self._knots[2] < 0)
+        return not np.any(self.density_vals[1:self.density_xs.size] < 0)
 
     def mass_on(self, lo, hi):
-        """Measure of the closed interval [lo, hi]."""
-        if hi < lo:
-            return 0.0
-        f_lo, f_hi = self.density_cdf((lo, hi))
-        X, cum = self.atoms[:, 0], self._atom_cum
-        return float(f_hi - f_lo + cum[np.searchsorted(X, hi, side="right")]
-                     - cum[np.searchsorted(X, lo, side="left")])
+        """Measure of the closed interval [lo, hi]; NaN if an end is NaN."""
+        lo, hi = float(lo), float(hi)
+        if not lo <= hi:
+            return 0.0 if hi < lo else math.nan
+        xs, F, X, cum, _ = self._view
+        return (_interp(hi, xs, F) - _interp(lo, xs, F) + cum[bisect_right(X, hi)]
+                - cum[bisect_left(X, lo)])
+
+
+def _interp(x, xs, F):
+    """np.interp(x, xs, F) at one float x that is not NaN, by its branches
+    and arithmetic: F[0] left of the knots, F[-1] from the last one on,
+    F[j] on knot j, and F's chord in between."""
+    if x >= xs[-1]:
+        return F[-1]
+    j = bisect_right(xs, x) - 1
+    if j < 0:
+        return F[0]
+    if xs[j] == x:
+        return F[j]
+    return (F[j + 1] - F[j]) / (xs[j + 1] - xs[j]) * (x - xs[j]) + F[j]
 
 
 def pos_neg_parts(m):
@@ -351,14 +360,14 @@ class OddProfile:
                     breaks.append(x0)
                 breaks.append(x1)
                 cells.append(slope)
-        mu = WaveMeasure.from_atoms(atoms)
+        atoms = WaveMeasure.from_atoms(atoms).atoms if atoms else np.zeros((0, 2))
         if not breaks:
-            return mu
+            return WaveMeasure(atoms)
         # mirror the breaks through 0, sharing a break at 0
         at_zero = breaks[0] == 0.0
         xs = [-x for x in reversed(breaks[1:] if at_zero else breaks)] + breaks
         vals = [0.0] + cells[::-1] + ([] if at_zero else [0.0]) + cells + [0.0]
-        return mu.with_density(xs, vals)
+        return WaveMeasure(atoms, np.array(xs), np.array(vals))
 
 
 def single_rarefaction_reference(sigma_bar, t):

@@ -650,6 +650,27 @@ def ref_mass_on(mu, lo, hi, atoms=True):
     return out
 
 
+def numpy_mass_on(mu, lo, hi):
+    """mu([lo, hi]) by numpy: np.interp over the density's cumulative mass at
+    its knots, np.searchsorted over the atoms' cumulative masses."""
+    if hi < lo:
+        return 0.0
+    xs = mu.density_xs if mu.density_xs.size else np.zeros(1)
+    steps = np.zeros(xs.size + 1)
+    steps[1:-1] = mu.density_vals[1:xs.size]
+    F = np.concatenate([[0.0], np.cumsum(steps[1:-1] * np.diff(xs))])
+    cum = np.concatenate([[0.0], np.cumsum(mu.atoms[:, 1])])
+    f_lo, f_hi = np.interp((lo, hi), xs, F)
+    X = mu.atoms[:, 0]
+    return float(f_hi - f_lo + cum[np.searchsorted(X, hi, side="right")]
+                 - cum[np.searchsorted(X, lo, side="left")])
+
+
+def numpy_atom_mass(mu):
+    """The atoms' total mass by np.sum, which sums pairwise."""
+    return float(np.sum(mu.atoms[:, 1])) if mu.atoms.size else 0.0
+
+
 def ref_band_correlation(mu, rho):
     """The band correlation of mu by a piece-by-piece scan."""
     total = 0.0
@@ -887,6 +908,11 @@ ORACLES = {
     "measures.WaveMeasure.mass_on": (
         ref_mass_on, "1e-12 of the total mass",
         "test_measures::test_cumulative_evaluator_matches_piece_scan"),
+    "measures.WaveMeasure.mass_on on Python floats": (
+        numpy_mass_on, "bit for bit; a NaN end gives NaN",
+        "test_measures::test_float_view_matches_numpy_evaluation"),
+    "measures.WaveMeasure.atom_mass": (
+        numpy_atom_mass, "bit for bit", "test_measures::test_float_view_matches_numpy_evaluation"),
     "measures.band_correlation batched kernel": (
         ref_band_correlation, "1e-12 relative",
         "test_measures::test_cumulative_evaluator_matches_piece_scan",

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from conftest import (clip_rearranged, comparison_instance, ft_run, random_monotone,
                       random_steps)
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import (comparison_hopf_lax, ref_band_correlation, ref_dx_measure, ref_mass_on,
-                     ref_order_margin, ref_pair_interaction_integral, sup_mass)
+from oracles import (comparison_hopf_lax, numpy_atom_mass, numpy_mass_on, ref_band_correlation,
+                     ref_dx_measure, ref_mass_on, ref_order_margin,
+                     ref_pair_interaction_integral, sup_mass)
 
 from vanvisc import measures
 from vanvisc.errors import NegativeMass, NonMonotoneHistory, NotMonotone
@@ -307,6 +308,48 @@ def test_cumulative_evaluator_matches_piece_scan(mu, nu, rho, window):
     assert order_leq(mu, nu, tol=tol) == (margin <= tol)
 
 
+@st.composite
+def signed_measures(draw):
+    """Up to 12 atoms of either sign, with or without a step density of
+    either sign on up to five pieces; coordinates repeat often, so atoms
+    merge and knots coincide (zero-width pieces)."""
+    coord = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([-1.0, 0.0, 0.5]))
+    n = draw(st.integers(0, 12))
+    mu = WaveMeasure.from_atoms(draw(st.lists(st.tuples(coord, st.floats(-1.0, 1.0)),
+                                              min_size=n, max_size=n)))
+    if not draw(st.booleans()):
+        return mu
+    k = draw(st.integers(0, 5))
+    xs = sorted(draw(st.lists(coord, min_size=k + 1, max_size=k + 1)))
+    vals = [0.0] + draw(st.lists(st.floats(-1.5, 1.5), min_size=k, max_size=k))
+    return mu.with_density(xs, vals + draw(st.sampled_from([[], [0.0]])))
+
+
+# nine atoms, where np.sum's pairwise total (atom_mass) and the running sum
+# (the atoms' part of mass_on) part; and an atom-only measure, where
+# np.interp maps a NaN end to 0 density mass
+_NINE = [0.27, -0.46, -0.92, -0.97, 0.63, 0.83, 0.21, 0.46, 0.09]
+
+
+@settings(max_examples=120)
+@given(signed_measures(), st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2))
+@example(WaveMeasure.from_atoms([(0.1 * i, m) for i, m in enumerate(_NINE)]), [0.0, 1.0])
+@example(WaveMeasure.from_atoms([(0.1, 0.3), (0.5, 0.2)]), [0.0, 1.0])
+def test_float_view_matches_numpy_evaluation(mu, window):
+    # every pair of ends: on every knot and atom, at +-inf and NaN, with
+    # lo == hi and lo > hi; exact, except that a NaN end now gives NaN
+    assert mu.atom_mass() == numpy_atom_mass(mu)
+    ends = [*window, -np.inf, np.inf, np.nan, *mu.density_xs, *mu.atoms[:, 0]]
+    for lo in ends:
+        for hi in ends:
+            got = mu.mass_on(lo, hi)
+            assert type(got) is float
+            if np.isnan(lo) or np.isnan(hi):
+                assert np.isnan(got)
+            else:
+                assert got == numpy_mass_on(mu, lo, hi), (lo, hi)
+
+
 @settings(max_examples=150)
 @given(st.lists(monotone_measures(), min_size=1, max_size=6), st.floats(0.01, 1.5))
 def test_band_kernel_batch_matches_piece_scan(mus, rho):
@@ -351,6 +394,24 @@ def test_band_kernel_batch_examples():
 def _assert_same_measure(mu, nu):
     for f in ("atoms", "density_xs", "density_vals"):
         assert np.array_equal(getattr(mu, f), getattr(nu, f)), f
+
+
+def test_dx_measure_builds_what_the_measure_constructors_build():
+    # dx_measure builds its arrays directly; from_atoms and with_density, fed
+    # the same numbers, must give the same bits, dtypes and shapes, (0, 2)
+    # atoms included
+    for kinks in ([(0.0, 0.0), (0.0, 0.2), (1.0, 0.4), (1.0, 0.6), (2.0, 0.8)],
+                  [(0.0, 0.0), (1.0, 0.5), (2.0, 0.5), (3.0, 1.0)],
+                  [(0.5, 0.0), (1.0, 0.3), (1.0, 0.4), (1.5, 0.4), (2.5, 0.9)],
+                  [(0.0, 0.0), (0.0, 0.3)], [(0.0, 0.0), (1.0, 0.0), (1.0, 0.5)],
+                  [(0.0, 0.0), (1.0, 0.0)]):
+        mu = OddProfile(kinks).dx_measure()
+        nu = WaveMeasure.from_atoms(mu.atoms.tolist())
+        if mu.density_xs.size:
+            nu = nu.with_density(mu.density_xs.tolist(), mu.density_vals.tolist())
+        for f in ("atoms", "density_xs", "density_vals"):
+            a, b = getattr(mu, f), getattr(nu, f)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (kinks, f)
 
 
 def test_dx_measure_matches_overlap_sum_on_criteria_5_6():
