@@ -12,6 +12,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -37,15 +38,7 @@ class WaveMeasure:
 
     @staticmethod
     def from_atoms(pairs):
-        pairs = sorted((float(x), float(m)) for x, m in pairs)
-        merged = []
-        for x, m in pairs:
-            if merged and x == merged[-1][0]:
-                merged[-1][1] += m
-            else:
-                merged.append([x, m])
-        arr = np.array(merged, dtype=float).reshape(-1, 2)
-        return WaveMeasure(atoms=arr)
+        return WaveMeasure(atoms=np.array(_merged_atoms(pairs), dtype=float).reshape(-1, 2))
 
     @staticmethod
     def from_density(xs, vals):
@@ -62,13 +55,9 @@ class WaveMeasure:
         return self._view[4]
 
     def density_pieces(self):
-        """List of (a, b, value) with value != 0."""
-        out = []
-        xs, vals = self.density_xs, self.density_vals
-        for j in range(xs.size - 1):
-            if vals[j + 1] != 0.0:
-                out.append((xs[j], xs[j + 1], vals[j + 1]))
-        return out
+        """List of (a, b, value) with value != 0, as Python floats."""
+        xs, vals = self.density_xs.tolist(), self.density_vals.tolist()
+        return [(a, b, v) for a, b, v in zip(xs, xs[1:], vals[1:]) if v != 0.0]
 
     @cached_property
     def _view(self):
@@ -107,6 +96,18 @@ class WaveMeasure:
                 - cum[bisect_left(X, lo)])
 
 
+def _merged_atoms(pairs):
+    """The (x, m) pairs as sorted [x, m] lists of Python floats, the masses
+    at one x summed in that order."""
+    merged = []
+    for x, m in sorted((float(x), float(m)) for x, m in pairs):
+        if merged and x == merged[-1][0]:
+            merged[-1][1] += m
+        else:
+            merged.append([x, m])
+    return merged
+
+
 def _interp(x, xs, F):
     """np.interp(x, xs, F) at one float x that is not NaN, by its branches
     and arithmetic: F[0] left of the knots, F[-1] from the last one on,
@@ -123,8 +124,9 @@ def _interp(x, xs, F):
 
 def pos_neg_parts(m):
     """Jordan decomposition (mu+, mu-); both returned non-negative."""
-    pos_atoms = [(x, v) for x, v in m.atoms if v > 0]
-    neg_atoms = [(x, -v) for x, v in m.atoms if v < 0]
+    atoms = m.atoms.tolist()
+    pos_atoms = [(x, v) for x, v in atoms if v > 0]
+    neg_atoms = [(x, -v) for x, v in atoms if v < 0]
     pieces = m.density_pieces()
 
     def build(atoms, keep):
@@ -229,39 +231,48 @@ def order_leq(mu, mu_prime, tol=1e-12):
 
 def band_correlation(mu, rho):
     """(mu x mu)({(x, y): |x - y| <= rho}) for a non-negative measure."""
-    return float(_band_correlations([mu], rho)[0])
+    return float(_band_kernel(*zip(_measure_parts(mu)), rho)[0])
 
 
-def _band_correlations(mus, rho):
-    """band_correlation of each measure of mus, in one array pass.
+def _measure_parts(mu):
+    """A measure as the band kernel's parts: its knots, the density on each
+    cell between two of them, and its atoms."""
+    n = mu.density_xs.size
+    return mu.density_xs.tolist(), mu.density_vals[1:n].tolist(), mu.atoms.tolist()
 
-    Row b holds measure b padded to the batch's knot and atom counts: its
-    last knot repeated (zero-width pieces of density 0) and zero-mass atoms,
-    so the padding adds nothing.  With F the density mass of (-inf, x], the
-    atoms give sum M_i M_j over close pairs plus 2 M_i (F(X_i + rho) -
-    F(X_i - rho)), and the density part is the integral of
-    d(x) [F(x + rho) - F(x - rho)] dx: between consecutive breaks of
-    {xs, xs - rho, xs + rho} the density d is constant and the bracket is
-    linear, so the trapezoid rule is exact.
+
+def _band_kernel(xs_l, steps_l, atoms_l, rho):
+    """The band correlation of each row of a batch of measures, in one array
+    pass.  Row b is a measure given by its knots xs_l[b] (empty without a
+    density), the density steps_l[b] on each cell between two knots and its
+    atoms atoms_l[b] as (position, mass) pairs, positions increasing.
+
+    Row b is padded to the batch's knot and atom counts: its last knot
+    repeated (zero-width pieces of density 0) and zero-mass atoms, so the
+    padding adds nothing.  With F the density mass of (-inf, x], the atoms
+    give sum M_i M_j over close pairs plus 2 M_i (F(X_i + rho) - F(X_i -
+    rho)), and the density part is the integral of d(x) [F(x + rho) - F(x -
+    rho)] dx: between consecutive breaks of {xs, xs - rho, xs + rho} the
+    density d is constant and the bracket is linear, so the trapezoid rule
+    is exact.
     """
-    xs_l = [mu.density_xs if mu.density_xs.size else _ORIGIN for mu in mus]
-    n, n_atoms = np.array([(xs.size, mu.atoms.shape[0]) for xs, mu in zip(xs_l, mus)]).T
+    xs_l = [xs or _ORIGIN for xs in xs_l]
+    n = np.array([len(xs) for xs in xs_l])
+    n_atoms = np.array([len(a) for a in atoms_l])
     B, K = n.size, n.max()
-    rows = np.arange(B)[:, None]
     # column c of x_lo, steps, F_lo and slope is the cell [knot c-1, knot c):
     # its left knot, density, F there and F's slope, with cells 0 and K
     # outside the knots; each row's last knot repeats past its own
     x_lo = np.full((B, K + 1), -np.inf)
     x_lo[:, 0] = 0.0
     xs = x_lo[:, 1:]
-    xs[np.arange(K) < n[:, None]] = np.concatenate(xs_l)
+    xs[np.arange(K) < n[:, None]] = list(chain.from_iterable(xs_l))
     np.maximum.accumulate(xs, axis=1, out=xs)
     steps = np.zeros((B, K + 1))
-    steps[:, 1:K][np.arange(K - 1) < n[:, None] - 1] = np.concatenate(
-        [mu.density_vals[1:x.size] for mu, x in zip(mus, xs_l)])
+    steps[:, 1:K][np.arange(K - 1) < n[:, None] - 1] = list(chain.from_iterable(steps_l))
     atoms = np.zeros((B, n_atoms.max(), 2))
-    atoms[np.arange(atoms.shape[1]) < n_atoms[:, None]] = np.concatenate(
-        [mu.atoms for mu in mus]).reshape(-1, 2)
+    atoms[np.arange(atoms.shape[1]) < n_atoms[:, None]] = np.array(
+        list(chain.from_iterable(atoms_l)), dtype=float).reshape(-1, 2)
     X, M = atoms[..., 0], atoms[..., 1]
     if (M < 0).any() or (steps < 0).any():
         raise NegativeMass("band_correlation needs a non-negative measure")
@@ -274,13 +285,13 @@ def _band_correlations(mus, rho):
     # before an equal shifted knot), which is the cell right of it
     br = np.concatenate([xs, xs - rho, xs + rho], axis=1)
     order = br.argsort(axis=1, kind="stable")
-    br = br[rows, order]
-    d = steps[rows, (order < K).cumsum(axis=1)[:, :-1]]
+    br = br.ravel()[_row_flat(order, br.shape[1])]
+    d = steps.ravel()[_row_flat((order < K).cumsum(axis=1)[:, :-1], K + 1)]
     # F with np.interp's arithmetic: F(knot c-1) + slope (q - knot c-1) in
     # cell c, 0 left of the knots and F's last value right of them
     q = np.concatenate([br + rho, br - rho, X + rho, X - rho], axis=1)
-    c = _knots_at_or_below(xs, q)
-    cdf = slope[rows, c] * (q - x_lo[rows, c]) + F_lo[rows, c]
+    c = _row_flat(_knots_at_or_below(xs, q), K + 1)
+    cdf = slope.ravel()[c] * (q - x_lo.ravel()[c]) + F_lo.ravel()[c]
     nb, na = br.shape[1], X.shape[1]
     g = cdf[:, :nb] - cdf[:, nb:2 * nb]
     window = cdf[:, 2 * nb:2 * nb + na] - cdf[:, 2 * nb + na:]
@@ -291,7 +302,7 @@ def _band_correlations(mus, rho):
     return total
 
 
-_ORIGIN = np.zeros(1)
+_ORIGIN = [0.0]
 
 
 def _knots_at_or_below(xs, q):
@@ -301,8 +312,15 @@ def _knots_at_or_below(xs, q):
     K = xs.shape[1]
     order = np.concatenate([xs, q], axis=1).argsort(axis=1, kind="stable")
     cnt = np.empty_like(order)
-    cnt[np.arange(xs.shape[0])[:, None], order] = (order < K).cumsum(axis=1)
+    cnt.ravel()[_row_flat(order, order.shape[1])] = (order < K).cumsum(axis=1)
     return cnt[:, K:]
+
+
+def _row_flat(idx, width):
+    """The flat indices of a[b, idx[b, j]] in a C-ordered array a of rows of
+    this width: numpy gathers and scatters by one flat index several times
+    faster than by the index pair (b, idx)."""
+    return idx + width * np.arange(idx.shape[0])[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +339,10 @@ class OddProfile:
         self.kinks = [(float(x), float(w)) for x, w in kinks]
         if not self.kinks or self.kinks[0] != (0.0, 0.0):
             self.kinks = [(0.0, 0.0)] + self.kinks
-        for (x0, w0), (x1, w1) in zip(self.kinks[:-1], self.kinks[1:]):
-            if x1 < x0 or w1 < w0:
-                raise NotMonotone(f"kink ({x1}, {w1}) falls below ({x0}, {w0})")
+        fall = _fall(self.kinks)
+        if fall:
+            (x0, w0), (x1, w1) = fall
+            raise NotMonotone(f"kink ({x1}, {w1}) falls below ({x0}, {w0})")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -335,46 +354,77 @@ class OddProfile:
         return np.sign(x) * vals
 
     def dx_measure(self):
-        """D_x of the odd extension as a WaveMeasure on the whole line.
-
-        The sloped pieces on x >= 0 follow each other and are disjoint, and
-        so are their mirror images, so each cell between breaks holds one
-        slope or 0.
-        """
-        atoms = []
-        breaks, cells = [], []      # breaks on x >= 0, the slope between each two
-        for (x0, w0), (x1, w1) in zip(self.kinks[:-1], self.kinks[1:]):
-            if x1 - x0 <= 0.0:
-                if w1 > w0:
-                    if x0 == 0.0:
-                        atoms.append((0.0, 2.0 * (w1 - w0)))
-                    else:
-                        atoms.append((x0, w1 - w0))
-                        atoms.append((-x0, w1 - w0))
-                continue
-            slope = (w1 - w0) / (x1 - x0)
-            if slope != 0.0:
-                if not breaks or breaks[-1] != x0:
-                    if breaks:
-                        cells.append(0.0)
-                    breaks.append(x0)
-                breaks.append(x1)
-                cells.append(slope)
-        atoms = WaveMeasure.from_atoms(atoms).atoms if atoms else np.zeros((0, 2))
-        if not breaks:
+        """D_x of the odd extension as a WaveMeasure on the whole line."""
+        xs, steps, atoms = _dx_parts(self.kinks)
+        atoms = np.array(atoms, dtype=float).reshape(-1, 2)
+        if not xs:
             return WaveMeasure(atoms)
-        # mirror the breaks through 0, sharing a break at 0
-        at_zero = breaks[0] == 0.0
-        xs = [-x for x in reversed(breaks[1:] if at_zero else breaks)] + breaks
-        vals = [0.0] + cells[::-1] + ([] if at_zero else [0.0]) + cells + [0.0]
-        return WaveMeasure(atoms, np.array(xs), np.array(vals))
+        return WaveMeasure(atoms, np.array(xs), np.array([0.0, *steps, 0.0]))
+
+
+def _fall(kinks):
+    """The first two consecutive kinks of which the second's x or w falls
+    below the first's, or None."""
+    for k0, k1 in zip(kinks, kinks[1:]):
+        if k1[0] < k0[0] or k1[1] < k0[1]:
+            return k0, k1
+    return None
+
+
+def _odd_profile(kinks):
+    """OddProfile(kinks) for kinks of Python floats known not to fall,
+    without its conversion and check.  Only ComparisonSolution and
+    single_rarefaction_reference build one (tests/test_lint.py keeps it so):
+    user kinks go through OddProfile."""
+    p = OddProfile.__new__(OddProfile)
+    p.kinks = kinks if kinks and kinks[0] == (0.0, 0.0) else [(0.0, 0.0)] + kinks
+    return p
+
+
+def _dx_parts(kinks):
+    """D_x of the odd profile with these kinks (on x >= 0) as the band
+    kernel's parts: the breaks on the whole line (none without a density),
+    the density on each cell between two of them, and the atoms as
+    from_atoms merges them.
+
+    The sloped pieces on x >= 0 follow each other and are disjoint, and so
+    are their mirror images, so each cell between breaks holds one slope or
+    0.  The one derivative builder: dx_measure and the time integral read it.
+    """
+    atoms = []
+    breaks, cells = [], []      # breaks on x >= 0, the slope between each two
+    for (x0, w0), (x1, w1) in zip(kinks, kinks[1:]):
+        if x1 - x0 <= 0.0:
+            if w1 > w0:
+                if x0 == 0.0:
+                    atoms.append((0.0, 2.0 * (w1 - w0)))
+                else:
+                    atoms.append((x0, w1 - w0))
+                    atoms.append((-x0, w1 - w0))
+            continue
+        slope = (w1 - w0) / (x1 - x0)
+        if slope != 0.0:
+            if not breaks or breaks[-1] != x0:
+                if breaks:
+                    cells.append(0.0)
+                breaks.append(x0)
+            breaks.append(x1)
+            cells.append(slope)
+    atoms = _merged_atoms(atoms) if atoms else atoms
+    if not breaks:
+        return [], [], atoms
+    # mirror the breaks through 0, sharing a break at 0
+    at_zero = breaks[0] == 0.0
+    xs = [-x for x in reversed(breaks[1:] if at_zero else breaks)] + breaks
+    return xs, cells[::-1] + ([] if at_zero else [0.0]) + cells, atoms
 
 
 def single_rarefaction_reference(sigma_bar, t):
     """One centered rarefaction of strength 2 sigma_bar: x/t inside the fan."""
     if not (sigma_bar > 0 and t > 0):
         raise ValueError("need sigma_bar > 0 and t > 0")
-    return OddProfile([(0.0, 0.0), (sigma_bar * t, sigma_bar)])
+    # both x and w rise from the origin's 0
+    return _odd_profile([(0.0, 0.0), (float(sigma_bar * t), float(sigma_bar))])
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +447,7 @@ class ComparisonSolution:
         for (t0, q0), (t1, q1) in zip(qh[:-1], qh[1:]):
             if q1 > q0 + 1e-12:
                 raise NonMonotoneHistory(f"Q increases at t={t1}: {q0} -> {q1}")
-            if t1 < t0:
+            if not t0 <= t1:
                 raise NonMonotoneHistory("q_history times must be increasing")
         self.q_history = qh
         self.impulses = [
@@ -405,7 +455,19 @@ class ComparisonSolution:
             for (t0, q0), (t1, q1) in zip(qh[:-1], qh[1:])
             if q0 - q1 > 0.0 and t1 > 0.0
         ]
-        self._kinks0 = _odd_kinks(mu0_plus)
+        # the kinks just after each impulse, replayed once: _states[k] holds
+        # the k-th impulse's time (0 for k = 0), the kinks then and whether
+        # they rise (user data may not: unsorted knots, a negative kappa)
+        kinks, t_last = _odd_kinks(mu0_plus), 0.0
+        self._states = [(t_last, kinks, _fall(kinks) is None)]
+        for t_imp, d in self.impulses:
+            dt = t_imp - t_last
+            kinks = [(x + dt * w, w) for x, w in kinks]
+            jump = self.kappa * d
+            kinks = [(0.0, 0.0), (0.0, jump)] + [(x, w + jump) for x, w in kinks[1:]]
+            t_last = t_imp
+            self._states.append((t_last, kinks, _fall(kinks) is None))
+        self._times = [t_imp for t_imp, _ in self.impulses]
         self.mu0_total = mu0_plus.total_mass()
 
     def q_drop(self, tau):
@@ -421,19 +483,15 @@ class ComparisonSolution:
         return 0.5 * self.mu0_total + self.kappa * self.q_drop(tau)
 
     def profile_at(self, t):
-        kinks = list(self._kinks0)
-        t_last = 0.0
-        for t_imp, d in self.impulses:
-            if t_imp > t + 1e-15:
-                break
-            dt = t_imp - t_last
-            kinks = [(x + dt * w, w) for x, w in kinks]
-            jump = self.kappa * d
-            kinks = [(0.0, 0.0), (0.0, jump)] + [(x, w + jump) for x, w in kinks[1:]]
-            t_last = t_imp
+        """The profile at time t: the kinks after the last impulse at or
+        before t + 1e-15 (the times increase), moved on to t."""
+        t = float(t)
+        t_last, kinks, rising = self._states[bisect_right(self._times, t + 1e-15)]
         dt = t - t_last
         kinks = [(x + dt * w, w) for x, w in kinks]
-        return OddProfile(kinks)
+        # rounding is monotone, so a move forward keeps rising kinks rising;
+        # one back (t < 0, or t up to 1e-15 before an impulse) may not
+        return _odd_profile(kinks) if rising and dt >= 0.0 else OddProfile(kinks)
 
 
 def burgers_comparison(mu0_plus, q_history, kappa):
@@ -539,10 +597,12 @@ def _window_duration(g0, dv, delta, L):
 
 
 def time_integrated_band_correlation(profile_fn, t0, t1, rho, nodes=33):
-    """Simpson integral over t of band_correlation(D_x profile_fn(t), rho)."""
+    """Simpson integral over t of band_correlation(D_x profile_fn(t), rho),
+    the nodes' derivatives built from their kinks and fed to the band
+    kernel as one batch."""
     nodes = nodes if nodes % 2 == 1 else nodes + 1
     ts = np.linspace(t0, t1, nodes)
-    vals = _band_correlations([profile_fn(t).dx_measure() for t in ts], rho)
+    vals = _band_kernel(*zip(*(_dx_parts(profile_fn(t).kinks) for t in ts)), rho)
     weights = np.ones(nodes)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0

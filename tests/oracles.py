@@ -20,7 +20,8 @@ from vanvisc.errors import NegativeMass
 from vanvisc.front_tracking import GLIMM_C0, glimm_functionals
 from vanvisc.functionals import w_flat, w_natural, weighted_potentials
 from vanvisc.hybrid import KERNEL_C, KERNEL_SUPPORT, Mollifier, _cells, _shock_chains, _squeeze_jet
-from vanvisc.measures import MonotoneProfile, WaveMeasure, odd_rearrangement
+from vanvisc.measures import (MonotoneProfile, OddProfile, WaveMeasure, _knots_at_or_below,
+                              _odd_kinks, odd_rearrangement)
 from vanvisc.piecewise import gauss_l1, gauss_points
 from vanvisc.system import max_abs_eigenvalue
 from vanvisc.viscous import CFL
@@ -753,6 +754,83 @@ def ref_dx_measure(profile):
     return mu.with_density(xs, vals)
 
 
+def replayed_profile(mu0_plus, cs, t):
+    """The profile of cs, the comparison solution from mu0_plus, at time t:
+    every impulse at or before t + 1e-15 replayed from t = 0, the kinks
+    moved at their speeds w, and the result checked by OddProfile."""
+    kinks = _odd_kinks(mu0_plus)
+    t_last = 0.0
+    for t_imp, d in cs.impulses:
+        if t_imp > t + 1e-15:
+            break
+        dt = t_imp - t_last
+        kinks = [(x + dt * w, w) for x, w in kinks]
+        jump = cs.kappa * d
+        kinks = [(0.0, 0.0), (0.0, jump)] + [(x, w + jump) for x, w in kinks[1:]]
+        t_last = t_imp
+    dt = t - t_last
+    kinks = [(x + dt * w, w) for x, w in kinks]
+    return OddProfile(kinks)
+
+
+def per_node_band_integral(profile_fn, t0, t1, rho, nodes=33):
+    """The Simpson integral of time_integrated_band_correlation with a
+    WaveMeasure per node (dx_measure), padded into arrays measure by
+    measure."""
+    nodes = nodes if nodes % 2 == 1 else nodes + 1
+    ts = np.linspace(t0, t1, nodes)
+    vals = _padded_band_correlations([profile_fn(t).dx_measure() for t in ts], rho)
+    weights = np.ones(nodes)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    h = (t1 - t0) / (nodes - 1)
+    return float(h / 3.0 * weights @ vals)
+
+
+def _padded_band_correlations(mus, rho):
+    """The band correlation of each measure of mus, padded to the batch's
+    knot and atom counts from the measures' own arrays (see
+    measures._band_kernel for the method)."""
+    xs_l = [mu.density_xs if mu.density_xs.size else np.zeros(1) for mu in mus]
+    n, n_atoms = np.array([(xs.size, mu.atoms.shape[0]) for xs, mu in zip(xs_l, mus)]).T
+    B, K = n.size, n.max()
+    rows = np.arange(B)[:, None]
+    x_lo = np.full((B, K + 1), -np.inf)
+    x_lo[:, 0] = 0.0
+    xs = x_lo[:, 1:]
+    xs[np.arange(K) < n[:, None]] = np.concatenate(xs_l)
+    np.maximum.accumulate(xs, axis=1, out=xs)
+    steps = np.zeros((B, K + 1))
+    steps[:, 1:K][np.arange(K - 1) < n[:, None] - 1] = np.concatenate(
+        [mu.density_vals[1:x.size] for mu, x in zip(mus, xs_l)])
+    atoms = np.zeros((B, n_atoms.max(), 2))
+    atoms[np.arange(atoms.shape[1]) < n_atoms[:, None]] = np.concatenate(
+        [mu.atoms for mu in mus]).reshape(-1, 2)
+    X, M = atoms[..., 0], atoms[..., 1]
+    if (M < 0).any() or (steps < 0).any():
+        raise NegativeMass("band_correlation needs a non-negative measure")
+    dxs = xs[:, 1:] - xs[:, :-1]
+    F_lo = np.zeros((B, K + 1))
+    np.cumsum(steps[:, 1:K] * dxs, axis=1, out=F_lo[:, 2:])
+    slope = np.zeros((B, K + 1))
+    np.divide(F_lo[:, 2:] - F_lo[:, 1:-1], dxs, out=slope[:, 1:K], where=dxs > 0)
+    br = np.concatenate([xs, xs - rho, xs + rho], axis=1)
+    order = br.argsort(axis=1, kind="stable")
+    br = br[rows, order]
+    d = steps[rows, (order < K).cumsum(axis=1)[:, :-1]]
+    q = np.concatenate([br + rho, br - rho, X + rho, X - rho], axis=1)
+    c = _knots_at_or_below(xs, q)
+    cdf = slope[rows, c] * (q - x_lo[rows, c]) + F_lo[rows, c]
+    nb, na = br.shape[1], X.shape[1]
+    g = cdf[:, :nb] - cdf[:, nb:2 * nb]
+    window = cdf[:, 2 * nb:2 * nb + na] - cdf[:, 2 * nb + na:]
+    close = np.abs(X[:, :, None] - X[:, None, :]) <= rho + 1e-15
+    total = (M * (close * M[:, None, :]).sum(axis=2)).sum(axis=1)
+    total += 2.0 * (M * window).sum(axis=1)
+    total += (d * (br[:, 1:] - br[:, :-1]) * 0.5 * (g[:, :-1] + g[:, 1:])).sum(axis=1)
+    return total
+
+
 def ref_pair_interaction_integral(run, delta):
     """The pair interaction integral as a loop over each strip's fronts."""
     total = 0.0
@@ -923,6 +1001,14 @@ ORACLES = {
         "test_measures::test_cumulative_evaluator_matches_piece_scan"),
     "measures.OddProfile.dx_measure": (
         ref_dx_measure, "bit for bit",
+        "test_measures::test_dx_measure_matches_overlap_sum_on_criteria_5_6"),
+    "measures.ComparisonSolution.profile_at kinks after each impulse": (
+        replayed_profile, "bit for bit, the same NotMonotone",
+        "test_measures::test_comparison_kinks_and_integrals_match_the_replay",
+        "test_measures::test_dx_measure_matches_overlap_sum_on_criteria_5_6"),
+    "measures.time_integrated_band_correlation kinks to arrays": (
+        per_node_band_integral, "bit for bit",
+        "test_measures::test_comparison_kinks_and_integrals_match_the_replay",
         "test_measures::test_dx_measure_matches_overlap_sum_on_criteria_5_6"),
     "measures.pair_interaction_integral": (
         ref_pair_interaction_integral, "1e-12 relative",

@@ -4,9 +4,9 @@ from conftest import (clip_rearranged, comparison_instance, ft_run, random_monot
                       random_steps)
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import (comparison_hopf_lax, numpy_atom_mass, numpy_mass_on, ref_band_correlation,
-                     ref_dx_measure, ref_mass_on, ref_order_margin,
-                     ref_pair_interaction_integral, sup_mass)
+from oracles import (comparison_hopf_lax, numpy_atom_mass, numpy_mass_on, per_node_band_integral,
+                     ref_band_correlation, ref_dx_measure, ref_mass_on, ref_order_margin,
+                     ref_pair_interaction_integral, replayed_profile, sup_mass)
 
 from vanvisc import measures
 from vanvisc.errors import NegativeMass, NonMonotoneHistory, NotMonotone
@@ -162,9 +162,10 @@ def test_comparison_against_hopf_lax_oracle():
     cs = burgers_comparison(mu, [(0.0, 0.0)], kappa=10)
     t = 0.5
     w = cs.profile_at(t)
-    # cs._kinks0: the initial odd profile, piecewise linear on x >= 0
+    # the initial odd profile's kinks, piecewise linear on x >= 0
+    kinks0 = measures._odd_kinks(mu)
     for x in (-1.5, -0.4, -0.05, 0.0, 0.05, 0.2, 0.6, 1.2):
-        assert w(x) == pytest.approx(comparison_hopf_lax(cs._kinks0, t, x), abs=1e-6)
+        assert w(x) == pytest.approx(comparison_hopf_lax(kinks0, t, x), abs=1e-6)
 
 
 def test_non_monotone_history_rejected():
@@ -179,8 +180,10 @@ def test_single_rarefaction_reference_examples():
     assert v(2.0) == pytest.approx(1.0)
     v = single_rarefaction_reference(0.3, 2.0)
     assert v(-1.0) == pytest.approx(-0.3)
-    with pytest.raises(ValueError):
-        single_rarefaction_reference(0.5, 0.0)
+    for sbar, t in ((0.5, 0.0), (0.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (np.nan, 1.0),
+                    (1.0, np.nan)):
+        with pytest.raises(ValueError):
+            single_rarefaction_reference(sbar, t)
 
 
 def test_density_without_compact_support_raises():
@@ -350,12 +353,17 @@ def test_float_view_matches_numpy_evaluation(mu, window):
                 assert got == numpy_mass_on(mu, lo, hi), (lo, hi)
 
 
+def _band_kernel(mus, rho):
+    """The band kernel on a batch of measures, fed from their arrays."""
+    return measures._band_kernel(*zip(*map(measures._measure_parts, mus)), rho)
+
+
 @settings(max_examples=150)
 @given(st.lists(monotone_measures(), min_size=1, max_size=6), st.floats(0.01, 1.5))
 def test_band_kernel_batch_matches_piece_scan(mus, rho):
     # every measure of a batch is padded to the batch's knot and atom counts;
     # the padding must add nothing to any of them
-    got = measures._band_correlations(mus, rho)
+    got = _band_kernel(mus, rho)
     assert got.shape == (len(mus),)
     for mu, value in zip(mus, got):
         scale = max(mu.total_mass(), 1.0)
@@ -375,7 +383,7 @@ def test_band_kernel_batch_examples():
     vals = np.concatenate([[0.0], np.linspace(0.1, 1.0, 19), [0.0]])
     long = WaveMeasure.from_atoms([(0.05, 0.3)]).with_density(xs, vals)
     batch = [pair, short, long, empty, short]
-    got = measures._band_correlations(batch, rho)
+    got = _band_kernel(batch, rho)
     assert got[0] == pytest.approx(0.75 ** 2, rel=1e-15)
     assert got[3] == 0.0
     for mu, value in zip(batch, got):
@@ -386,7 +394,7 @@ def test_band_kernel_batch_examples():
     neg_piece = WaveMeasure.from_density([0.0, 0.5, 1.0], [0.0, 0.4, -0.2, 0.0])
     for bad in (neg_atom, neg_piece):
         with pytest.raises(NegativeMass):
-            measures._band_correlations([short, long, bad, pair], rho)
+            _band_kernel([short, long, bad, pair], rho)
         with pytest.raises(NegativeMass):
             band_correlation(bad, rho)
 
@@ -423,15 +431,30 @@ def test_dx_measure_matches_overlap_sum_on_criteria_5_6():
                   [(0.0, 0.0), (0.0, 0.3)], [(0.0, 0.0), (1.0, 0.0)]):
         w = OddProfile(kinks)
         _assert_same_measure(w.dx_measure(), ref_dx_measure(w))
-    # criterion 5's comparison profiles and references at all 101 Simpson nodes
+    # criterion 5's comparison profiles and references at all 101 Simpson
+    # nodes, and its integrals, bit for bit as the per-node replay gives them
     nodes = np.linspace(1e-6, 2.0, 101)
     for inst in range(20):
-        _, mu0p, qh = comparison_instance(random_steps(np.random.default_rng(300 + inst), 6, 0.3))
+        r2 = np.random.default_rng(300 + inst)
+        _, mu0p, qh = comparison_instance(random_steps(r2, 6, 0.3))
         cs = burgers_comparison(mu0p, qh, kappa=10.0)
         sbar = cs.sigma_bar(2.0)
         for t in nodes:
+            assert cs.profile_at(t).kinks == replayed_profile(mu0p, cs, t).kinks
             for w in (cs.profile_at(t), single_rarefaction_reference(sbar, t)):
                 _assert_same_measure(w.dx_measure(), ref_dx_measure(w))
+
+        def replay(t):
+            return replayed_profile(mu0p, cs, t)
+
+        def reference(t):
+            return single_rarefaction_reference(sbar, t)
+
+        for rho in r2.uniform(0.02, 0.5, 5):
+            for fn, ref_fn in ((cs.profile_at, replay), (reference, reference)):
+                got = time_integrated_band_correlation(fn, 1e-6, 2.0, rho, nodes=101)
+                want = per_node_band_integral(ref_fn, 1e-6, 2.0, rho, nodes=101)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
     # criterion 6's order outcomes on its 20 runs, at every kappa of its grid
     times = np.linspace(0.2, 2.0, 10)
     outcomes = {}
@@ -443,12 +466,110 @@ def test_dx_measure_matches_overlap_sum_on_criteria_5_6():
             cs = burgers_comparison(mu0p, qh, kappa=kappa)
             for t, mu in zip(times, mus):
                 w = cs.profile_at(t)
+                assert w.kinks == replayed_profile(mu0p, cs, t).kinks
                 _assert_same_measure(w.dx_measure(), ref_dx_measure(w))
                 ok = order_leq(mu, w.dx_measure(), tol=1e-9)
                 assert ok == order_leq(mu, ref_dx_measure(w), tol=1e-9)
                 outcomes.setdefault(kappa, []).append(ok)
     print({kappa: sum(oks) for kappa, oks in outcomes.items()})
     assert all(outcomes[10.0])
+
+
+@st.composite
+def q_histories(draw):
+    """(t, Q) histories with repeated times, Q steps of 0, and times at 0,
+    before it and on a coarse grid, so that many instants fall exactly on
+    impulse times."""
+    times = sorted(draw(st.lists(st.one_of(st.sampled_from([-0.5, 0.0, 0.25, 0.5, 1.0]),
+                                           st.floats(0.0, 2.0)), min_size=1, max_size=7)))
+    drops = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 0.3)),
+                          min_size=len(times) - 1, max_size=len(times) - 1))
+    q = np.concatenate([[1.0], 1.0 - np.cumsum(drops)])
+    return list(zip(times, q.tolist()))
+
+
+def _or_not_monotone(f, *args):
+    """f(*args), or NotMonotone if that is what it raises."""
+    try:
+        return f(*args)
+    except NotMonotone:
+        return NotMonotone
+
+
+def _instants(cs, extra):
+    """The impulse times, the instants 1e-15 and one ulp either side of
+    them, 0, a negative time, and extra."""
+    times = [t for t, _ in cs.impulses]
+    return sorted({0.0, -0.25, *extra, *times, *(t + s for t in times for s in (-1e-15, 1e-15)),
+                   *np.nextafter(times, -np.inf).tolist(), *np.nextafter(times, np.inf).tolist()})
+
+
+@settings(max_examples=120, deadline=None)
+@given(monotone_measures(), q_histories(), st.sampled_from([0.5, 10.0, 1e6]),
+       st.lists(st.floats(0.0, 2.5), max_size=3), st.floats(0.05, 1.0))
+# two impulses less than 1e-15 apart: the integral from the first one's time
+# applies both at its first node and moves back, so both sides raise
+@example(WaveMeasure.from_atoms([]), [(0.0, 1.0), (6.7e-190, 0.75), (2.6e-134, 0.5)], 0.5, [],
+         1.0)
+def test_comparison_kinks_and_integrals_match_the_replay(mu, qh, kappa, ts, rho):
+    # the kinks after each impulse, built once, give the replay's floats at
+    # every instant (on an impulse time, 1e-15 and one ulp around it, before
+    # the first impulse and before 0), or its NotMonotone; and the integral
+    # from kinks to arrays gives the per-node integral's bits
+    cs = burgers_comparison(mu, qh, kappa=kappa)
+
+    def replay(t):
+        return replayed_profile(mu, cs, t)
+
+    for t in _instants(cs, ts):
+        got = _or_not_monotone(lambda: cs.profile_at(t).kinks)
+        assert got == _or_not_monotone(lambda: replay(t).kinks), t
+        if got is not NotMonotone:
+            assert all(type(v) is float for k in got for v in k)
+    for t0 in sorted({1e-6, *(t for t, _ in cs.impulses if t > 0)})[:3]:
+        got = _or_not_monotone(time_integrated_band_correlation, cs.profile_at, t0, t0 + 1.5,
+                               rho, 9)
+        want = _or_not_monotone(per_node_band_integral, replay, t0, t0 + 1.5, rho, 9)
+        assert got is want is NotMonotone or (
+            np.float64(got).tobytes() == np.float64(want).tobytes())
+
+
+@settings(max_examples=120, deadline=None)
+@given(monotone_measures(), q_histories(), st.sampled_from([1e-3, 1.0, 10.0, 1e8]),
+       st.lists(st.one_of(st.floats(0.0, 1e-12), st.floats(0.0, 3.0)), max_size=3),
+       st.floats(1e-12, 1e6), st.one_of(st.floats(1e-300, 1e-9), st.floats(1e-9, 1e6)))
+def test_unchecked_profiles_pass_the_kink_check(mu, qh, kappa, ts, sbar, t_ref):
+    # every profile built without OddProfile's check passes it: the
+    # comparison solution's at times near 0, on and around its impulses and
+    # at large kappa, and the reference rarefaction's at tiny and large t
+    # (from t on or after the last impulse it applies: up to 1e-15 before an
+    # impulse, or before 0, the kinks move back and may fall, and OddProfile
+    # checks them)
+    cs = burgers_comparison(mu, qh, kappa=kappa)
+    for t in _instants(cs, ts):
+        if t >= max([u for u, _ in cs.impulses if u <= t + 1e-15], default=0.0):
+            p = cs.profile_at(t)
+            assert OddProfile(p.kinks).kinks == p.kinks, t
+    p = single_rarefaction_reference(sbar, t_ref)
+    assert OddProfile(p.kinks).kinks == p.kinks
+
+
+def test_comparison_kinks_that_may_fall_are_checked():
+    # kinks that fall from the start (a density on unsorted knots) or after
+    # an impulse (a negative kappa) go through OddProfile's check
+    unsorted = WaveMeasure(atoms=np.zeros((0, 2)), density_xs=np.array([1.0, 0.0]),
+                           density_vals=np.array([0.0, 0.5, 0.0]))
+    with pytest.raises(NotMonotone):
+        burgers_comparison(unsorted, [(0.0, 0.0)], kappa=1.0).profile_at(0.5)
+    atom = WaveMeasure.from_atoms([(0.0, 0.2)])
+    cs = burgers_comparison(atom, [(0.0, 1.0), (0.5, 0.8)], kappa=-1.0)
+    assert cs.profile_at(0.25).kinks == replayed_profile(atom, cs, 0.25).kinks
+    with pytest.raises(NotMonotone):
+        cs.profile_at(1.0)
+    # a NaN time in the history would break the impulses' order
+    with pytest.raises(NonMonotoneHistory):
+        burgers_comparison(WaveMeasure.from_atoms([]), [(0.0, 1.0), (np.nan, 0.9), (1.0, 0.8)],
+                           kappa=1.0)
 
 
 @pytest.mark.parametrize("chunk", [None, 5])
