@@ -13,6 +13,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
+from operator import le
 
 import numpy as np
 
@@ -28,13 +29,34 @@ from .riemann import solve_riemann
 class WaveMeasure:
     """Atoms at points plus a piecewise-constant density.
 
-    atoms: array (k, 2) of (position, signed mass), positions increasing.
-    density_xs / density_vals: right-continuous density with
-    density_vals[0] = density_vals[-1] = 0 (compact support).
+    atoms: array (k, 2) of (position, signed mass), positions non-decreasing.
+    density_xs / density_vals: right-continuous density, value
+    density_vals[j + 1] on [xs[j], xs[j + 1]), density_vals[0] = 0 and,
+    if it has len(xs) + 1 entries (or else len(xs)), density_vals[-1] = 0;
+    the knots rise over a finite span.  __post_init__ checks all of this.
     """
     atoms: np.ndarray
     density_xs: np.ndarray = field(default_factory=lambda: np.array([]))
     density_vals: np.ndarray = field(default_factory=lambda: np.array([0.0]))
+
+    def __post_init__(self):
+        # on Python floats, and only what can fail: at these sizes numpy's
+        # per-call overhead costs more
+        if len(self.atoms) > 1:
+            X = self.atoms[:, 0].tolist()
+            if not all(map(le, X, X[1:])):
+                raise ValueError("atom positions must be non-decreasing")
+        n, vals = self.density_xs.size, self.density_vals
+        if len(vals) - n not in (0, 1):
+            raise ValueError(f"density_vals needs len(density_xs) or one more entries, "
+                             f"not {len(vals)} for {n} knots")
+        if len(vals) and not (vals[0] == 0.0 and (len(vals) == n or vals[-1] == 0.0)):
+            raise ValueError("density must have compact support: density_vals starts with 0, "
+                             "and ends with 0 if it has len(density_xs) + 1 entries")
+        if n:
+            xs = self.density_xs.tolist()
+            if not (math.isfinite(xs[-1] - xs[0]) and all(map(le, xs, xs[1:]))):
+                raise ValueError("density knots must be non-decreasing over a finite span")
 
     @staticmethod
     def from_atoms(pairs):
@@ -42,11 +64,7 @@ class WaveMeasure:
 
     @staticmethod
     def from_density(xs, vals):
-        xs = np.asarray(xs, dtype=float)
-        vals = np.asarray(vals, dtype=float)
-        if vals[0] != 0.0 or vals[-1] != 0.0:
-            raise ValueError("density must have compact support")
-        return WaveMeasure(atoms=np.zeros((0, 2)), density_xs=xs, density_vals=vals)
+        return WaveMeasure(np.zeros((0, 2)), np.asarray(xs, float), np.asarray(vals, float))
 
     def with_density(self, xs, vals):
         return WaveMeasure(self.atoms, np.asarray(xs, float), np.asarray(vals, float))
@@ -67,7 +85,7 @@ class WaveMeasure:
         positions, cum[k] the mass of the first k atoms and total np.sum's
         atom mass, which pairs the terms up and so is not cum[-1] at 9+
         atoms.  Piece j = [xs[j], xs[j+1]) has value density_vals[j + 1],
-        so density_vals may or may not carry the trailing 0."""
+        whether density_vals has len(xs) entries or len(xs) + 1."""
         xs = self.density_xs if self.density_xs.size else np.zeros(1)
         F = np.concatenate([[0.0], np.cumsum(self.density_vals[1:xs.size] * np.diff(xs))])
         M = self.atoms[:, 1]
@@ -82,9 +100,9 @@ class WaveMeasure:
         return self.atom_mass() + self.density_mass()
 
     def is_nonnegative(self):
-        if self.atoms.size and np.any(self.atoms[:, 1] < 0):
+        if self.atoms.size and not np.all(self.atoms[:, 1] >= 0):
             return False
-        return not np.any(self.density_vals[1:self.density_xs.size] < 0)
+        return bool(np.all(self.density_vals[1:self.density_xs.size] >= 0))
 
     def mass_on(self, lo, hi):
         """Measure of the closed interval [lo, hi]; NaN if an end is NaN."""
@@ -188,7 +206,8 @@ def _odd_kinks(mu):
     """The kinks on x >= 0 of v-hat, the odd rearrangement of a non-negative
     measure mu, as OddProfile takes them: half the atom mass as a jump at 0,
     then the density's pieces by decreasing value, each over half its width.
-    The one place that knows the rearrangement."""
+    The one place that knows the rearrangement; its kinks rise, as mu's
+    knots do and its masses are >= 0 (every caller checks)."""
     x = 0.0
     w = 0.5 * mu.atom_mass()
     kinks = [(0.0, 0.0)] + ([(0.0, w)] if w > 0 else [])
@@ -208,7 +227,7 @@ def odd_rearrangement(v):
     v-hat(x) = sgn(x) sup_{meas(A) <= 2|x|} mu(A)/2.
     """
     kinks = _odd_kinks(v.measure)
-    return MonotoneProfile(-kinks[-1][1], OddProfile(kinks).dx_measure())
+    return MonotoneProfile(-kinks[-1][1], _odd_profile(kinks).dx_measure())
 
 
 def order_leq(mu, mu_prime, tol=1e-12):
@@ -219,7 +238,7 @@ def order_leq(mu, mu_prime, tol=1e-12):
     for m in (mu, mu_prime):
         if not m.is_nonnegative():
             raise NegativeMass("order_leq is defined for positive measures")
-    a, b = OddProfile(_odd_kinks(mu)), OddProfile(_odd_kinks(mu_prime))
+    a, b = _odd_profile(_odd_kinks(mu)), _odd_profile(_odd_kinks(mu_prime))
     # odd profiles read 0 at x = 0; v-hat(0+) is the top of the jump there
     at_0 = [max(w for x, w in p.kinks if x == 0.0) for p in (a, b)]
     pts = np.array([x for x, _ in a.kinks + b.kinks if x > 0.0])
@@ -331,18 +350,17 @@ class OddProfile:
 
     kinks is the list of (x, w) with x, w non-decreasing; the profile is
     linear between kinks, constant beyond the last one, and odd.  A pair of
-    kinks with equal x encodes a jump.  A kink whose x or w falls raises
-    NotMonotone.
+    kinks with equal x encodes a jump.  A user kink whose x or w falls
+    raises NotMonotone.
     """
 
     def __init__(self, kinks):
         self.kinks = [(float(x), float(w)) for x, w in kinks]
         if not self.kinks or self.kinks[0] != (0.0, 0.0):
             self.kinks = [(0.0, 0.0)] + self.kinks
-        fall = _fall(self.kinks)
-        if fall:
-            (x0, w0), (x1, w1) = fall
-            raise NotMonotone(f"kink ({x1}, {w1}) falls below ({x0}, {w0})")
+        for (x0, w0), (x1, w1) in zip(self.kinks, self.kinks[1:]):
+            if x1 < x0 or w1 < w0:
+                raise NotMonotone(f"kink ({x1}, {w1}) falls below ({x0}, {w0})")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -362,22 +380,13 @@ class OddProfile:
         return WaveMeasure(atoms, np.array(xs), np.array([0.0, *steps, 0.0]))
 
 
-def _fall(kinks):
-    """The first two consecutive kinks of which the second's x or w falls
-    below the first's, or None."""
-    for k0, k1 in zip(kinks, kinks[1:]):
-        if k1[0] < k0[0] or k1[1] < k0[1]:
-            return k0, k1
-    return None
-
-
 def _odd_profile(kinks):
-    """OddProfile(kinks) for kinks of Python floats known not to fall,
-    without its conversion and check.  Only ComparisonSolution and
-    single_rarefaction_reference build one (tests/test_lint.py keeps it so):
-    user kinks go through OddProfile."""
+    """OddProfile(kinks) without its conversion and check, for the kinks of
+    Python floats this module builds: from (0.0, 0.0), rising by
+    construction.  Only this module names it (tests/test_lint.py keeps it
+    so)."""
     p = OddProfile.__new__(OddProfile)
-    p.kinks = kinks if kinks and kinks[0] == (0.0, 0.0) else [(0.0, 0.0)] + kinks
+    p.kinks = kinks
     return p
 
 
@@ -443,6 +452,8 @@ class ComparisonSolution:
         if not mu0_plus.is_nonnegative():
             raise NegativeMass("initial measure must be non-negative")
         self.kappa = float(kappa)
+        if not 0.0 <= self.kappa < math.inf:
+            raise ValueError(f"kappa must be finite and >= 0, not {self.kappa}")
         qh = [(float(t), float(q)) for t, q in q_history]
         for (t0, q0), (t1, q1) in zip(qh[:-1], qh[1:]):
             if q1 > q0 + 1e-12:
@@ -456,42 +467,46 @@ class ComparisonSolution:
             if q0 - q1 > 0.0 and t1 > 0.0
         ]
         # the kinks just after each impulse, replayed once: _states[k] holds
-        # the k-th impulse's time (0 for k = 0), the kinks then and whether
-        # they rise (user data may not: unsorted knots, a negative kappa)
+        # the k-th impulse's time (0 for k = 0) and the kinks then, which
+        # rise: rounding is monotone, so the forward moves (the times
+        # increase) keep them rising, and so does the lift kappa d >= 0
         kinks, t_last = _odd_kinks(mu0_plus), 0.0
-        self._states = [(t_last, kinks, _fall(kinks) is None)]
+        self._states = [(t_last, kinks)]
         for t_imp, d in self.impulses:
             dt = t_imp - t_last
             kinks = [(x + dt * w, w) for x, w in kinks]
             jump = self.kappa * d
             kinks = [(0.0, 0.0), (0.0, jump)] + [(x, w + jump) for x, w in kinks[1:]]
             t_last = t_imp
-            self._states.append((t_last, kinks, _fall(kinks) is None))
+            self._states.append((t_last, kinks))
         self._times = [t_imp for t_imp, _ in self.impulses]
+        self._q_times = [t for t, _ in qh]
         self.mu0_total = mu0_plus.total_mass()
 
     def q_drop(self, tau):
-        """Q(0) - Q(tau) from the recorded history."""
+        """Q(0) - Q(tau), Q(tau) read at the history's last time at or before
+        tau + _HISTORY_SLACK (the times increase; none for a NaN tau)."""
         q0 = self.q_history[0][1]
-        qt = q0
-        for t, q in self.q_history:
-            if t <= tau + 1e-15:
-                qt = q
-        return q0 - qt
+        k = 0 if math.isnan(tau) else bisect_right(self._q_times, tau + _HISTORY_SLACK)
+        return q0 - (self.q_history[k - 1][1] if k else q0)
 
     def sigma_bar(self, tau):
         return 0.5 * self.mu0_total + self.kappa * self.q_drop(tau)
 
     def profile_at(self, t):
-        """The profile at time t: the kinks after the last impulse at or
-        before t + 1e-15 (the times increase), moved on to t."""
+        """The profile at a finite time t >= 0: the kinks after the last
+        impulse at or before t + _HISTORY_SLACK (the times increase), moved
+        on to t, or kept as they are if t is before it."""
         t = float(t)
-        t_last, kinks, rising = self._states[bisect_right(self._times, t + 1e-15)]
-        dt = t - t_last
-        kinks = [(x + dt * w, w) for x, w in kinks]
-        # rounding is monotone, so a move forward keeps rising kinks rising;
-        # one back (t < 0, or t up to 1e-15 before an impulse) may not
-        return _odd_profile(kinks) if rising and dt >= 0.0 else OddProfile(kinks)
+        if not 0.0 <= t < math.inf:
+            raise ValueError(f"profile_at needs a finite t >= 0, not {t}")
+        t_last, kinks = self._states[bisect_right(self._times, t + _HISTORY_SLACK)]
+        dt = t - t_last if t > t_last else 0.0
+        return _odd_profile([(x + dt * w, w) for x, w in kinks])
+
+
+# a history entry at time tau counts at every t >= tau - _HISTORY_SLACK
+_HISTORY_SLACK = 1e-15
 
 
 def burgers_comparison(mu0_plus, q_history, kappa):

@@ -20,8 +20,8 @@ from vanvisc.errors import NegativeMass
 from vanvisc.front_tracking import GLIMM_C0, glimm_functionals
 from vanvisc.functionals import w_flat, w_natural, weighted_potentials
 from vanvisc.hybrid import KERNEL_C, KERNEL_SUPPORT, Mollifier, _cells, _shock_chains, _squeeze_jet
-from vanvisc.measures import (MonotoneProfile, OddProfile, WaveMeasure, _knots_at_or_below,
-                              _odd_kinks, odd_rearrangement)
+from vanvisc.measures import (_HISTORY_SLACK, MonotoneProfile, OddProfile, WaveMeasure,
+                              _knots_at_or_below, _odd_kinks, odd_rearrangement)
 from vanvisc.piecewise import gauss_l1, gauss_points
 from vanvisc.system import max_abs_eigenvalue
 from vanvisc.viscous import CFL
@@ -92,15 +92,8 @@ def row_distances_unwindowed(model, data, eps, tau, sol, u_ft):
 
         u_cut = u(cut)
         falls = u_cut[:-1] - u_cut[1:] > 1e-12
-        lo, hi, u_lo = cut[:-1][falls], cut[1:][falls], u_cut[:-1][falls]
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            u_mid = u(mid)
-            left = u_lo - u_mid > 1e-12
-            hi = np.where(left, mid, hi)
-            lo = np.where(left, lo, mid)
-            u_lo = np.where(left, u_lo, u_mid)
-        cut = np.union1d(cut, 0.5 * (lo + hi))
+        cut = np.union1d(cut, _bisected_shocks(u, cut[:-1][falls], cut[1:][falls],
+                                               u_cut[:-1][falls]))
     pts = gauss_points(cut)
     ft = u_ft(pts)
     grid = sol.final()
@@ -112,6 +105,19 @@ def row_distances_unwindowed(model, data, eps, tau, sol, u_ft):
         out["ft_error"] = gauss_l1(cut, ft, u_exact)
     return out
 
+
+def _bisected_shocks(u, lo, hi, u_lo):
+    """The shocks of u in the segments [lo, hi] (u_lo = u(lo)) across which
+    it falls: the midpoints after 60 rounds of bisection, each keeping the
+    half where u falls by more than 1e-12."""
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        u_mid = u(mid)
+        left = u_lo - u_mid > 1e-12
+        hi = np.where(left, mid, hi)
+        lo = np.where(left, lo, mid)
+        u_lo = np.where(left, u_lo, u_mid)
+    return 0.5 * (lo + hi)
 
 
 def grid_distance_own_cut(profile, x_grid, u_grid):
@@ -134,15 +140,7 @@ def entropy_distances_own_cut(data, eps, tau, x, u_ft):
     lo, hi = cut[:-1], cut[1:]
     u_lo = u(lo)
     falls = u_lo - u(hi) > 1e-12
-    lo, hi, u_lo = lo[falls], hi[falls], u_lo[falls]
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        u_mid = u(mid)
-        left = u_lo - u_mid > 1e-12
-        hi = np.where(left, mid, hi)
-        lo = np.where(left, lo, mid)
-        u_lo = np.where(left, u_lo, u_mid)
-    cut = np.union1d(cut, 0.5 * (lo + hi))
+    cut = np.union1d(cut, _bisected_shocks(u, lo[falls], hi[falls], u_lo[falls]))
     pts = gauss_points(cut)
     u_exact = hopf_lax_unwindowed(data, tau, pts)
     return {"l1_exact": gauss_l1(cut, cole_hopf_unwindowed(data, eps, tau, pts), u_exact),
@@ -755,20 +753,24 @@ def ref_dx_measure(profile):
 
 
 def replayed_profile(mu0_plus, cs, t):
-    """The profile of cs, the comparison solution from mu0_plus, at time t:
-    every impulse at or before t + 1e-15 replayed from t = 0, the kinks
-    moved at their speeds w, and the result checked by OddProfile."""
+    """The profile of cs, the comparison solution from mu0_plus, at a
+    finite time t >= 0 (ValueError otherwise): every impulse at or before
+    t + the history's slack replayed from t = 0, the kinks moved at their
+    speeds w (not back, for a t within the slack before an impulse), and
+    the result checked by OddProfile."""
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"no profile at t = {t}")
     kinks = _odd_kinks(mu0_plus)
     t_last = 0.0
     for t_imp, d in cs.impulses:
-        if t_imp > t + 1e-15:
+        if t_imp > t + _HISTORY_SLACK:
             break
         dt = t_imp - t_last
         kinks = [(x + dt * w, w) for x, w in kinks]
         jump = cs.kappa * d
         kinks = [(0.0, 0.0), (0.0, jump)] + [(x, w + jump) for x, w in kinks[1:]]
         t_last = t_imp
-    dt = t - t_last
+    dt = max(t - t_last, 0.0)
     kinks = [(x + dt * w, w) for x, w in kinks]
     return OddProfile(kinks)
 

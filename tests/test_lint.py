@@ -3,8 +3,8 @@ function parameter is read, every dataclass field is read somewhere and
 outside the tests, every optional parameter is set by some caller outside
 the tests, every public function and method has a caller outside the tests,
 every exception class of errors.py is named in another module, no assert
-statement stands in the package, only the comparison solution and the
-reference rarefaction build an OddProfile without its kink check, and
+statement stands in the package, only measures.py builds an OddProfile
+without its kink check (its kinks rise by construction), and
 README's config-key table lists exactly the ExperimentConfig fields.  On
 the tests: the oracle registry of tests/oracles.py is exact, and no test
 module imports another.
@@ -285,34 +285,29 @@ def test_no_assert_statement_in_the_package():
     assert assert_statements() == []
 
 
-# OddProfile's constructor without the kink check, and the only top-level
-# definitions that may use it: their kinks rise by construction
+# OddProfile's constructor without the kink check: measures.py builds every
+# kink list from checked inputs, so they rise by construction
 UNCHECKED_ODD_PROFILE = "_odd_profile"
-UNCHECKED_BUILDERS = {("src/vanvisc/measures.py", "ComparisonSolution"),
-                      ("src/vanvisc/measures.py", "single_rarefaction_reference")}
 
 
 def unchecked_odd_profile_users():
-    """(file, top-level definition) for each name, attribute or import of
-    measures._odd_profile in the repository's code, its own definition
-    aside (None for module-level code)."""
+    """The files of the repository's code that name measures._odd_profile
+    (a name, attribute, import or definition)."""
     found = set()
     for d in READERS:
         for path in (ROOT / d).rglob("*.py"):
-            for top in ast.parse(path.read_text()).body:
-                for n in ast.walk(top):
-                    name = (n.id if isinstance(n, ast.Name) else n.attr
-                            if isinstance(n, ast.Attribute) else n.name
-                            if isinstance(n, ast.alias) else None)
-                    if name == UNCHECKED_ODD_PROFILE:
-                        found.add((path.relative_to(ROOT).as_posix(),
-                                   getattr(top, "name", None)))
+            for n in ast.walk(ast.parse(path.read_text())):
+                name = (n.id if isinstance(n, ast.Name) else n.attr
+                        if isinstance(n, ast.Attribute) else n.name
+                        if isinstance(n, (ast.alias, ast.FunctionDef)) else None)
+                if name == UNCHECKED_ODD_PROFILE:
+                    found.add(path.relative_to(ROOT).as_posix())
     return found
 
 
-def test_only_the_comparison_solution_skips_the_kink_check():
+def test_only_measures_skips_the_kink_check():
     # user kinks always go through OddProfile's check
-    assert unchecked_odd_profile_users() == UNCHECKED_BUILDERS
+    assert unchecked_odd_profile_users() == {"src/vanvisc/measures.py"}
 
 
 def config_fields():

@@ -488,12 +488,12 @@ def q_histories(draw):
     return list(zip(times, q.tolist()))
 
 
-def _or_not_monotone(f, *args):
-    """f(*args), or NotMonotone if that is what it raises."""
+def _or_raised(f, *args):
+    """f(*args), or the class of the ValueError or NotMonotone it raises."""
     try:
         return f(*args)
-    except NotMonotone:
-        return NotMonotone
+    except (ValueError, NotMonotone) as e:
+        return type(e)
 
 
 def _instants(cs, extra):
@@ -508,64 +508,113 @@ def _instants(cs, extra):
 @given(monotone_measures(), q_histories(), st.sampled_from([0.5, 10.0, 1e6]),
        st.lists(st.floats(0.0, 2.5), max_size=3), st.floats(0.05, 1.0))
 # two impulses less than 1e-15 apart: the integral from the first one's time
-# applies both at its first node and moves back, so both sides raise
+# applies both at its first node, which keeps the kinks where they left them
 @example(WaveMeasure.from_atoms([]), [(0.0, 1.0), (6.7e-190, 0.75), (2.6e-134, 0.5)], 0.5, [],
          1.0)
 def test_comparison_kinks_and_integrals_match_the_replay(mu, qh, kappa, ts, rho):
     # the kinks after each impulse, built once, give the replay's floats at
     # every instant (on an impulse time, 1e-15 and one ulp around it, before
-    # the first impulse and before 0), or its NotMonotone; and the integral
-    # from kinks to arrays gives the per-node integral's bits
+    # the first impulse), and both raise ValueError before 0; and the
+    # integral from kinks to arrays gives the per-node integral's bits
     cs = burgers_comparison(mu, qh, kappa=kappa)
 
     def replay(t):
         return replayed_profile(mu, cs, t)
 
     for t in _instants(cs, ts):
-        got = _or_not_monotone(lambda: cs.profile_at(t).kinks)
-        assert got == _or_not_monotone(lambda: replay(t).kinks), t
-        if got is not NotMonotone:
+        got = _or_raised(lambda: cs.profile_at(t).kinks)
+        assert got == _or_raised(lambda: replay(t).kinks), t
+        if t < 0.0:
+            assert got is ValueError
+        else:
             assert all(type(v) is float for k in got for v in k)
     for t0 in sorted({1e-6, *(t for t, _ in cs.impulses if t > 0)})[:3]:
-        got = _or_not_monotone(time_integrated_band_correlation, cs.profile_at, t0, t0 + 1.5,
-                               rho, 9)
-        want = _or_not_monotone(per_node_band_integral, replay, t0, t0 + 1.5, rho, 9)
-        assert got is want is NotMonotone or (
-            np.float64(got).tobytes() == np.float64(want).tobytes())
+        got = time_integrated_band_correlation(cs.profile_at, t0, t0 + 1.5, rho, 9)
+        want = per_node_band_integral(replay, t0, t0 + 1.5, rho, 9)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 @settings(max_examples=120, deadline=None)
-@given(monotone_measures(), q_histories(), st.sampled_from([1e-3, 1.0, 10.0, 1e8]),
+@given(monotone_measures(), q_histories(), st.sampled_from([0.0, 1e-3, 1.0, 10.0, 1e8]),
        st.lists(st.one_of(st.floats(0.0, 1e-12), st.floats(0.0, 3.0)), max_size=3),
        st.floats(1e-12, 1e6), st.one_of(st.floats(1e-300, 1e-9), st.floats(1e-9, 1e6)))
 def test_unchecked_profiles_pass_the_kink_check(mu, qh, kappa, ts, sbar, t_ref):
-    # every profile built without OddProfile's check passes it: the
-    # comparison solution's at times near 0, on and around its impulses and
-    # at large kappa, and the reference rarefaction's at tiny and large t
-    # (from t on or after the last impulse it applies: up to 1e-15 before an
-    # impulse, or before 0, the kinks move back and may fall, and OddProfile
-    # checks them)
+    # every kink list the package builds without OddProfile's check passes
+    # it: the odd rearrangement's (odd_rearrangement and order_leq read it),
+    # the comparison solution's at every instant from 0 on (on and around
+    # its impulses, 1e-15 before them, near 0) and at large kappa, and the
+    # reference rarefaction's at tiny and large t
+    kinks = measures._odd_kinks(mu)
+    assert OddProfile(kinks).kinks == kinks
     cs = burgers_comparison(mu, qh, kappa=kappa)
     for t in _instants(cs, ts):
-        if t >= max([u for u, _ in cs.impulses if u <= t + 1e-15], default=0.0):
+        if t >= 0.0:
             p = cs.profile_at(t)
             assert OddProfile(p.kinks).kinks == p.kinks, t
     p = single_rarefaction_reference(sbar, t_ref)
     assert OddProfile(p.kinks).kinks == p.kinks
 
 
-def test_comparison_kinks_that_may_fall_are_checked():
-    # kinks that fall from the start (a density on unsorted knots) or after
-    # an impulse (a negative kappa) go through OddProfile's check
-    unsorted = WaveMeasure(atoms=np.zeros((0, 2)), density_xs=np.array([1.0, 0.0]),
-                           density_vals=np.array([0.0, 0.5, 0.0]))
-    with pytest.raises(NotMonotone):
-        burgers_comparison(unsorted, [(0.0, 0.0)], kappa=1.0).profile_at(0.5)
+@settings(max_examples=60, deadline=None)
+@given(signed_measures(), st.lists(st.floats(-0.3, 0.3), min_size=1, max_size=6),
+       st.floats(0.0, 1.0))
+def test_every_measure_the_package_builds_passes_the_entry_check(mu, jumps, t):
+    # a WaveMeasure is checked when it is built, so each builder returning
+    # one passes: the Jordan parts of a signed measure, the odd
+    # rearrangement of the positive part and the D_x of the comparison
+    # solution from it, and a front-tracking run's wave measure and its
+    # spread positive waves
+    p, n = pos_neg_parts(mu)
+    assert p.is_nonnegative() and n.is_nonnegative()
+    hat = odd_rearrangement(MonotoneProfile(0.0, p))
+    assert hat.measure.is_nonnegative()
+    cs = burgers_comparison(p, [(0.0, 1.0), (0.5, 0.9)], kappa=10.0)
+    assert cs.profile_at(t).dx_measure().is_nonnegative()
+    xs = np.linspace(-1.0, 1.0, len(jumps))
+    data = PiecewiseConstant(xs, np.concatenate([[0.0], np.cumsum(jumps)])[:, None])
+    mu0 = wave_measure(B, data, 1)
+    assert mu0.total_mass() == pytest.approx(sum(jumps), abs=1e-12)
+    run = ft_run(B, data, 1.0, 0.05)
+    assert spread_positive_waves(run, t, 1).is_nonnegative()
+
+
+def test_malformed_inputs_raise_at_entry():
+    # a density on unsorted knots, with a NaN or an infinite knot, with too
+    # few or too many values or without compact support, and atoms out of
+    # order: each measure raises when it is built
+    empty = np.zeros((0, 2))
+    for xs, vals in (([1.0, 0.0], [0.0, 0.5, 0.0]), ([0.0, np.nan, 1.0], [0.0, 0.5, 0.5, 0.0]),
+                     ([0.0, np.inf], [0.0, 0.5, 0.0]), ([-np.inf, 0.0], [0.0, 0.5, 0.0]),
+                     ([0.0, 1.0], [0.0]), ([0.0, 1.0], [0.0, 0.5, 0.0, 0.0]),
+                     ([0.0, 1.0], [0.5, 0.5, 0.0]), ([0.0, 1.0], [0.0, 0.5, 0.5]),
+                     ([0.0, 1.0], [np.nan, 0.5, 0.0]), ([], [0.5])):
+        with pytest.raises(ValueError):
+            WaveMeasure(empty, np.array(xs), np.array(vals))
+        with pytest.raises(ValueError):
+            WaveMeasure.from_density(xs, vals)
+    with pytest.raises(ValueError, match="atom positions"):
+        WaveMeasure(np.array([[1.0, 0.2], [0.0, 0.3]]))
+    # both lengths of density_vals stay: without and with the trailing 0
+    for vals in ([0.0, 0.5], [0.0, 0.5, 0.0]):
+        assert WaveMeasure.from_density([0.0, 1.0], vals).total_mass() == 0.5
+    # a NaN mass is not non-negative
+    for nan_mass in (WaveMeasure.from_atoms([(0.0, np.nan)]),
+                     WaveMeasure.from_density([0.0, 1.0], [0.0, np.nan, 0.0])):
+        assert not nan_mass.is_nonnegative()
+        with pytest.raises(NegativeMass):
+            burgers_comparison(nan_mass, [(0.0, 0.0)], kappa=1.0)
+    # kappa negative, NaN or infinite
     atom = WaveMeasure.from_atoms([(0.0, 0.2)])
-    cs = burgers_comparison(atom, [(0.0, 1.0), (0.5, 0.8)], kappa=-1.0)
-    assert cs.profile_at(0.25).kinks == replayed_profile(atom, cs, 0.25).kinks
-    with pytest.raises(NotMonotone):
-        cs.profile_at(1.0)
+    for kappa in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="kappa"):
+            burgers_comparison(atom, [(0.0, 1.0), (0.5, 0.8)], kappa=kappa)
+    # a time before 0, NaN or infinite
+    cs = burgers_comparison(atom, [(0.0, 1.0), (0.25, 0.8)], kappa=1.0)
+    for t in (-0.25, -1e-300, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            cs.profile_at(t)
+    # a time within 1e-15 before an impulse gets the kinks it left
+    assert cs.profile_at(np.nextafter(0.25, -np.inf)).kinks == cs.profile_at(0.25).kinks
     # a NaN time in the history would break the impulses' order
     with pytest.raises(NonMonotoneHistory):
         burgers_comparison(WaveMeasure.from_atoms([]), [(0.0, 1.0), (np.nan, 0.9), (1.0, 0.8)],
