@@ -14,7 +14,6 @@ import math
 import operator
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -65,19 +64,29 @@ class ExperimentConfig:
             raise ValueError("delta_list must hold finite positive values")
         if len(set(deltas)) < len(deltas):
             raise ValueError("delta_list must hold distinct values")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not 0 < self.tau < math.inf:
+            raise ValueError("tau must be finite and positive")
+        if self.workers != 1:
+            raise ValueError("workers must be 1: the rows run in one process")
+        for key in ("c1", "c2", "c3"):
+            if not 0 <= getattr(self, key) < math.inf:
+                raise ValueError(f"{key} must be finite and >= 0")
+        if self.max_events < 0:
+            raise ValueError("max_events must be >= 0")
+        if self.n_jumps < 1:
+            raise ValueError("n_jumps must be >= 1")
+        if not 0 < self.tv < math.inf:
+            raise ValueError("tv must be finite and positive")
         for e in eps:
-            for rule in (self.rho_rule, self.dx_rule, self.cap_rule):
-                eval_rule(rule, e)
-        # an unknown system or scenario, or a bad model parameter, fails
-        # here; the model is not kept, since workers > 1 pickles the config
-        self.model_and_data()
-
-    def model_and_data(self):
-        """The preset model and the scenario's initial data."""
-        model = preset_model(self.system, gamma=self.gamma, k=self.k)
-        return model, scenario_data(model, self.scenario, self.seed, self.n_jumps, self.tv)
+            eval_rule(self.dx_rule, e)
+        # decay caps the rarefaction steps at the smallest delta
+        for key, scales in (("rho_rule", eps), ("cap_rule", eps + [min(deltas)])):
+            for s in scales:
+                if not 0 < eval_rule(getattr(self, key), s) < math.inf:
+                    raise ValueError(f"{key} must be finite and positive at {s:g}")
+        # an unknown system or scenario, or a bad model parameter, fails here
+        self.model = preset_model(self.system, gamma=self.gamma, k=self.k)
+        self.data = scenario_data(self.model, self.scenario, self.seed, self.n_jumps, self.tv)
 
     def constants(self):
         return FunctionalConstants(c1=self.c1, c2=self.c2, c3=self.c3)
@@ -256,12 +265,20 @@ def _loglog_fit(xs, ys):
     return float(sol[0]), float(np.exp(sol[1]))
 
 
-def _track(cfg, model, data, scale, eps_prime):
-    """Front-tracking run of data to cfg.tau, with rarefaction steps capped
-    by cfg.cap_rule at the given length scale."""
+def _track(cfg, scale, eps_prime):
+    """Front-tracking run of cfg's data to cfg.tau, with rarefaction steps
+    capped by cfg.cap_rule at the given length scale."""
     cap = eval_rule(cfg.cap_rule, scale)
-    return run_until(model, init_front_tracking(model, data, eps_prime, cap),
+    return run_until(cfg.model, init_front_tracking(cfg.model, cfg.data, eps_prime, cap),
                      cfg.tau, epsilon_prime=eps_prime, max_events=cfg.max_events)
+
+
+def _row_run(cfg, eps):
+    """An eps row's front-tracking run, its rho and the shocks it tracks:
+    the run simplifies interactions below min(1e-9, eps^3)."""
+    rho = eval_rule(cfg.rho_rule, eps)
+    run = _track(cfg, eps, min(1e-9, eps ** 3))
+    return run, rho, select_big_shocks(run, rho)
 
 
 # a fall of u between two points larger than its rounding marks a shock
@@ -350,20 +367,18 @@ def _row_distances(model, data, eps, tau, sol, u_ft):
 
 def converge_row(cfg, eps):
     """One epsilon row of the convergence experiment."""
-    model, data = cfg.model_and_data()
-    rho = eval_rule(cfg.rho_rule, eps)
+    model, data = cfg.model, cfg.data
     dx = eval_rule(cfg.dx_rule, eps)
     ln_eps = abs(math.log(eps))
     rate_var = math.sqrt(eps) * ln_eps
 
-    run = _track(cfg, model, data, eps, min(1e-9, eps ** 3))
+    run, rho, tracks = _row_run(cfg, eps)
     u_tau = sample_profile(run, cfg.tau)
     tv0 = data.total_variation()
 
     sol = solve_viscous(model, eps, data, cfg.tau, dx)
     distances = _row_distances(model, data, eps, cfg.tau, sol, u_tau)
 
-    tracks = select_big_shocks(run, rho)
     hyb = build_hybrid(run, tracks, eps)
     res = residual(hyb)
     js = jump_sum(hyb)
@@ -381,14 +396,7 @@ def converge_row(cfg, eps):
 
 
 def converge_cmd(cfg, out_dir=None):
-    rows = []
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futs = [pool.submit(converge_row, cfg, eps) for eps in cfg.epsilon_list]
-            rows = [f.result() for f in futs]
-    else:
-        for eps in cfg.epsilon_list:
-            rows.append(converge_row(cfg, eps))
+    rows = [converge_row(cfg, eps) for eps in cfg.epsilon_list]
     table = ConvergenceTable(rows=rows)
     table.fit()
     if out_dir:
@@ -416,13 +424,10 @@ def converge_cmd(cfg, out_dir=None):
 # functionals
 
 def functional_report_cmd(cfg, out_dir=None):
-    model, data = cfg.model_and_data()
     reports = {}
     any_violation = False
     for eps in cfg.epsilon_list:
-        rho = eval_rule(cfg.rho_rule, eps)
-        run = _track(cfg, model, data, eps, min(1e-9, eps ** 3))
-        tracks = select_big_shocks(run, rho)
+        run, rho, tracks = _row_run(cfg, eps)
         rep = audit_events(run, tracks, eps, cfg.constants(), rho=rho)
         rates = interaction_decay_rates(run, tracks, eps)
         any_violation = any_violation or not rep.ok()
@@ -441,9 +446,8 @@ def functional_report_cmd(cfg, out_dir=None):
 # decay
 
 def decay_report_cmd(cfg, out_dir=None):
-    model, data = cfg.model_and_data()
-    run = _track(cfg, model, data, min(cfg.delta_list), 1e-9)
-    tv = data.total_variation()
+    run = _track(cfg, min(cfg.delta_list), 1e-9)
+    tv = cfg.data.total_variation()
     rows = []
     for delta in sorted(cfg.delta_list, reverse=True):
         E = pair_interaction_integral(run, delta)

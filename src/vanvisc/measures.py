@@ -293,7 +293,7 @@ def _band_kernel(xs_l, steps_l, atoms_l, rho):
     atoms[np.arange(atoms.shape[1]) < n_atoms[:, None]] = np.array(
         list(chain.from_iterable(atoms_l)), dtype=float).reshape(-1, 2)
     X, M = atoms[..., 0], atoms[..., 1]
-    if (M < 0).any() or (steps < 0).any():
+    if not (M >= 0).all() or not (steps >= 0).all():
         raise NegativeMass("band_correlation needs a non-negative measure")
     dxs = xs[:, 1:] - xs[:, :-1]
     F_lo = np.zeros((B, K + 1))
@@ -403,7 +403,9 @@ def _dx_parts(kinks):
     atoms = []
     breaks, cells = [], []      # breaks on x >= 0, the slope between each two
     for (x0, w0), (x1, w1) in zip(kinks, kinks[1:]):
-        if x1 - x0 <= 0.0:
+        # a piece too narrow for its slope to be a finite float is a jump
+        slope = (w1 - w0) / (x1 - x0) if x1 - x0 > 0.0 else math.inf
+        if slope == math.inf:
             if w1 > w0:
                 if x0 == 0.0:
                     atoms.append((0.0, 2.0 * (w1 - w0)))
@@ -411,7 +413,6 @@ def _dx_parts(kinks):
                     atoms.append((x0, w1 - w0))
                     atoms.append((-x0, w1 - w0))
             continue
-        slope = (w1 - w0) / (x1 - x0)
         if slope != 0.0:
             if not breaks or breaks[-1] != x0:
                 if breaks:
@@ -455,6 +456,8 @@ class ComparisonSolution:
         if not 0.0 <= self.kappa < math.inf:
             raise ValueError(f"kappa must be finite and >= 0, not {self.kappa}")
         qh = [(float(t), float(q)) for t, q in q_history]
+        if not all(math.isfinite(q) for _, q in qh):
+            raise NonMonotoneHistory("q_history values must be finite")
         for (t0, q0), (t1, q1) in zip(qh[:-1], qh[1:]):
             if q1 > q0 + 1e-12:
                 raise NonMonotoneHistory(f"Q increases at t={t1}: {q0} -> {q1}")

@@ -196,10 +196,10 @@ def preset_model(name, gamma=None, k=None):
     if name == "p_system":
         gamma = 2.0 if gamma is None else float(gamma)
         k = 1.0 if k is None else float(k)
-        if gamma <= 1.0:
-            raise BadParameter(f"p_system needs gamma > 1, got {gamma}")
-        if k <= 0.0:
-            raise BadParameter(f"p_system needs k > 0, got {k}")
+        if not 1.0 < gamma < math.inf:
+            raise BadParameter(f"p_system needs a finite gamma > 1, got {gamma}")
+        if not 0.0 < k < math.inf:
+            raise BadParameter(f"p_system needs a finite k > 0, got {k}")
 
         # u.T unpacks one state into numpy scalars (the per-state callers in
         # front tracking stay scalar) and a stack into whole component arrays

@@ -10,6 +10,8 @@ the draw and the machine."""
 
 import dataclasses
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +35,14 @@ B_NO_VISCOUS_FN_PROFILE_FN = dataclasses.replace(B, viscous_fn=None, profile_fn=
 B_NO_WAVE_CURVE = dataclasses.replace(B, wave_curve=None)
 P_NO_WAVE_CURVE = dataclasses.replace(P, wave_curve=None)
 P_NO_RIEMANN_FN = dataclasses.replace(P, riemann_fn=None)
+
+
+def readme_config_keys():
+    """The keys in the first cells of README's `| key | meaning |` table."""
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text.split("| key | meaning |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    cells = [row.split("|")[1] for row in table.splitlines()]
+    return {key for cell in cells for key in re.findall(r"\w+", cell)}
 
 
 def no_hooks(model):

@@ -6,12 +6,15 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import CUBIC
+from conftest import CUBIC, readme_config_keys
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import entropy_distances_own_cut, grid_distance_own_cut, row_distances_unwindowed
 
 import vanvisc
 from vanvisc.front_tracking import sample_profile
-from vanvisc.harness import (ExperimentConfig, _row_distances, _track, converge_cmd,
+from vanvisc.errors import VanviscError
+from vanvisc.harness import (ExperimentConfig, _row_distances, _row_run, converge_cmd,
                              converge_row, decay_report_cmd, eval_rule, functional_report_cmd,
                              main, parse_config_file, scenario_data)
 from vanvisc.system import preset_model
@@ -237,6 +240,104 @@ def test_cli_exit_codes(tmp_path, capsys):
             assert not (tmp_path / cmd).exists()
 
 
+@pytest.mark.parametrize("text, key", [
+    ("cap_rule = -1\n", "cap_rule"),
+    # positive at eps = 2e-2, 0 at decay's scale, the smallest delta
+    ("epsilon_list = 2e-2\ndelta_list = 0.1, 0.01\ncap_rule = eps - 0.01\n", "cap_rule"),
+    ("rho_rule = -1\n", "rho_rule"),
+    ("rho_rule = 1e308 * 10\n", "rho_rule"),
+    ("c1 = nan\n", "c1"),
+    ("c2 = inf\n", "c2"),
+    ("c3 = -1\n", "c3"),
+    ("max_events = -5\n", "max_events"),
+    ("tau = nan\n", "tau"),
+    ("tau = inf\n", "tau"),
+    ("scenario = random_bv\nn_jumps = 0\n", "n_jumps"),
+    ("scenario = random_bv\ntv = nan\n", "tv"),
+    ("scenario = random_bv\ntv = -0.3\n", "tv"),
+    ("workers = 2\n", "workers"),
+    ("workers = 0\n", "workers"),
+    ("system = p_system\nscenario = lone_shock\ngamma = nan\n", "gamma"),
+    ("system = p_system\nscenario = lone_shock\nk = inf\n", "k"),
+])
+def test_cli_refuses_values_that_change_the_model(tmp_path, capsys, text, key):
+    # each value would run a different model than the config names, or fail
+    # only after the run starts: every command exits 3 before it starts,
+    # with one stderr line that names the key
+    cfgf = tmp_path / "bad.cfg"
+    cfgf.write_text(text)
+    for cmd in ("converge", "functionals", "decay"):
+        out = tmp_path / cmd
+        assert main([cmd, "--config", str(cfgf), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"vanvisc: bad config {cfgf}: ") and err.count("\n") == 1
+        assert key in err and "Traceback" not in err
+        assert not out.exists()
+
+
+def _few_jumps(value):
+    """Whether an n_jumps value builds at most 20 jumps, or fails to parse."""
+    try:
+        return not float(value) > 20
+    except ValueError:
+        return True
+
+
+# the valid values of each key, as config text
+_RULES = st.sampled_from(["eps/4", "eps/8", "0.1", "sqrt_eps*abs_ln_eps",
+                          "4*sqrt_eps*abs_ln_eps", "sqrt_eps*abs_ln_eps/2", "min(1e-2, eps)"])
+_NUMBER_LISTS = st.lists(st.floats(1e-4, 0.5), min_size=1, max_size=4, unique=True).map(
+    lambda v: ", ".join(map(repr, sorted(v, reverse=True))))
+_VALID = {
+    "system": st.sampled_from(["burgers", "p_system"]),
+    "gamma": st.floats(1.01, 3.0).map(repr), "k": st.floats(0.1, 3.0).map(repr),
+    "scenario": st.sampled_from(["lone_shock", "lone_rarefaction", "merge", "cancellation",
+                                 "merge_cancellation", "random_bv"]),
+    "seed": st.integers(0, 2 ** 32).map(str), "n_jumps": st.integers(1, 20).map(str),
+    "tv": st.floats(0.01, 1.0).map(repr), "tau": st.floats(0.01, 2.0).map(repr),
+    "epsilon_list": _NUMBER_LISTS, "delta_list": _NUMBER_LISTS,
+    "rho_rule": _RULES, "dx_rule": _RULES, "cap_rule": _RULES,
+    "c1": st.floats(0.0, 1e6).map(repr), "c2": st.floats(0.0, 1e6).map(repr),
+    "c3": st.floats(0.0, 1e6).map(repr),
+    "workers": st.just("1"), "max_events": st.integers(0, 10 ** 5).map(str),
+}
+# 0, negatives, non-finite and huge numbers, and mangled text
+_EDGE = st.one_of(st.sampled_from(["0", "-1", "-0.5", "nan", "inf", "-inf", "1e308", ""]),
+                  st.text(st.sampled_from("0123456789.eE+-*/(), _abglnoqrstx#="), max_size=10))
+
+
+@st.composite
+def config_texts(draw):
+    """Config text: keys from README's table and unknown ones, each with a
+    valid value or an edge one; n_jumps stays at most 20, so that building
+    the data stays cheap."""
+    keys = draw(st.lists(st.sampled_from(sorted(readme_config_keys())), max_size=6))
+    if draw(st.integers(0, 9)) == 0:
+        keys.append(draw(st.sampled_from(["kappa", "Workers", "epsilon-list"])))
+    lines = []
+    for key in keys:
+        # one value in four is an edge value
+        value = _EDGE if key not in _VALID or draw(st.integers(0, 3)) == 0 else _VALID[key]
+        if key == "n_jumps":
+            value = value.filter(_few_jumps)
+        lines.append(f"{key} = {draw(value)}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(config_texts())
+def test_config_text_parses_or_is_a_bad_config(tmp_path_factory, text):
+    # any config text gives a config, or one of the errors that main reports
+    # as a bad config (exit 3); a config holds finite data
+    path = tmp_path_factory.mktemp("cfg") / "any.cfg"
+    path.write_text(text)
+    try:
+        cfg = parse_config_file(str(path))
+    except (OSError, ValueError, TypeError, ArithmeticError, VanviscError):
+        return
+    assert np.isfinite(cfg.data.values).all()
+
+
 def test_cli_nonpositive_dx_is_one_line(tmp_path, capsys):
     # a grid spacing of zero or below is a CFLViolation before the grid is
     # laid out: exit 3, one stderr line, no traceback, on either preset
@@ -385,8 +486,8 @@ def test_one_cut_matches_the_two_separate_quadratures(cfg):
     # each built their own are the oracle.  The Burgers cut also holds the
     # shocks of u, so l1_error may move at rounding there and nowhere else
     eps = cfg.epsilon_list[0]
-    model, data = cfg.model_and_data()
-    u_tau = sample_profile(_track(cfg, model, data, eps, min(1e-9, eps ** 3)), cfg.tau)
+    model, data = cfg.model, cfg.data
+    u_tau = sample_profile(_row_run(cfg, eps)[0], cfg.tau)
     sol = solve_viscous(model, eps, data, cfg.tau, eval_rule(cfg.dx_rule, eps))
     row = converge_row(cfg, eps)
     want = grid_distance_own_cut(u_tau, sol.x, sol.final())
@@ -421,8 +522,8 @@ def test_point_windows_match_the_unwindowed_distances(cfg):
     # closed-form distances move by the oracle's far-field rounding and the
     # piece windows' rounding, and a model without them has neither
     eps = cfg.epsilon_list[0]
-    model, data = cfg.model_and_data()
-    u_tau = sample_profile(_track(cfg, model, data, eps, min(1e-9, eps ** 3)), cfg.tau)
+    model, data = cfg.model, cfg.data
+    u_tau = sample_profile(_row_run(cfg, eps)[0], cfg.tau)
     sol = solve_viscous(model, eps, data, cfg.tau, eval_rule(cfg.dx_rule, eps))
     got = _row_distances(model, data, eps, cfg.tau, sol, u_tau)
     want = row_distances_unwindowed(model, data, eps, cfg.tau, sol, u_tau)

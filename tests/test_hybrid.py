@@ -12,7 +12,7 @@ from vanvisc.errors import OverlappingTracks
 from vanvisc.front_tracking import (POS_TOL, Front, FrontConfiguration, init_front_tracking,
                                     run_until)
 from vanvisc.functionals import big_shock_fronts
-from vanvisc.harness import ExperimentConfig, _track, eval_rule, scenario_data
+from vanvisc.harness import ExperimentConfig, _row_run, scenario_data
 from vanvisc.hybrid import (KERNEL_C, KERNEL_SUPPORT, HybridStrip, Mollifier, build_hybrid,
                             classify_event, hybrid_vs_profile_l1, jump_sum, residual,
                             select_big_shocks, _squeeze_jet)
@@ -275,9 +275,8 @@ def _sweep_hybrid(system, scenario, eps, **fields):
     """The hybrid of a converge row with the default config (tau = 1), or
     with the given config fields."""
     cfg = ExperimentConfig(system=system, scenario=scenario, epsilon_list=(eps,), **fields)
-    model, data = cfg.model_and_data()
-    run = _track(cfg, model, data, eps, min(1e-9, eps ** 3))
-    return build_hybrid(run, select_big_shocks(run, eval_rule(cfg.rho_rule, eps)), eps)
+    run, _, tracks = _row_run(cfg, eps)
+    return build_hybrid(run, tracks, eps)
 
 
 def test_residual_agrees_with_halved_cells():

@@ -20,9 +20,9 @@ import ast
 import importlib
 import math
 import pathlib
-import re
 
 import oracles
+from conftest import readme_config_keys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "vanvisc"
@@ -316,14 +316,6 @@ def config_fields():
     cls = next(n for n in ast.walk(tree)
                if isinstance(n, ast.ClassDef) and n.name == "ExperimentConfig")
     return {st.target.id for st in cls.body if isinstance(st, ast.AnnAssign)}
-
-
-def readme_config_keys():
-    """The keys in the first cells of README's `| key | meaning |` table."""
-    text = (ROOT / "README.md").read_text()
-    table = text.split("| key | meaning |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
-    cells = [row.split("|")[1] for row in table.splitlines()]
-    return {key for cell in cells for key in re.findall(r"\w+", cell)}
 
 
 def test_readme_config_table_lists_every_config_key():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import (clip_rearranged, comparison_instance, ft_run, random_monotone,
@@ -389,10 +391,12 @@ def test_band_kernel_batch_examples():
     for mu, value in zip(batch, got):
         assert value == pytest.approx(ref_band_correlation(mu, rho), rel=1e-12, abs=1e-15)
         assert value == pytest.approx(band_correlation(mu, rho), rel=1e-15)
-    # one negative atom or piece anywhere in a batch raises
+    # one negative or NaN atom or piece anywhere in a batch raises
     neg_atom = WaveMeasure.from_atoms([(0.0, 0.2), (0.5, -0.1)])
     neg_piece = WaveMeasure.from_density([0.0, 0.5, 1.0], [0.0, 0.4, -0.2, 0.0])
-    for bad in (neg_atom, neg_piece):
+    nan_atom = WaveMeasure.from_atoms([(0.0, np.nan)])
+    nan_piece = WaveMeasure.from_density([0.0, 0.5, 1.0], [0.0, 0.4, np.nan, 0.0])
+    for bad in (neg_atom, neg_piece, nan_atom, nan_piece):
         with pytest.raises(NegativeMass):
             _band_kernel([short, long, bad, pair], rho)
         with pytest.raises(NegativeMass):
@@ -511,6 +515,10 @@ def _instants(cs, extra):
 # applies both at its first node, which keeps the kinks where they left them
 @example(WaveMeasure.from_atoms([]), [(0.0, 1.0), (6.7e-190, 0.75), (2.6e-134, 0.5)], 0.5, [],
          1.0)
+# an impulse at the smallest subnormal time: the kinks it moved make a
+# piece too narrow for its slope to be a float, which is a jump on both sides
+@example(WaveMeasure.from_atoms([(0.0, 2.0)]), [(-0.5, 1.0), (-0.5, 1.0), (5e-324, 0.75)], 0.5,
+         [], 1.0)
 def test_comparison_kinks_and_integrals_match_the_replay(mu, qh, kappa, ts, rho):
     # the kinks after each impulse, built once, give the replay's floats at
     # every instant (on an impulse time, 1e-15 and one ulp around it, before
@@ -531,7 +539,28 @@ def test_comparison_kinks_and_integrals_match_the_replay(mu, qh, kappa, ts, rho)
     for t0 in sorted({1e-6, *(t for t, _ in cs.impulses if t > 0)})[:3]:
         got = time_integrated_band_correlation(cs.profile_at, t0, t0 + 1.5, rho, 9)
         want = per_node_band_integral(replay, t0, t0 + 1.5, rho, 9)
+        assert math.isfinite(got)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_a_piece_too_narrow_for_its_slope_is_a_jump():
+    # an impulse at 5e-324 moves the atom's kink from 0 to 5e-324, so the
+    # slope of the piece behind it, 1 / 5e-324, overflows; D_x takes the
+    # piece as the jump it is to within 5e-324, an atom at 0
+    cs = burgers_comparison(WaveMeasure.from_atoms([(0.0, 2.0)]),
+                            [(-0.5, 1.0), (-0.5, 1.0), (5e-324, 0.75)], kappa=0.5)
+    t0 = 5e-324
+    assert cs.profile_at(t0).kinks == [(0.0, 0.0), (0.0, 0.125), (5e-324, 1.125)]
+    jump = OddProfile([(0.0, 0.0), (0.0, 0.125), (0.0, 1.125)])
+    _assert_same_measure(cs.profile_at(t0).dx_measure(), jump.dx_measure())
+    _assert_same_measure(jump.dx_measure(), WaveMeasure.from_atoms([(0.0, 2.25)]))
+
+    def jumped(t):
+        return jump if t == t0 else cs.profile_at(t)
+
+    got = time_integrated_band_correlation(cs.profile_at, t0, 1.5 + t0, 1.0, 9)
+    assert math.isfinite(got)
+    assert got == time_integrated_band_correlation(jumped, t0, 1.5 + t0, 1.0, 9)
 
 
 @settings(max_examples=120, deadline=None)
@@ -615,10 +644,12 @@ def test_malformed_inputs_raise_at_entry():
             cs.profile_at(t)
     # a time within 1e-15 before an impulse gets the kinks it left
     assert cs.profile_at(np.nextafter(0.25, -np.inf)).kinks == cs.profile_at(0.25).kinks
-    # a NaN time in the history would break the impulses' order
-    with pytest.raises(NonMonotoneHistory):
-        burgers_comparison(WaveMeasure.from_atoms([]), [(0.0, 1.0), (np.nan, 0.9), (1.0, 0.8)],
-                           kappa=1.0)
+    # a NaN time in the history would break the impulses' order, and a NaN
+    # Q would hide its drop from the impulses but not from sigma_bar
+    for qh in ([(0.0, 1.0), (np.nan, 0.9), (1.0, 0.8)], [(0.0, 1.0), (0.5, np.nan), (1.0, 0.5)],
+               [(0.0, np.inf), (1.0, 0.5)], [(0.0, np.nan)]):
+        with pytest.raises(NonMonotoneHistory):
+            burgers_comparison(atom, qh, kappa=1.0)
 
 
 @pytest.mark.parametrize("chunk", [None, 5])
